@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -33,7 +33,7 @@ func BenchmarkBlocking100k(b *testing.B) {
 	})
 	opts := DefaultOptions()
 	c := textproc.BuildCorpus(d.ds.Texts(), opts.corpusOptions())
-	bopts := blocking.Options{
+	bopts := index.BatchOptions{
 		CrossSourceOnly: d.ds.NumSources > 1,
 		MaxTermRecords:  opts.MaxTermRecords,
 		MinSharedTerms:  opts.MinSharedTerms,
@@ -44,7 +44,7 @@ func BenchmarkBlocking100k(b *testing.B) {
 			bopts.Workers = w
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := blocking.Build(c, d.ds.Sources(), bopts); err != nil {
+				if _, err := index.BuildGraph(c, d.ds.Sources(), bopts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -97,7 +97,7 @@ func BenchmarkTable2PerMethod(b *testing.B) {
 	})
 	b.Run("ITERCliqueRank", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.Fusion()
+			mustFusion(b, p)
 		}
 	})
 }
@@ -333,10 +333,10 @@ func BenchmarkFusionSharded100k(b *testing.B) {
 			opts.Workers = w
 			opts.FusionIterations = 2
 			opts.Snapshots = cache
-			p := er.NewPipeline(d, opts)
+			p := mustNewPipeline(b, d, opts)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.Fusion()
+				mustFusion(b, p)
 			}
 		})
 	}

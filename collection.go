@@ -3,7 +3,6 @@ package er
 import (
 	"context"
 
-	"repro/internal/blocking"
 	"repro/internal/engine"
 	"repro/internal/index"
 )
@@ -224,7 +223,7 @@ func (c *Collection) truthFor(v *index.View) (map[uint64]bool, bool) {
 				if c.opts.CrossSourceOnly && v.Sources[i] == v.Sources[j] {
 					continue
 				}
-				truth[blocking.Key(i, j)] = true
+				truth[index.Key(i, j)] = true
 			}
 		}
 	}

@@ -22,11 +22,13 @@
 //
 // # Pipeline access
 //
-// Pipeline exposes the intermediate stages — candidate generation, the
-// baseline scorers of the paper's evaluation (Jaccard, TF-IDF, bipartite
-// SimRank, PageRank/TW-IDF, Hybrid), the learned term weights and the
-// threshold-sweep evaluator — which is what the benchmark harness
-// (cmd/erbench) and the examples build on.
+// NewPipelineContext builds a Pipeline, which exposes the intermediate
+// stages — candidate generation, the baseline scorers of the paper's
+// evaluation (Jaccard, TF-IDF, bipartite SimRank, PageRank/TW-IDF, Hybrid),
+// the learned term weights of Pipeline.FusionContext and the threshold-sweep
+// evaluator — which is what the benchmark harness (cmd/erbench) and the
+// examples build on. Both stages honor the context and the Options budgets
+// and report failures as errors.
 //
 // # Stage traces and snapshot caching
 //

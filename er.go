@@ -57,14 +57,10 @@ func NewDataset(name string, records []Record) *Dataset {
 }
 
 // LoadCSV reads a dataset from a CSV stream with header id,entity,source,text.
-// It is LoadCSVContext with a background context (no cancellation, raw
-// parse errors).
+// It is LoadCSVContext with a background context: malformed input surfaces
+// as an error wrapping ErrBadData.
 func LoadCSV(r io.Reader, name string) (*Dataset, error) {
-	ds, err := dataset.LoadCSV(r, name)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{ds: ds}, nil
+	return LoadCSVContext(context.Background(), r, name)
 }
 
 // LoadCSVContext reads a dataset from a CSV stream under ctx. The row loop
@@ -88,14 +84,15 @@ func LoadCSVContext(ctx context.Context, r io.Reader, name string) (*Dataset, er
 	return &Dataset{ds: ds}, nil
 }
 
-// LoadCSVFile reads a dataset from a CSV file.
+// LoadCSVFile reads a dataset from a CSV file. Malformed content surfaces
+// as an error wrapping ErrBadData, like LoadCSVContext.
 func LoadCSVFile(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("er: opening dataset: %w", err)
 	}
 	defer f.Close()
-	return LoadCSV(f, path)
+	return LoadCSVContext(context.Background(), f, path)
 }
 
 // WriteCSV serializes the dataset in the LoadCSV format.

@@ -2,6 +2,8 @@ package er
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -164,7 +166,7 @@ func TestResolveShardingBitIdentical(t *testing.T) {
 
 func TestPipelineScoreAlignment(t *testing.T) {
 	d := ProductReplica(ReplicaConfig{Seed: 1, Scale: 0.1})
-	p := NewPipeline(d, DefaultOptions())
+	p := mustNewPipeline(t, d, DefaultOptions())
 	n := p.NumCandidates()
 	if n == 0 {
 		t.Fatal("no candidates")
@@ -189,8 +191,8 @@ func TestPipelineMethodsOrderingOnProduct(t *testing.T) {
 	// The paper's headline shape (Table II, Product column): the fusion
 	// framework beats TF-IDF, which beats Jaccard.
 	d := ProductReplica(ReplicaConfig{Seed: 1, Scale: 0.25})
-	p := NewPipeline(d, DefaultOptions())
-	out := p.Fusion()
+	p := mustNewPipeline(t, d, DefaultOptions())
+	out := mustFusion(t, p)
 	fm, ok := p.EvaluateMatches(out.Matched)
 	if !ok {
 		t.Fatal("evaluation unavailable")
@@ -206,8 +208,8 @@ func TestPipelineTermWeightQuality(t *testing.T) {
 	// Table IV shape: ITER's weights correlate with the score(t) oracle far
 	// better than PageRank salience.
 	d := ProductReplica(ReplicaConfig{Seed: 1, Scale: 0.2})
-	p := NewPipeline(d, DefaultOptions())
-	out := p.Fusion()
+	p := mustNewPipeline(t, d, DefaultOptions())
+	out := mustFusion(t, p)
 	iterRho, ok := p.TermWeightQuality(out.TermWeights)
 	if !ok {
 		t.Fatal("no ground truth")
@@ -228,8 +230,8 @@ func TestPipelineTermWeightQuality(t *testing.T) {
 
 func TestPipelineTermScoreSeries(t *testing.T) {
 	d := RestaurantReplica(ReplicaConfig{Seed: 1, Scale: 0.2})
-	p := NewPipeline(d, DefaultOptions())
-	out := p.Fusion()
+	p := mustNewPipeline(t, d, DefaultOptions())
+	out := mustFusion(t, p)
 	series, ok := p.TermScoreSeries(out.TermWeights)
 	if !ok || len(series) == 0 {
 		t.Fatal("no series")
@@ -253,15 +255,15 @@ func TestPipelineTermScoreSeries(t *testing.T) {
 func TestOptionsUniversalAcrossBackends(t *testing.T) {
 	// The RSS backend must agree with CliqueRank on a small replica.
 	d := RestaurantReplica(ReplicaConfig{Seed: 1, Scale: 0.15})
-	cr := NewPipeline(d, DefaultOptions())
-	crOut := cr.Fusion()
+	cr := mustNewPipeline(t, d, DefaultOptions())
+	crOut := mustFusion(t, cr)
 	crM, _ := cr.EvaluateMatches(crOut.Matched)
 
 	opts := DefaultOptions()
 	opts.UseRSS = true
 	opts.RSSWalks = 50
-	rs := NewPipeline(d, opts)
-	rsOut := rs.Fusion()
+	rs := mustNewPipeline(t, d, opts)
+	rsOut := mustFusion(t, rs)
 	rsM, _ := rs.EvaluateMatches(rsOut.Matched)
 
 	if diff := crM.F1 - rsM.F1; diff > 0.25 || diff < -0.25 {
@@ -280,7 +282,7 @@ func TestProgressCallbackThroughPublicAPI(t *testing.T) {
 			t.Error("misaligned callback slices")
 		}
 	}
-	NewPipeline(d, opts).Fusion()
+	mustFusion(t, mustNewPipeline(t, d, opts))
 	if len(iters) != 3 || iters[2] != 3 {
 		t.Errorf("progress iterations = %v, want [1 2 3]", iters)
 	}
@@ -288,7 +290,7 @@ func TestProgressCallbackThroughPublicAPI(t *testing.T) {
 
 func TestPipelineExtendedScorers(t *testing.T) {
 	d := RestaurantReplica(ReplicaConfig{Seed: 1, Scale: 0.2})
-	p := NewPipeline(d, DefaultOptions())
+	p := mustNewPipeline(t, d, DefaultOptions())
 	soft := p.SoftTFIDF()
 	me := p.MongeElkan()
 	if len(soft) != p.NumCandidates() || len(me) != p.NumCandidates() {
@@ -308,8 +310,8 @@ func TestL2NormalizationOption(t *testing.T) {
 	d := RestaurantReplica(ReplicaConfig{Seed: 1, Scale: 0.15})
 	opts := DefaultOptions()
 	opts.L2Normalization = true
-	p := NewPipeline(d, opts)
-	out := p.Fusion()
+	p := mustNewPipeline(t, d, opts)
+	out := mustFusion(t, p)
 	var norm float64
 	for _, x := range out.TermWeights {
 		norm += x * x
@@ -324,7 +326,7 @@ func TestL2NormalizationOption(t *testing.T) {
 
 func TestBlockingRecall(t *testing.T) {
 	d := ProductReplica(ReplicaConfig{Seed: 1, Scale: 0.2})
-	p := NewPipeline(d, DefaultOptions())
+	p := mustNewPipeline(t, d, DefaultOptions())
 	recall, ok := p.BlockingRecall()
 	if !ok {
 		t.Fatal("labeled replica must report blocking recall")
@@ -333,20 +335,20 @@ func TestBlockingRecall(t *testing.T) {
 		t.Errorf("blocking recall = %.3f, want in (0.7, 1]", recall)
 	}
 	// Blocking recall bounds every method's recall.
-	out := p.Fusion()
+	out := mustFusion(t, p)
 	if m, evalOK := p.EvaluateMatches(out.Matched); evalOK && m.Recall > recall+1e-9 {
 		t.Errorf("fusion recall %.3f exceeds blocking ceiling %.3f", m.Recall, recall)
 	}
 	unlabeled := NewDataset("x", []Record{{Text: "aa bb"}, {Text: "aa bb"}})
-	if _, ok := NewPipeline(unlabeled, DefaultOptions()).BlockingRecall(); ok {
+	if _, ok := mustNewPipeline(t, unlabeled, DefaultOptions()).BlockingRecall(); ok {
 		t.Error("unlabeled dataset must not report blocking recall")
 	}
 }
 
 func TestTopTerms(t *testing.T) {
 	d := ProductReplica(ReplicaConfig{Seed: 1, Scale: 0.15})
-	p := NewPipeline(d, DefaultOptions())
-	out := p.Fusion()
+	p := mustNewPipeline(t, d, DefaultOptions())
+	out := mustFusion(t, p)
 	top := p.TopTerms(out.TermWeights, 5)
 	if len(top) != 5 {
 		t.Fatalf("TopTerms returned %d entries", len(top))
@@ -393,8 +395,8 @@ func TestResolveDegenerateInputs(t *testing.T) {
 
 func TestEvaluateClustersBCubed(t *testing.T) {
 	d := RestaurantReplica(ReplicaConfig{Seed: 1, Scale: 0.2})
-	p := NewPipeline(d, DefaultOptions())
-	out := p.Fusion()
+	p := mustNewPipeline(t, d, DefaultOptions())
+	out := mustFusion(t, p)
 	clusters := p.Clusters(out.Matched)
 	m, ok := p.EvaluateClusters(clusters)
 	if !ok {
@@ -419,7 +421,7 @@ func TestEvaluateClustersBCubed(t *testing.T) {
 
 func TestPipelinePRCurveAndBiRank(t *testing.T) {
 	d := ProductReplica(ReplicaConfig{Seed: 1, Scale: 0.15})
-	p := NewPipeline(d, DefaultOptions())
+	p := mustNewPipeline(t, d, DefaultOptions())
 	scores, salience := p.BiRank()
 	if len(scores) != p.NumCandidates() || len(salience) != p.NumTerms() {
 		t.Fatal("BiRank alignment wrong")
@@ -450,8 +452,8 @@ func TestExplain(t *testing.T) {
 		{Text: "pioneer vsx321 receiver audio black"},
 	}
 	d := NewDataset("catalog", records)
-	p := NewPipeline(d, DefaultOptions())
-	out := p.Fusion()
+	p := mustNewPipeline(t, d, DefaultOptions())
+	out := mustFusion(t, p)
 
 	ex, ok := p.Explain(out, 0, 1)
 	if !ok {
@@ -531,10 +533,71 @@ func TestOptionsStopwords(t *testing.T) {
 	})
 	opts := DefaultOptions()
 	opts.Stopwords = []string{"corp"}
-	p := NewPipeline(d, opts)
+	p := mustNewPipeline(t, d, opts)
 	for i := 0; i < p.NumTerms(); i++ {
 		if p.Term(i) == "corp" {
 			t.Error("stopword survived preprocessing")
 		}
 	}
+}
+
+// TestFusionContextWallClock pins the staged-API budget: MaxWallClock must
+// bound Pipeline.FusionContext itself, not only ResolveContext (regression:
+// the CLI's staged path once dropped the budget after construction). The
+// pipeline is built without a budget so construction cannot trip it.
+func TestFusionContextWallClock(t *testing.T) {
+	d := ProductReplica(ReplicaConfig{Scale: 0.3})
+	p := mustNewPipeline(t, d, DefaultOptions())
+	budgeted := *p
+	budgeted.opts.MaxWallClock = time.Nanosecond
+	if _, err := budgeted.FusionContext(context.Background()); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("FusionContext under an expired budget returned %v, want ErrBudgetExceeded", err)
+	}
+	if out := mustFusion(t, p); len(out.Probabilities) != p.NumCandidates() {
+		t.Fatal("FusionContext without a budget must complete")
+	}
+}
+
+// TestReplicaF1Pinned pins the pairwise F1 of the default pipeline on the
+// three published-scale replicas. Semantic changes to blocking or fusion
+// must move these values knowingly, not as a side effect of a refactor.
+func TestReplicaF1Pinned(t *testing.T) {
+	cfg := ReplicaConfig{Seed: 1}
+	for _, tc := range []struct {
+		name string
+		d    *Dataset
+		want float64
+	}{
+		{"restaurant", RestaurantReplica(cfg), 0.823529},
+		{"product", ProductReplica(cfg), 0.915438},
+		{"paper", PaperReplica(cfg), 0.868965},
+	} {
+		res, err := Resolve(tc.d, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := res.Evaluation.F1; math.Abs(got-tc.want) > 0.005 {
+			t.Errorf("%s: F1 = %.6f, want %.6f ± 0.005", tc.name, got, tc.want)
+		}
+	}
+}
+
+// mustNewPipeline builds a pipeline and fails the test on error.
+func mustNewPipeline(t *testing.T, d *Dataset, opts Options) *Pipeline {
+	t.Helper()
+	p, err := NewPipelineContext(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// mustFusion runs the fusion loop and fails the test on error.
+func mustFusion(t *testing.T, p *Pipeline) *FusionOutcome {
+	t.Helper()
+	out, err := p.FusionContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

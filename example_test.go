@@ -1,6 +1,7 @@
 package er_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -25,17 +26,24 @@ func ExampleResolve() {
 	// records 0 and 1 refer to the same entity (p=1.00)
 }
 
-// ExampleNewPipeline shows the staged API: inspect candidates, compare
-// methods, and read the learned term weights.
-func ExampleNewPipeline() {
+// ExampleNewPipelineContext shows the staged API: inspect candidates,
+// compare methods, and read the learned term weights.
+func ExampleNewPipelineContext() {
 	ds := er.NewDataset("catalog", []er.Record{
 		{Text: "canon powershot a590 digital camera"},
 		{Text: "canon a590 powershot camera silver"},
 		{Text: "canon printer pixma mp280"},
 		{Text: "canon pixma mp280 printer ink"},
 	})
-	p := er.NewPipeline(ds, er.DefaultOptions())
-	out := p.Fusion()
+	ctx := context.Background()
+	p, err := er.NewPipelineContext(ctx, ds, er.DefaultOptions())
+	if err != nil {
+		panic(err)
+	}
+	out, err := p.FusionContext(ctx)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("candidate pairs: %d\n", p.NumCandidates())
 	weights := map[string]float64{}

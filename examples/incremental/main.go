@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"repro"
@@ -18,8 +19,15 @@ import (
 func main() {
 	// Fit on the existing catalog.
 	ds := er.ProductReplica(er.ReplicaConfig{Seed: 3, Scale: 0.15})
-	pipe := er.NewPipeline(ds, er.DefaultOptions())
-	out := pipe.Fusion()
+	ctx := context.Background()
+	pipe, err := er.NewPipelineContext(ctx, ds, er.DefaultOptions())
+	if err != nil {
+		panic(err)
+	}
+	out, err := pipe.FusionContext(ctx)
+	if err != nil {
+		panic(err)
+	}
 	matcher := pipe.Matcher(out)
 	fmt.Printf("fitted on %d records\n", ds.NumRecords())
 

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -25,13 +26,20 @@ func main() {
 		ds.NumRecords(), ds.NumSources(), ds.NumTrueMatches())
 
 	opts := er.DefaultOptions()
-	pipe := er.NewPipeline(ds, opts)
+	ctx := context.Background()
+	pipe, err := er.NewPipelineContext(ctx, ds, opts)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("candidate pairs after blocking: %d\n\n", pipe.NumCandidates())
 
 	// Compare the unsupervised framework against the string baselines the
 	// paper evaluates (their thresholds are tuned by oracle sweep — "an
 	// upper bound of manually tuned parameters").
-	out := pipe.Fusion()
+	out, err := pipe.FusionContext(ctx)
+	if err != nil {
+		panic(err)
+	}
 	if m, ok := pipe.EvaluateMatches(out.Matched); ok {
 		fmt.Printf("ITER+CliqueRank  F1 %.3f  (precision %.3f, recall %.3f)\n", m.F1, m.Precision, m.Recall)
 	}

@@ -4,14 +4,14 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/blocking"
 	"repro/internal/graph"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
-func setup(texts ...string) (*textproc.Corpus, *blocking.Graph) {
+func setup(texts ...string) (*textproc.Corpus, *index.Graph) {
 	c := textproc.BuildCorpus(texts, textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions()})
-	g, err := blocking.Build(c, nil, blocking.Options{})
+	g, err := index.BuildGraph(c, nil, index.BatchOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -3,8 +3,8 @@ package baselines
 import (
 	"math"
 
-	"repro/internal/blocking"
 	"repro/internal/guard"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -107,7 +107,7 @@ func BiRank(c *textproc.Corpus, opts BiRankOptions) (termRank, recordRank []floa
 // BiRank term salience in place of PageRank salience — the drop-in variant
 // of the §III-B baseline on the bipartite graph instead of the term
 // co-occurrence graph.
-func BiRankTWIDF(c *textproc.Corpus, g *blocking.Graph, opts BiRankOptions) (scores, salience []float64) {
+func BiRankTWIDF(c *textproc.Corpus, g *index.Graph, opts BiRankOptions) (scores, salience []float64) {
 	salience, _ = BiRank(c, opts)
 	return TWIDF(c, g, salience), salience
 }

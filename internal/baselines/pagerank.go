@@ -7,9 +7,9 @@ package baselines
 import (
 	"math"
 
-	"repro/internal/blocking"
 	"repro/internal/graph"
 	"repro/internal/guard"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -73,7 +73,7 @@ func PageRank(g *graph.TermGraph, opts PageRankOptions) []float64 {
 
 // TWIDF scores every candidate pair with the TW-IDF textual similarity of
 // Eq. 4: the sum over shared terms of salience(t) · log((n+1)/df(t)).
-func TWIDF(c *textproc.Corpus, g *blocking.Graph, salience []float64) []float64 {
+func TWIDF(c *textproc.Corpus, g *index.Graph, salience []float64) []float64 {
 	n := float64(c.NumRecords())
 	idf := make([]float64, c.NumTerms())
 	for t, df := range c.DF {
@@ -97,7 +97,7 @@ func TWIDF(c *textproc.Corpus, g *blocking.Graph, salience []float64) []float64 
 // graph, compute PageRank salience and score candidate pairs with TW-IDF.
 // It returns both the pair scores and the term salience (the latter feeds
 // the Table IV Spearman comparison).
-func PageRankTWIDF(c *textproc.Corpus, g *blocking.Graph, opts PageRankOptions) (scores, salience []float64) {
+func PageRankTWIDF(c *textproc.Corpus, g *index.Graph, opts PageRankOptions) (scores, salience []float64) {
 	tg := graph.NewTermGraph(c, opts.Window)
 	salience = PageRank(tg, opts)
 	return TWIDF(c, g, salience), salience

@@ -1,8 +1,8 @@
 package baselines
 
 import (
-	"repro/internal/blocking"
 	"repro/internal/guard"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -38,7 +38,7 @@ func DefaultSimRankOptions() SimRankOptions {
 // approximation afterwards.
 //
 // The returned slice is aligned with g.Pairs.
-func SimRank(c *textproc.Corpus, g *blocking.Graph, opts SimRankOptions) []float64 {
+func SimRank(c *textproc.Corpus, g *index.Graph, opts SimRankOptions) []float64 {
 	if opts.Iters <= 0 {
 		opts.Iters = 5
 	}

@@ -7,15 +7,15 @@ package cluster
 import (
 	"slices"
 
-	"repro/internal/blocking"
 	"repro/internal/graph"
+	"repro/internal/index"
 )
 
 // FromMatches computes entity clusters from the flagged candidate pairs.
 // Every record appears in exactly one cluster; unmatched records form
 // singleton clusters. Clusters are ordered by size descending, ties broken
 // by smallest member, members sorted ascending.
-func FromMatches(numRecords int, pairs []blocking.Pair, matched []bool) [][]int {
+func FromMatches(numRecords int, pairs []index.Pair, matched []bool) [][]int {
 	u := graph.NewUnionFind(numRecords)
 	for k, p := range pairs {
 		if matched[k] {
@@ -33,44 +33,4 @@ func FromMatches(numRecords int, pairs []blocking.Pair, matched []bool) [][]int 
 		return a[0] - b[0]
 	})
 	return groups
-}
-
-// ClosurePairs expands clusters back into the full set of implied matching
-// pairs (the transitive closure used by crowd-based methods to derive extra
-// answers). Keys use blocking.Key.
-func ClosurePairs(clusters [][]int) map[uint64]bool {
-	out := make(map[uint64]bool)
-	for _, c := range clusters {
-		for a := 0; a < len(c); a++ {
-			for b := a + 1; b < len(c); b++ {
-				out[blocking.Key(int32(c[a]), int32(c[b]))] = true
-			}
-		}
-	}
-	return out
-}
-
-// Stats summarizes a clustering.
-type Stats struct {
-	Clusters    int // clusters with >= 2 records
-	Singletons  int
-	LargestSize int
-	Records     int
-}
-
-// Summarize computes clustering statistics.
-func Summarize(clusters [][]int) Stats {
-	var s Stats
-	for _, c := range clusters {
-		s.Records += len(c)
-		if len(c) == 1 {
-			s.Singletons++
-			continue
-		}
-		s.Clusters++
-		if len(c) > s.LargestSize {
-			s.LargestSize = len(c)
-		}
-	}
-	return s
 }

@@ -3,11 +3,11 @@ package cluster
 import (
 	"testing"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 )
 
 func TestFromMatchesTransitiveClosure(t *testing.T) {
-	pairs := []blocking.Pair{{I: 0, J: 1}, {I: 1, J: 2}, {I: 3, J: 4}, {I: 4, J: 5}}
+	pairs := []index.Pair{{I: 0, J: 1}, {I: 1, J: 2}, {I: 3, J: 4}, {I: 4, J: 5}}
 	matched := []bool{true, true, true, false}
 	clusters := FromMatches(6, pairs, matched)
 	// {0,1,2}, {3,4}, {5}
@@ -26,32 +26,9 @@ func TestFromMatchesTransitiveClosure(t *testing.T) {
 }
 
 func TestFromMatchesNoMatches(t *testing.T) {
-	pairs := []blocking.Pair{{I: 0, J: 1}}
+	pairs := []index.Pair{{I: 0, J: 1}}
 	clusters := FromMatches(3, pairs, []bool{false})
 	if len(clusters) != 3 {
 		t.Fatalf("want 3 singletons, got %v", clusters)
-	}
-}
-
-func TestClosurePairs(t *testing.T) {
-	closure := ClosurePairs([][]int{{0, 1, 2}, {3, 4}, {5}})
-	want := []uint64{
-		blocking.Key(0, 1), blocking.Key(0, 2), blocking.Key(1, 2),
-		blocking.Key(3, 4),
-	}
-	if len(closure) != len(want) {
-		t.Fatalf("closure has %d pairs, want %d", len(closure), len(want))
-	}
-	for _, k := range want {
-		if !closure[k] {
-			t.Errorf("pair key %d missing from closure", k)
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([][]int{{0, 1, 2}, {3, 4}, {5}, {6}})
-	if s.Clusters != 2 || s.Singletons != 2 || s.LargestSize != 3 || s.Records != 7 {
-		t.Errorf("stats = %+v", s)
 	}
 }

@@ -4,28 +4,28 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/matrix"
 )
 
 // cliqueFixture builds a record graph with two internally well-connected
 // cliques {0,1,2} and {3,4,5} joined by one weak bridge (2,3). Weights: 1.0
 // inside cliques, bridge weight w.
-func cliqueFixture(t *testing.T, bridge float64) (*blocking.Graph, *RecordGraph) {
+func cliqueFixture(t *testing.T, bridge float64) (*index.Graph, *RecordGraph) {
 	t.Helper()
 	pairs := [][2]int32{
 		{0, 1}, {0, 2}, {1, 2},
 		{3, 4}, {3, 5}, {4, 5},
 		{2, 3},
 	}
-	g := &blocking.Graph{
+	g := &index.Graph{
 		NumRecords: 6,
 		Index:      map[uint64]int32{},
 	}
 	s := make([]float64, len(pairs))
 	for k, ij := range pairs {
-		g.Pairs = append(g.Pairs, blocking.Pair{I: ij[0], J: ij[1]})
-		g.Index[blocking.Key(ij[0], ij[1])] = int32(k)
+		g.Pairs = append(g.Pairs, index.Pair{I: ij[0], J: ij[1]})
+		g.Index[index.Key(ij[0], ij[1])] = int32(k)
 		s[k] = 1
 	}
 	s[len(s)-1] = bridge
@@ -50,12 +50,12 @@ func TestBuildRecordGraphStructure(t *testing.T) {
 }
 
 func TestBuildRecordGraphDropsZeroPairs(t *testing.T) {
-	g := &blocking.Graph{
+	g := &index.Graph{
 		NumRecords: 3,
-		Pairs:      []blocking.Pair{{I: 0, J: 1}, {I: 1, J: 2}},
+		Pairs:      []index.Pair{{I: 0, J: 1}, {I: 1, J: 2}},
 		Index: map[uint64]int32{
-			blocking.Key(0, 1): 0,
-			blocking.Key(1, 2): 1,
+			index.Key(0, 1): 0,
+			index.Key(1, 2): 1,
 		},
 	}
 	rg := BuildRecordGraph(g, []float64{0.5, 0}, 3)
@@ -165,17 +165,17 @@ func TestCliqueRankBonusHelpsBigClique(t *testing.T) {
 	// ~1/(k-1), so without the target bonus the S-step reaching probability
 	// of a member pair is visibly lower.
 	k := 40
-	var pairs []blocking.Pair
+	var pairs []index.Pair
 	idx := map[uint64]int32{}
 	var s []float64
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			idx[blocking.Key(int32(i), int32(j))] = int32(len(pairs))
-			pairs = append(pairs, blocking.Pair{I: int32(i), J: int32(j)})
+			idx[index.Key(int32(i), int32(j))] = int32(len(pairs))
+			pairs = append(pairs, index.Pair{I: int32(i), J: int32(j)})
 			s = append(s, 1)
 		}
 	}
-	g := &blocking.Graph{NumRecords: k, Pairs: pairs, Index: idx}
+	g := &index.Graph{NumRecords: k, Pairs: pairs, Index: idx}
 	rg := BuildRecordGraph(g, s, k)
 
 	with := DefaultOptions()

@@ -4,13 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
 // benchGraph builds a moderately sized candidate structure from synthetic
 // texts: 60 duplicate pairs over shared code terms plus noise records.
-func benchGraph(b *testing.B) (*textproc.Corpus, *blocking.Graph) {
+func benchGraph(b *testing.B) (*textproc.Corpus, *index.Graph) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
@@ -25,7 +25,7 @@ func benchGraph(b *testing.B) (*textproc.Corpus, *blocking.Graph) {
 			words[rng.Intn(len(words))]+" "+words[rng.Intn(len(words))]+" solo"+string(rune('a'+s%26)))
 	}
 	c := textproc.BuildCorpus(texts, textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions()})
-	g, err := blocking.Build(c, nil, blocking.Options{MinSharedTerms: 2})
+	g, err := index.BuildGraph(c, nil, index.BatchOptions{MinSharedTerms: 2})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 )
 
 // FusionResult is the output of the full ITER ⇄ CliqueRank framework.
@@ -65,7 +65,7 @@ type FusionResult struct {
 // returns the checkpoint's error with a nil result; after every round the
 // x/s/p vectors are scanned for NaN/±Inf and sanitized (see
 // FusionResult.NumericRepairs).
-func RunFusion(g *blocking.Graph, numRecords int, opts Options) (*FusionResult, error) {
+func RunFusion(g *index.Graph, numRecords int, opts Options) (*FusionResult, error) {
 	// The reinforcement loop reuses its working memory across rounds: the
 	// ITER scratch carries the x/s/raw vectors, the arena recycles the
 	// record-graph and CliqueRank buffers, and p is rewritten in place. Only

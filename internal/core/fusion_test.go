@@ -7,12 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blocking"
 	"repro/internal/guard"
+	"repro/internal/index"
 )
 
 // mustFusion runs RunFusion and fails the test on an unexpected error.
-func mustFusion(t *testing.T, g *blocking.Graph, numRecords int, opts Options) *FusionResult {
+func mustFusion(t *testing.T, g *index.Graph, numRecords int, opts Options) *FusionResult {
 	t.Helper()
 	res, err := RunFusion(g, numRecords, opts)
 	if err != nil {

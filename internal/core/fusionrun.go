@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/blocking"
 	"repro/internal/clock"
+	"repro/internal/index"
 )
 
 // Scratch recycles the fusion loop's record-graph and rank-kernel arena
@@ -40,7 +40,7 @@ type Scratch struct {
 //
 // is bit-identical to RunFusion (which is implemented this way).
 type FusionRun struct {
-	g          *blocking.Graph
+	g          *index.Graph
 	numRecords int
 	opts       Options
 	now        clock.Func
@@ -59,7 +59,7 @@ type FusionRun struct {
 // RNG, and the working scratch (taken from opts.Scratch when set). A zero
 // opts.Seed is normalized to 1 and FusionIterations below 1 to a single
 // round, as in RunFusion.
-func NewFusionRun(g *blocking.Graph, numRecords int, opts Options) *FusionRun {
+func NewFusionRun(g *index.Graph, numRecords int, opts Options) *FusionRun {
 	now := clock.OrSystem(opts.Clock)
 	if opts.Seed == 0 {
 		opts.Seed = 1

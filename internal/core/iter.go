@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/parallel"
 )
 
@@ -63,11 +63,11 @@ func (sc *iterScratch) grow(numTerms, numPairs int) {
 // Both sweeps and the convergence reductions fan out over opts.Workers
 // goroutines through the deterministic chunked scheduler; the output is
 // bit-identical for every worker count.
-func RunITER(g *blocking.Graph, p []float64, opts Options, rng *rand.Rand) *ITERResult {
+func RunITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand) *ITERResult {
 	return runITER(g, p, opts, rng, &iterScratch{})
 }
 
-func runITER(g *blocking.Graph, p []float64, opts Options, rng *rand.Rand, sc *iterScratch) *ITERResult {
+func runITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand, sc *iterScratch) *ITERResult {
 	if len(p) != g.NumPairs() {
 		//lint:invariant alignment is established by RunFusion, the only production caller; tests assert on this panic
 		panic("core: p must be aligned with candidate pairs")

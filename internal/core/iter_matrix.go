@@ -1,7 +1,7 @@
 package core
 
 import (
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/matrix"
 )
 
@@ -14,7 +14,7 @@ import (
 // x/(1+x) normalization as the loop implementation. It exists to
 // cross-validate RunITER against the formulation the convergence proof
 // (Theorem 1) is stated in; the loop form is the production path.
-func iterMatrixStep(g *blocking.Graph, p, x []float64) (xNext, y []float64) {
+func iterMatrixStep(g *index.Graph, p, x []float64) (xNext, y []float64) {
 	s := bipartiteCSR(g)
 	y = s.MulVecT(x) // y = Sᵀ x
 	cy := make([]float64, len(y))
@@ -33,7 +33,7 @@ func iterMatrixStep(g *blocking.Graph, p, x []float64) (xNext, y []float64) {
 
 // bipartiteCSR materializes the bipartite adjacency matrix S with
 // S[t, b] = 1 iff term t connects pair node b.
-func bipartiteCSR(g *blocking.Graph) *matrix.CSR {
+func bipartiteCSR(g *index.Graph) *matrix.CSR {
 	var entries []matrix.Entry
 	//lint:ignore guardloop output-sized materialization used only by the cross-validation path, not production
 	for t, pairIDs := range g.TermPairs {

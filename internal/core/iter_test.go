@@ -5,20 +5,20 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
-func setup(texts ...string) (*textproc.Corpus, *blocking.Graph) {
+func setup(texts ...string) (*textproc.Corpus, *index.Graph) {
 	c := textproc.BuildCorpus(texts, textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions()})
-	g, err := blocking.Build(c, nil, blocking.Options{})
+	g, err := index.BuildGraph(c, nil, index.BatchOptions{})
 	if err != nil {
 		panic(err)
 	}
 	return c, g
 }
 
-func onesP(g *blocking.Graph) []float64 {
+func onesP(g *index.Graph) []float64 {
 	p := make([]float64, g.NumPairs())
 	for i := range p {
 		p[i] = 1

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -14,7 +14,7 @@ import (
 // carrying an entity-specific model code plus common vocabulary that wires
 // the record graph together, and a band of noise records. The corpus is
 // fully seeded, so every benchmark and determinism test sees the same graph.
-func productScaleGraph(tb testing.TB) (*textproc.Corpus, *blocking.Graph) {
+func productScaleGraph(tb testing.TB) (*textproc.Corpus, *index.Graph) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
 	common := make([]string, 40)
@@ -40,7 +40,7 @@ func productScaleGraph(tb testing.TB) (*textproc.Corpus, *blocking.Graph) {
 			common[rng.Intn(40)]+" "+common[rng.Intn(40)]+" solo"+code(s))
 	}
 	c := textproc.BuildCorpus(texts, textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions()})
-	g, err := blocking.Build(c, nil, blocking.Options{MinSharedTerms: 3, MaxTermRecords: 220})
+	g, err := index.BuildGraph(c, nil, index.BatchOptions{MinSharedTerms: 3, MaxTermRecords: 220})
 	if err != nil {
 		tb.Fatal(err)
 	}

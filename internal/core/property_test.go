@@ -4,21 +4,21 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 )
 
 // randomCandidateGraph builds a random blocking graph over n records with
 // the given edge density and random positive similarities.
-func randomCandidateGraph(rng *rand.Rand, n int, density float64) (*blocking.Graph, []float64) {
-	g := &blocking.Graph{NumRecords: n, Index: map[uint64]int32{}}
+func randomCandidateGraph(rng *rand.Rand, n int, density float64) (*index.Graph, []float64) {
+	g := &index.Graph{NumRecords: n, Index: map[uint64]int32{}}
 	var s []float64
 	for i := int32(0); i < int32(n); i++ {
 		for j := i + 1; j < int32(n); j++ {
 			if rng.Float64() >= density {
 				continue
 			}
-			g.Index[blocking.Key(i, j)] = int32(len(g.Pairs))
-			g.Pairs = append(g.Pairs, blocking.Pair{I: i, J: j})
+			g.Index[index.Key(i, j)] = int32(len(g.Pairs))
+			g.Pairs = append(g.Pairs, index.Pair{I: i, J: j})
 			s = append(s, 0.05+rng.Float64())
 		}
 	}
@@ -98,13 +98,13 @@ func TestRSSProbabilityInvariants(t *testing.T) {
 // probability (there is no pair node between them at all), and that two
 // well-formed cliques both resolve internally.
 func TestCliqueRankDisjointComponentsStayDisjoint(t *testing.T) {
-	g := &blocking.Graph{NumRecords: 6, Index: map[uint64]int32{}}
+	g := &index.Graph{NumRecords: 6, Index: map[uint64]int32{}}
 	var s []float64
 	addClique := func(members []int32) {
 		for a := 0; a < len(members); a++ {
 			for b := a + 1; b < len(members); b++ {
-				g.Index[blocking.Key(members[a], members[b])] = int32(len(g.Pairs))
-				g.Pairs = append(g.Pairs, blocking.Pair{I: members[a], J: members[b]})
+				g.Index[index.Key(members[a], members[b])] = int32(len(g.Pairs))
+				g.Pairs = append(g.Pairs, index.Pair{I: members[a], J: members[b]})
 				s = append(s, 1)
 			}
 		}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/matrix"
 )
 
@@ -32,11 +32,11 @@ type RecordGraph struct {
 // similarities. Pairs with similarity 0 (possible when every shared term
 // ended with weight 0) are excluded: a zero-weight edge can never be chosen
 // by the walk and would only add zero rows to the transition matrix.
-func BuildRecordGraph(g *blocking.Graph, s []float64, numRecords int) *RecordGraph {
+func BuildRecordGraph(g *index.Graph, s []float64, numRecords int) *RecordGraph {
 	return buildRecordGraph(g, s, numRecords, nil)
 }
 
-func buildRecordGraph(g *blocking.Graph, s []float64, numRecords int, ar *arena) *RecordGraph {
+func buildRecordGraph(g *index.Graph, s []float64, numRecords int, ar *arena) *RecordGraph {
 	edges := ar.getEdges(g.NumPairs())
 	kept := ar.getI32(g.NumPairs())[:0]
 	for pid, p := range g.Pairs {

@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 )
 
 func TestRSSSeparatesCliques(t *testing.T) {
@@ -101,10 +101,10 @@ func TestRSSOnEdgesSubset(t *testing.T) {
 func TestRSSSingleEdgeGraph(t *testing.T) {
 	// Corner case from §VI-B: a node with a single neighbor always reaches
 	// it, so p must be 1 for an isolated matched pair.
-	g := &blocking.Graph{
+	g := &index.Graph{
 		NumRecords: 2,
-		Pairs:      []blocking.Pair{{I: 0, J: 1}},
-		Index:      map[uint64]int32{blocking.Key(0, 1): 0},
+		Pairs:      []index.Pair{{I: 0, J: 1}},
+		Index:      map[uint64]int32{index.Key(0, 1): 0},
 	}
 	rg := BuildRecordGraph(g, []float64{0.7}, 2)
 	opts := DefaultOptions()

@@ -3,8 +3,8 @@ package core
 import (
 	"sync"
 
-	"repro/internal/blocking"
 	"repro/internal/graph"
+	"repro/internal/index"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
@@ -37,34 +37,38 @@ import (
 // off inside them), smaller ones become units of component-level fan-out.
 const bigShardPairs = 4096
 
-// shard is one connected component of the candidate graph.
-type shard struct {
-	// records lists the component's global record IDs, ascending; a
+// Component is one connected component of the candidate graph.
+type Component struct {
+	// Records lists the component's global record IDs, ascending; a
 	// record's position is its local node ID.
-	records []int32
-	// pairs lists the component's global candidate-pair IDs, ascending; a
+	Records []int32
+	// Pairs lists the component's global candidate-pair IDs, ascending; a
 	// pair's position is its local pair index.
-	pairs []int32
+	Pairs []int32
 }
 
-// shardSet is the once-per-run component partition.
-type shardSet struct {
-	shards []shard
-	// recLocal maps a global record ID to its local node ID within its
-	// shard (-1 for records in no candidate pair).
-	recLocal []int32
-	// big and small split shard indexes by bigShardPairs; smallGrain is
-	// the precomputed fan-out chunk size over small (a pure function of
-	// the partition, so chunk sets are worker-independent).
-	big        []int32
-	small      []int32
-	smallGrain int
+// Partition is the component decomposition of a candidate graph plus the
+// global→local renumbering arrays. Record and pair membership is unique,
+// so one flat array per dimension serves every component at once and the
+// consumers' hot loops stay map-free.
+type Partition struct {
+	Comps []Component
+	// RecLocal and PairLocal give a record's / pair's local index within
+	// its component (-1 for records in no candidate pair).
+	RecLocal  []int32
+	PairLocal []int32
+	// PairComp gives a pair's component index.
+	PairComp []int32
 }
 
-// partitionComponents computes the connected components of the candidate
+// PartitionComponents computes the connected components of the candidate
 // graph. Records that appear in no candidate pair are left out — they have
-// no pairs to score, so excluding them changes nothing.
-func partitionComponents(g *blocking.Graph, numRecords int) *shardSet {
+// no pairs to score, so excluding them changes nothing. Components are
+// numbered by their smallest record ID and each component's record and
+// pair lists keep global order, so the partition is a pure function of the
+// candidate graph: the sharded rank step and the delta resolver's
+// component keys both depend on that.
+func PartitionComponents(g *index.Graph, numRecords int) *Partition {
 	uf := graph.NewUnionFind(numRecords)
 	inPair := make([]bool, numRecords)
 	for _, pr := range g.Pairs {
@@ -73,67 +77,88 @@ func partitionComponents(g *blocking.Graph, numRecords int) *shardSet {
 		inPair[pr.J] = true
 	}
 
-	// Number components by first appearance in ascending record order, so
-	// the shard order (and with it every merged aggregate) is a pure
-	// function of the candidate graph.
+	// Number components by first appearance in ascending record order.
 	compIdx := make([]int32, numRecords)
-	shardOf := make([]int32, numRecords)
+	compOf := make([]int32, numRecords)
 	for i := range compIdx {
 		compIdx[i] = -1
 	}
-	nshards := 0
+	ncomps := 0
 	for r := 0; r < numRecords; r++ {
 		if !inPair[r] {
-			shardOf[r] = -1
+			compOf[r] = -1
 			continue
 		}
 		root := uf.Find(r)
 		if compIdx[root] < 0 {
-			compIdx[root] = int32(nshards)
-			nshards++
+			compIdx[root] = int32(ncomps)
+			ncomps++
 		}
-		shardOf[r] = compIdx[root]
+		compOf[r] = compIdx[root]
 	}
 
-	recCount := make([]int32, nshards)
-	pairCount := make([]int32, nshards)
+	recCount := make([]int32, ncomps)
+	pairCount := make([]int32, ncomps)
 	for r := 0; r < numRecords; r++ {
-		if shardOf[r] >= 0 {
-			recCount[shardOf[r]]++
+		if compOf[r] >= 0 {
+			recCount[compOf[r]]++
 		}
 	}
 	for _, pr := range g.Pairs {
-		pairCount[shardOf[pr.I]]++
+		pairCount[compOf[pr.I]]++
 	}
-	ss := &shardSet{shards: make([]shard, nshards), recLocal: make([]int32, numRecords)}
-	for si := range ss.shards {
-		ss.shards[si].records = make([]int32, 0, recCount[si])
-		ss.shards[si].pairs = make([]int32, 0, pairCount[si])
+	part := &Partition{
+		Comps:     make([]Component, ncomps),
+		RecLocal:  make([]int32, numRecords),
+		PairLocal: make([]int32, g.NumPairs()),
+		PairComp:  make([]int32, g.NumPairs()),
 	}
-	// Ascending r per shard: a record's local ID preserves the global
+	for ci := range part.Comps {
+		part.Comps[ci].Records = make([]int32, 0, recCount[ci])
+		part.Comps[ci].Pairs = make([]int32, 0, pairCount[ci])
+	}
+	// Ascending r per component: a record's local ID preserves the global
 	// order, so local neighbor lists sort identically to the global ones —
 	// the heart of the bit-identity argument.
 	for r := 0; r < numRecords; r++ {
-		si := shardOf[r]
-		if si < 0 {
-			ss.recLocal[r] = -1
+		ci := compOf[r]
+		if ci < 0 {
+			part.RecLocal[r] = -1
 			continue
 		}
-		ss.recLocal[r] = int32(len(ss.shards[si].records))
-		ss.shards[si].records = append(ss.shards[si].records, int32(r))
+		part.RecLocal[r] = int32(len(part.Comps[ci].Records))
+		part.Comps[ci].Records = append(part.Comps[ci].Records, int32(r))
 	}
 	for pid, pr := range g.Pairs {
-		si := shardOf[pr.I]
-		ss.shards[si].pairs = append(ss.shards[si].pairs, int32(pid))
+		ci := compOf[pr.I]
+		part.PairComp[pid] = ci
+		part.PairLocal[pid] = int32(len(part.Comps[ci].Pairs))
+		part.Comps[ci].Pairs = append(part.Comps[ci].Pairs, int32(pid))
 	}
+	return part
+}
 
+// shardSet is the once-per-run component partition plus its schedule.
+type shardSet struct {
+	*Partition
+	// big and small split component indexes by bigShardPairs; smallGrain
+	// is the precomputed fan-out chunk size over small (a pure function of
+	// the partition, so chunk sets are worker-independent).
+	big        []int32
+	small      []int32
+	smallGrain int
+}
+
+// newShardSet partitions the candidate graph and schedules its components.
+func newShardSet(g *index.Graph, numRecords int) *shardSet {
+	ss := &shardSet{Partition: PartitionComponents(g, numRecords)}
 	smallPairs := 0
-	for si := range ss.shards {
-		if len(ss.shards[si].pairs) >= bigShardPairs {
-			ss.big = append(ss.big, int32(si))
+	for ci := range ss.Comps {
+		if len(ss.Comps[ci].Pairs) >= bigShardPairs {
+			ss.big = append(ss.big, int32(ci))
 		} else {
-			ss.small = append(ss.small, int32(si))
-			smallPairs += len(ss.shards[si].pairs)
+			ss.small = append(ss.small, int32(ci))
+			smallPairs += len(ss.Comps[ci].Pairs)
 		}
 	}
 	ss.smallGrain = parallel.GrainFor(len(ss.small), smallPairs+len(ss.small), 4096)
@@ -143,10 +168,10 @@ func partitionComponents(g *blocking.Graph, numRecords int) *shardSet {
 // buildShardGraph is buildRecordGraph restricted to one component: nodes
 // are renumbered through recLocal, and PairSlot/Edges are indexed by the
 // shard-local pair position rather than the global pair ID.
-func buildShardGraph(g *blocking.Graph, sh *shard, recLocal []int32, s []float64, ar *arena) *RecordGraph {
-	edges := ar.getEdges(len(sh.pairs))
-	kept := ar.getI32(len(sh.pairs))[:0]
-	for k, pid := range sh.pairs {
+func buildShardGraph(g *index.Graph, sh *Component, recLocal []int32, s []float64, ar *arena) *RecordGraph {
+	edges := ar.getEdges(len(sh.Pairs))
+	kept := ar.getI32(len(sh.Pairs))[:0]
+	for k, pid := range sh.Pairs {
 		if s[pid] <= 0 {
 			continue
 		}
@@ -154,15 +179,15 @@ func buildShardGraph(g *blocking.Graph, sh *shard, recLocal []int32, s []float64
 		edges = append(edges, matrix.Edge{I: recLocal[pr.I], J: recLocal[pr.J]})
 		kept = append(kept, int32(k))
 	}
-	pat := matrix.NewPattern(len(sh.records), edges)
+	pat := matrix.NewPattern(len(sh.Records), edges)
 	ar.putEdges(edges)
 	sv := &matrix.PatVec{P: pat, Val: ar.getF64(pat.NNZ())}
-	slot := ar.getI32(len(sh.pairs))
+	slot := ar.getI32(len(sh.Pairs))
 	for i := range slot {
 		slot[i] = -1
 	}
 	for _, k := range kept {
-		pid := sh.pairs[k]
+		pid := sh.Pairs[k]
 		pr := g.Pairs[pid]
 		a := pat.Slot(int(recLocal[pr.I]), int(recLocal[pr.J]))
 		b := pat.Slot(int(recLocal[pr.J]), int(recLocal[pr.I]))
@@ -195,9 +220,9 @@ func (f *FusionRun) Partition() int {
 		return 0
 	}
 	if f.shards == nil {
-		f.shards = partitionComponents(f.g, f.numRecords)
+		f.shards = newShardSet(f.g, f.numRecords)
 	}
-	return len(f.shards.shards)
+	return len(f.shards.Comps)
 }
 
 // Sharded reports whether Partition has prepared a component partition —
@@ -210,26 +235,26 @@ func (f *FusionRun) Sharded() bool { return f.shards != nil }
 // and scatter the probabilities into the global p. Components whose pairs
 // all have similarity 0 write zeros directly — exactly what the global
 // graph's dropped-edge path produces. Returns the kept-edge count.
-func (f *FusionRun) rankShard(sh *shard, ar *arena, workers int) int {
+func (f *FusionRun) rankShard(sh *Component, ar *arena, workers int) int {
 	s := f.res.S
 	kept := 0
-	for _, pid := range sh.pairs {
+	for _, pid := range sh.Pairs {
 		if s[pid] > 0 {
 			kept++
 		}
 	}
 	if kept == 0 {
-		for _, pid := range sh.pairs {
+		for _, pid := range sh.Pairs {
 			f.p[pid] = 0
 		}
 		return 0
 	}
-	rg := buildShardGraph(f.g, sh, f.shards.recLocal, s, ar)
+	rg := buildShardGraph(f.g, sh, f.shards.RecLocal, s, ar)
 	opts := f.opts
 	opts.Workers = workers
-	pl := ar.getF64(len(sh.pairs))
+	pl := ar.getF64(len(sh.Pairs))
 	CliqueRankInto(rg, opts, pl)
-	for k, pid := range sh.pairs {
+	for k, pid := range sh.Pairs {
 		f.p[pid] = pl[k]
 	}
 	ar.putF64(pl)
@@ -256,7 +281,7 @@ func (f *FusionRun) StepShardedRank() (edges int, err error) {
 		res.Graph.release()
 		res.Graph = nil
 	}
-	counts := f.ar.getI32(len(ss.shards))
+	counts := f.ar.getI32(len(ss.Comps))
 	for i := range counts {
 		counts[i] = 0
 	}
@@ -264,7 +289,7 @@ func (f *FusionRun) StepShardedRank() (edges int, err error) {
 		if f.opts.Check.Err() != nil {
 			break
 		}
-		counts[si] = int32(f.rankShard(&ss.shards[si], f.ar, f.opts.Workers))
+		counts[si] = int32(f.rankShard(&ss.Comps[si], f.ar, f.opts.Workers))
 	}
 	if f.opts.Check.Err() == nil && len(ss.small) > 0 {
 		parallel.ForGrain(f.opts.Workers, len(ss.small), ss.smallGrain, func(lo, hi int) {
@@ -276,7 +301,7 @@ func (f *FusionRun) StepShardedRank() (edges int, err error) {
 					break
 				}
 				si := ss.small[k]
-				counts[si] = int32(f.rankShard(&ss.shards[si], ar, 1))
+				counts[si] = int32(f.rankShard(&ss.Comps[si], ar, 1))
 			}
 			shardArenas.Put(ar)
 		})

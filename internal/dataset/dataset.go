@@ -12,7 +12,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 )
 
 // Record is one textual record to be resolved.
@@ -74,7 +74,7 @@ func (d *Dataset) HasGroundTruth() bool {
 }
 
 // TrueMatches returns the set of ground-truth matching pairs, keyed with
-// blocking.Key. For multi-source datasets only cross-source pairs count,
+// index.Key. For multi-source datasets only cross-source pairs count,
 // matching the benchmark convention (Abt-Buy counts abt×buy pairs).
 func (d *Dataset) TrueMatches() map[uint64]bool {
 	byEntity := make(map[int][]int32)
@@ -92,7 +92,7 @@ func (d *Dataset) TrueMatches() map[uint64]bool {
 				if d.NumSources > 1 && d.Records[i].Source == d.Records[j].Source {
 					continue
 				}
-				out[blocking.Key(i, j)] = true
+				out[index.Key(i, j)] = true
 			}
 		}
 	}

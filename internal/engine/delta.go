@@ -6,9 +6,8 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/blocking"
 	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/index"
 )
 
 // StageDeltaFuse is the component-scoped fusion stage of the delta
@@ -31,88 +30,13 @@ type DeltaStats struct {
 	PairsReused, PairsFused int
 }
 
-// component is one connected component of the candidate graph: its global
-// record IDs and global pair IDs, both ascending.
-type component struct {
-	records []int32
-	pairs   []int32
-}
-
-// partition is the component decomposition of a candidate graph plus the
-// global→local renumbering arrays. Record and pair membership is unique, so
-// one flat array per dimension serves every component at once — the
-// delta path's hot loops stay map-free.
-type partition struct {
-	comps []component
-	// recLocal / pairLocal give a record's / pair's local index within its
-	// component (-1 for records in no pair).
-	recLocal  []int32
-	pairLocal []int32
-	// pairComp gives a pair's component index.
-	pairComp []int32
-}
-
-// partitionCandidates splits the candidate graph into connected components
-// over its pairs. The decomposition mirrors core's component sharding:
-// records in no pair are excluded, components are numbered by smallest
-// record ID, and per-component record/pair lists keep global order.
-func partitionCandidates(g *blocking.Graph, numRecords int) *partition {
-	uf := graph.NewUnionFind(numRecords)
-	inPair := make([]bool, numRecords)
-	for _, pr := range g.Pairs {
-		uf.Union(int(pr.I), int(pr.J))
-		inPair[pr.I] = true
-		inPair[pr.J] = true
-	}
-	compIdx := make([]int32, numRecords)
-	compOf := make([]int32, numRecords)
-	for i := range compIdx {
-		compIdx[i] = -1
-	}
-	n := 0
-	for r := 0; r < numRecords; r++ {
-		if !inPair[r] {
-			compOf[r] = -1
-			continue
-		}
-		root := uf.Find(r)
-		if compIdx[root] < 0 {
-			compIdx[root] = int32(n)
-			n++
-		}
-		compOf[r] = compIdx[root]
-	}
-	part := &partition{
-		comps:     make([]component, n),
-		recLocal:  make([]int32, numRecords),
-		pairLocal: make([]int32, g.NumPairs()),
-		pairComp:  make([]int32, g.NumPairs()),
-	}
-	for r := 0; r < numRecords; r++ {
-		ci := compOf[r]
-		if ci < 0 {
-			part.recLocal[r] = -1
-			continue
-		}
-		part.recLocal[r] = int32(len(part.comps[ci].records))
-		part.comps[ci].records = append(part.comps[ci].records, int32(r))
-	}
-	for pid, pr := range g.Pairs {
-		ci := compOf[pr.I]
-		part.pairComp[pid] = ci
-		part.pairLocal[pid] = int32(len(part.comps[ci].pairs))
-		part.comps[ci].pairs = append(part.comps[ci].pairs, int32(pid))
-	}
-	return part
-}
-
 // componentTerms collects the distinct global terms touching a component's
 // pairs, ascending. seen is an all-false scratch over terms, restored
 // before returning.
-func componentTerms(g *blocking.Graph, comp *component, seen []bool) []int32 {
+func componentTerms(g *index.Graph, comp *core.Component, seen []bool) []int32 {
 	var terms []int32
 	//lint:ignore guardloop bounded by one component's pair-term lists; DeltaFuse polls the checkpoint per component
-	for _, pid := range comp.pairs {
+	for _, pid := range comp.Pairs {
 		for _, t := range g.PairTerms[g.PairTermPtr[pid]:g.PairTermPtr[pid+1]] {
 			if !seen[t] {
 				seen[t] = true
@@ -140,26 +64,26 @@ func componentTerms(g *blocking.Graph, comp *component, seen []bool) []int32 {
 // is measurable when a warm 100k resolve keys ~20k components. The raw
 // 32-byte digest serves as the map key directly — the key never leaves the
 // cache, so it needs no printable encoding.
-func componentKey(sig []byte, g *blocking.Graph, part *partition, ci int, terms []int32, scratch []byte) (string, []byte) {
-	comp := &part.comps[ci]
+func componentKey(sig []byte, g *index.Graph, part *core.Partition, ci int, terms []int32, scratch []byte) (string, []byte) {
+	comp := &part.Comps[ci]
 	buf := append(scratch[:0], sig...)
 	put := func(v int32) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	put(int32(len(comp.records)))
-	put(int32(len(comp.pairs)))
-	for _, pid := range comp.pairs {
+	put(int32(len(comp.Records)))
+	put(int32(len(comp.Pairs)))
+	for _, pid := range comp.Pairs {
 		pr := g.Pairs[pid]
-		put(part.recLocal[pr.I])
-		put(part.recLocal[pr.J])
+		put(part.RecLocal[pr.I])
+		put(part.RecLocal[pr.J])
 	}
 	put(int32(len(terms)))
 	//lint:ignore guardloop bounded by one component's term-pair lists; DeltaFuse polls the checkpoint per component
 	for _, t := range terms {
 		put(-1) // term separator
 		for _, pid := range g.TermPairs[t] {
-			if part.pairComp[pid] == int32(ci) {
-				put(part.pairLocal[pid])
+			if part.PairComp[pid] == int32(ci) {
+				put(part.PairLocal[pid])
 			}
 		}
 	}
@@ -172,26 +96,26 @@ func componentKey(sig []byte, g *blocking.Graph, part *partition, ci int, terms 
 // matches global key order), terms restricted to the component in ascending
 // global order. Only cache misses pay for this — hits are keyed without
 // materializing the graph.
-func localizeComponent(g *blocking.Graph, part *partition, ci int, terms []int32) *blocking.Graph {
-	comp := &part.comps[ci]
-	lg := &blocking.Graph{
-		NumRecords: len(comp.records),
+func localizeComponent(g *index.Graph, part *core.Partition, ci int, terms []int32) *index.Graph {
+	comp := &part.Comps[ci]
+	lg := &index.Graph{
+		NumRecords: len(comp.Records),
 		NumTerms:   len(terms),
-		Pairs:      make([]blocking.Pair, len(comp.pairs)),
-		Index:      make(map[uint64]int32, len(comp.pairs)),
+		Pairs:      make([]index.Pair, len(comp.Pairs)),
+		Index:      make(map[uint64]int32, len(comp.Pairs)),
 		TermPairs:  make([][]int32, len(terms)),
 	}
-	for k, pid := range comp.pairs {
+	for k, pid := range comp.Pairs {
 		pr := g.Pairs[pid]
-		li, lj := part.recLocal[pr.I], part.recLocal[pr.J]
-		lg.Pairs[k] = blocking.Pair{I: li, J: lj}
-		lg.Index[blocking.Key(li, lj)] = int32(k)
+		li, lj := part.RecLocal[pr.I], part.RecLocal[pr.J]
+		lg.Pairs[k] = index.Pair{I: li, J: lj}
+		lg.Index[index.Key(li, lj)] = int32(k)
 	}
 	//lint:ignore guardloop bounded by one component's term-pair lists; DeltaFuse polls the checkpoint per component
 	for lt, t := range terms {
 		for _, pid := range g.TermPairs[t] {
-			if part.pairComp[pid] == int32(ci) {
-				lg.TermPairs[lt] = append(lg.TermPairs[lt], part.pairLocal[pid])
+			if part.PairComp[pid] == int32(ci) {
+				lg.TermPairs[lt] = append(lg.TermPairs[lt], part.PairLocal[pid])
 			}
 		}
 	}
@@ -231,7 +155,7 @@ func fusionOptsSig(o core.Options) string {
 // The result's P/Matches/Nodes/Edges/Converged/NumericRepairs are
 // populated; X, S and the ITER traces are per-component artifacts and stay
 // nil.
-func DeltaFuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options, cache *Cache) (*core.FusionResult, DeltaStats, error) {
+func DeltaFuse(r *Run, g *index.Graph, numRecords int, opts core.Options, cache *Cache) (*core.FusionResult, DeltaStats, error) {
 	opts.Check = r.check
 	opts.Workers = r.workers
 	opts.Scratch = &r.scratch
@@ -242,11 +166,11 @@ func DeltaFuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options, cac
 	// re-partition what is already a single component.
 	opts.ShardComponents = false
 
-	var part *partition
+	var part *core.Partition
 	if err := r.Stage(StagePartition, func(st *StageTrace) error {
-		part = partitionCandidates(g, numRecords)
+		part = core.PartitionComponents(g, numRecords)
 		st.In, st.InUnit = g.NumPairs(), "pairs"
-		st.Out, st.OutUnit = len(part.comps), "components"
+		st.Out, st.OutUnit = len(part.Comps), "components"
 		return nil
 	}); err != nil {
 		return nil, DeltaStats{}, err
@@ -259,24 +183,24 @@ func DeltaFuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options, cac
 		Matches:   make([]bool, g.NumPairs()),
 		Nodes:     numRecords,
 	}
-	stats := DeltaStats{Components: len(part.comps)}
+	stats := DeltaStats{Components: len(part.Comps)}
 	termSeen := make([]bool, g.NumTerms)
 	var keyScratch []byte
 	err := r.Stage(StageDeltaFuse, func(st *StageTrace) error {
-		st.In, st.InUnit = len(part.comps), "components"
+		st.In, st.InUnit = len(part.Comps), "components"
 		st.OutUnit = "matches"
-		for ci := range part.comps {
+		for ci := range part.Comps {
 			if err := r.check.Err(); err != nil {
 				return err
 			}
-			comp := &part.comps[ci]
+			comp := &part.Comps[ci]
 			terms := componentTerms(g, comp, termSeen)
 			var key string
 			key, keyScratch = componentKey(sig, g, part, ci, terms, keyScratch)
 			cr, ok := cache.Component(key)
 			if !ok {
 				lg := localizeComponent(g, part, ci, terms)
-				f := core.NewFusionRun(lg, len(comp.records), opts)
+				f := core.NewFusionRun(lg, len(comp.Records), opts)
 				for f.Next() {
 					if _, err := f.StepITER(); err != nil {
 						return err
@@ -295,12 +219,12 @@ func DeltaFuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options, cac
 				}
 				cache.AddComponent(key, cr)
 				stats.ComponentsFused++
-				stats.PairsFused += len(comp.pairs)
+				stats.PairsFused += len(comp.Pairs)
 			} else {
 				stats.ComponentsReused++
-				stats.PairsReused += len(comp.pairs)
+				stats.PairsReused += len(comp.Pairs)
 			}
-			for k, pid := range comp.pairs {
+			for k, pid := range comp.Pairs {
 				p := cr.P[k]
 				res.P[pid] = p
 				if p >= opts.Eta {

@@ -13,7 +13,7 @@
 // skip the dominant pre-matching cost on repeated traffic.
 //
 // The engine deliberately stays below the public er package: it traffics
-// in internal types (textproc.Corpus, blocking.Graph, core.FusionResult)
+// in internal types (textproc.Corpus, index.Graph, core.FusionResult)
 // and the root package converts its trace into the exported surface.
 package engine
 

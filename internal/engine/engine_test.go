@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -30,7 +30,7 @@ func testInputs(t *testing.T, cache *Cache) PrepareInputs {
 		Texts:   ds.Texts(),
 		Sources: ds.Sources(),
 		Corpus:  textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions(), MaxDFRatio: 0.12},
-		Blocking: blocking.Options{
+		Blocking: index.BatchOptions{
 			CrossSourceOnly: ds.NumSources > 1,
 			MinSharedTerms:  2,
 			MinJaccard:      0.2,

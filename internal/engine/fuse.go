@@ -1,8 +1,8 @@
 package engine
 
 import (
-	"repro/internal/blocking"
 	"repro/internal/core"
+	"repro/internal/index"
 )
 
 // Fuse executes the fusion stages — the ITER ⇄ record-graph ⇄
@@ -18,7 +18,7 @@ import (
 // summing all rounds, followed by a StageFuse entry for the
 // thresholding. Entries are recorded even when the run is canceled
 // mid-loop, so partial traces survive for diagnosis.
-func Fuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options) (*core.FusionResult, error) {
+func Fuse(r *Run, g *index.Graph, numRecords int, opts core.Options) (*core.FusionResult, error) {
 	opts.Check = r.check
 	opts.Workers = r.workers
 	opts.Scratch = &r.scratch

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/blocking"
 	"repro/internal/cluster"
 	"repro/internal/eval"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -42,7 +42,7 @@ type PrepareInputs struct {
 	// Corpus and Blocking are the stage options. Blocking.Check is
 	// overwritten with the run's checkpoint.
 	Corpus   textproc.CorpusOptions
-	Blocking blocking.Options
+	Blocking index.BatchOptions
 	// MaxPairs is the candidate-pair budget (0 disables it); exceeding it
 	// triggers the graceful degradation recorded in Degradation.
 	MaxPairs int
@@ -114,14 +114,14 @@ func Prepare(r *Run, in PrepareInputs) (*Snapshot, error) {
 // high-frequency terms), the degradation order that costs the least
 // recall per dropped pair — truncating deterministically as a last
 // resort.
-func blockWithBudget(r *Run, corpus *textproc.Corpus, in PrepareInputs) (*blocking.Graph, *Degradation, error) {
+func blockWithBudget(r *Run, corpus *textproc.Corpus, in PrepareInputs) (*index.Graph, *Degradation, error) {
 	bOpts := in.Blocking
 	bOpts.Check = r.check
 	// The batch scan runs on the run's worker budget; like the fusion
 	// kernels it is bit-identical across worker counts, so the snapshot Key
 	// (which excludes Workers) stays valid.
 	bOpts.Workers = r.workers
-	g, err := blocking.Build(corpus, in.Sources, bOpts)
+	g, err := index.BuildGraph(corpus, in.Sources, bOpts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -143,7 +143,7 @@ func blockWithBudget(r *Run, corpus *textproc.Corpus, in PrepareInputs) (*blocki
 		}
 		bOpts.MinJaccard = report.MinJaccard
 		bOpts.MaxTermRecords = report.MaxTermRecords
-		if g, err = blocking.Build(corpus, in.Sources, bOpts); err != nil {
+		if g, err = index.BuildGraph(corpus, in.Sources, bOpts); err != nil {
 			return nil, nil, err
 		}
 		report.Steps = append(report.Steps, fmt.Sprintf(
@@ -152,7 +152,7 @@ func blockWithBudget(r *Run, corpus *textproc.Corpus, in PrepareInputs) (*blocki
 	}
 	if g.NumPairs() > budget {
 		report.TruncatedPairs = g.NumPairs() - budget
-		g = blocking.Truncate(g, budget)
+		g = index.Truncate(g, budget)
 		report.Steps = append(report.Steps, fmt.Sprintf(
 			"truncated %d pairs beyond the budget of %d", report.TruncatedPairs, budget))
 	}
@@ -162,7 +162,7 @@ func blockWithBudget(r *Run, corpus *textproc.Corpus, in PrepareInputs) (*blocki
 
 // Cluster executes the clustering stage: transitive closure over the
 // matched candidate pairs.
-func Cluster(r *Run, numRecords int, pairs []blocking.Pair, matched []bool) ([][]int, error) {
+func Cluster(r *Run, numRecords int, pairs []index.Pair, matched []bool) ([][]int, error) {
 	var out [][]int
 	err := r.Stage(StageCluster, func(st *StageTrace) error {
 		out = cluster.FromMatches(numRecords, pairs, matched)
@@ -175,7 +175,7 @@ func Cluster(r *Run, numRecords int, pairs []blocking.Pair, matched []bool) ([][
 
 // Evaluate executes the evaluation stage: pairwise precision/recall/F1 of
 // a match assignment against ground truth.
-func Evaluate(r *Run, pairs []blocking.Pair, matched []bool, truth map[uint64]bool, totalTrue int) (eval.PRF, error) {
+func Evaluate(r *Run, pairs []index.Pair, matched []bool, truth map[uint64]bool, totalTrue int) (eval.PRF, error) {
 	var prf eval.PRF
 	err := r.Stage(StageEvaluate, func(st *StageTrace) error {
 		prf = eval.EvaluatePairs(pairs, matched, truth, totalTrue)

@@ -8,8 +8,8 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/blocking"
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -24,7 +24,7 @@ type Snapshot struct {
 	// Corpus is the tokenized, frequency-filtered corpus.
 	Corpus *textproc.Corpus
 	// Graph is the blocked candidate-pair graph.
-	Graph *blocking.Graph
+	Graph *index.Graph
 	// Degradation describes how blocking was degraded to satisfy the pair
 	// budget; nil when the budget was disabled or never exceeded.
 	Degradation *Degradation
@@ -43,7 +43,7 @@ func (s *Snapshot) NumPairs() int { return s.Graph.NumPairs() }
 // the record texts and source labels plus every option that influences
 // tokenization or blocking. Runs with equal keys produce byte-identical
 // corpora and candidate graphs, so a cached snapshot substitutes exactly.
-func Key(texts []string, sources []int, copts textproc.CorpusOptions, bopts blocking.Options, maxPairs int) string {
+func Key(texts []string, sources []int, copts textproc.CorpusOptions, bopts index.BatchOptions, maxPairs int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v1|records=%d|", len(texts))
 	for _, t := range texts {

@@ -5,22 +5,22 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
-func pairs(ijs ...[2]int32) []blocking.Pair {
-	out := make([]blocking.Pair, len(ijs))
+func pairs(ijs ...[2]int32) []index.Pair {
+	out := make([]index.Pair, len(ijs))
 	for k, ij := range ijs {
-		out[k] = blocking.Pair{I: ij[0], J: ij[1]}
+		out[k] = index.Pair{I: ij[0], J: ij[1]}
 	}
 	return out
 }
 
-func truthOf(ps []blocking.Pair, idx ...int) map[uint64]bool {
+func truthOf(ps []index.Pair, idx ...int) map[uint64]bool {
 	m := make(map[uint64]bool)
 	for _, k := range idx {
-		m[blocking.Key(ps[k].I, ps[k].J)] = true
+		m[index.Key(ps[k].I, ps[k].J)] = true
 	}
 	return m
 }
@@ -45,9 +45,9 @@ func TestEvaluatePairsCountsMissedCandidates(t *testing.T) {
 	// by blocking.
 	ps := pairs([2]int32{0, 1})
 	truth := map[uint64]bool{
-		blocking.Key(0, 1): true,
-		blocking.Key(2, 3): true,
-		blocking.Key(4, 5): true,
+		index.Key(0, 1): true,
+		index.Key(2, 3): true,
+		index.Key(4, 5): true,
 	}
 	r := EvaluatePairs(ps, []bool{true}, truth, 3)
 	if r.Recall > 0.34 {
@@ -83,15 +83,15 @@ func TestBestThresholdMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(60)
-		ps := make([]blocking.Pair, n)
+		ps := make([]index.Pair, n)
 		scores := make([]float64, n)
 		truth := make(map[uint64]bool)
 		total := 0
 		for k := range ps {
-			ps[k] = blocking.Pair{I: int32(2 * k), J: int32(2*k + 1)}
+			ps[k] = index.Pair{I: int32(2 * k), J: int32(2*k + 1)}
 			scores[k] = rng.Float64()
 			if rng.Intn(2) == 0 {
-				truth[blocking.Key(ps[k].I, ps[k].J)] = true
+				truth[index.Key(ps[k].I, ps[k].J)] = true
 				total++
 			}
 		}
@@ -194,12 +194,12 @@ func TestTermScores(t *testing.T) {
 		[]string{"aa bb", "aa bb", "aa cc", "dd"},
 		textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions()},
 	)
-	g, err := blocking.Build(c, nil, blocking.Options{})
+	g, err := index.BuildGraph(c, nil, index.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ground truth: records 0 and 1 match.
-	truth := map[uint64]bool{blocking.Key(0, 1): true}
+	truth := map[uint64]bool{index.Key(0, 1): true}
 	scores := TermScores(g, truth)
 	bb := c.Index["bb"]
 	// bb connects only (0,1), a match: score 1.
@@ -349,45 +349,33 @@ func TestPRCurveBestF1MatchesExhaustiveSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(50)
-		ps := make([]blocking.Pair, n)
+		ps := make([]index.Pair, n)
 		scores := make([]float64, n)
 		truth := make(map[uint64]bool)
 		total := 0
 		for k := range ps {
-			ps[k] = blocking.Pair{I: int32(2 * k), J: int32(2*k + 1)}
+			ps[k] = index.Pair{I: int32(2 * k), J: int32(2*k + 1)}
 			scores[k] = rng.Float64()
 			if rng.Intn(2) == 0 {
-				truth[blocking.Key(ps[k].I, ps[k].J)] = true
+				truth[index.Key(ps[k].I, ps[k].J)] = true
 				total++
 			}
 		}
 		if total == 0 {
 			continue
 		}
-		best := BestF1(PRCurve(ps, scores, truth, total))
+		best := 0.0
+		for _, pt := range PRCurve(ps, scores, truth, total) {
+			best = math.Max(best, pt.F1)
+		}
 		exhaustive := 0.0
 		for _, th := range scores {
 			if r := Threshold(ps, scores, th, truth, total); r.F1 > exhaustive {
 				exhaustive = r.F1
 			}
 		}
-		if math.Abs(best.F1-exhaustive) > 1e-12 {
-			t.Fatalf("trial %d: curve best F1 %g != exhaustive %g", trial, best.F1, exhaustive)
+		if math.Abs(best-exhaustive) > 1e-12 {
+			t.Fatalf("trial %d: curve best F1 %g != exhaustive %g", trial, best, exhaustive)
 		}
-	}
-}
-
-func TestAveragePrecision(t *testing.T) {
-	// Perfect ranking: both matches scored above both non-matches → AP 1.
-	ps := pairs([2]int32{0, 1}, [2]int32{2, 3}, [2]int32{4, 5}, [2]int32{6, 7})
-	truth := truthOf(ps, 0, 1)
-	perfect := PRCurve(ps, []float64{0.9, 0.8, 0.2, 0.1}, truth, 2)
-	if ap := AveragePrecision(perfect); math.Abs(ap-1) > 1e-12 {
-		t.Errorf("perfect ranking AP = %g, want 1", ap)
-	}
-	// Inverted ranking scores far lower.
-	inverted := PRCurve(ps, []float64{0.1, 0.2, 0.8, 0.9}, truth, 2)
-	if ap := AveragePrecision(inverted); ap >= 0.6 {
-		t.Errorf("inverted ranking AP = %g, want < 0.6", ap)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 )
 
 // PRF is a pairwise precision/recall/F1 result.
@@ -39,13 +39,13 @@ func compute(tp, fp, fn int) PRF {
 // ground-truth matching pairs in the dataset (true matches outside the
 // candidate set count as false negatives, so blocking recall is part of the
 // measured recall, as in the paper).
-func EvaluatePairs(pairs []blocking.Pair, predicted []bool, truth map[uint64]bool, totalTrue int) PRF {
+func EvaluatePairs(pairs []index.Pair, predicted []bool, truth map[uint64]bool, totalTrue int) PRF {
 	tp, fp := 0, 0
 	for k, p := range pairs {
 		if !predicted[k] {
 			continue
 		}
-		if truth[blocking.Key(p.I, p.J)] {
+		if truth[index.Key(p.I, p.J)] {
 			tp++
 		} else {
 			fp++
@@ -55,7 +55,7 @@ func EvaluatePairs(pairs []blocking.Pair, predicted []bool, truth map[uint64]boo
 }
 
 // Threshold classifies candidate pairs by score >= th and evaluates.
-func Threshold(pairs []blocking.Pair, scores []float64, th float64, truth map[uint64]bool, totalTrue int) PRF {
+func Threshold(pairs []index.Pair, scores []float64, th float64, truth map[uint64]bool, totalTrue int) PRF {
 	predicted := make([]bool, len(pairs))
 	for k, s := range scores {
 		predicted[k] = s >= th
@@ -68,7 +68,7 @@ func Threshold(pairs []blocking.Pair, scores []float64, th float64, truth map[ui
 // discrete thresholds and return the one with the highest F1 — "an upper
 // bound of manually tuned parameters". The sweep runs in O(n log n) by
 // sorting pairs once and walking thresholds from high to low.
-func BestThreshold(pairs []blocking.Pair, scores []float64, truth map[uint64]bool, totalTrue, steps int) (float64, PRF) {
+func BestThreshold(pairs []index.Pair, scores []float64, truth map[uint64]bool, totalTrue, steps int) (float64, PRF) {
 	if steps <= 0 {
 		steps = 1000
 	}
@@ -79,7 +79,7 @@ func BestThreshold(pairs []blocking.Pair, scores []float64, truth map[uint64]boo
 	items := make([]scored, len(pairs))
 	maxScore := 0.0
 	for k, p := range pairs {
-		items[k] = scored{s: scores[k], match: truth[blocking.Key(p.I, p.J)]}
+		items[k] = scored{s: scores[k], match: truth[index.Key(p.I, p.J)]}
 		if scores[k] > maxScore {
 			maxScore = scores[k]
 		}
@@ -174,7 +174,7 @@ func pearson(a, b []float64) float64 {
 // pair nodes connected to term t that are ground-truth matches. Terms with
 // no connected pair (P_t = 0) get -1 and should be excluded from rank
 // comparisons.
-func TermScores(g *blocking.Graph, truth map[uint64]bool) []float64 {
+func TermScores(g *index.Graph, truth map[uint64]bool) []float64 {
 	out := make([]float64, g.NumTerms)
 	for t := range out {
 		pairIDs := g.TermPairs[t]
@@ -185,7 +185,7 @@ func TermScores(g *blocking.Graph, truth map[uint64]bool) []float64 {
 		match := 0
 		for _, pid := range pairIDs {
 			p := g.Pairs[pid]
-			if truth[blocking.Key(p.I, p.J)] {
+			if truth[index.Key(p.I, p.J)] {
 				match++
 			}
 		}

@@ -3,7 +3,7 @@ package eval
 import (
 	"sort"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 )
 
 // PRPoint is one precision/recall operating point of a score-based matcher.
@@ -17,14 +17,14 @@ type PRPoint struct {
 // curve generalizes BestThreshold — its F1-maximal point equals the
 // exhaustive sweep's optimum — and is the standard way to compare matchers
 // beyond a single operating point.
-func PRCurve(pairs []blocking.Pair, scores []float64, truth map[uint64]bool, totalTrue int) []PRPoint {
+func PRCurve(pairs []index.Pair, scores []float64, truth map[uint64]bool, totalTrue int) []PRPoint {
 	type scored struct {
 		s     float64
 		match bool
 	}
 	items := make([]scored, len(pairs))
 	for k, p := range pairs {
-		items[k] = scored{s: scores[k], match: truth[blocking.Key(p.I, p.J)]}
+		items[k] = scored{s: scores[k], match: truth[index.Key(p.I, p.J)]}
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].s > items[j].s })
 
@@ -44,27 +44,4 @@ func PRCurve(pairs []blocking.Pair, scores []float64, truth map[uint64]bool, tot
 		curve = append(curve, PRPoint{Threshold: th, Precision: r.Precision, Recall: r.Recall, F1: r.F1})
 	}
 	return curve
-}
-
-// BestF1 returns the curve's F1-maximal point (zero value for an empty
-// curve).
-func BestF1(curve []PRPoint) PRPoint {
-	var best PRPoint
-	for _, p := range curve {
-		if p.F1 > best.F1 {
-			best = p
-		}
-	}
-	return best
-}
-
-// AveragePrecision computes AP: the precision integrated over recall
-// increments, the single-number summary of the PR curve.
-func AveragePrecision(curve []PRPoint) float64 {
-	var ap, prevRecall float64
-	for _, p := range curve {
-		ap += p.Precision * (p.Recall - prevRecall)
-		prevRecall = p.Recall
-	}
-	return ap
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro"
 )
 
@@ -42,9 +43,15 @@ func RunBlockingStudy(cfg Config) ([]BlockingPoint, error) {
 		for _, rule := range blockingRules {
 			opts := cfg.options()
 			rule.apply(&opts)
-			p := er.NewPipeline(d, opts)
+			p, err := er.NewPipelineContext(context.Background(), d, opts)
+			if err != nil {
+				return nil, err
+			}
 			recall, _ := p.BlockingRecall()
-			fusion := p.Fusion()
+			fusion, err := p.FusionContext(context.Background())
+			if err != nil {
+				return nil, err
+			}
 			point := BlockingPoint{
 				Dataset:    name,
 				Rule:       rule.name,

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -45,24 +46,12 @@ type Config struct {
 	// Snapshots, when non-nil, is injected into every pipeline the config
 	// builds (unless explicit Options already carry a cache), so the
 	// pipeline-based experiments share tokenization and blocking per
-	// replica. Nil disables reuse. DefaultConfig sets one.
+	// replica. Nil disables reuse.
 	Snapshots *er.SnapshotCache
 	// Cache, when non-nil, backs the engine-level Bench harness: prepared
 	// snapshots and fusion term weights are shared across experiments on
-	// the same replica. Nil disables reuse. DefaultConfig sets one.
+	// the same replica. Nil disables reuse.
 	Cache *engine.Cache
-}
-
-// DefaultConfig runs at paper scale with the universal parameters and
-// shared snapshot caches, so the experiment suite pays for tokenization
-// and blocking once per replica.
-func DefaultConfig() Config {
-	return Config{
-		Seed:      1,
-		Scale:     1.0,
-		Snapshots: er.NewSnapshotCache(len(AllDatasets)),
-		Cache:     engine.NewCache(2 * len(AllDatasets)),
-	}
 }
 
 func (c Config) options() er.Options {
@@ -101,7 +90,7 @@ func (c Config) Pipeline(name DatasetName) (*er.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return er.NewPipeline(d, c.options()), nil
+	return er.NewPipelineContext(context.Background(), d, c.options())
 }
 
 // Cell is one measured value with the corresponding published value (NaN

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 )
@@ -101,7 +102,10 @@ func RunFigure5(cfg Config) (*Figure5Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := p.Fusion()
+		out, err := p.FusionContext(context.Background())
+		if err != nil {
+			return nil, err
+		}
 		var updates []float64
 		for _, trace := range out.ITERUpdateTrace {
 			updates = append(updates, trace...)

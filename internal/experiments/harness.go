@@ -6,11 +6,11 @@ import (
 
 	"repro"
 	"repro/internal/baselines"
-	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/eval"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -93,8 +93,8 @@ func benchCorpusOptions(o er.Options) textproc.CorpusOptions {
 	}
 }
 
-func benchBlockingOptions(o er.Options, multiSource bool) blocking.Options {
-	return blocking.Options{
+func benchBlockingOptions(o er.Options, multiSource bool) index.BatchOptions {
+	return index.BatchOptions{
 		CrossSourceOnly: multiSource,
 		MaxTermRecords:  o.MaxTermRecords,
 		MinSharedTerms:  o.MinSharedTerms,
@@ -124,7 +124,7 @@ func benchCoreOptions(o er.Options) core.Options {
 }
 
 // Graph returns the blocked candidate graph.
-func (b *Bench) Graph() *blocking.Graph { return b.snap.Graph }
+func (b *Bench) Graph() *index.Graph { return b.snap.Graph }
 
 // Corpus returns the tokenized corpus.
 func (b *Bench) Corpus() *textproc.Corpus { return b.snap.Corpus }

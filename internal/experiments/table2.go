@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/eval"
@@ -54,7 +55,10 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 		if _, m, ok := p.EvaluateScores(p.Hybrid(0.5)); ok {
 			record("Hybrid", m.F1)
 		}
-		out := p.Fusion()
+		out, err := p.FusionContext(context.Background())
+		if err != nil {
+			return nil, err
+		}
 		if m, ok := p.EvaluateMatches(out.Matched); ok {
 			record("ITER+CliqueRank", m.F1)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/eval"
@@ -48,8 +49,12 @@ func RunTable5(cfg Config) (*Table5Result, error) {
 				row.Time[di] = elapsed
 			}
 		}
-		pipe = er.NewPipeline(d, opts)
-		pipe.Fusion()
+		if pipe, err = er.NewPipelineContext(context.Background(), d, opts); err != nil {
+			return nil, err
+		}
+		if _, err := pipe.FusionContext(context.Background()); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }

@@ -19,10 +19,10 @@ func TestUnionFindBasics(t *testing.T) {
 		t.Error("repeated union must report no merge")
 	}
 	u.Union(1, 2)
-	if !u.Connected(0, 2) {
+	if u.Find(0) != u.Find(2) {
 		t.Error("0 and 2 must be connected transitively")
 	}
-	if u.Connected(0, 3) {
+	if u.Find(0) == u.Find(3) {
 		t.Error("0 and 3 must not be connected")
 	}
 	if u.Count() != 3 {
@@ -76,8 +76,8 @@ func TestUnionFindMatchesNaive(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if u.Connected(i, j) != (label[i] == label[j]) {
-					t.Fatalf("trial %d: Connected(%d,%d) mismatch", trial, i, j)
+				if (u.Find(i) == u.Find(j)) != (label[i] == label[j]) {
+					t.Fatalf("trial %d: Find(%d) == Find(%d) mismatch", trial, i, j)
 				}
 			}
 		}

@@ -54,9 +54,6 @@ func (u *UnionFind) Union(a, b int) bool {
 	return true
 }
 
-// Connected reports whether a and b are in the same set.
-func (u *UnionFind) Connected(a, b int) bool { return u.Find(a) == u.Find(b) }
-
 // Count returns the current number of disjoint sets.
 func (u *UnionFind) Count() int { return u.count }
 

@@ -1,15 +1,16 @@
-// Package index is the blocking layer's shared batch + streaming
-// substrate: the candidate graph types (Graph, Pair), a parallel batch
-// builder (BuildGraph) that is bit-identical to the historical serial
-// enumeration, and a mutable inverted index (Index) supporting
-// Upsert/Delete with incremental candidate-pair maintenance, so a record
-// collection can be re-blocked in time proportional to the delta instead
-// of the corpus.
+// Package index is the blocking layer: it generates candidate record pairs
+// and assembles the paper's bipartite graph between terms and record-record
+// pairs (§V-B). A term node t is connected to a pair node (ri, rj) iff t
+// appears in both records; pairs that share no term are excluded, exactly
+// the footnote of §VI ("two records are connected only if they share at
+// least one term"), which also defines the edge set of the record graph G_r.
 //
-// Package blocking is a thin façade over this package — its Graph and
-// Pair are aliases of the types here — so every downstream consumer of
-// the candidate graph (core, engine, similarity, eval, cluster) is
-// unaffected by the refactor.
+// The package serves batch and streaming alike: the candidate graph types
+// (Graph, Pair), a parallel batch builder (BuildGraph) that is bit-identical
+// to the serial term-major enumeration, and a mutable inverted index (Index)
+// supporting Upsert/Delete with incremental candidate-pair maintenance, so a
+// record collection can be re-blocked in time proportional to the delta
+// instead of the corpus.
 package index
 
 // Pair is a candidate record pair with I < J.
@@ -126,13 +127,4 @@ func (g *Graph) Pt(t int) int { return len(g.TermPairs[t]) }
 func (g *Graph) PairID(i, j int32) (int32, bool) {
 	id, ok := g.Index[Key(i, j)]
 	return id, ok
-}
-
-// BipartiteEdges returns the total number of term→pair edges (Σ_t P_t).
-func (g *Graph) BipartiteEdges() int {
-	n := 0
-	for _, tp := range g.TermPairs {
-		n += len(tp)
-	}
-	return n
 }

@@ -1,4 +1,4 @@
-package blocking
+package index
 
 import (
 	"context"
@@ -10,14 +10,14 @@ import (
 	"repro/internal/textproc"
 )
 
-func corpus(texts ...string) *textproc.Corpus {
+func testCorpus(texts ...string) *textproc.Corpus {
 	return textproc.BuildCorpus(texts, textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions()})
 }
 
 // mustBuild builds a candidate graph and fails the test on error.
-func mustBuild(t *testing.T, c *textproc.Corpus, source []int, opts Options) *Graph {
+func mustBuild(t *testing.T, c *textproc.Corpus, source []int, opts BatchOptions) *Graph {
 	t.Helper()
-	g, err := Build(c, source, opts)
+	g, err := BuildGraph(c, source, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,13 +25,13 @@ func mustBuild(t *testing.T, c *textproc.Corpus, source []int, opts Options) *Gr
 }
 
 func TestBuildSingleSource(t *testing.T) {
-	c := corpus(
+	c := testCorpus(
 		"sony turntable pslx350h", // 0
 		"sony turntable",          // 1
 		"pioneer receiver",        // 2
 		"pioneer amp",             // 3
 	)
-	g := mustBuild(t, c, nil, Options{})
+	g := mustBuild(t, c, nil, BatchOptions{})
 	// candidates: (0,1) share sony+turntable, (2,3) share pioneer
 	if g.NumPairs() != 2 {
 		t.Fatalf("NumPairs = %d, want 2", g.NumPairs())
@@ -47,19 +47,23 @@ func TestBuildSingleSource(t *testing.T) {
 		t.Errorf("Pt(sony) = %d, want 1", g.Pt(sony))
 	}
 	// bipartite edges: sony->1, turntable->1, pioneer->1 => 3
-	if g.BipartiteEdges() != 3 {
-		t.Errorf("BipartiteEdges = %d, want 3", g.BipartiteEdges())
+	edges := 0
+	for _, tp := range g.TermPairs {
+		edges += len(tp)
+	}
+	if edges != 3 {
+		t.Errorf("bipartite edges = %d, want 3", edges)
 	}
 }
 
 func TestBuildCrossSourceOnly(t *testing.T) {
-	c := corpus(
+	c := testCorpus(
 		"sony tv x100", // 0 source 0
 		"sony tv x200", // 1 source 0
 		"sony tv x100", // 2 source 1
 	)
 	src := []int{0, 0, 1}
-	g := mustBuild(t, c, src, Options{CrossSourceOnly: true})
+	g := mustBuild(t, c, src, BatchOptions{CrossSourceOnly: true})
 	if _, ok := g.PairID(0, 1); ok {
 		t.Error("same-source pair (0,1) must be excluded")
 	}
@@ -80,13 +84,13 @@ func TestBuildCrossSourceOnly(t *testing.T) {
 
 func TestBuildMaxTermRecordsCap(t *testing.T) {
 	// "common" is in all four records; with a cap of 3 it generates no pairs.
-	c := corpus(
+	c := testCorpus(
 		"common aa",
 		"common aa",
 		"common bb",
 		"common bb",
 	)
-	g := mustBuild(t, c, nil, Options{MaxTermRecords: 3})
+	g := mustBuild(t, c, nil, BatchOptions{MaxTermRecords: 3})
 	// only aa (0,1) and bb (2,3) survive
 	if g.NumPairs() != 2 {
 		t.Fatalf("NumPairs = %d, want 2", g.NumPairs())
@@ -98,8 +102,8 @@ func TestBuildMaxTermRecordsCap(t *testing.T) {
 }
 
 func TestPairIDOrderInsensitive(t *testing.T) {
-	c := corpus("aa bb", "aa cc")
-	g := mustBuild(t, c, nil, Options{})
+	c := testCorpus("aa bb", "aa cc")
+	g := mustBuild(t, c, nil, BatchOptions{})
 	a, ok1 := g.PairID(0, 1)
 	b, ok2 := g.PairID(1, 0)
 	if !ok1 || !ok2 || a != b {
@@ -124,13 +128,13 @@ func TestKeyPacksDistinctly(t *testing.T) {
 }
 
 func TestPairsConsistentWithTermPairs(t *testing.T) {
-	c := corpus(
+	c := testCorpus(
 		"aa bb cc",
 		"aa bb dd",
 		"cc dd ee",
 		"ee ff",
 	)
-	g := mustBuild(t, c, nil, Options{})
+	g := mustBuild(t, c, nil, BatchOptions{})
 	// Every pair node referenced by a term must share that term.
 	for term, pairIDs := range g.TermPairs {
 		for _, pid := range pairIDs {
@@ -168,86 +172,9 @@ func TestPairsConsistentWithTermPairs(t *testing.T) {
 	}
 }
 
-func TestSortedNeighborhoodWindow(t *testing.T) {
-	c := corpus("aa x1", "aa x2", "bb y1", "bb y2", "cc z1")
-	// Key by the record's first term: sorted groups aa,aa,bb,bb,cc.
-	keyOf := func(r int) string { return c.Terms[c.Docs[r][0]] }
-	pairs := SortedNeighborhood(c, keyOf, 2)
-	// Window 2 pairs adjacent records in sorted order: 4 pairs for 5 records.
-	if len(pairs) != 4 {
-		t.Fatalf("pairs = %v, want 4 adjacent pairs", pairs)
-	}
-	// Records sharing the key must be adjacent and hence paired.
-	found := func(i, j int32) bool {
-		for _, p := range pairs {
-			if p.I == i && p.J == j {
-				return true
-			}
-		}
-		return false
-	}
-	if !found(0, 1) || !found(2, 3) {
-		t.Errorf("same-key pairs missing from %v", pairs)
-	}
-}
-
-func TestSortedNeighborhoodFullWindowIsComplete(t *testing.T) {
-	c := corpus("aa", "bb", "cc", "dd")
-	pairs := SortedNeighborhood(c, nil, 4)
-	if len(pairs) != 6 {
-		t.Errorf("window = n must produce all C(4,2)=6 pairs, got %d", len(pairs))
-	}
-	for _, p := range pairs {
-		if p.I >= p.J {
-			t.Errorf("pair %v not normalized", p)
-		}
-	}
-}
-
-func TestSortedNeighborhoodDefaultKeyUsesRarestTerm(t *testing.T) {
-	// "rare" has df 2, "common" df 4: default key must sort the two rare
-	// records together even with window 2.
-	c := corpus(
-		"common rare",
-		"common aaa1",
-		"common zzz9",
-		"common rare",
-	)
-	pairs := SortedNeighborhood(c, nil, 2)
-	found := false
-	for _, p := range pairs {
-		if p.I == 0 && p.J == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("rarest-term key should pair records 0 and 3, got %v", pairs)
-	}
-}
-
-func TestMultiPassUnion(t *testing.T) {
-	c := corpus("aa pp", "aa qq", "bb pp", "bb qq")
-	firstTerm := func(r int) string { return c.Terms[c.Docs[r][0]] }
-	secondTerm := func(r int) string { return c.Terms[c.Docs[r][1]] }
-	single := SortedNeighborhood(c, firstTerm, 2)
-	multi := MultiPass(c, []func(int) string{firstTerm, secondTerm}, 2)
-	if len(multi) <= len(single) {
-		t.Errorf("multi-pass %d pairs must exceed single pass %d", len(multi), len(single))
-	}
-	// Pairs must be unique.
-	seen := map[[2]int32]bool{}
-	for _, p := range multi {
-		k := [2]int32{p.I, p.J}
-		if seen[k] {
-			t.Fatalf("duplicate pair %v", p)
-		}
-		seen[k] = true
-	}
-}
-
 func TestBuildSourceMismatchError(t *testing.T) {
-	c := corpus("aa bb", "aa cc")
-	g, err := Build(c, []int{0}, Options{CrossSourceOnly: true})
+	c := testCorpus("aa bb", "aa cc")
+	g, err := BuildGraph(c, []int{0}, BatchOptions{CrossSourceOnly: true})
 	if err == nil || g != nil {
 		t.Fatal("misaligned source labels must yield an error, not a panic or a graph")
 	}
@@ -262,21 +189,21 @@ func TestBuildCanceledCheckpoint(t *testing.T) {
 	for i := range texts {
 		texts[i] = fmt.Sprintf("common u%da u%db", i, i)
 	}
-	c := corpus(texts...)
-	g, err := Build(c, nil, Options{Check: guard.FromContext(ctx)})
+	c := testCorpus(texts...)
+	g, err := BuildGraph(c, nil, BatchOptions{Check: guard.FromContext(ctx)})
 	if g != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled Build returned (%v, %v), want (nil, context.Canceled)", g, err)
+		t.Fatalf("canceled BuildGraph returned (%v, %v), want (nil, context.Canceled)", g, err)
 	}
 }
 
 func TestTruncate(t *testing.T) {
-	c := corpus(
+	c := testCorpus(
 		"aa bb cc",
 		"aa bb dd",
 		"cc dd ee",
 		"aa cc ee",
 	)
-	g := mustBuild(t, c, nil, Options{})
+	g := mustBuild(t, c, nil, BatchOptions{})
 	if g.NumPairs() < 3 {
 		t.Fatalf("test corpus produced only %d pairs", g.NumPairs())
 	}

@@ -42,15 +42,13 @@ var determinismCallPackages = map[string]bool{
 }
 
 // determinismMapPackages additionally ban order-sensitive accumulation over
-// map iteration. The blocking package and the public er package participate
-// because their outputs (candidate enumeration order, cluster and match
-// listings) feed position-aligned slices downstream.
+// map iteration. The public er package participates because its outputs
+// (cluster and match listings) feed position-aligned slices downstream.
 var determinismMapPackages = map[string]bool{
 	"repro":                   true,
 	"repro/internal/core":     true,
 	"repro/internal/matrix":   true,
 	"repro/internal/graph":    true,
-	"repro/internal/blocking": true,
 	"repro/internal/parallel": true,
 	// The engine's snapshot keys hash option sets (sorted stopwords) and
 	// its cache renders stats; neither may depend on map iteration order.

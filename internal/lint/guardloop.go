@@ -15,7 +15,6 @@ const guardCheckpointType = "repro/internal/guard.Checkpoint"
 // checkpoint is exactly how a new kernel silently becomes uncancellable.
 var guardLoopPackages = map[string]bool{
 	"repro/internal/core":      true,
-	"repro/internal/blocking":  true,
 	"repro/internal/baselines": true,
 	// The staged engine owns the blocking degradation loop and drives the
 	// fusion rounds; its loops must poll the run's checkpoint.
@@ -24,8 +23,8 @@ var guardLoopPackages = map[string]bool{
 	// journal must stay cancellable through the same checkpoint contract.
 	"repro/internal/wal": true,
 	// The index's batch build and pair rebuilds enumerate term posting
-	// lists — the same quadratic-prone shape as blocking — and must stay
-	// cancellable at 100k-record scale.
+	// lists — the quadratic-prone shape of candidate generation — and must
+	// stay cancellable at 100k-record scale.
 	"repro/internal/index": true,
 }
 

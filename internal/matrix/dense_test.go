@@ -55,10 +55,14 @@ func TestDenseMulMatchesNaive(t *testing.T) {
 func TestDenseIdentityIsNeutral(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randomDense(rng, 9, 9)
-	if !a.Mul(Identity(9)).Equalish(a, 1e-12) {
+	id := NewDense(9, 9)
+	for i := 0; i < 9; i++ {
+		id.Set(i, i, 1)
+	}
+	if !a.Mul(id).Equalish(a, 1e-12) {
 		t.Error("a·I != a")
 	}
-	if !Identity(9).Mul(a).Equalish(a, 1e-12) {
+	if !id.Mul(a).Equalish(a, 1e-12) {
 		t.Error("I·a != a")
 	}
 }

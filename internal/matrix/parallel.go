@@ -13,8 +13,3 @@ import (
 func parallelRows(workers, n int, fn func(lo, hi int)) {
 	parallel.For(workers, n, fn)
 }
-
-// ParallelRange exposes the chunked scheduler for other packages that need
-// to fan work out across index ranges, using GOMAXPROCS workers. Callers
-// with a Workers knob should use internal/parallel directly.
-func ParallelRange(n int, fn func(lo, hi int)) { parallel.For(0, n, fn) }

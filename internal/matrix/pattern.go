@@ -211,14 +211,3 @@ func MaskedMulInto(dst, mt, at *PatVec, workers int) *PatVec {
 	})
 	return dst
 }
-
-// AddScaled accumulates v += s·w in place.
-func (v *PatVec) AddScaled(w *PatVec, s float64) {
-	if v.P != w.P {
-		//lint:invariant graph-structure preconditions are programmer errors; tests assert these panics
-		panic("matrix: AddScaled requires operands on the same pattern")
-	}
-	for k, x := range w.Val {
-		v.Val[k] += s * x
-	}
-}

@@ -101,21 +101,6 @@ func TestMaskedMulZeroOperand(t *testing.T) {
 	}
 }
 
-func TestAddScaled(t *testing.T) {
-	p := NewPattern(3, []Edge{{0, 1}, {1, 2}})
-	a := NewPatVec(p)
-	b := NewPatVec(p)
-	for i := range b.Val {
-		b.Val[i] = float64(i + 1)
-	}
-	a.AddScaled(b, 2)
-	for i := range a.Val {
-		if a.Val[i] != 2*float64(i+1) {
-			t.Fatalf("AddScaled[%d] = %g", i, a.Val[i])
-		}
-	}
-}
-
 func TestPatternRejectsSelfLoop(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -132,27 +117,4 @@ func TestPatternRejectsDuplicateEdge(t *testing.T) {
 		}
 	}()
 	NewPattern(3, []Edge{{0, 1}, {0, 1}})
-}
-
-func TestParallelRangeCoversAll(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100} {
-		hit := make([]bool, n)
-		var mu = make(chan struct{}, 1)
-		mu <- struct{}{}
-		ParallelRange(n, func(lo, hi int) {
-			<-mu
-			for i := lo; i < hi; i++ {
-				if hit[i] {
-					t.Errorf("index %d visited twice", i)
-				}
-				hit[i] = true
-			}
-			mu <- struct{}{}
-		})
-		for i, h := range hit {
-			if !h {
-				t.Errorf("n=%d: index %d not visited", n, i)
-			}
-		}
-	}
 }

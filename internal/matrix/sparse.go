@@ -86,20 +86,6 @@ func (m *CSR) ToDense() *Dense {
 	return d
 }
 
-// DenseToCSR converts a dense matrix, keeping entries with |v| > 0.
-func DenseToCSR(d *Dense) *CSR {
-	var entries []Entry
-	for i := 0; i < d.Rows; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				entries = append(entries, Entry{Row: int32(i), Col: int32(j), Val: v})
-			}
-		}
-	}
-	return NewCSR(d.Rows, d.Cols, entries)
-}
-
 // MulVec computes m · x.
 func (m *CSR) MulVec(x []float64) []float64 {
 	if m.Cols != len(x) {

@@ -22,7 +22,16 @@ func TestCSRRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		m := randomCSR(rng, 1+rng.Intn(10), 1+rng.Intn(10), 0.3)
-		back := DenseToCSR(m.ToDense())
+		d := m.ToDense()
+		var entries []Entry
+		for i := 0; i < d.Rows; i++ {
+			for j, v := range d.Row(i) {
+				if v != 0 {
+					entries = append(entries, Entry{Row: int32(i), Col: int32(j), Val: v})
+				}
+			}
+		}
+		back := NewCSR(d.Rows, d.Cols, entries)
 		if m.NNZ() != back.NNZ() {
 			t.Fatalf("round trip changed nnz: %d -> %d", m.NNZ(), back.NNZ())
 		}

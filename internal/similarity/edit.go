@@ -1,52 +1,8 @@
 package similarity
 
-// Character-based string metrics (§II-A family). These are not used by the
-// fusion framework itself but complete the library's distance-based
-// baseline coverage and power the Monge-Elkan field matcher.
-
-// Levenshtein returns the edit distance between a and b with unit costs for
-// insertion, deletion and substitution. It runs in O(len(a)·len(b)) time and
-// O(min) space.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) < len(rb) {
-		ra, rb = rb, ra
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// LevenshteinSim normalizes edit distance into a similarity in [0, 1]:
-// 1 − dist/max(len). Two empty strings are defined as similarity 1.
-func LevenshteinSim(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
-}
+// Character-based string metrics (§II-A family). The fusion framework does
+// not use them; they are the inner metric of the Soft TF-IDF and
+// Monge-Elkan baselines.
 
 // Jaro returns the Jaro similarity in [0, 1].
 func Jaro(a, b string) float64 {
@@ -139,54 +95,4 @@ func MongeElkan(a, b []string, inner func(string, string) float64) float64 {
 		sum += best
 	}
 	return sum / float64(len(a))
-}
-
-// Dice returns the Sørensen–Dice coefficient of two token sets.
-func Dice(a, b []string) float64 {
-	if len(a)+len(b) == 0 {
-		return 0
-	}
-	return 2 * float64(intersectStrings(a, b)) / float64(len(dedup(a))+len(dedup(b)))
-}
-
-// Overlap returns the overlap coefficient |A∩B| / min(|A|, |B|).
-func Overlap(a, b []string) float64 {
-	da, db := dedup(a), dedup(b)
-	if len(da) == 0 || len(db) == 0 {
-		return 0
-	}
-	m := len(da)
-	if len(db) < m {
-		m = len(db)
-	}
-	return float64(intersectStrings(a, b)) / float64(m)
-}
-
-func dedup(a []string) map[string]struct{} {
-	s := make(map[string]struct{}, len(a))
-	for _, x := range a {
-		s[x] = struct{}{}
-	}
-	return s
-}
-
-func intersectStrings(a, b []string) int {
-	sa := dedup(a)
-	n := 0
-	for x := range dedup(b) {
-		if _, ok := sa[x]; ok {
-			n++
-		}
-	}
-	return n
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

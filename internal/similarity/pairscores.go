@@ -1,20 +1,19 @@
 // Package similarity implements the string-distance baseline family of the
 // paper (§II-A, §VII-B): token-set Jaccard and TF-IDF cosine over candidate
-// pairs, plus the classic character-based metrics (Levenshtein, Jaro,
-// Jaro-Winkler) and the Monge-Elkan field-matching scheme the related work
-// builds on.
+// pairs, plus the character-based Jaro and Jaro-Winkler metrics and the
+// Monge-Elkan field-matching scheme the related work builds on.
 package similarity
 
 import (
 	"math"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
 // Jaccard scores every candidate pair with |A∩B| / |A∪B| over the records'
 // term sets. Non-candidate pairs implicitly score 0 (they share no term).
-func Jaccard(c *textproc.Corpus, g *blocking.Graph) []float64 {
+func Jaccard(c *textproc.Corpus, g *index.Graph) []float64 {
 	out := make([]float64, g.NumPairs())
 	for id, p := range g.Pairs {
 		a, b := c.Docs[p.I], c.Docs[p.J]
@@ -94,7 +93,7 @@ func (m *TFIDF) Cosine(i, j int) float64 {
 }
 
 // TFIDFCosine scores every candidate pair with TF-IDF cosine similarity.
-func TFIDFCosine(c *textproc.Corpus, g *blocking.Graph) []float64 {
+func TFIDFCosine(c *textproc.Corpus, g *index.Graph) []float64 {
 	m := NewTFIDF(c)
 	out := make([]float64, g.NumPairs())
 	for id, p := range g.Pairs {

@@ -7,13 +7,13 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
-func setup(texts ...string) (*textproc.Corpus, *blocking.Graph) {
+func setup(texts ...string) (*textproc.Corpus, *index.Graph) {
 	c := textproc.BuildCorpus(texts, textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions()})
-	g, err := blocking.Build(c, nil, blocking.Options{})
+	g, err := index.BuildGraph(c, nil, index.BatchOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -99,45 +99,6 @@ func TestTFIDFIDFOrdering(t *testing.T) {
 	}
 }
 
-func TestLevenshteinKnown(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"same", "same", 0},
-		{"a", "b", 1},
-		{"ab", "ba", 2},
-	}
-	for _, tc := range tests {
-		if got := Levenshtein(tc.a, tc.b); got != tc.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestLevenshteinProperties(t *testing.T) {
-	symmetric := func(a, b string) bool { return Levenshtein(a, b) == Levenshtein(b, a) }
-	if err := quick.Check(symmetric, nil); err != nil {
-		t.Error("symmetry:", err)
-	}
-	identity := func(a string) bool { return Levenshtein(a, a) == 0 }
-	if err := quick.Check(identity, nil); err != nil {
-		t.Error("identity:", err)
-	}
-	triangle := func(a, b, c string) bool {
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
-	}
-	cfg := &quick.Config{MaxCount: 50}
-	if err := quick.Check(triangle, cfg); err != nil {
-		t.Error("triangle inequality:", err)
-	}
-}
-
 func TestJaroKnown(t *testing.T) {
 	if got := Jaro("martha", "marhta"); math.Abs(got-0.944444) > 1e-4 {
 		t.Errorf("Jaro(martha, marhta) = %g, want ~0.9444", got)
@@ -193,23 +154,6 @@ func TestMongeElkan(t *testing.T) {
 	}
 	if got := MongeElkan([]string{"abc"}, []string{"abc"}, JaroWinkler); got != 1 {
 		t.Errorf("identical tokens = %g, want 1", got)
-	}
-}
-
-func TestDiceOverlap(t *testing.T) {
-	a := []string{"aa", "bb", "cc"}
-	b := []string{"bb", "cc", "dd", "ee"}
-	if got := Dice(a, b); math.Abs(got-2.0*2/7) > 1e-12 {
-		t.Errorf("Dice = %g, want 4/7", got)
-	}
-	if got := Overlap(a, b); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("Overlap = %g, want 2/3", got)
-	}
-	if Dice(nil, nil) != 0 || Overlap(nil, b) != 0 {
-		t.Error("empty sets must score 0")
-	}
-	if Overlap(a, a) != 1 {
-		t.Error("overlap of identical sets must be 1")
 	}
 }
 

@@ -1,7 +1,7 @@
 package similarity
 
 import (
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -64,7 +64,7 @@ func (m *SoftTFIDF) Similarity(i, j int) float64 {
 }
 
 // SoftTFIDFScores scores every candidate pair.
-func SoftTFIDFScores(c *textproc.Corpus, g *blocking.Graph) []float64 {
+func SoftTFIDFScores(c *textproc.Corpus, g *index.Graph) []float64 {
 	m := NewSoftTFIDF(c)
 	out := make([]float64, g.NumPairs())
 	for id, p := range g.Pairs {
@@ -77,7 +77,7 @@ func SoftTFIDFScores(c *textproc.Corpus, g *blocking.Graph) []float64 {
 // match over the records' surface tokens, using Jaro-Winkler as the inner
 // metric, symmetrized as the mean of both directions (the asymmetric
 // original is order-sensitive).
-func MongeElkanScores(c *textproc.Corpus, g *blocking.Graph) []float64 {
+func MongeElkanScores(c *textproc.Corpus, g *index.Graph) []float64 {
 	words := make([][]string, c.NumRecords())
 	for r, doc := range c.Docs {
 		ws := make([]string, len(doc))

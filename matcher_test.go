@@ -16,8 +16,8 @@ func matcherFixture(t *testing.T) (*Dataset, *Matcher) {
 		{Text: "canon powershot a590 camera zoom"},
 		{Text: "canon a590 powershot camera case"},
 	})
-	p := NewPipeline(d, DefaultOptions())
-	out := p.Fusion()
+	p := mustNewPipeline(t, d, DefaultOptions())
+	out := mustFusion(t, p)
 	return d, p.Matcher(out)
 }
 

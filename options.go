@@ -13,11 +13,10 @@ import (
 // parameter setting (§VII-C): α = 20, S = 20, η = 0.98, 5 fusion rounds.
 type Options struct {
 	// Alpha is the non-linear transition exponent of the random walk
-	// (Eq. 11). Zero is invalid: Validate rejects it and NewPipeline
-	// normalizes it to the default 20.
+	// (Eq. 11). Zero is invalid: Validate rejects it.
 	Alpha float64
 	// Steps is S, the maximum walk length. Zero is invalid: Validate
-	// rejects it and NewPipeline normalizes it to the default 20.
+	// rejects it.
 	Steps int
 	// Eta is the matching-probability threshold η. Because CliqueRank's
 	// output is a probability, η transfers across domains (the paper uses
@@ -25,8 +24,7 @@ type Options struct {
 	// surviving candidate pair a match.
 	Eta float64
 	// FusionIterations is the number of ITER → CliqueRank rounds. Zero is
-	// invalid: Validate rejects it and NewPipeline normalizes it to the
-	// default 5.
+	// invalid: Validate rejects it.
 	FusionIterations int
 
 	// MaxDFRatio removes terms occurring in more than this fraction of
@@ -42,17 +40,18 @@ type Options struct {
 	MaxTermRecords int
 	// MinJaccard requires candidate pairs to reach this Jaccard similarity
 	// (default 0.2; the crowd-based systems the paper compares against
-	// pre-filter these benchmarks at Jaccard 0.3 — see blocking.Options —
-	// and 0.2 is the equivalent operating point for this tokenizer).
+	// pre-filter these benchmarks at Jaccard 0.3, and 0.2 is the equivalent
+	// operating point for this tokenizer).
 	MinJaccard float64
 	// Stopwords are removed during pre-processing regardless of frequency,
 	// for domain knowledge the frequency filter cannot see. Nil removes
 	// nothing beyond the frequency filter.
 	Stopwords []string
 	// MinSharedTerms requires candidate pairs to share at least this many
-	// terms (default 2). Set to 1 for the paper's literal footnote rule;
-	// see blocking.Options for why the default dissolves fake cliques of
-	// single-shared-term pairs.
+	// terms (default 2). Set to 1 for the paper's literal footnote rule.
+	// Records sharing exactly one mid-frequency term form isolated
+	// equal-weight components that no topological estimator can tell from
+	// true entities; a second shared term dissolves those fake cliques.
 	MinSharedTerms int
 	// CrossSourceOnly restricts candidate pairs to records from different
 	// sources. Resolve derives this from the dataset (multi-source implies
@@ -65,7 +64,7 @@ type Options struct {
 	UseRSS bool
 	// RSSWalks is M, the number of walks sampled per edge by RSS. Zero is
 	// ignored unless UseRSS is set, in which case Validate rejects values
-	// below 2 and NewPipeline normalizes them to the default 20.
+	// below 2.
 	RSSWalks int
 
 	// L2Normalization switches ITER's per-iteration term-weight
@@ -83,8 +82,7 @@ type Options struct {
 	// RSS) fan out across. Results are bit-identical for every setting —
 	// the kernels run through a deterministic chunked scheduler — so this
 	// knob trades only wall-clock time against CPU. Zero selects
-	// runtime.GOMAXPROCS(0); Validate rejects negative values and
-	// NewPipeline normalizes them to zero.
+	// runtime.GOMAXPROCS(0); Validate rejects negative values.
 	Workers int
 
 	// DisableSharding turns off component-sharded ranking. By default the
@@ -108,8 +106,7 @@ type Options struct {
 	// run) and, for staged callers, of NewPipelineContext and
 	// Pipeline.FusionContext individually; 0 disables the bound. When it
 	// elapses, the run aborts with an error wrapping both
-	// ErrBudgetExceeded and context.DeadlineExceeded. The error-free
-	// legacy entry points (NewPipeline, Pipeline.Fusion) ignore it.
+	// ErrBudgetExceeded and context.DeadlineExceeded.
 	MaxWallClock time.Duration
 
 	// Progress, when non-nil, observes each fusion iteration with the
@@ -141,10 +138,8 @@ func DefaultOptions() Options {
 }
 
 // Validate reports the first configuration error, or nil. Resolve,
-// ResolveContext and NewPipelineContext reject invalid options with an
-// error wrapping ErrInvalidOptions; NewPipeline (which cannot return an
-// error) normalizes invalid fields to their defaults instead — see
-// normalized.
+// ResolveContext, NewPipelineContext and NewCollection reject invalid
+// options with an error wrapping ErrInvalidOptions.
 func (o Options) Validate() error {
 	switch {
 	case o.Alpha <= 0:
@@ -169,46 +164,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: Workers must be >= 0, got %d", ErrInvalidOptions, o.Workers)
 	}
 	return nil
-}
-
-// normalized returns a copy with every invalid field reset to its default,
-// so that NewPipeline — whose signature predates the error taxonomy and
-// cannot fail — behaves deterministically on any input instead of
-// panicking. Context-aware callers go through Validate and never reach the
-// fallbacks.
-func (o Options) normalized() Options {
-	d := DefaultOptions()
-	if o.Alpha <= 0 {
-		o.Alpha = d.Alpha
-	}
-	if o.Steps < 1 {
-		o.Steps = d.Steps
-	}
-	if o.Eta < 0 || o.Eta > 1 {
-		o.Eta = d.Eta
-	}
-	if o.FusionIterations < 1 {
-		o.FusionIterations = d.FusionIterations
-	}
-	if o.MaxDFRatio < 0 || o.MaxDFRatio > 1 {
-		o.MaxDFRatio = d.MaxDFRatio
-	}
-	if o.MinJaccard < 0 || o.MinJaccard > 1 {
-		o.MinJaccard = d.MinJaccard
-	}
-	if o.UseRSS && o.RSSWalks < 2 {
-		o.RSSWalks = d.RSSWalks
-	}
-	if o.MaxCandidatePairs < 0 {
-		o.MaxCandidatePairs = 0
-	}
-	if o.MaxWallClock < 0 {
-		o.MaxWallClock = 0
-	}
-	if o.Workers < 0 {
-		o.Workers = 0
-	}
-	return o
 }
 
 func (o Options) coreOptions() core.Options {

@@ -8,11 +8,10 @@ import (
 	"time"
 
 	"repro/internal/baselines"
-	"repro/internal/blocking"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/eval"
+	"repro/internal/index"
 	"repro/internal/similarity"
 	"repro/internal/textproc"
 )
@@ -26,7 +25,7 @@ type Pipeline struct {
 	opts        Options
 	snap        *engine.Snapshot
 	corpus      *textproc.Corpus
-	graph       *blocking.Graph
+	graph       *index.Graph
 	truth       map[uint64]bool
 	degradation *DegradationReport
 	buildTrace  engine.Trace
@@ -54,26 +53,6 @@ type DegradationReport struct {
 	Steps []string
 }
 
-// NewPipeline tokenizes the dataset, applies the frequent-term filter and
-// generates candidate pairs (cross-source only for multi-source data).
-// Invalid options are normalized to their defaults field by field; callers
-// that want invalid configurations rejected (and cancellation, and real
-// errors) should use NewPipelineContext instead.
-func NewPipeline(d *Dataset, opts Options) *Pipeline {
-	p, err := buildPipeline(context.Background(), d, opts.normalized())
-	if err != nil {
-		// Unreachable: every construction path — including the degradation
-		// rebuilds — flows through the engine's single error return, whose
-		// only failure modes are cancellation (impossible on a background
-		// context) and source/record misalignment (impossible by er.Dataset
-		// construction). Kept as a panic so a future regression fails
-		// loudly in tests rather than silently.
-		//lint:invariant background-context engine build cannot fail; a panic here is a regression tests must catch
-		panic(err)
-	}
-	return p
-}
-
 // NewPipelineContext is the context-aware, error-returning constructor:
 // it rejects invalid options (ErrInvalidOptions) and empty datasets
 // (ErrNoRecords), honors ctx cancellation and the MaxWallClock budget
@@ -89,7 +68,7 @@ func NewPipelineContext(ctx context.Context, d *Dataset, opts Options) (p *Pipel
 	}
 	ctx, cancel := opts.withWallClock(ctx)
 	defer cancel()
-	return buildPipeline(ctx, d, opts)
+	return buildPipelineRun(engine.NewRun(ctx, engine.RunOptions{Workers: opts.Workers}), ctx, d, opts)
 }
 
 // withWallClock derives the MaxWallClock budget context (a no-op cancel
@@ -103,23 +82,17 @@ func (o Options) withWallClock(ctx context.Context) (context.Context, context.Ca
 	return ctx, func() {}
 }
 
-// buildPipeline is the shared constructor body. ctx must already carry any
-// wall-clock budget; opts must already be validated or normalized.
-func buildPipeline(ctx context.Context, d *Dataset, opts Options) (*Pipeline, error) {
-	run := engine.NewRun(ctx, engine.RunOptions{Workers: opts.Workers})
-	return buildPipelineRun(run, ctx, d, opts)
-}
-
 // buildPipelineRun executes the pre-matching stages (tokenize, block with
-// the MaxCandidatePairs degradation) on an existing engine run, so
-// ResolveContext threads one run — and one trace — through construction,
-// fusion, clustering and evaluation.
+// the MaxCandidatePairs degradation) on an engine run; ctx must already
+// carry any wall-clock budget and opts must be validated. ResolveContext
+// threads one run — and one trace — through construction, fusion,
+// clustering and evaluation.
 func buildPipelineRun(run *engine.Run, ctx context.Context, d *Dataset, opts Options) (*Pipeline, error) {
 	snap, err := engine.Prepare(run, engine.PrepareInputs{
 		Texts:   d.ds.Texts(),
 		Sources: d.ds.Sources(),
 		Corpus:  opts.corpusOptions(),
-		Blocking: blocking.Options{
+		Blocking: index.BatchOptions{
 			CrossSourceOnly: d.ds.NumSources > 1,
 			MaxTermRecords:  opts.MaxTermRecords,
 			MinSharedTerms:  opts.MinSharedTerms,
@@ -304,23 +277,6 @@ type FusionOutcome struct {
 	Trace Trace
 	// Elapsed is the wall-clock time of the fusion loop.
 	Elapsed time.Duration
-}
-
-// Fusion runs the full unsupervised framework. This error-free legacy
-// entry point runs unbounded — it has no channel to report an exhausted
-// budget — so MaxWallClock is ignored here; use FusionContext for bounded
-// runs.
-func (p *Pipeline) Fusion() *FusionOutcome {
-	q := *p
-	q.opts.MaxWallClock = 0
-	// A background context without a budget cannot cancel, which is the
-	// only error path of FusionContext, so the error is unreachable here.
-	out, err := q.FusionContext(context.Background())
-	if err != nil {
-		//lint:invariant a budget-free background context cannot cancel, FusionContext's only error path
-		panic(err)
-	}
-	return out
 }
 
 // FusionContext runs the full unsupervised framework under ctx: the fusion
@@ -671,24 +627,3 @@ func ResolveContext(ctx context.Context, d *Dataset, opts Options) (res *Result,
 	res.Trace = fromEngineTrace(run.Trace())
 	return res, nil
 }
-
-// Internals exposes the pipeline's internal corpus and candidate
-// structures. The returned types live under internal/ and cannot be named
-// by external importers; this accessor was never part of the supported
-// API surface.
-//
-// Deprecated: the staged execution engine supersedes this bridge. Use the
-// typed snapshot surface instead — Pipeline.Trace, Pipeline.SnapshotKey,
-// FusionOutcome.Trace/Result.Trace for per-stage timing, and (inside this
-// module) internal/engine.Prepare/Fuse for stage-level access, as
-// internal/experiments now does.
-func (p *Pipeline) Internals() (*textproc.Corpus, *blocking.Graph) {
-	return p.corpus, p.graph
-}
-
-// CoreOptions converts the pipeline's options into the internal core
-// parameter set.
-//
-// Deprecated: a bridge of the same vintage as Internals; superseded by
-// the staged execution engine (internal/engine) for in-module harnesses.
-func (p *Pipeline) CoreOptions() core.Options { return p.opts.coreOptions() }

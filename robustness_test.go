@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -52,7 +54,7 @@ func TestAdversarialCasesAllMethods(t *testing.T) {
 	for _, tc := range faultcheck.Cases() {
 		t.Run(tc.Name, func(t *testing.T) {
 			d := er.NewDataset(tc.Name, toRecords(tc.Records))
-			p := er.NewPipeline(d, er.DefaultOptions())
+			p := mustNewPipeline(t, d, er.DefaultOptions())
 			methods := map[string]func() []float64{
 				"jaccard":     p.Jaccard,
 				"tfidf":       p.TFIDF,
@@ -70,7 +72,7 @@ func TestAdversarialCasesAllMethods(t *testing.T) {
 				}
 				finite(t, name, scores)
 			}
-			out := p.Fusion()
+			out := mustFusion(t, p)
 			finite(t, "term-weights", out.TermWeights)
 			finite(t, "similarities", out.Similarities)
 			probabilities(t, "probabilities", out.Probabilities)
@@ -94,7 +96,8 @@ func TestAdversarialCasesAllMethods(t *testing.T) {
 
 // TestLoadCSVContextTaxonomy pins the LoadCSVContext error classification:
 // malformed bytes wrap ErrBadData, cancellation mid-parse wraps the context
-// cause, and a clean load matches LoadCSV.
+// cause, and a clean load matches LoadCSV. LoadCSV and LoadCSVFile, which
+// the CLIs call, classify malformed input the same way.
 func TestLoadCSVContextTaxonomy(t *testing.T) {
 	good := "id,entity,source,text\n0,e0,0,alpha beta\n1,e0,0,alpha beta\n"
 	d, err := er.LoadCSVContext(context.Background(), strings.NewReader(good), "ok")
@@ -102,9 +105,20 @@ func TestLoadCSVContextTaxonomy(t *testing.T) {
 		t.Fatalf("clean load: d=%v err=%v", d, err)
 	}
 
+	const malformed = "\"unterminated quote\n"
 	if _, err := er.LoadCSVContext(context.Background(),
-		strings.NewReader("\"unterminated quote\n"), "bad"); !errors.Is(err, er.ErrBadData) {
+		strings.NewReader(malformed), "bad"); !errors.Is(err, er.ErrBadData) {
 		t.Fatalf("malformed csv: %v, want ErrBadData", err)
+	}
+	if _, err := er.LoadCSV(strings.NewReader(malformed), "bad"); !errors.Is(err, er.ErrBadData) {
+		t.Fatalf("LoadCSV of malformed csv: %v, want ErrBadData", err)
+	}
+	path := filepath.Join(t.TempDir(), "bad.csv")
+	if err := os.WriteFile(path, []byte(malformed), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := er.LoadCSVFile(path); !errors.Is(err, er.ErrBadData) {
+		t.Fatalf("LoadCSVFile of malformed csv: %v, want ErrBadData", err)
 	}
 	frag := faultcheck.New(strings.NewReader(good), 1)
 	if d2, err := er.LoadCSVContext(context.Background(), frag, "frag"); err != nil || d2.NumRecords() != 2 {
@@ -177,23 +191,6 @@ func TestMaxWallClockBudget(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error %v does not wrap context.DeadlineExceeded", err)
-	}
-}
-
-// TestFusionContextWallClock pins the staged-API budget: MaxWallClock must
-// bound Pipeline.FusionContext itself, not only ResolveContext (regression:
-// the CLI's staged path once dropped the budget after construction), while
-// the error-free legacy Fusion keeps running unbounded.
-func TestFusionContextWallClock(t *testing.T) {
-	d := er.ProductReplica(er.ReplicaConfig{Scale: 0.3})
-	opts := er.DefaultOptions()
-	opts.MaxWallClock = time.Nanosecond
-	p := er.NewPipeline(d, opts)
-	if _, err := p.FusionContext(context.Background()); !errors.Is(err, er.ErrBudgetExceeded) {
-		t.Fatalf("FusionContext under an expired budget returned %v, want ErrBudgetExceeded", err)
-	}
-	if out := p.Fusion(); out == nil || len(out.Probabilities) != p.NumCandidates() {
-		t.Fatal("legacy Fusion must ignore MaxWallClock and complete")
 	}
 }
 
@@ -434,24 +431,13 @@ func TestResolveDegenerateInputs(t *testing.T) {
 // TestCheckCandidates pins the advisory sentinel for empty candidate sets.
 func TestCheckCandidates(t *testing.T) {
 	disjoint := er.NewDataset("disjoint", []er.Record{{Text: "aa bb"}, {Text: "cc dd"}})
-	p := er.NewPipeline(disjoint, er.DefaultOptions())
+	p := mustNewPipeline(t, disjoint, er.DefaultOptions())
 	if err := p.CheckCandidates(); !errors.Is(err, er.ErrNoCandidates) {
 		t.Errorf("CheckCandidates = %v, want ErrNoCandidates", err)
 	}
 	ok := er.NewDataset("ok", []er.Record{{Text: "aa bb"}, {Text: "aa bb"}})
-	if err := er.NewPipeline(ok, er.DefaultOptions()).CheckCandidates(); err != nil {
+	if err := mustNewPipeline(t, ok, er.DefaultOptions()).CheckCandidates(); err != nil {
 		t.Errorf("CheckCandidates = %v, want nil", err)
-	}
-}
-
-// TestNewPipelineNormalizesOptions: the error-free constructor must accept
-// the zero Options value by normalizing it to the defaults.
-func TestNewPipelineNormalizesOptions(t *testing.T) {
-	d := er.NewDataset("d", []er.Record{{Text: "x y z"}, {Text: "x y w"}})
-	got := er.NewPipeline(d, er.Options{})
-	want := er.NewPipeline(d, er.DefaultOptions())
-	if got.NumCandidates() != want.NumCandidates() {
-		t.Fatalf("zero options: %d candidates, defaults: %d", got.NumCandidates(), want.NumCandidates())
 	}
 }
 
@@ -479,4 +465,24 @@ func TestResolveSeedZeroMatchesSeedOne(t *testing.T) {
 			t.Fatalf("p[%d]: seed 0 gives %g, seed 1 gives %g", i, ra.Probabilities[i], rb.Probabilities[i])
 		}
 	}
+}
+
+// mustNewPipeline builds a pipeline and fails the test on error.
+func mustNewPipeline(tb testing.TB, d *er.Dataset, opts er.Options) *er.Pipeline {
+	tb.Helper()
+	p, err := er.NewPipelineContext(context.Background(), d, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// mustFusion runs the fusion loop and fails the test on error.
+func mustFusion(tb testing.TB, p *er.Pipeline) *er.FusionOutcome {
+	tb.Helper()
+	out, err := p.FusionContext(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blocking"
+	"repro/internal/index"
 	"repro/internal/textproc"
 )
 
@@ -47,7 +47,7 @@ func TestScale100kAcceptance(t *testing.T) {
 	// Blocking wall-time budget: the batch scan over the inverted index.
 	c := textproc.BuildCorpus(d.ds.Texts(), opts.corpusOptions())
 	start := time.Now()
-	g, err := blocking.Build(c, d.ds.Sources(), blocking.Options{
+	g, err := index.BuildGraph(c, d.ds.Sources(), index.BatchOptions{
 		CrossSourceOnly: d.ds.NumSources > 1,
 		MaxTermRecords:  opts.MaxTermRecords,
 		MinSharedTerms:  opts.MinSharedTerms,

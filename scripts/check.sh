@@ -5,8 +5,9 @@
 # Stages, cheap to expensive: formatting, vet (full suite, then the
 # concurrency/format analyzers named explicitly so a stock-vet regression
 # cannot silently drop them), build, erlint (the repo-specific invariant
-# suite in cmd/erlint), the race-enabled tests, and the erserve daemon
-# smoke test (real binary, real sockets, real SIGTERM drain).
+# suite in cmd/erlint), the race-enabled tests, the separate bench module,
+# and the erserve daemon smoke test (real binary, real sockets, real SIGTERM
+# drain).
 #
 # govulncheck is intentionally absent: it needs network access to the
 # vulnerability database and this module is stdlib-only and built offline.
@@ -51,6 +52,12 @@ echo "==> erlint: full suite (stale-directive audit)"
 
 echo "==> go test -race -shuffle=on"
 go test -race -shuffle=on ./...
+
+# bench/ is a module of its own (it points repro at ..), so the root
+# `go build ./...` and `go test ./...` above never compile it. Vet and test
+# it explicitly, or an API change the benchmark depends on slips through.
+echo "==> bench module (vet + test)"
+(cd bench && go vet ./... && go test ./...)
 
 # Named explicitly even though the full suite above already ran it: this
 # is the acceptance test for the durability contract (kill -9 a writer,

@@ -2,8 +2,10 @@ package er
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/engine"
+	"repro/internal/eval"
 	"repro/internal/index"
 )
 
@@ -23,9 +25,11 @@ type CollectionDelta struct {
 }
 
 // DeltaStats is the work split of one delta-scoped resolve (see
-// Collection.ResolveContext): how many candidate-graph components the run
-// saw, how many it served from the component cache, and how many it
-// actually re-fused.
+// Collection.ResolveContext): how many candidate-graph components the
+// result holds, how many of them it fused and how many it reused. A
+// component holding no record touched since the previous resolve is
+// reused without being looked at; a touched component is keyed and counts
+// as reused when its key hits the component cache.
 type DeltaStats struct {
 	Components                        int
 	ComponentsReused, ComponentsFused int
@@ -34,10 +38,13 @@ type DeltaStats struct {
 
 // Collection is a mutable keyed record set that resolves incrementally.
 // Upsert and Delete maintain an inverted index and the blocking survivor
-// set in time proportional to the mutation's blast radius, and
-// ResolveContext re-fuses only the connected components the mutations
-// touched, merging every unchanged component's memoized result — the
-// streaming counterpart to the batch Resolve.
+// set in time proportional to the mutation's blast radius. The collection
+// keeps the outcome of its last successful resolve resident: every pair's
+// probability, every component's fusion aggregates, and per-label record
+// counts. ResolveContext therefore touches only the connected components
+// that hold a record some mutation touched since: it keys each such
+// component, fuses it on a cache miss, and leaves every other component as
+// it was. This is the streaming counterpart to the batch Resolve.
 //
 // Resolution semantics are per-component: each connected component of the
 // candidate graph runs the full ITER ⇄ CliqueRank loop on its own local
@@ -49,10 +56,23 @@ type DeltaStats struct {
 //
 // A Collection is not safe for concurrent use; callers serialize access.
 type Collection struct {
-	opts     Options
-	ix       *index.Index
-	entities map[string]string
-	cache    *engine.Cache
+	opts  Options
+	ix    *index.Index
+	cache *engine.Cache
+	truth truthCounts
+
+	// Resident outcome of the last successful resolve: probabilities in
+	// the index's committed pair order, per-slot component aggregates and
+	// their running sums.
+	p                           []float64
+	slots                       []slotResult
+	edges, repairs, unconverged int
+}
+
+// slotResult is the resident fusion aggregate of one committed component.
+type slotResult struct {
+	edges, repairs int32
+	converged      bool
 }
 
 // NewCollection returns an empty collection under the given options
@@ -61,7 +81,8 @@ type Collection struct {
 // MaxCandidatePairs is ignored — the incremental pair table has no
 // degradation path. When Options.Snapshots is set its cache memoizes the
 // per-component fusion results (shared across collections); otherwise the
-// collection keeps a private cache, so delta-scoped reuse works either way.
+// collection keeps a private cache. Either way the cache's component hit
+// and miss counters count only the touched components a resolve keys.
 func NewCollection(opts Options) (*Collection, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -82,8 +103,8 @@ func NewCollection(opts Options) (*Collection, error) {
 				Workers:         opts.Workers,
 			},
 		}),
-		entities: make(map[string]string),
-		cache:    cache,
+		cache: cache,
+		truth: truthCounts{cross: opts.CrossSourceOnly, labelIDs: make(map[string]int32)},
 	}, nil
 }
 
@@ -93,20 +114,21 @@ func (c *Collection) Len() int { return c.ix.Len() }
 // Upsert inserts or replaces the record stored under id and returns what
 // the mutation changed in the candidate pair set.
 func (c *Collection) Upsert(id string, rec Record) CollectionDelta {
-	if rec.Entity != "" {
-		c.entities[id] = rec.Entity
-	} else {
-		delete(c.entities, id)
+	if rid, ok := c.ix.Handle(id); ok {
+		c.truth.remove(rid)
 	}
-	return fromIndexDelta(c.ix.Upsert(id, rec.Text, rec.Source))
+	d := c.ix.Upsert(id, rec.Text, rec.Source)
+	rid, _ := c.ix.Handle(id)
+	c.truth.add(rid, rec.Entity, rec.Source)
+	return fromIndexDelta(d)
 }
 
 // Delete removes the record stored under id, reporting whether it existed.
 func (c *Collection) Delete(id string) (CollectionDelta, bool) {
-	d, ok := c.ix.Delete(id)
-	if ok {
-		delete(c.entities, id)
+	if rid, ok := c.ix.Handle(id); ok {
+		c.truth.remove(rid)
 	}
+	d, ok := c.ix.Delete(id)
 	return fromIndexDelta(d), ok
 }
 
@@ -124,16 +146,20 @@ func (c *Collection) Resolve() (*Result, error) {
 	return c.ResolveContext(context.Background())
 }
 
-// ResolveContext resolves the collection's current state: it materializes
-// the corpus and candidate graph from the index (bit-identical to a batch
-// build over the live records in ascending external-ID order), partitions
-// the candidate graph into connected components, and fuses each component —
-// reusing every component whose content key already has a memoized result,
-// so a resolve after a small mutation re-fuses only what the mutation
-// touched. Record positions in the Result (Matches, Clusters) index
-// Result.IDs, the ascending external-ID order of this resolve. Evaluation
+// ResolveContext resolves the collection's current state. The index
+// expands the records touched since the last successful resolve to the
+// connected components that now hold them (partition), builds those
+// components' local candidate graphs and the global pair order
+// (materialize), and each touched component is keyed and served from the
+// component cache or fused (deltafuse). Untouched components keep their
+// resident results. The Result is bit-identical to materializing the whole
+// index and fusing every component: record positions (Matches, Clusters)
+// index Result.IDs, the ascending external-ID order of this resolve, and
+// pair positions follow the batch candidate graph's numbering. Evaluation
 // is populated when every record carries an entity label. The Options
-// budgets and cancellation behave as in the package-level ResolveContext.
+// budgets and cancellation behave as in the package-level ResolveContext;
+// a resolve that fails or is canceled leaves the resident state as it was,
+// so the next resolve still sees every touched record.
 func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error) {
 	defer recoverToError(&err)
 	if c.ix.Len() == 0 {
@@ -143,89 +169,232 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 	defer cancel()
 	run := engine.NewRun(ctx, engine.RunOptions{Workers: c.opts.Workers})
 
-	var v *index.View
+	var pd *index.Pending
+	if err := run.Stage(engine.StagePartition, func(st *engine.StageTrace) error {
+		pd = c.ix.Pending()
+		st.In, st.InUnit = pd.Touched, "records"
+		st.Out, st.OutUnit = len(pd.Comps), "components"
+		return nil
+	}); err != nil {
+		return nil, wrapRunErr(ctx, err)
+	}
 	if err := run.Stage(engine.StageMaterialize, func(st *engine.StageTrace) error {
-		v = c.ix.Materialize()
-		st.In, st.InUnit = len(v.IDs), "records"
-		st.Out, st.OutUnit = v.Graph.NumPairs(), "pairs"
+		pd.Materialize()
+		st.In, st.InUnit = len(pd.Comps), "components"
+		st.Out, st.OutUnit = len(pd.Pairs), "pairs"
 		return nil
 	}); err != nil {
 		return nil, wrapRunErr(ctx, err)
 	}
 
-	out, stats, err := engine.DeltaFuse(run, v.Graph, len(v.IDs), c.opts.coreOptions(), c.cache)
-	if err != nil {
+	copts := c.opts.coreOptions()
+	results := make([]*engine.ComponentResult, len(pd.Comps))
+	p := make([]float64, len(pd.Pairs))
+	matched := make([]bool, len(pd.Pairs))
+	nMatched := 0
+	stats := DeltaStats{Components: pd.Components}
+	edges, repairs, unconverged := c.edges, c.repairs, c.unconverged
+	if err := run.Stage(engine.StageDeltaFuse, func(st *engine.StageTrace) error {
+		st.In, st.InUnit = len(pd.Comps), "components"
+		st.OutUnit = "matches"
+		fuser := engine.NewComponentFuser(run, copts, c.cache)
+		var fresh []float64
+		for ci := range pd.Comps {
+			if err := run.Check().Err(); err != nil {
+				return err
+			}
+			cr, miss, err := fuser.Fuse(pd.Comps[ci].Graph)
+			if err != nil {
+				return err
+			}
+			results[ci] = cr
+			fresh = append(fresh, cr.P...)
+			if miss {
+				stats.ComponentsFused++
+				stats.PairsFused += len(cr.P)
+			}
+		}
+		for k, from := range pd.From {
+			v := c.residentP(from, fresh)
+			p[k] = v
+			if v >= copts.Eta {
+				matched[k] = true
+				nMatched++
+			}
+		}
+		for _, s := range pd.Dissolved {
+			r := c.slots[s]
+			edges -= int(r.edges)
+			repairs -= int(r.repairs)
+			if !r.converged {
+				unconverged--
+			}
+		}
+		for _, cr := range results {
+			edges += cr.Edges
+			repairs += cr.NumericRepairs
+			if !cr.Converged {
+				unconverged++
+			}
+		}
+		stats.ComponentsReused = stats.Components - stats.ComponentsFused
+		stats.PairsReused = len(p) - stats.PairsFused
+		st.Out = nMatched
+		st.ComponentsFused, st.ComponentsReused = stats.ComponentsFused, stats.ComponentsReused
+		st.PairsFused, st.PairsReused = stats.PairsFused, stats.PairsReused
+		return nil
+	}); err != nil {
 		return nil, wrapRunErr(ctx, err)
 	}
-	clusters, err := engine.Cluster(run, len(v.IDs), v.Graph.Pairs, out.Matches)
+
+	clusters, err := engine.Cluster(run, len(pd.IDs), pd.Pairs, matched)
 	if err != nil {
 		return nil, wrapRunErr(ctx, err)
 	}
 	res = &Result{
-		Probabilities:  out.P,
+		Probabilities:  slices.Clone(p),
 		Clusters:       clusters,
-		GraphNodes:     out.Nodes,
-		GraphEdges:     out.Edges,
-		Converged:      out.Converged,
-		NumericRepairs: out.NumericRepairs,
-		IDs:            v.IDs,
-		Delta: &DeltaStats{
-			Components:       stats.Components,
-			ComponentsReused: stats.ComponentsReused,
-			ComponentsFused:  stats.ComponentsFused,
-			PairsReused:      stats.PairsReused,
-			PairsFused:       stats.PairsFused,
-		},
+		GraphNodes:     len(pd.IDs),
+		GraphEdges:     edges,
+		Converged:      unconverged == 0,
+		NumericRepairs: repairs,
+		IDs:            pd.IDs,
+		Delta:          &stats,
 	}
-	for k, matched := range out.Matches {
-		if !matched {
-			continue
+	if nMatched > 0 {
+		res.Matches = make([]Match, 0, nMatched)
+	}
+	for k, m := range matched {
+		if m {
+			pr := pd.Pairs[k]
+			res.Matches = append(res.Matches, Match{I: int(pr.I), J: int(pr.J), Probability: p[k]})
 		}
-		pr := v.Graph.Pairs[k]
-		res.Matches = append(res.Matches, Match{I: int(pr.I), J: int(pr.J), Probability: out.P[k]})
 	}
-	if truth, ok := c.truthFor(v); ok {
-		prf, err := engine.Evaluate(run, v.Graph.Pairs, out.Matches, truth, len(truth))
-		if err != nil {
+	if c.truth.unlabeled == 0 {
+		if err := run.Stage(engine.StageEvaluate, func(st *engine.StageTrace) error {
+			tp := 0
+			for _, m := range res.Matches {
+				if c.truth.match(pd.Handles[m.I], pd.Handles[m.J]) {
+					tp++
+				}
+			}
+			m := fromPRF(eval.FromCounts(tp, nMatched-tp, c.truth.pairs))
+			res.Evaluation = &m
+			st.In, st.InUnit = len(pd.Pairs), "pairs"
+			st.Out, st.OutUnit = nMatched, "matches"
+			return nil
+		}); err != nil {
 			return nil, wrapRunErr(ctx, err)
 		}
-		m := fromPRF(prf)
-		res.Evaluation = &m
 	}
 	trace := run.Trace()
 	res.Trace = fromEngineTrace(trace)
 	if st := trace.Find(engine.StageDeltaFuse); st != nil {
 		res.Elapsed = st.Wall
 	}
+
+	// Success: adopt this resolve as the resident state.
+	if c.ix.Commit(pd) {
+		c.p = p
+		if n := pd.Slots; n > len(c.slots) {
+			c.slots = append(c.slots, make([]slotResult, n-len(c.slots))...)
+		}
+		for ci, cr := range results {
+			c.slots[pd.Comps[ci].Slot] = slotResult{
+				edges:     int32(cr.Edges),
+				repairs:   int32(cr.NumericRepairs),
+				converged: cr.Converged,
+			}
+		}
+		c.edges, c.repairs, c.unconverged = edges, repairs, unconverged
+	}
 	return res, nil
 }
 
-// truthFor derives the ground-truth matching pairs over the materialized
-// record order, following the batch convention: every record must be
-// labeled, and under CrossSourceOnly only cross-source pairs count.
-func (c *Collection) truthFor(v *index.View) (map[uint64]bool, bool) {
-	if len(c.entities) != len(v.IDs) {
-		return nil, false
+// residentP returns the probability a pair takes from its index.Pending
+// origin: the resident array for an untouched component's pair, the
+// touched components' fresh results otherwise.
+func (c *Collection) residentP(from int32, fresh []float64) float64 {
+	if from >= 0 {
+		return c.p[from]
 	}
-	byEntity := make(map[string][]int32)
-	for pos, id := range v.IDs {
-		label, ok := c.entities[id]
-		if !ok {
-			return nil, false
+	return fresh[^from]
+}
+
+// truthCounts is the collection's resident ground truth: each record's
+// entity label (and, under CrossSourceOnly, source) by index handle, and
+// the running number of ground-truth matching pairs — Σ C(n_label, 2),
+// less Σ C(n_label,source, 2) under CrossSourceOnly, the batch convention
+// of counting only cross-source pairs there.
+type truthCounts struct {
+	cross     bool
+	labelIDs  map[string]int32
+	perLabel  []int32
+	perSource map[[2]int32]int32
+	label     []int32 // handle -> label ID, -1 when unlabeled or free
+	source    []int32 // handle -> source (CrossSourceOnly only)
+	unlabeled int     // live records without a label
+	pairs     int
+}
+
+// add records the label of the live record at handle rid.
+func (t *truthCounts) add(rid int32, entity string, source int) {
+	for int(rid) >= len(t.label) {
+		t.label = append(t.label, -1)
+		if t.cross {
+			t.source = append(t.source, 0)
 		}
-		byEntity[label] = append(byEntity[label], int32(pos))
 	}
-	truth := make(map[uint64]bool)
-	for _, recs := range byEntity {
-		for a := 0; a < len(recs); a++ {
-			for b := a + 1; b < len(recs); b++ {
-				i, j := recs[a], recs[b]
-				if c.opts.CrossSourceOnly && v.Sources[i] == v.Sources[j] {
-					continue
-				}
-				truth[index.Key(i, j)] = true
-			}
+	if entity == "" {
+		t.label[rid] = -1
+		t.unlabeled++
+		return
+	}
+	id, ok := t.labelIDs[entity]
+	if !ok {
+		id = int32(len(t.perLabel))
+		t.labelIDs[entity] = id
+		t.perLabel = append(t.perLabel, 0)
+	}
+	t.label[rid] = id
+	t.pairs += int(t.perLabel[id])
+	t.perLabel[id]++
+	if t.cross {
+		if t.perSource == nil {
+			t.perSource = make(map[[2]int32]int32)
+		}
+		// Sources are int32 in the index too.
+		src := int32(source)
+		t.source[rid] = src
+		k := [2]int32{id, src}
+		t.pairs -= int(t.perSource[k])
+		t.perSource[k]++
+	}
+}
+
+// remove forgets the label of the live record at handle rid.
+func (t *truthCounts) remove(rid int32) {
+	id := t.label[rid]
+	if id < 0 {
+		t.unlabeled--
+		return
+	}
+	t.label[rid] = -1
+	t.perLabel[id]--
+	t.pairs -= int(t.perLabel[id])
+	if t.cross {
+		k := [2]int32{id, t.source[rid]}
+		t.perSource[k]--
+		t.pairs += int(t.perSource[k])
+		if t.perSource[k] == 0 {
+			delete(t.perSource, k)
 		}
 	}
-	return truth, true
+}
+
+// match reports whether two labeled records of a candidate pair form a
+// ground-truth pair. Under CrossSourceOnly every candidate pair is already
+// cross-source, so equal labels decide.
+func (t *truthCounts) match(a, b int32) bool {
+	return t.label[a] == t.label[b]
 }

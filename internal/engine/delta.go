@@ -51,53 +51,20 @@ func componentTerms(g *index.Graph, comp *core.Component, seen []bool) []int32 {
 	return terms
 }
 
-// componentKey derives the content key of one component's fusion result: a
-// hash over the fusion options and the component's localized structure —
-// local pair endpoints plus each touching term's local pair list, in
-// ascending global term order but without global term identities. Fusion
-// reads nothing but this topology (ITER and CliqueRank are pure functions
-// of the term–pair and record–record structure), so components with equal
-// keys — across mutations, collections, even within one corpus — have
-// bit-identical local results.
-// The structure bytes are assembled into the caller's reusable scratch and
-// hashed in one shot: a digest allocation plus a 4-byte h.Write per int32
-// is measurable when a warm 100k resolve keys ~20k components. The raw
-// 32-byte digest serves as the map key directly — the key never leaves the
-// cache, so it needs no printable encoding.
-func componentKey(sig []byte, g *index.Graph, part *core.Partition, ci int, terms []int32, scratch []byte) (string, []byte) {
-	comp := &part.Comps[ci]
-	buf := append(scratch[:0], sig...)
-	put := func(v int32) {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	put(int32(len(comp.Records)))
-	put(int32(len(comp.Pairs)))
-	for _, pid := range comp.Pairs {
-		pr := g.Pairs[pid]
-		put(part.RecLocal[pr.I])
-		put(part.RecLocal[pr.J])
-	}
-	put(int32(len(terms)))
-	//lint:ignore guardloop bounded by one component's term-pair lists; DeltaFuse polls the checkpoint per component
-	for _, t := range terms {
-		put(-1) // term separator
-		for _, pid := range g.TermPairs[t] {
-			if part.PairComp[pid] == int32(ci) {
-				put(part.PairLocal[pid])
-			}
-		}
-	}
-	sum := sha256.Sum256(buf)
-	return string(sum[:]), buf
+// LocalizeComponent builds component ci's local candidate graph: records
+// and pairs renumbered densely (preserving global order, so local key
+// order matches global key order), terms restricted to the component in
+// ascending global order. It is the layout index.Pending materializes for
+// a touched component.
+func LocalizeComponent(g *index.Graph, part *core.Partition, ci int) *index.Graph {
+	return localizeComponent(g, part, ci, make([]bool, g.NumTerms))
 }
 
-// localizeComponent builds the component's local candidate graph: records
-// and pairs renumbered densely (preserving global order, so local key order
-// matches global key order), terms restricted to the component in ascending
-// global order. Only cache misses pay for this — hits are keyed without
-// materializing the graph.
-func localizeComponent(g *index.Graph, part *core.Partition, ci int, terms []int32) *index.Graph {
+// localizeComponent is LocalizeComponent with the caller's all-false term
+// scratch.
+func localizeComponent(g *index.Graph, part *core.Partition, ci int, seen []bool) *index.Graph {
 	comp := &part.Comps[ci]
+	terms := componentTerms(g, comp, seen)
 	lg := &index.Graph{
 		NumRecords: len(comp.Records),
 		NumTerms:   len(terms),
@@ -123,6 +90,39 @@ func localizeComponent(g *index.Graph, part *core.Partition, ci int, terms []int
 	return lg
 }
 
+// componentKey derives the content key of a component's fusion result from
+// its local graph: a hash over the fusion options and the local structure
+// — pair endpoints plus each term's pair list, in local term order, with no
+// global identities. Fusion reads nothing but this topology (ITER and
+// CliqueRank are pure functions of the term–pair and record–record
+// structure), so components with equal keys — across mutations,
+// collections, even within one corpus — have bit-identical local results.
+// The structure bytes are assembled into the caller's reusable scratch and
+// hashed in one shot; the raw 32-byte digest serves as the map key
+// directly, since the key never leaves the cache.
+func componentKey(sig []byte, lg *index.Graph, scratch []byte) (string, []byte) {
+	buf := append(scratch[:0], sig...)
+	put := func(v int32) {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	put(int32(lg.NumRecords))
+	put(int32(lg.NumPairs()))
+	for _, pr := range lg.Pairs {
+		put(pr.I)
+		put(pr.J)
+	}
+	put(int32(lg.NumTerms))
+	//lint:ignore guardloop bounded by one component's term-pair lists; callers poll the checkpoint per component
+	for _, pairs := range lg.TermPairs {
+		put(-1) // term separator
+		for _, pid := range pairs {
+			put(pid)
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return string(sum[:]), buf
+}
+
 // fusionOptsSig serializes every core option that influences fusion output
 // — the same field set FusionKey hashes. Workers, Check, Clock, Progress,
 // Scratch and ShardComponents are excluded: output is bit-identical across
@@ -136,12 +136,74 @@ func fusionOptsSig(o core.Options) string {
 		o.Seed)
 }
 
+// ComponentFuser is the one component-fusion entry point: it keys a
+// component's local graph, serves the result from the cache under that key
+// when present, and fuses the component on a miss, memoizing the result.
+// Both the resident collection resolver and DeltaFuse fuse through it.
+type ComponentFuser struct {
+	opts  core.Options
+	sig   []byte
+	cache *Cache
+	buf   []byte
+}
+
+// NewComponentFuser binds a fuser to a run: the run's checkpoint, worker
+// budget, scratch arena and clock override the corresponding options.
+func NewComponentFuser(r *Run, opts core.Options, cache *Cache) *ComponentFuser {
+	opts.Check = r.check
+	opts.Workers = r.workers
+	opts.Scratch = &r.scratch
+	if opts.Clock == nil {
+		opts.Clock = r.clk
+	}
+	// A component is fused whole: sharding inside one component would only
+	// re-partition what is already a single component.
+	opts.ShardComponents = false
+	return &ComponentFuser{opts: opts, sig: []byte(fusionOptsSig(opts)), cache: cache}
+}
+
+// Key returns the content key lg's fusion result is memoized under.
+func (f *ComponentFuser) Key(lg *index.Graph) string {
+	key, _ := componentKey(f.sig, lg, nil)
+	return key
+}
+
+// Fuse returns the fusion result of one component's local graph and
+// whether it had to be fused (a cache miss). The result is shared with the
+// cache; callers must not mutate it.
+func (f *ComponentFuser) Fuse(lg *index.Graph) (*ComponentResult, bool, error) {
+	var key string
+	key, f.buf = componentKey(f.sig, lg, f.buf)
+	if cr, ok := f.cache.Component(key); ok {
+		return cr, false, nil
+	}
+	run := core.NewFusionRun(lg, lg.NumRecords, f.opts)
+	for run.Next() {
+		if _, err := run.StepITER(); err != nil {
+			return nil, false, err
+		}
+		run.StepGraph()
+		if err := run.StepRank(); err != nil {
+			return nil, false, err
+		}
+	}
+	lres := run.Finish()
+	cr := &ComponentResult{
+		P:              append([]float64(nil), lres.P...),
+		Converged:      lres.Converged,
+		NumericRepairs: lres.NumericRepairs,
+		Edges:          lres.Edges,
+	}
+	f.cache.AddComponent(key, cr)
+	return cr, true, nil
+}
+
 // DeltaFuse is the delta-scoped alternative to Fuse: it partitions the
-// candidate graph into connected components, fuses each component on its
-// own localized graph, and memoizes the per-component results in the cache
-// under content keys — so a resolve after a small mutation re-fuses only
-// the components the mutation touched and serves every other component from
-// cache.
+// candidate graph into connected components and fuses each component's
+// local graph through a ComponentFuser, so every component whose content
+// key already has a memoized result is served from the cache. It is the
+// batch-equivalence oracle of the resident collection resolver, which
+// localizes only the components a mutation touched.
 //
 // The semantics are per-component fusion: each component runs the full
 // ITER ⇄ record-graph ⇄ CliqueRank loop on its local graph (own seeded RNG,
@@ -156,16 +218,6 @@ func fusionOptsSig(o core.Options) string {
 // populated; X, S and the ITER traces are per-component artifacts and stay
 // nil.
 func DeltaFuse(r *Run, g *index.Graph, numRecords int, opts core.Options, cache *Cache) (*core.FusionResult, DeltaStats, error) {
-	opts.Check = r.check
-	opts.Workers = r.workers
-	opts.Scratch = &r.scratch
-	if opts.Clock == nil {
-		opts.Clock = r.clk
-	}
-	// A component is fused whole: sharding inside one component would only
-	// re-partition what is already a single component.
-	opts.ShardComponents = false
-
 	var part *core.Partition
 	if err := r.Stage(StagePartition, func(st *StageTrace) error {
 		part = core.PartitionComponents(g, numRecords)
@@ -176,7 +228,7 @@ func DeltaFuse(r *Run, g *index.Graph, numRecords int, opts core.Options, cache 
 		return nil, DeltaStats{}, err
 	}
 
-	sig := []byte(fusionOptsSig(opts))
+	fuser := NewComponentFuser(r, opts, cache)
 	res := &core.FusionResult{
 		Converged: true,
 		P:         make([]float64, g.NumPairs()),
@@ -185,7 +237,6 @@ func DeltaFuse(r *Run, g *index.Graph, numRecords int, opts core.Options, cache 
 	}
 	stats := DeltaStats{Components: len(part.Comps)}
 	termSeen := make([]bool, g.NumTerms)
-	var keyScratch []byte
 	err := r.Stage(StageDeltaFuse, func(st *StageTrace) error {
 		st.In, st.InUnit = len(part.Comps), "components"
 		st.OutUnit = "matches"
@@ -194,30 +245,11 @@ func DeltaFuse(r *Run, g *index.Graph, numRecords int, opts core.Options, cache 
 				return err
 			}
 			comp := &part.Comps[ci]
-			terms := componentTerms(g, comp, termSeen)
-			var key string
-			key, keyScratch = componentKey(sig, g, part, ci, terms, keyScratch)
-			cr, ok := cache.Component(key)
-			if !ok {
-				lg := localizeComponent(g, part, ci, terms)
-				f := core.NewFusionRun(lg, len(comp.Records), opts)
-				for f.Next() {
-					if _, err := f.StepITER(); err != nil {
-						return err
-					}
-					f.StepGraph()
-					if err := f.StepRank(); err != nil {
-						return err
-					}
-				}
-				lres := f.Finish()
-				cr = &ComponentResult{
-					P:              append([]float64(nil), lres.P...),
-					Converged:      lres.Converged,
-					NumericRepairs: lres.NumericRepairs,
-					Edges:          lres.Edges,
-				}
-				cache.AddComponent(key, cr)
+			cr, fused, err := fuser.Fuse(localizeComponent(g, part, ci, termSeen))
+			if err != nil {
+				return err
+			}
+			if fused {
 				stats.ComponentsFused++
 				stats.PairsFused += len(comp.Pairs)
 			} else {

@@ -95,8 +95,8 @@ type CacheStats struct {
 	// Entries is the number of snapshots currently held.
 	Entries int
 	// ComponentHits and ComponentMisses count per-component fusion-result
-	// lookups by the delta-scoped resolver; ComponentEntries is the number
-	// of component results currently held.
+	// lookups (ComponentFuser keys only the components it is handed);
+	// ComponentEntries is the number of component results currently held.
 	ComponentHits, ComponentMisses int64
 	ComponentEntries               int
 }

@@ -51,6 +51,13 @@ func EvaluatePairs(pairs []index.Pair, predicted []bool, truth map[uint64]bool, 
 			fp++
 		}
 	}
+	return FromCounts(tp, fp, totalTrue)
+}
+
+// FromCounts scores tp true and fp false predicted matches against
+// totalTrue ground-truth matching pairs — EvaluatePairs for a caller that
+// counts the true positives itself.
+func FromCounts(tp, fp, totalTrue int) PRF {
 	return compute(tp, fp, totalTrue-tp)
 }
 

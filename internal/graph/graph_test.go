@@ -30,27 +30,6 @@ func TestUnionFindBasics(t *testing.T) {
 	}
 }
 
-func TestUnionFindGroups(t *testing.T) {
-	u := NewUnionFind(6)
-	u.Union(0, 1)
-	u.Union(1, 2)
-	u.Union(3, 4)
-	groups := u.Groups(2)
-	if len(groups) != 2 {
-		t.Fatalf("Groups(2) = %v, want 2 groups", groups)
-	}
-	if len(groups[0]) != 3 || groups[0][0] != 0 {
-		t.Errorf("first group = %v, want [0 1 2]", groups[0])
-	}
-	if len(groups[1]) != 2 || groups[1][0] != 3 {
-		t.Errorf("second group = %v, want [3 4]", groups[1])
-	}
-	all := u.Groups(1)
-	if len(all) != 3 {
-		t.Errorf("Groups(1) = %d groups, want 3 (including singleton 5)", len(all))
-	}
-}
-
 // TestUnionFindMatchesNaive compares against a brute-force reachability
 // model over random union sequences.
 func TestUnionFindMatchesNaive(t *testing.T) {

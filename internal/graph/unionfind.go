@@ -56,42 +56,3 @@ func (u *UnionFind) Union(a, b int) bool {
 
 // Count returns the current number of disjoint sets.
 func (u *UnionFind) Count() int { return u.count }
-
-// Groups returns the members of every set with at least minSize elements,
-// each group sorted ascending, groups ordered by their smallest member.
-func (u *UnionFind) Groups(minSize int) [][]int {
-	// Flat counting-sort layout instead of a map of per-root slices: at
-	// 100k records the map version costs one tiny allocation per set. One
-	// pass records each element's root and the per-root sizes, a prefix
-	// sum lays the groups out in root-ID order in a single backing array,
-	// and a second ascending pass fills members — the same group order
-	// (roots ascending) and member order (ascending) the map version
-	// produced.
-	n := len(u.parent)
-	root := make([]int32, n)
-	size := make([]int32, n)
-	for i := 0; i < n; i++ {
-		r := u.Find(i)
-		root[i] = int32(r)
-		size[r]++
-	}
-	off := make([]int32, n+1)
-	for r := 0; r < n; r++ {
-		off[r+1] = off[r] + size[r]
-	}
-	members := make([]int, n)
-	fill := make([]int32, n)
-	copy(fill, off[:n])
-	for i := 0; i < n; i++ {
-		r := root[i]
-		members[fill[r]] = i
-		fill[r]++
-	}
-	var out [][]int
-	for r := 0; r < n; r++ {
-		if int(size[r]) >= minSize && size[r] > 0 {
-			out = append(out, members[off[r]:off[r+1]:off[r+1]])
-		}
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,10 +47,6 @@ type View struct {
 	Sources []int
 	// IDs maps record position to external ID (ascending).
 	IDs []string
-	// Touched lists the positions whose candidate rows changed since the
-	// previous Materialize (advisory: the delta-scoped resolver's
-	// correctness rests on per-component content keys, not on this set).
-	Touched []int
 }
 
 // Index is a mutable inverted index over a keyed record collection that
@@ -57,9 +54,10 @@ type View struct {
 // re-derive only the candidate rows their blast radius can have changed —
 // the mutated record, plus every record holding a term whose eligibility
 // flipped (document-frequency thresholds move with df and with the corpus
-// size). Materialize then assembles a Corpus + Graph bit-identical to a
-// from-scratch batch build, in time proportional to the corpus surface, not
-// to the blocking scan.
+// size). Two read paths sit on top: Materialize assembles a Corpus + Graph
+// bit-identical to a from-scratch batch build, in time proportional to the
+// corpus surface (the cold/debug export), and Pending/Commit hand a resident
+// resolver only the components its mutations touched (see resident.go).
 //
 // Not safe for concurrent use; callers serialize access.
 type Index struct {
@@ -96,27 +94,23 @@ type Index struct {
 	cnt    []int32
 	marked []bool
 
-	// Cached ascending-external-ID record order for Materialize.
-	order      []int32
-	orderDirty bool
+	// Live record handles in ascending external-ID order, maintained on
+	// every insert and delete.
+	order []int32
 
-	// Cached dense vocabulary layout for Materialize: the kept terms in
-	// lexicographic order with their dense IDs, surface→dense map and
-	// eligibility flags. Valid while no mutation interned a new surface or
-	// flipped any term's kept/eligible status — document frequencies may
-	// change freely (Corpus.DF is rebuilt every Materialize), but the
-	// layout, and with it the 50k-entry string map, is reused. denseValid
-	// starts false and is cleared conservatively: a spurious rebuild costs
-	// time, a missed one would corrupt the batch-equivalence promise.
-	denseValid    bool
-	denseOf       []int32
-	denseIIDs     []int32
-	denseSurfaces []string
-	denseIndex    map[string]int
-	denseElig     []bool
+	// Touched-record bookkeeping: dirty lists, without duplicates, the
+	// handles (live or freed) of every record whose candidate row a
+	// mutation recomputed since the last Commit, and both endpoints of
+	// every pair it added or removed. seq counts mutations, so a Pending
+	// can tell it was overtaken.
+	seq     uint64
+	dirty   []int32
+	isDirty []bool // rid -> listed in dirty
 
-	// External IDs whose candidate rows changed since the last Materialize.
-	touchedIDs map[string]struct{}
+	// Resident state of the committed resolve (resident.go): the global
+	// pair order, each record's component slot, and the slot allocator.
+	res resident
+	pos []int32 // rid -> position scratch, refreshed by Pending
 }
 
 // New returns an empty index.
@@ -126,12 +120,11 @@ func New(cfg Config) *Index {
 		stop[strings.ToLower(w)] = struct{}{}
 	}
 	return &Index{
-		cfg:        cfg,
-		stop:       stop,
-		vocab:      make(map[string]int32),
-		byID:       make(map[string]int32),
-		pairs:      make(map[uint64]int32),
-		touchedIDs: make(map[string]struct{}),
+		cfg:   cfg,
+		stop:  stop,
+		vocab: make(map[string]int32),
+		byID:  make(map[string]int32),
+		pairs: make(map[uint64]int32),
 	}
 }
 
@@ -171,7 +164,6 @@ func (ix *Index) intern(surface string) int32 {
 	ix.stopped = append(ix.stopped, banned)
 	ix.postings = append(ix.postings, nil)
 	ix.vocabDirty = true
-	ix.denseValid = false
 	return iid
 }
 
@@ -202,7 +194,7 @@ func (ix *Index) Upsert(id, text string, source int) Delta {
 	} else {
 		rid = ix.allocRid(id)
 		ix.live++
-		ix.orderDirty = true
+		ix.orderInsert(rid)
 	}
 	return ix.applyMutation(rid, id, oldTerms, terms, seq, int32(source), ix.maxKeptDFAt(nBefore), true)
 }
@@ -217,7 +209,7 @@ func (ix *Index) Delete(id string) (Delta, bool) {
 	maxBefore := ix.maxKeptDF()
 	oldTerms := ix.terms[rid]
 	ix.live--
-	ix.orderDirty = true
+	ix.orderRemove(id)
 	d := ix.applyMutation(rid, id, oldTerms, nil, nil, 0, maxBefore, false)
 	ix.releaseRid(rid, id)
 	return d, true
@@ -242,6 +234,7 @@ func (ix *Index) maxKeptDFAt(n int) int32 {
 // candidate rows of the affected records. keep reports whether the record
 // remains live (upsert) or is being removed (delete).
 func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq []int32, source, maxBefore int32, keep bool) Delta {
+	ix.seq++
 	maxAfter := ix.maxKeptDF()
 
 	// dfTouched: terms whose df changes (symmetric difference of the old
@@ -325,7 +318,6 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 			}
 		}
 		if isKept != fl.wasKept || isElig != fl.was {
-			ix.denseValid = false
 			for _, q := range ix.postings[fl.iid] {
 				affected[q] = struct{}{}
 			}
@@ -349,11 +341,11 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 			if _, ok := ix.pairs[key]; ok {
 				delete(ix.pairs, key)
 				removed = append(removed, [2]string{id, ix.extID[p]})
-				ix.touchedIDs[ix.extID[p]] = struct{}{}
+				ix.touch(p)
 			}
 		}
 		ix.adj[rid] = nil
-		ix.touchedIDs[id] = struct{}{}
+		ix.touch(rid)
 		d := ix.recomputeRows(affected, maxAfter)
 		d.RemovedPairs = append(d.RemovedPairs, removed...)
 		d.Touched = append(d.Touched, id)
@@ -361,7 +353,7 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 	}
 
 	affected[rid] = struct{}{}
-	ix.touchedIDs[id] = struct{}{}
+	ix.touch(rid)
 	return ix.recomputeRows(affected, maxAfter)
 }
 
@@ -386,7 +378,7 @@ func (ix *Index) recomputeRows(affected map[int32]struct{}, maxDF int32) Delta {
 
 	var d Delta
 	for _, r := range rids {
-		ix.touchedIDs[ix.extID[r]] = struct{}{}
+		ix.touch(r)
 		d.Touched = append(d.Touched, ix.extID[r])
 		add, rem := ix.recomputeRow(r, maxDF)
 		d.AddedPairs = append(d.AddedPairs, add...)
@@ -457,7 +449,7 @@ func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string)
 				ix.adj[q] = append(ix.adj[q], r)
 			}
 			added = append(added, ix.pairIDs(r, q))
-			ix.touchedIDs[ix.extID[q]] = struct{}{}
+			ix.touch(q)
 		}
 		ix.pairs[key] = s
 		marked[q] = true
@@ -476,7 +468,7 @@ func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string)
 		}
 		delete(ix.pairs, key)
 		removed = append(removed, ix.pairIDs(r, p))
-		ix.touchedIDs[ix.extID[p]] = struct{}{}
+		ix.touch(p)
 	}
 	ix.adj[r] = keepAdj
 	for _, q := range touched {
@@ -513,7 +505,7 @@ func (ix *Index) rebuildPairs(maxDF int32) {
 		if ix.extID[r] == "" {
 			continue
 		}
-		ix.touchedIDs[ix.extID[r]] = struct{}{}
+		ix.touch(ri)
 		var touched []int32
 		for _, t := range ix.terms[r] {
 			if !ix.eligAt(t, ix.df[t], maxDF) {
@@ -577,6 +569,8 @@ func (ix *Index) allocRid(id string) int32 {
 		ix.sources = append(ix.sources, 0)
 		ix.docLen = append(ix.docLen, 0)
 		ix.adj = append(ix.adj, nil)
+		ix.isDirty = append(ix.isDirty, false)
+		ix.res.compOf = append(ix.res.compOf, -1)
 	}
 	ix.extID[rid] = id
 	ix.byID[id] = rid
@@ -592,6 +586,41 @@ func (ix *Index) releaseRid(rid int32, id string) {
 	ix.adj[rid] = nil
 	delete(ix.byID, id)
 	ix.freeRid = append(ix.freeRid, rid)
+}
+
+// Handle returns the stable record handle of a live external ID. Handles
+// index per-record state a caller keeps beside the index; a deleted
+// record's handle is reused by a later insert.
+func (ix *Index) Handle(id string) (int32, bool) {
+	rid, ok := ix.byID[id]
+	return rid, ok
+}
+
+// touch marks rid as touched by the current mutation: its candidate row
+// was recomputed, or a pair it ends was added or removed.
+func (ix *Index) touch(rid int32) {
+	if !ix.isDirty[rid] {
+		ix.isDirty[rid] = true
+		ix.dirty = append(ix.dirty, rid)
+	}
+}
+
+// orderSearch returns the position of id in the ascending external-ID
+// order (or where it would be inserted).
+func (ix *Index) orderSearch(id string) int {
+	return sort.Search(len(ix.order), func(k int) bool { return ix.extID[ix.order[k]] >= id })
+}
+
+// orderInsert places a newly allocated handle into the record order.
+func (ix *Index) orderInsert(rid int32) {
+	at := ix.orderSearch(ix.extID[rid])
+	ix.order = slices.Insert(ix.order, at, rid)
+}
+
+// orderRemove drops a live external ID from the record order.
+func (ix *Index) orderRemove(id string) {
+	at := ix.orderSearch(id)
+	ix.order = slices.Delete(ix.order, at, at+1)
 }
 
 // postingAdd inserts rid into a term's posting list (kept sorted) and

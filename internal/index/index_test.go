@@ -209,8 +209,9 @@ func TestIndexDeltaReportsPairs(t *testing.T) {
 	}
 }
 
-// TestIndexTouchedPositions checks that Materialize reports and then drains
-// the touched-record positions.
+// TestIndexTouchedPositions checks that Pending reports the records and
+// components touched since the last Commit, and that only Commit drains
+// them.
 func TestIndexTouchedPositions(t *testing.T) {
 	cfg := Config{
 		Corpus: textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions()},
@@ -220,19 +221,41 @@ func TestIndexTouchedPositions(t *testing.T) {
 	ix.Upsert("a", "alpha beta", 0)
 	ix.Upsert("b", "alpha beta", 0)
 	ix.Upsert("c", "omega psi", 0)
-	v := ix.Materialize()
-	if len(v.Touched) != 3 {
-		t.Fatalf("initial build should touch all records, got %v", v.Touched)
+	commit := func() *Pending {
+		t.Helper()
+		pd := ix.Pending()
+		pd.Materialize()
+		if !ix.Commit(pd) {
+			t.Fatal("commit of a fresh materialized Pending refused")
+		}
+		return pd
+	}
+	pd := ix.Pending()
+	if pd.Touched != 3 || len(pd.Comps) != 1 || !reflect.DeepEqual(pd.Comps[0].Records, []int32{0, 1}) {
+		t.Fatalf("initial build should touch all records and the {a b} component, got %d touched, %+v", pd.Touched, pd.Comps)
+	}
+	// An uncommitted Pending drains nothing.
+	if pd = commit(); pd.Touched != 3 || pd.Components != 1 || len(pd.Pairs) != 1 {
+		t.Fatalf("uncommitted Pending lost the touched set: %+v", pd)
 	}
 	// No mutations: nothing touched.
-	v = ix.Materialize()
-	if len(v.Touched) != 0 {
-		t.Fatalf("expected no touched records, got %v", v.Touched)
+	if pd = commit(); pd.Touched != 0 || len(pd.Comps) != 0 || pd.Components != 1 || pd.From[0] != 0 {
+		t.Fatalf("expected no touched records, got %+v", pd)
 	}
-	// Mutating c touches only c (it shares no terms with a/b).
+	// Mutating c touches only c (it shares no terms with a/b), and c is in
+	// no component.
 	ix.Upsert("c", "omega chi", 0)
-	v = ix.Materialize()
-	if len(v.Touched) != 1 || v.IDs[v.Touched[0]] != "c" {
-		t.Fatalf("expected only c touched, got %v", v.Touched)
+	if pd = commit(); pd.Touched != 1 || len(pd.Comps) != 0 || pd.Components != 1 {
+		t.Fatalf("expected only c touched, got %+v", pd)
+	}
+	// A Pending that a mutation overtook is not committed.
+	pd = ix.Pending()
+	pd.Materialize()
+	ix.Upsert("c", "omega beta alpha", 0)
+	if ix.Commit(pd) {
+		t.Fatal("commit of a stale Pending accepted")
+	}
+	if pd = commit(); pd.Touched != 3 || len(pd.Comps) != 1 || len(pd.Comps[0].Records) != 3 || len(pd.Dissolved) != 1 {
+		t.Fatalf("expected a, b, c touched and one component re-formed, got %+v", pd)
 	}
 }

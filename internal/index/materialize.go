@@ -2,7 +2,6 @@ package index
 
 import (
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/parallel"
@@ -72,84 +71,43 @@ func (ix *Index) ensureSorted() {
 	ix.vocabDirty = false
 }
 
-// ensureOrder rebuilds the ascending-external-ID record order after an
-// insert or delete changed the ID set.
-func (ix *Index) ensureOrder() {
-	if !ix.orderDirty {
-		return
-	}
-	ix.order = ix.order[:0]
-	for rid, id := range ix.extID {
-		if id != "" {
-			ix.order = append(ix.order, int32(rid))
-		}
-	}
-	sort.Slice(ix.order, func(a, b int) bool {
-		return ix.extID[ix.order[a]] < ix.extID[ix.order[b]]
-	})
-	ix.orderDirty = false
-}
-
 // Materialize assembles the current Corpus and candidate Graph over the
 // live records in ascending external-ID order — bit-identical to running
-// textproc.BuildCorpus + BuildGraph over the same records from scratch —
-// and drains the touched-record set accumulated since the previous call.
+// textproc.BuildCorpus + BuildGraph over the same records from scratch.
 // The cost is proportional to the corpus surface (tokens + surviving
-// pairs), not to the quadratic blocking scan the batch path performs.
+// pairs), not to the quadratic blocking scan the batch path performs. It
+// is the cold and debug export and the oracle of the resident path
+// (Pending/Commit), whose state it neither reads nor changes.
 func (ix *Index) Materialize() *View {
 	ix.ensureSorted()
-	ix.ensureOrder()
 	n := len(ix.order)
 	maxDF := ix.maxKeptDF()
 
-	// Kept terms in lexicographic order become the dense corpus IDs. The
-	// layout (dense ID assignment, surface map, eligibility flags) is
-	// cached across calls: mutations invalidate it only when they intern a
-	// new surface or flip a term's kept/eligible status, so the common
-	// small mutation reuses the 50k-entry string map instead of rebuilding
-	// it. Document frequencies change on every mutation, so Corpus.DF is
-	// always re-derived from the cached kept-term list.
-	if !ix.denseValid {
-		denseOf := make([]int32, len(ix.surfaces))
-		for i := range denseOf {
-			denseOf[i] = -1
+	// Kept terms in lexicographic order become the dense corpus IDs.
+	denseOf := make([]int32, len(ix.surfaces))
+	var surfaces []string
+	denseDF := []int{}
+	var eligible []bool
+	for _, iid := range ix.sortedIIDs {
+		denseOf[iid] = -1
+		f := ix.df[iid]
+		if f < 1 || !ix.keptAt(iid, f, maxDF) {
+			continue
 		}
-		var surfaces []string
-		var denseIIDs []int32
-		for _, iid := range ix.sortedIIDs {
-			f := ix.df[iid]
-			if f < 1 || !ix.keptAt(iid, f, maxDF) {
-				continue
-			}
-			denseOf[iid] = int32(len(surfaces))
-			surfaces = append(surfaces, ix.surfaces[iid])
-			denseIIDs = append(denseIIDs, iid)
-		}
-		eligible := make([]bool, len(surfaces))
-		for dense, iid := range denseIIDs {
-			eligible[dense] = ix.eligAt(iid, ix.df[iid], maxDF)
-		}
-		index := make(map[string]int, len(surfaces))
-		for dense, s := range surfaces {
-			index[s] = dense
-		}
-		ix.denseOf = denseOf
-		ix.denseIIDs = denseIIDs
-		ix.denseSurfaces = surfaces
-		ix.denseIndex = index
-		ix.denseElig = eligible
-		ix.denseValid = true
+		denseOf[iid] = int32(len(surfaces))
+		surfaces = append(surfaces, ix.surfaces[iid])
+		denseDF = append(denseDF, int(f))
+		eligible = append(eligible, ix.eligAt(iid, f, maxDF))
 	}
-	denseOf, eligible := ix.denseOf, ix.denseElig
-	nt := len(ix.denseSurfaces)
-	denseDF := make([]int, nt)
-	for dense, iid := range ix.denseIIDs {
-		denseDF[dense] = int(ix.df[iid])
+	nt := len(surfaces)
+	index := make(map[string]int, nt)
+	for dense, surface := range surfaces {
+		index[surface] = dense
 	}
 
 	c := &textproc.Corpus{
-		Terms: ix.denseSurfaces,
-		Index: ix.denseIndex,
+		Terms: surfaces,
+		Index: index,
 		Docs:  make([][]int32, n),
 		Seqs:  make([][]int32, n),
 		DF:    denseDF,
@@ -203,18 +161,14 @@ func (ix *Index) Materialize() *View {
 	// their first eligible shared dense term, then assembled in the exact
 	// batch enumeration order. Map iteration order is irrelevant:
 	// assembleGraph sorts by (firstT, key).
-	pairKeys := make([]uint64, 0, len(ix.pairs))
-	shareds := make([]int32, 0, len(ix.pairs))
+	survivors := make([]survivor, 0, len(ix.pairs))
 	for key, shared := range ix.pairs {
-		pairKeys = append(pairKeys, key)
-		shareds = append(shareds, shared)
+		//lint:ignore determinism assembleGraph sorts the survivors by (firstT, key), so map order never reaches the graph
+		survivors = append(survivors, survivor{r: int32(key >> 32), q: int32(key & 0xffffffff), shared: shared})
 	}
-	survivors := make([]survivor, len(pairKeys))
-	parallel.ForGrain(workers, len(pairKeys), 1<<12, func(lo, hi int) {
+	parallel.ForGrain(workers, len(survivors), 1<<12, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			key := pairKeys[i]
-			ra, rb := int32(key>>32), int32(key&0xffffffff)
-			pa, pb := posOf[ra], posOf[rb]
+			pa, pb := posOf[survivors[i].r], posOf[survivors[i].q]
 			if pa > pb {
 				pa, pb = pb, pa
 			}
@@ -237,19 +191,10 @@ func (ix *Index) Materialize() *View {
 					}
 				}
 			}
-			survivors[i] = survivor{r: pa, q: pb, shared: shareds[i], firstT: first}
+			survivors[i] = survivor{r: pa, q: pb, shared: survivors[i].shared, firstT: first}
 		}
 	})
 	g := assembleGraph(c, survivors, eligible, n, nt)
 
-	touched := make([]int, 0, len(ix.touchedIDs))
-	for id := range ix.touchedIDs {
-		if rid, ok := ix.byID[id]; ok {
-			touched = append(touched, int(posOf[rid]))
-		}
-	}
-	sort.Ints(touched)
-	ix.touchedIDs = make(map[string]struct{})
-
-	return &View{Corpus: c, Graph: g, Sources: sources, IDs: ids, Touched: touched}
+	return &View{Corpus: c, Graph: g, Sources: sources, IDs: ids}
 }

@@ -162,7 +162,9 @@ func (t *stageTotals) snapshot() []StageStats {
 
 // SnapshotCacheStats is the /stats view of the shared snapshot cache:
 // whole-dataset pre-matching snapshots plus the per-component fusion
-// results the delta-scoped collection resolver memoizes.
+// results the delta-scoped collection resolver memoizes. The component
+// counters count only the touched components a resolve keys; untouched
+// components are reused without a lookup.
 type SnapshotCacheStats struct {
 	Enabled          bool  `json:"enabled"`
 	Hits             int64 `json:"hits"`

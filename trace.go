@@ -144,8 +144,10 @@ type CacheStats struct {
 	// Entries is the number of snapshots currently held.
 	Entries int
 	// ComponentHits and ComponentMisses count per-component fusion-result
-	// lookups by the delta-scoped resolver (Collection.Resolve);
-	// ComponentEntries is the number of component results currently held.
+	// lookups by the delta-scoped resolver (Collection.Resolve), which keys
+	// only the components holding a record touched since its previous
+	// resolve; ComponentEntries is the number of component results
+	// currently held.
 	ComponentHits, ComponentMisses int64
 	ComponentEntries               int
 }

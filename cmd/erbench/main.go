@@ -7,15 +7,9 @@
 //	        [-scale 1.0] [-seed 1] [-csv DIR]
 //
 // -scale scales the replicas (1.0 = the published dataset sizes);
-// -csv writes the full Figure 4/5 series as CSV files into DIR.
-//
-// Corpus mode, selected by -input file.csv, skips the experiment tables
-// and instead resolves one CSV corpus (e.g. an ergen -records output) end
-// to end, printing the per-stage trace and — when the corpus is labeled —
-// pairwise evaluation metrics. This is the entry point the CI bench-smoke
-// job drives at 100k records:
-//
-//	erbench -input synthetic.csv [-iterations 5] [-workers 0] [-seed 1]
+// -csv writes the full Figure 4/5 series as CSV files into DIR. To resolve
+// one CSV corpus end to end with its stage trace, use
+// erresolve -trace file.csv.
 package main
 
 import (
@@ -26,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/experiments"
 	"repro/internal/plot"
 )
@@ -39,15 +32,7 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write full figure series as CSV (optional)")
 	svgDir := flag.String("svg", "", "directory to write figures as SVG charts (optional)")
 	workers := flag.Int("workers", 0, "kernel goroutines per pipeline run (0 = GOMAXPROCS); results are identical for every value")
-	input := flag.String("input", "", "corpus mode: resolve this CSV file instead of running experiments")
-	iterations := flag.Int("iterations", 5, "corpus mode: fusion iterations")
-	maxPairs := flag.Int("max-pairs", 0, "corpus mode: candidate-pair budget (0 = unlimited)")
 	flag.Parse()
-
-	if *input != "" {
-		runCorpus(*input, *seed, *workers, *iterations, *maxPairs)
-		return
-	}
 
 	cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: *workers}
 	fmt.Printf("erbench: scale=%.2f seed=%d (α=20, S=20, η=0.98, 5 fusion iterations)\n\n", *scale, *seed)
@@ -215,46 +200,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// runCorpus resolves one CSV corpus end to end and prints the stage
-// trace, the resolution shape and (for labeled corpora) the pairwise
-// metrics — the corpus-mode face of the command used by the CI 100k
-// bench-smoke job.
-func runCorpus(path string, seed int64, workers, iterations, maxPairs int) {
-	start := time.Now()
-	d, err := er.LoadCSVFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "erbench: %v\n", err)
-		os.Exit(1)
-	}
-	loaded := time.Since(start)
-
-	opts := er.DefaultOptions()
-	opts.Seed = seed
-	opts.Workers = workers
-	opts.FusionIterations = iterations
-	opts.MaxCandidatePairs = maxPairs
-	res, err := er.Resolve(d, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "erbench: resolving %s: %v\n", path, err)
-		os.Exit(1)
-	}
-
-	fmt.Printf("corpus %s: %d records, %d sources (loaded in %s)\n",
-		d.Name(), d.NumRecords(), d.NumSources(), loaded.Round(time.Millisecond))
-	fmt.Printf("resolved: %d matches, %d clusters, graph %d nodes / %d edges, fusion %s\n",
-		len(res.Matches), len(res.Clusters), res.GraphNodes, res.GraphEdges,
-		res.Elapsed.Round(time.Millisecond))
-	if res.Degradation != nil {
-		fmt.Printf("degradation: %+v\n", *res.Degradation)
-	}
-	if res.Evaluation != nil {
-		fmt.Printf("evaluation: precision %.4f, recall %.4f, F1 %.4f\n",
-			res.Evaluation.Precision, res.Evaluation.Recall, res.Evaluation.F1)
-	}
-	fmt.Print("stage trace:\n" + res.Trace.String())
-	fmt.Printf("[corpus run completed in %s]\n", time.Since(start).Round(time.Millisecond))
 }
 
 // writeFile writes one artifact into dir, creating it as needed.

@@ -1,5 +1,5 @@
 // Command ergen writes synthetic benchmark corpora to CSV files in the
-// format accepted by cmd/erresolve, cmd/erbench -input and er.LoadCSV.
+// format accepted by cmd/erresolve and er.LoadCSV.
 //
 // It has two modes. Replica mode (the default) regenerates the paper's
 // three benchmark replicas at their published sizes:

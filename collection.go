@@ -10,19 +10,10 @@ import (
 )
 
 // CollectionDelta reports what one mutation changed in a collection's
-// candidate pair set. Pair endpoints are external record IDs.
-type CollectionDelta struct {
-	// AddedPairs and RemovedPairs list the candidate pairs the mutation
-	// created and destroyed.
-	AddedPairs, RemovedPairs [][2]string
-	// Touched lists the external IDs whose candidate rows were recomputed.
-	Touched []string
-	// Rebuilt reports that the mutation's blast radius made an incremental
-	// update more expensive than starting over (a frequency threshold
-	// crossed on a high-df term), so the pair table was rebuilt instead;
-	// the per-pair lists are empty in that case.
-	Rebuilt bool
-}
+// candidate pair set: the pairs created and destroyed (endpoints are
+// external record IDs), the IDs whose candidate rows were recomputed, and
+// whether the pair table was rebuilt instead of patched.
+type CollectionDelta = index.Delta
 
 // DeltaStats is the work split of one delta-scoped resolve (see
 // Collection.ResolveContext): how many candidate-graph components the
@@ -30,11 +21,7 @@ type CollectionDelta struct {
 // component holding no record touched since the previous resolve is
 // reused without being looked at; a touched component is keyed and counts
 // as reused when its key hits the component cache.
-type DeltaStats struct {
-	Components                        int
-	ComponentsReused, ComponentsFused int
-	PairsReused, PairsFused           int
-}
+type DeltaStats = engine.DeltaStats
 
 // Collection is a mutable keyed record set that resolves incrementally.
 // Upsert and Delete maintain an inverted index and the blocking survivor
@@ -120,7 +107,7 @@ func (c *Collection) Upsert(id string, rec Record) CollectionDelta {
 	d := c.ix.Upsert(id, rec.Text, rec.Source)
 	rid, _ := c.ix.Handle(id)
 	c.truth.add(rid, rec.Entity, rec.Source)
-	return fromIndexDelta(d)
+	return d
 }
 
 // Delete removes the record stored under id, reporting whether it existed.
@@ -128,17 +115,7 @@ func (c *Collection) Delete(id string) (CollectionDelta, bool) {
 	if rid, ok := c.ix.Handle(id); ok {
 		c.truth.remove(rid)
 	}
-	d, ok := c.ix.Delete(id)
-	return fromIndexDelta(d), ok
-}
-
-func fromIndexDelta(d index.Delta) CollectionDelta {
-	return CollectionDelta{
-		AddedPairs:   d.AddedPairs,
-		RemovedPairs: d.RemovedPairs,
-		Touched:      d.Touched,
-		Rebuilt:      d.Rebuilt,
-	}
+	return c.ix.Delete(id)
 }
 
 // Resolve is ResolveContext with a background context.
@@ -278,7 +255,7 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 					tp++
 				}
 			}
-			m := fromPRF(eval.FromCounts(tp, nMatched-tp, c.truth.pairs))
+			m := eval.FromCounts(tp, nMatched-tp, c.truth.pairs)
 			res.Evaluation = &m
 			st.In, st.InUnit = len(pd.Pairs), "pairs"
 			st.Out, st.OutUnit = nMatched, "matches"
@@ -287,9 +264,8 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 			return nil, wrapRunErr(ctx, err)
 		}
 	}
-	trace := run.Trace()
-	res.Trace = fromEngineTrace(trace)
-	if st := trace.Find(engine.StageDeltaFuse); st != nil {
+	res.Trace = run.Trace()
+	if st := res.Trace.Find(engine.StageDeltaFuse); st != nil {
 		res.Elapsed = st.Wall
 	}
 

@@ -80,7 +80,7 @@ func (w *layeredTwin) resolve(t *testing.T, live map[string]Record) (*Result, ma
 		}
 	}
 	if truth, ok := twinTruth(v.IDs, live, w.opts.CrossSourceOnly); ok {
-		m := fromPRF(eval.EvaluatePairs(v.Graph.Pairs, out.Matches, truth, len(truth)))
+		m := eval.EvaluatePairs(v.Graph.Pairs, out.Matches, truth, len(truth))
 		res.Evaluation = &m
 	}
 
@@ -169,7 +169,7 @@ func (r *layeredRun) note(d CollectionDelta) {
 
 func (r *layeredRun) upsert(id string, rec Record) {
 	d := r.c.Upsert(id, rec)
-	if wd := r.w.ix.Upsert(id, rec.Text, rec.Source); !reflect.DeepEqual(fromIndexDelta(wd), d) {
+	if wd := r.w.ix.Upsert(id, rec.Text, rec.Source); !reflect.DeepEqual(wd, d) {
 		r.t.Fatalf("upsert %q: collection delta %+v, twin delta %+v", id, d, wd)
 	}
 	r.note(d)

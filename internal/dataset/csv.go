@@ -10,7 +10,7 @@ import (
 	"repro/internal/guard"
 )
 
-// CSV layout used by WriteCSV/LoadCSV:
+// CSV layout used by WriteCSV/LoadCSVCheck:
 //
 //	id,entity,source,text
 //
@@ -38,18 +38,13 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 	return cw.Error()
 }
 
-// LoadCSV parses a dataset written by WriteCSV (or any file with the same
-// header). Records are re-indexed densely in file order. It is
-// LoadCSVCheck without a cancellation checkpoint.
-func LoadCSV(r io.Reader, name string) (*Dataset, error) {
-	return LoadCSVCheck(r, name, nil)
-}
-
-// LoadCSVCheck is LoadCSV with a cancellation checkpoint polled once per
-// row, so a huge (or maliciously unbounded) upload can be aborted mid-parse
-// instead of only after the whole stream has been consumed. A canceled
-// checkpoint surfaces its cause (context.Canceled / DeadlineExceeded); a
-// nil checkpoint never cancels.
+// LoadCSVCheck parses a dataset written by WriteCSV (or any file with the
+// same header). Records are re-indexed densely in file order. The
+// cancellation checkpoint is polled once per row, so a huge (or
+// maliciously unbounded) upload can be aborted mid-parse instead of only
+// after the whole stream has been consumed. A canceled checkpoint surfaces
+// its cause (context.Canceled / DeadlineExceeded); a nil checkpoint never
+// cancels.
 func LoadCSVCheck(r io.Reader, name string, check *guard.Checkpoint) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1

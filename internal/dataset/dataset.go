@@ -4,7 +4,7 @@
 // from URLs and are unavailable offline; the generators in this package
 // replicate each dataset's published statistics and noise character (see
 // DESIGN.md §1.4 for the substitution argument). Real data can be supplied
-// through LoadCSV.
+// through LoadCSVCheck.
 package dataset
 
 import (

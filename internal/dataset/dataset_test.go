@@ -171,7 +171,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadCSV(&buf, d.Name)
+	back, err := LoadCSVCheck(&buf, d.Name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestLoadCSVMissingGroundTruth(t *testing.T) {
 	in := "id,entity,source,text\n0,,0,hello world\n1,,0,hello there\n"
-	d, err := LoadCSV(strings.NewReader(in), "x")
+	d, err := LoadCSVCheck(strings.NewReader(in), "x", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestLoadCSVMissingGroundTruth(t *testing.T) {
 
 func TestLoadCSVExtraColumns(t *testing.T) {
 	in := "id,entity,source,text\n0,e1,0,hello,extra tokens\n"
-	d, err := LoadCSV(strings.NewReader(in), "x")
+	d, err := LoadCSVCheck(strings.NewReader(in), "x", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +214,13 @@ func TestLoadCSVExtraColumns(t *testing.T) {
 }
 
 func TestLoadCSVErrors(t *testing.T) {
-	if _, err := LoadCSV(strings.NewReader(""), "x"); err == nil {
+	if _, err := LoadCSVCheck(strings.NewReader(""), "x", nil); err == nil {
 		t.Error("empty file must fail")
 	}
-	if _, err := LoadCSV(strings.NewReader("id,entity,source,text\n0,,zz,text\n"), "x"); err == nil {
+	if _, err := LoadCSVCheck(strings.NewReader("id,entity,source,text\n0,,zz,text\n"), "x", nil); err == nil {
 		t.Error("bad source must fail")
 	}
-	if _, err := LoadCSV(strings.NewReader("id,entity,source,text\n0,,0\n"), "x"); err == nil {
+	if _, err := LoadCSVCheck(strings.NewReader("id,entity,source,text\n0,,0\n"), "x", nil); err == nil {
 		t.Error("short row must fail")
 	}
 }

@@ -9,7 +9,7 @@ import (
 // on the trust boundary of cmd/erresolve (it parses user-supplied files),
 // so it must never panic: every malformed input maps to an error. Inputs it
 // accepts must produce a dataset that passes Validate and survives a
-// WriteCSV -> LoadCSV round trip with the same record count.
+// WriteCSV -> LoadCSVCheck round trip with the same record count.
 func FuzzLoadCSV(f *testing.F) {
 	f.Add([]byte("id,entity,source,text\n0,e1,0,hello world\n1,e1,1,hello earth\n"))
 	f.Add([]byte("0,,0,no header row\n"))
@@ -19,18 +19,18 @@ func FuzzLoadCSV(f *testing.F) {
 	f.Add([]byte("\"unterminated quote\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := LoadCSV(bytes.NewReader(data), "fuzz")
+		d, err := LoadCSVCheck(bytes.NewReader(data), "fuzz", nil)
 		if err != nil {
 			return
 		}
 		if verr := d.Validate(); verr != nil {
-			t.Fatalf("LoadCSV accepted a dataset that fails Validate: %v", verr)
+			t.Fatalf("LoadCSVCheck accepted a dataset that fails Validate: %v", verr)
 		}
 		var buf bytes.Buffer
 		if werr := WriteCSV(&buf, d); werr != nil {
 			t.Fatalf("WriteCSV on a loaded dataset: %v", werr)
 		}
-		back, err := LoadCSV(&buf, "fuzz")
+		back, err := LoadCSVCheck(&buf, "fuzz", nil)
 		if err != nil {
 			t.Fatalf("round trip rejected WriteCSV output: %v", err)
 		}

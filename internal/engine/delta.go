@@ -15,15 +15,22 @@ import (
 const StageDeltaFuse = "deltafuse"
 
 // DeltaStats is the work split of one delta-scoped resolve: how many
-// candidate-graph components the run saw, how many it served from the
-// component cache, and how many it actually fused (with their pair counts).
+// candidate-graph components the result holds, how many it reused, and
+// how many it actually fused (with their pair counts). The root package
+// exports it as er.DeltaStats (Result.Delta).
+//
+// "Reused" has two sources. In DeltaFuse every component is keyed, and a
+// reused component is a component-cache hit. In er.Collection a component
+// holding no record touched since the previous resolve is also reused,
+// without being keyed; only the touched components are keyed, and they
+// count as reused on a cache hit.
 type DeltaStats struct {
 	// Components is the number of connected components in the candidate
 	// graph (components have at least one pair; isolated records are not
 	// counted — they have nothing to fuse).
 	Components int
-	// ComponentsReused and ComponentsFused split Components into cache hits
-	// and actual fusion runs.
+	// ComponentsReused and ComponentsFused split Components into reused
+	// components and actual fusion runs.
 	ComponentsReused, ComponentsFused int
 	// PairsReused and PairsFused are the candidate pairs covered by each
 	// side of the split.

@@ -13,8 +13,10 @@
 // skip the dominant pre-matching cost on repeated traffic.
 //
 // The engine deliberately stays below the public er package: it traffics
-// in internal types (textproc.Corpus, index.Graph, core.FusionResult)
-// and the root package converts its trace into the exported surface.
+// in internal types (textproc.Corpus, index.Graph, core.FusionResult).
+// Its result types — StageTrace, Trace, Degradation, CacheStats,
+// DeltaStats — are the public ones: the root package declares them as
+// aliases, so their doc comments here are the API documentation.
 package engine
 
 import (
@@ -45,12 +47,16 @@ const (
 )
 
 // StageTrace records one stage execution (or, for the per-round fusion
-// phases, the aggregate of every round's execution of that phase).
+// phases, the aggregate of every round's execution of that phase). The
+// root package exports it as er.StageTrace.
 type StageTrace struct {
-	// Stage is the stage name (one of the Stage* constants).
+	// Stage is the stage name (one of the Stage* constants): "tokenize",
+	// "block", "iter", "recordgraph", "cliquerank" (or "rss"), "fuse",
+	// "cluster", "evaluate", and on delta-scoped resolves "partition",
+	// "materialize", "deltafuse".
 	Stage string
 	// Cached reports that the stage's output was served from a Snapshot
-	// cache instead of being computed; Wall is then ~0.
+	// cache (er.SnapshotCache) instead of being computed; Wall is then ~0.
 	Cached bool
 	// Wall is the stage's wall-clock time under the run's clock, summed
 	// across rounds for the fusion phases.
@@ -74,7 +80,7 @@ type StageTrace struct {
 	Events []string
 }
 
-// Trace is the ordered stage record of one Run.
+// Trace is the ordered stage record of one Run (er.Trace).
 type Trace []StageTrace
 
 // Find returns the first entry for the named stage, or nil.

@@ -13,8 +13,8 @@ import (
 // Degradation describes how the Block stage degraded candidate generation
 // to satisfy a pair budget. Degradation is lossy by design — tightened
 // filters and truncation can drop true matches — so every step is
-// recorded for the caller to audit. The root package re-exports this as
-// er.DegradationReport.
+// recorded for the caller to audit. The root package declares
+// er.DegradationReport as an alias of it.
 type Degradation struct {
 	// OriginalPairs is the candidate count of the untightened blocking
 	// pass that exceeded the budget.

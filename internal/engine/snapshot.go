@@ -88,15 +88,18 @@ const DefaultCacheCapacity = 8
 // set well above the snapshot capacity.
 const DefaultComponentCapacity = 1 << 16
 
-// CacheStats is a point-in-time view of a cache's effectiveness.
+// CacheStats is a point-in-time view of a cache's effectiveness (exported
+// as er.CacheStats).
 type CacheStats struct {
 	// Hits and Misses count snapshot lookups since the cache was created.
 	Hits, Misses int64
 	// Entries is the number of snapshots currently held.
 	Entries int
 	// ComponentHits and ComponentMisses count per-component fusion-result
-	// lookups (ComponentFuser keys only the components it is handed);
-	// ComponentEntries is the number of component results currently held.
+	// lookups. ComponentFuser keys only the components it is handed, so
+	// under er.Collection only the components holding a record touched
+	// since the previous resolve are counted. ComponentEntries is the
+	// number of component results currently held.
 	ComponentHits, ComponentMisses int64
 	ComponentEntries               int
 }

@@ -13,7 +13,9 @@ import (
 	"repro/internal/index"
 )
 
-// PRF is a pairwise precision/recall/F1 result.
+// PRF is a pairwise precision/recall/F1 result, with the true-positive,
+// false-positive and false-negative counts behind it. The root package
+// exports it as er.Metrics.
 type PRF struct {
 	Precision, Recall, F1 float64
 	TP, FP, FN            int

@@ -6,7 +6,8 @@ import (
 	"repro/internal/index"
 )
 
-// PRPoint is one precision/recall operating point of a score-based matcher.
+// PRPoint is one precision/recall operating point of a score-based matcher
+// (er.PRPoint).
 type PRPoint struct {
 	Threshold             float64
 	Precision, Recall, F1 float64

@@ -63,19 +63,19 @@ func TestChaosReaderFailsMidStream(t *testing.T) {
 	}
 }
 
-// TestLoadCSVUnderShortReads feeds LoadCSV through aggressive fragmentation
-// at many seeds and requires the parse to be byte-for-byte equivalent to a
-// clean read.
+// TestLoadCSVUnderShortReads feeds LoadCSVCheck through aggressive
+// fragmentation at many seeds and requires the parse to be byte-for-byte
+// equivalent to a clean read.
 func TestLoadCSVUnderShortReads(t *testing.T) {
 	payload := sampleCSV()
-	want, err := dataset.LoadCSV(strings.NewReader(payload), "clean")
+	want, err := dataset.LoadCSVCheck(strings.NewReader(payload), "clean", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 25; seed++ {
 		cr := New(strings.NewReader(payload), seed)
 		cr.MaxChunk = 3
-		got, err := dataset.LoadCSV(cr, "clean")
+		got, err := dataset.LoadCSVCheck(cr, "clean", nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -92,14 +92,14 @@ func TestLoadCSVUnderShortReads(t *testing.T) {
 }
 
 // TestLoadCSVMidStreamError injects a failure at every byte offset of the
-// stream and requires LoadCSV to return an error wrapping ErrInjected —
+// stream and requires LoadCSVCheck to return an error wrapping ErrInjected —
 // never a panic, never a silently truncated dataset.
 func TestLoadCSVMidStreamError(t *testing.T) {
 	payload := sampleCSV()
 	for off := int64(0); off < int64(len(payload)); off++ {
 		cr := New(strings.NewReader(payload), 3)
 		cr.FailAfter = off
-		d, err := dataset.LoadCSV(cr, "chaos")
+		d, err := dataset.LoadCSVCheck(cr, "chaos", nil)
 		if err == nil {
 			t.Fatalf("offset %d: parse succeeded on a truncated, failed stream (%d records)",
 				off, len(d.Records))

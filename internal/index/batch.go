@@ -53,6 +53,26 @@ type BatchOptions struct {
 	Workers int
 }
 
+// survives is the blocking survival rule shared by the batch build and the
+// incremental index: records a and b, sharing shared eligible terms,
+// form a candidate pair when shared reaches MinSharedTerms (floored at 1)
+// and, with MinJaccard set, when shared over the union of their kept-term
+// document lengths docLen[a] and docLen[b] reaches MinJaccard. docLen is
+// read only past the shared-term floor, which most partners fail: the
+// partner's entry is a random access.
+func (o *BatchOptions) survives(shared int32, docLen []int32, a, b int32) bool {
+	if shared < max(int32(o.MinSharedTerms), 1) {
+		return false
+	}
+	if o.MinJaccard > 0 {
+		union := int(docLen[a]) + int(docLen[b]) - int(shared)
+		if union <= 0 || float64(shared)/float64(union) < o.MinJaccard {
+			return false
+		}
+	}
+	return true
+}
+
 // survivor is one candidate pair that passed every blocking filter, tagged
 // with the first eligible term shared by its records — the term under which
 // the historical serial enumeration would have assigned its pair-node ID.
@@ -114,7 +134,9 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 	postings := make([]int32, ptr[nt])
 	fill := make([]int32, nt)
 	copy(fill, ptr[:nt])
+	docLen := make([]int32, n)
 	for r, doc := range c.Docs {
+		docLen[r] = int32(len(doc))
 		for _, t := range doc {
 			postings[fill[t]] = int32(r)
 			fill[t]++
@@ -128,11 +150,6 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 			eligible[t] = true
 			work += df * df
 		}
-	}
-
-	minShared := int32(opts.MinSharedTerms)
-	if minShared < 1 {
-		minShared = 1
 	}
 
 	// Per-record partner scan: for each record r, accumulate shared-term
@@ -172,20 +189,12 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 					cnt[q]++
 				}
 			}
-			docLenR := len(c.Docs[r])
 			for _, q := range touched {
 				s := cnt[q]
 				cnt[q] = 0
-				if s < minShared {
-					continue
+				if opts.survives(s, docLen, ri, q) {
+					out = append(out, survivor{r: ri, q: q, shared: s, firstT: firstT[q]})
 				}
-				if opts.MinJaccard > 0 {
-					union := docLenR + len(c.Docs[q]) - int(s)
-					if union <= 0 || float64(s)/float64(union) < opts.MinJaccard {
-						continue
-					}
-				}
-				out = append(out, survivor{r: ri, q: q, shared: s, firstT: firstT[q]})
 			}
 			sc.touched = touched[:0]
 		}

@@ -24,7 +24,7 @@ type Config struct {
 // an incremental update more expensive than starting over (a frequency
 // threshold crossed on a high-df term), the index rebuilds the pair table
 // instead and reports only Rebuilt — the per-pair lists would be the whole
-// corpus.
+// corpus. The root package exports it as er.CollectionDelta.
 type Delta struct {
 	// AddedPairs lists candidate pairs the mutation created.
 	AddedPairs [][2]string
@@ -165,15 +165,6 @@ func (ix *Index) intern(surface string) int32 {
 	ix.postings = append(ix.postings, nil)
 	ix.vocabDirty = true
 	return iid
-}
-
-// minSharedFloor returns the clamped MinSharedTerms filter.
-func (ix *Index) minSharedFloor() int32 {
-	m := int32(ix.cfg.Block.MinSharedTerms)
-	if m < 1 {
-		m = 1
-	}
-	return m
 }
 
 // Upsert inserts or replaces the record with the given external ID and
@@ -402,7 +393,6 @@ func (ix *Index) rebuildThreshold() int {
 func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string) {
 	cnt := ix.scratchCnt()
 	marked := ix.scratchMarked()
-	minShared := ix.minSharedFloor()
 	cross := ix.cfg.Block.CrossSourceOnly
 
 	var touched []int32
@@ -424,18 +414,11 @@ func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string)
 			cnt[q]++
 		}
 	}
-	dlr := ix.docLen[r]
 	for _, q := range touched {
 		s := cnt[q]
 		cnt[q] = 0
-		if s < minShared {
+		if !ix.cfg.Block.survives(s, ix.docLen, r, q) {
 			continue
-		}
-		if ix.cfg.Block.MinJaccard > 0 {
-			union := int(dlr) + int(ix.docLen[q]) - int(s)
-			if union <= 0 || float64(s)/float64(union) < ix.cfg.Block.MinJaccard {
-				continue
-			}
 		}
 		key := Key(r, q)
 		if _, ok := ix.pairs[key]; !ok {
@@ -493,7 +476,6 @@ func (ix *Index) rebuildPairs(maxDF int32) {
 		ix.adj[r] = nil
 	}
 	cnt := ix.scratchCnt()
-	minShared := ix.minSharedFloor()
 	cross := ix.cfg.Block.CrossSourceOnly
 	// The rebuild runs to completion even under cancellation: a mutation
 	// must leave a coherent table, and the work is bounded by the live
@@ -524,18 +506,11 @@ func (ix *Index) rebuildPairs(maxDF int32) {
 				cnt[q]++
 			}
 		}
-		dlr := ix.docLen[r]
 		for _, q := range touched {
 			s := cnt[q]
 			cnt[q] = 0
-			if s < minShared {
+			if !ix.cfg.Block.survives(s, ix.docLen, ri, q) {
 				continue
-			}
-			if ix.cfg.Block.MinJaccard > 0 {
-				union := int(dlr) + int(ix.docLen[q]) - int(s)
-				if union <= 0 || float64(s)/float64(union) < ix.cfg.Block.MinJaccard {
-					continue
-				}
 			}
 			ix.pairs[Key(ri, q)] = s
 			ix.adj[ri] = append(ix.adj[ri], q)

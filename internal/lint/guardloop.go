@@ -38,7 +38,7 @@ var guardLoopPackages = map[string]bool{
 func GuardLoop() *Analyzer {
 	return &Analyzer{
 		Name:    "guardloop",
-		Scope:   "internal/{core,blocking,baselines,engine,wal,index}",
+		Scope:   "internal/{core,baselines,engine,wal,index}",
 		Doc:     "nested loops in hot-path packages must poll a guard.Checkpoint",
 		Applies: func(pkgPath string) bool { return guardLoopPackages[pkgPath] },
 		Run:     runGuardLoop,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -176,6 +177,73 @@ func TestAppliesScoping(t *testing.T) {
 	findings := lint.Run([]*lint.Package{p}, []*lint.Analyzer{lint.FloatGuard()})
 	if len(findings) != 0 {
 		t.Errorf("floatguard ran outside repro/internal/core: %v", findings)
+	}
+}
+
+// scopePiece matches one comma-separated piece of an analyzer's Scope that
+// names packages: "repro", "internal/core", or a brace list such as
+// "internal/{wal,serve}".
+var scopePiece = regexp.MustCompile(`^(repro|internal/[a-z0-9/]*)(?:\{([a-z0-9,]+)\})?$`)
+
+// scopePaths expands an analyzer's human-readable Scope into import paths.
+// A piece that names no package ("module-wide", "kernel + pipeline
+// packages") is prose and sets prose instead.
+func scopePaths(scope string) (paths []string, prose bool) {
+	for _, piece := range strings.Split(scope, ", ") {
+		m := scopePiece.FindStringSubmatch(piece)
+		if m == nil {
+			prose = true
+			continue
+		}
+		alts := []string{""}
+		if m[2] != "" {
+			alts = strings.Split(m[2], ",")
+		}
+		for _, alt := range alts {
+			path := m[1] + alt
+			if path != "repro" {
+				path = "repro/" + path
+			}
+			paths = append(paths, path)
+		}
+	}
+	return paths, prose
+}
+
+// TestScopeMatchesApplies keeps the -list output honest: every package a
+// Scope string names must be accepted by the analyzer's Applies, and an
+// analyzer whose Scope is a plain package list must not apply to any other
+// package of the module.
+func TestScopeMatchesApplies(t *testing.T) {
+	loader, err := lint.NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	module, err := loader.Discover()
+	if err != nil {
+		t.Fatalf("Discover: %v", err)
+	}
+	for _, a := range lint.All() {
+		paths, prose := scopePaths(a.Scope)
+		listed := make(map[string]bool, len(paths))
+		for _, path := range paths {
+			listed[path] = true
+			if a.Applies != nil && !a.Applies(path) {
+				t.Errorf("%s: Scope %q names %s, which Applies rejects", a.Name, a.Scope, path)
+			}
+		}
+		if prose || a.Applies == nil {
+			continue
+		}
+		for _, path := range module {
+			if a.Applies(path) && !listed[path] {
+				t.Errorf("%s: Applies accepts %s, which Scope %q omits", a.Name, path, a.Scope)
+			}
+		}
+	}
+	if paths, prose := scopePaths("repro, internal/{wal,client}"); prose ||
+		!reflect.DeepEqual(paths, []string{"repro", "repro/internal/wal", "repro/internal/client"}) {
+		t.Errorf("scopePaths expanded a brace list to %q (prose %v)", paths, prose)
 	}
 }
 

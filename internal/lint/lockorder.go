@@ -20,7 +20,7 @@ func LockOrder() *Analyzer {
 	return &Analyzer{
 		Name:      "lockorder",
 		Doc:       "cross-package lock acquisition graph must be acyclic (consistent lock ordering, no deadlock risk)",
-		Scope:     "internal/{serve,wal,engine,client}",
+		Scope:     "internal/{serve,wal,engine,client,index}",
 		Applies:   func(pkgPath string) bool { return lockHoldPackages[pkgPath] },
 		RunModule: lockOrderModule,
 	}

@@ -36,7 +36,7 @@ var zeroDocPattern = regexp.MustCompile(`(?i)\bzero\b|\bdefault\b|\bnil\b|\bunse
 func OptZero() *Analyzer {
 	return &Analyzer{
 		Name:    "optzero",
-		Scope:   "repro, internal/{core,serve}",
+		Scope:   "repro, internal/{core,serve,wal}",
 		Doc:     "every Options field documents its zero-value behavior in its doc comment",
 		Applies: func(pkgPath string) bool { return optZeroPackages[pkgPath] },
 		Run:     runOptZero,

@@ -189,6 +189,25 @@ func TestCollectionResolve(t *testing.T) {
 	if jr.Dataset != "collection:shops" || jr.Class != "collection:shops" {
 		t.Fatalf("dataset/class = %q/%q, want collection:shops", jr.Dataset, jr.Class)
 	}
+	if jr.Delta != nil {
+		t.Fatalf("option-override resolve took the delta path: %+v", *jr.Delta)
+	}
+
+	// The override-free resolve runs delta-scoped and reports the same
+	// dataset name and the live record count.
+	if status, _ := doJSON(t, http.MethodDelete, hs.URL+"/collections/shops/records/r05", ""); status != http.StatusOK {
+		t.Fatalf("delete r05 = %d, want 200", status)
+	}
+	status, jr = resolveCollectionDeltaJSON(t, hs.URL, "shops")
+	if status != http.StatusOK || jr.State != JobCompleted {
+		t.Fatalf("delta resolve = %d/%s (%s), want 200/completed", status, jr.State, jr.Error)
+	}
+	if jr.Delta == nil {
+		t.Fatal("override-free resolve did not take the delta path")
+	}
+	if jr.Dataset != "collection:shops" || jr.Records != n-1 {
+		t.Fatalf("delta resolve dataset/records = %q/%d, want collection:shops/%d", jr.Dataset, jr.Records, n-1)
+	}
 
 	resp, err := http.Post(hs.URL+"/collections/missing/resolve", "application/json", nil)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -32,26 +33,12 @@ type Pipeline struct {
 }
 
 // DegradationReport describes how the pipeline degraded candidate
-// generation to satisfy Options.MaxCandidatePairs. Degradation is lossy by
-// design — tightened filters and truncation can drop true matches — so
-// every step is recorded for the caller to audit.
-type DegradationReport struct {
-	// OriginalPairs is the candidate count of the untightened blocking pass
-	// that exceeded the budget.
-	OriginalPairs int
-	// FinalPairs is the candidate count actually handed downstream.
-	FinalPairs int
-	// MinJaccard and MaxTermRecords are the effective blocking parameters
-	// of the final pass (tighter than the configured ones).
-	MinJaccard     float64
-	MaxTermRecords int
-	// TruncatedPairs counts pairs dropped by the deterministic last-resort
-	// truncation after parameter tightening alone could not reach the
-	// budget; 0 when tightening sufficed.
-	TruncatedPairs int
-	// Steps narrates each degradation step in order, for logs and CLIs.
-	Steps []string
-}
+// generation to satisfy Options.MaxCandidatePairs: the original and final
+// pair counts, the tightened blocking parameters, the pairs dropped by
+// last-resort truncation, and a narration of each step. Degradation is
+// lossy by design — tightened filters and truncation can drop true
+// matches — so every step is recorded for the caller to audit.
+type DegradationReport = engine.Degradation
 
 // NewPipelineContext is the context-aware, error-returning constructor:
 // it rejects invalid options (ErrInvalidOptions) and empty datasets
@@ -111,34 +98,23 @@ func buildPipelineRun(run *engine.Run, ctx context.Context, d *Dataset, opts Opt
 		return nil, fmt.Errorf("%w: %v", ErrInternal, err)
 	}
 	p := &Pipeline{
-		dataset:     d,
-		opts:        opts,
-		snap:        snap,
-		corpus:      snap.Corpus,
-		graph:       snap.Graph,
-		degradation: degradationReport(snap.Degradation),
-		buildTrace:  run.Trace(),
+		dataset:    d,
+		opts:       opts,
+		snap:       snap,
+		corpus:     snap.Corpus,
+		graph:      snap.Graph,
+		buildTrace: run.Trace(),
+	}
+	if snap.Degradation != nil {
+		// The snapshot may live in a shared SnapshotCache: hand callers a
+		// copy they can mutate without touching later runs' reports.
+		deg := *snap.Degradation
+		p.degradation = &deg
 	}
 	if d.HasGroundTruth() {
 		p.truth = d.ds.TrueMatches()
 	}
 	return p, nil
-}
-
-// degradationReport converts the engine's degradation record into the
-// public report type.
-func degradationReport(d *engine.Degradation) *DegradationReport {
-	if d == nil {
-		return nil
-	}
-	return &DegradationReport{
-		OriginalPairs:  d.OriginalPairs,
-		FinalPairs:     d.FinalPairs,
-		MinJaccard:     d.MinJaccard,
-		MaxTermRecords: d.MaxTermRecords,
-		TruncatedPairs: d.TruncatedPairs,
-		Steps:          d.Steps,
-	}
 }
 
 // Degradation returns the report of the MaxCandidatePairs budget
@@ -147,8 +123,9 @@ func (p *Pipeline) Degradation() *DegradationReport { return p.degradation }
 
 // Trace returns the stage trace of the pipeline's construction: the
 // tokenize and block stages with their wall times and sizes, flagged
-// Cached when Options.Snapshots served them from a previous run.
-func (p *Pipeline) Trace() Trace { return fromEngineTrace(p.buildTrace) }
+// Cached when Options.Snapshots served them from a previous run. Each call
+// returns a fresh copy.
+func (p *Pipeline) Trace() Trace { return slices.Clone(p.buildTrace) }
 
 // SnapshotKey returns the content key of the pipeline's pre-matching
 // snapshot — a hash over the record texts, source labels, and every
@@ -313,20 +290,14 @@ func (p *Pipeline) fuseRun(ctx context.Context, run *engine.Run) (*FusionOutcome
 		Converged:       res.Converged,
 		ITERIterations:  res.ITERIterations,
 		NumericRepairs:  res.NumericRepairs,
-		Trace:           fromEngineTrace(run.Trace()[before:]),
+		Trace:           run.Trace()[before:],
 		Elapsed:         res.Elapsed,
 	}, nil
 }
 
-// Metrics is a pairwise precision/recall/F1 evaluation result.
-type Metrics struct {
-	Precision, Recall, F1 float64
-	TP, FP, FN            int
-}
-
-func fromPRF(r eval.PRF) Metrics {
-	return Metrics{Precision: r.Precision, Recall: r.Recall, F1: r.F1, TP: r.TP, FP: r.FP, FN: r.FN}
-}
+// Metrics is a pairwise precision/recall/F1 evaluation result, with the
+// TP/FP/FN counts behind it.
+type Metrics = eval.PRF
 
 // EvaluateMatches scores a boolean match assignment against ground truth.
 // It returns false when the dataset has no ground truth.
@@ -334,7 +305,7 @@ func (p *Pipeline) EvaluateMatches(matched []bool) (Metrics, bool) {
 	if p.truth == nil {
 		return Metrics{}, false
 	}
-	return fromPRF(eval.EvaluatePairs(p.graph.Pairs, matched, p.truth, len(p.truth))), true
+	return eval.EvaluatePairs(p.graph.Pairs, matched, p.truth, len(p.truth)), true
 }
 
 // EvaluateScores applies the paper's automatic threshold protocol: quantize
@@ -344,7 +315,7 @@ func (p *Pipeline) EvaluateScores(scores []float64) (threshold float64, m Metric
 		return 0, Metrics{}, false
 	}
 	th, r := eval.BestThreshold(p.graph.Pairs, scores, p.truth, len(p.truth), 1000)
-	return th, fromPRF(r), true
+	return th, r, true
 }
 
 // EvaluateClusters scores a clustering with B-cubed precision/recall/F1,
@@ -358,14 +329,11 @@ func (p *Pipeline) EvaluateClusters(clusters [][]int) (Metrics, bool) {
 	for i := range gold {
 		gold[i] = p.dataset.ds.Records[i].EntityID
 	}
-	return fromPRF(eval.BCubed(clusters, gold)), true
+	return eval.BCubed(clusters, gold), true
 }
 
 // PRPoint is one precision/recall operating point of a score-based matcher.
-type PRPoint struct {
-	Threshold             float64
-	Precision, Recall, F1 float64
-}
+type PRPoint = eval.PRPoint
 
 // PRCurve computes the precision-recall curve of a pair scoring, one point
 // per distinct score, thresholds descending. It returns false when the
@@ -374,12 +342,7 @@ func (p *Pipeline) PRCurve(scores []float64) ([]PRPoint, bool) {
 	if p.truth == nil {
 		return nil, false
 	}
-	raw := eval.PRCurve(p.graph.Pairs, scores, p.truth, len(p.truth))
-	out := make([]PRPoint, len(raw))
-	for i, pt := range raw {
-		out[i] = PRPoint{Threshold: pt.Threshold, Precision: pt.Precision, Recall: pt.Recall, F1: pt.F1}
-	}
-	return out, true
+	return eval.PRCurve(p.graph.Pairs, scores, p.truth, len(p.truth)), true
 }
 
 // TermWeightQuality computes the Table IV diagnostic: Spearman's rank
@@ -621,9 +584,8 @@ func ResolveContext(ctx context.Context, d *Dataset, opts Options) (res *Result,
 		if err != nil {
 			return nil, wrapRunErr(ctx, err)
 		}
-		m := fromPRF(prf)
-		res.Evaluation = &m
+		res.Evaluation = &prf
 	}
-	res.Trace = fromEngineTrace(run.Trace())
+	res.Trace = run.Trace()
 	return res, nil
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -238,6 +239,52 @@ func TestMaxCandidatePairsTruncation(t *testing.T) {
 		t.Error("degradation steps not narrated")
 	}
 	probabilities(t, "p", res.Probabilities)
+}
+
+// TestResultValuesAreCallerOwned pins the isolation between returned
+// values and shared state: an entry of Pipeline.Trace() and a degraded
+// Result.Degradation may be mutated by the caller without changing what a
+// later call reports, even when the runs share one SnapshotCache.
+func TestResultValuesAreCallerOwned(t *testing.T) {
+	d := er.NewDataset("giant", giantBlockRecords(40, 6)) // 600 natural pairs
+	opts := er.DefaultOptions()
+	opts.MaxCandidatePairs = 100
+	opts.Snapshots = er.NewSnapshotCache(0)
+
+	p, err := er.NewPipelineContext(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := p.Trace()
+	if len(tr) == 0 {
+		t.Fatal("pipeline trace is empty")
+	}
+	want := tr[0]
+	tr[0].Stage, tr[0].Wall, tr[0].Out = "mutated", -1, -1
+	if got := p.Trace()[0]; got.Stage != want.Stage || got.Wall != want.Wall || got.Out != want.Out {
+		t.Errorf("Pipeline.Trace()[0] = %+v after mutating an earlier copy, want %+v", got, want)
+	}
+
+	first, err := er.ResolveContext(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Degradation == nil {
+		t.Fatal("budget exceeded but Degradation is nil")
+	}
+	wantDeg := *first.Degradation
+	*first.Degradation = er.DegradationReport{FinalPairs: -1}
+
+	second, err := er.ResolveContext(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := opts.Snapshots.Stats(); st.Hits == 0 {
+		t.Fatalf("runs did not share the snapshot: %+v", st)
+	}
+	if !reflect.DeepEqual(second.Degradation, &wantDeg) {
+		t.Errorf("Degradation after mutating an earlier run's report = %+v, want %+v", second.Degradation, wantDeg)
+	}
 }
 
 // TestMaxCandidatePairsTightening checks the graceful path: when parameter

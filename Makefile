@@ -25,7 +25,3 @@ fuzz:
 
 bench:
 	go test -bench=. -benchmem -run='^$$' .
-
-# Regenerate the kernel benchmark-regression baseline BENCH_core.json.
-bench-core:
-	./scripts/bench.sh

@@ -18,10 +18,8 @@ import (
 // scan: per-shard counting-sort enumeration over the inverted index plus
 // graph assembly. The output is bit-identical at every worker count
 // (TestBuildGraphMatchesReference), so the workers=N samples are directly
-// comparable; erbenchjson derives speedup_vs_1_worker from them and
-// serial_speedup_vs_baseline against the pre-refactor single-pass scan
-// committed in results/bench_baseline_seed.txt. Skipped under -short:
-// the 100k corpus setup alone is seconds-scale.
+// comparable. Skipped under -short: the 100k corpus setup alone is
+// seconds-scale.
 func BenchmarkBlocking100k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("100k corpus setup is seconds-scale; skipped under -short")

@@ -315,8 +315,8 @@ func BenchmarkResolveEndToEnd(b *testing.B) {
 // worker-independent — so only the fusion stages are measured. Two fusion
 // iterations bound the op time; the scores are bit-identical at every
 // worker count (TestResolveShardingBitIdentical), so the workers=N samples
-// are directly comparable and erbenchjson derives speedup_vs_1_worker from
-// them. Skipped under -short: generation plus first blocking cost ~20s.
+// are directly comparable. Skipped under -short: generation plus first
+// blocking cost ~20s.
 func BenchmarkFusionSharded100k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("100k corpus setup is seconds-scale; skipped under -short")
@@ -344,7 +344,7 @@ func BenchmarkFusionSharded100k(b *testing.B) {
 
 // BenchmarkResolveStages measures the full pipeline per replica and
 // reports each stage's wall time from the engine trace as a stage-*-ms
-// metric; cmd/erbenchjson folds these into BENCH_core.json.
+// metric.
 func BenchmarkResolveStages(b *testing.B) {
 	for _, tc := range []struct {
 		name string

@@ -130,10 +130,9 @@ func componentKey(sig []byte, lg *index.Graph, scratch []byte) (string, []byte) 
 	return string(sum[:]), buf
 }
 
-// fusionOptsSig serializes every core option that influences fusion output
-// — the same field set FusionKey hashes. Workers, Check, Clock, Progress,
-// Scratch and ShardComponents are excluded: output is bit-identical across
-// all of them.
+// fusionOptsSig serializes every core option that influences fusion output.
+// Workers, Check, Clock, Progress, Scratch and ShardComponents are
+// excluded: output is bit-identical across all of them.
 func fusionOptsSig(o core.Options) string {
 	return fmt.Sprintf("fuse=%g,%d,%g,%d,%g,%d,%d,%t,%d,%t,%t,%t,%d",
 		o.Alpha, o.Steps, o.Eta, o.FusionIterations,

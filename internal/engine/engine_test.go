@@ -198,32 +198,12 @@ func TestCacheLRUEviction(t *testing.T) {
 	a := &Snapshot{Key: "a"}
 	b := &Snapshot{Key: "b"}
 	cache.Add(a)
-	cache.AddTermWeights("a|fuse", []float64{1, 2})
 	cache.Add(b)
 	if _, ok := cache.Lookup("a"); ok {
 		t.Errorf("capacity-1 cache retained the evicted snapshot")
 	}
-	if _, ok := cache.TermWeights("a|fuse"); ok {
-		t.Errorf("eviction left the snapshot's term weights behind")
-	}
 	if _, ok := cache.Lookup("b"); !ok {
 		t.Errorf("most recent snapshot missing")
-	}
-}
-
-func TestTermWeightsCopied(t *testing.T) {
-	cache := NewCache(2)
-	src := []float64{1, 2, 3}
-	cache.AddTermWeights("k", src)
-	src[0] = 99
-	w, ok := cache.TermWeights("k")
-	if !ok || w[0] != 1 {
-		t.Fatalf("cached weights alias the caller's slice: %v", w)
-	}
-	w[1] = 99
-	w2, _ := cache.TermWeights("k")
-	if w2[1] != 2 {
-		t.Fatalf("returned weights alias the cache's copy: %v", w2)
 	}
 }
 
@@ -232,13 +212,13 @@ func TestFusionKeyIgnoresInstrumentation(t *testing.T) {
 	b := a
 	b.Workers = 7
 	b.Clock = fakeClock()
-	if FusionKey("snap", a) != FusionKey("snap", b) {
-		t.Errorf("fusion key depends on workers/clock, which cannot change the result")
+	if fusionOptsSig(a) != fusionOptsSig(b) {
+		t.Errorf("fusion signature depends on workers/clock, which cannot change the result")
 	}
 	c := a
 	c.Seed = 42
-	if FusionKey("snap", a) == FusionKey("snap", c) {
-		t.Errorf("fusion key ignores the seed")
+	if fusionOptsSig(a) == fusionOptsSig(c) {
+		t.Errorf("fusion signature ignores the seed")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/textproc"
 )
@@ -67,17 +66,6 @@ func Key(texts []string, sources []int, copts textproc.CorpusOptions, bopts inde
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// FusionKey derives the content key of a fusion run's term weights on top
-// of a snapshot key: the snapshot plus every core option that influences
-// the result. Workers, Check, Clock, Progress and Scratch are excluded on
-// purpose — fusion output is bit-identical across worker counts and
-// independent of instrumentation.
-func FusionKey(snapshotKey string, o core.Options) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s", snapshotKey, fusionOptsSig(o))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // DefaultCacheCapacity is the snapshot capacity NewCache selects for
 // non-positive requests.
 const DefaultCacheCapacity = 8
@@ -117,17 +105,16 @@ type ComponentResult struct {
 	Edges          int
 }
 
-// Cache is a bounded, mutex-guarded LRU of snapshots (and, piggybacked on
-// the same keys, of fusion term-weight vectors) shared across runs. All
-// methods are safe for concurrent use and nil-safe: a nil *Cache behaves
-// as an always-miss cache, so callers can thread an optional cache
-// without branching.
+// Cache is a bounded, mutex-guarded LRU of snapshots, plus a keyed store
+// of per-component fusion results, shared across runs. All methods are
+// safe for concurrent use and nil-safe: a nil *Cache behaves as an
+// always-miss cache, so callers can thread an optional cache without
+// branching.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	snaps    map[string]*Snapshot
 	order    []string // least recently used first
-	weights  map[string][]float64
 	hits     int64
 	misses   int64
 
@@ -149,8 +136,7 @@ type compEntry struct {
 	used int64
 }
 
-// NewCache returns a cache holding at most capacity snapshots (and at
-// most capacity term-weight vectors per snapshot generation). A
+// NewCache returns a cache holding at most capacity snapshots. A
 // non-positive capacity selects DefaultCacheCapacity.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
@@ -159,7 +145,6 @@ func NewCache(capacity int) *Cache {
 	return &Cache{
 		capacity: capacity,
 		snaps:    make(map[string]*Snapshot),
-		weights:  make(map[string][]float64),
 		comps:    make(map[string]*compEntry),
 		compCap:  DefaultComponentCapacity,
 	}
@@ -238,8 +223,7 @@ func (c *Cache) Lookup(key string) (*Snapshot, bool) {
 }
 
 // Add stores a snapshot under its own Key, evicting the least recently
-// used entry (and its cached term weights) past capacity. Adding to a nil
-// cache is a no-op.
+// used entry past capacity. Adding to a nil cache is a no-op.
 func (c *Cache) Add(s *Snapshot) {
 	if c == nil || s == nil || s.Key == "" {
 		return
@@ -251,49 +235,13 @@ func (c *Cache) Add(s *Snapshot) {
 		c.touch(s.Key)
 		return
 	}
-	//lint:ignore guardloop mutex-held eviction over a capacity-bounded cache; no unbounded work
 	for len(c.snaps) >= c.capacity && len(c.order) > 0 {
 		evict := c.order[0]
 		c.order = c.order[1:]
 		delete(c.snaps, evict)
-		for k := range c.weights {
-			if len(k) >= len(evict) && k[:len(evict)] == evict {
-				delete(c.weights, k)
-			}
-		}
 	}
 	c.snaps[s.Key] = s
 	c.order = append(c.order, s.Key)
-}
-
-// TermWeights returns a copy of the term-weight vector cached under a
-// FusionKey, if present. The copy keeps callers isolated from each other.
-func (c *Cache) TermWeights(fusionKey string) ([]float64, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.weights[fusionKey]
-	if !ok {
-		return nil, false
-	}
-	return append([]float64(nil), w...), true
-}
-
-// AddTermWeights caches a copy of a fusion run's term weights under a
-// FusionKey. The copy matters: live fusion results alias per-run scratch
-// buffers.
-func (c *Cache) AddTermWeights(fusionKey string, w []float64) {
-	if c == nil || fusionKey == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.weights) >= 2*c.capacity {
-		return // soft bound; weight vectors are small but not free
-	}
-	c.weights[fusionKey] = append([]float64(nil), w...)
 }
 
 // Stats returns the cache's hit/miss counters and current size. A nil

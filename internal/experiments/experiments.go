@@ -49,8 +49,8 @@ type Config struct {
 	// replica. Nil disables reuse.
 	Snapshots *er.SnapshotCache
 	// Cache, when non-nil, backs the engine-level Bench harness: prepared
-	// snapshots and fusion term weights are shared across experiments on
-	// the same replica. Nil disables reuse.
+	// snapshots are shared across experiments on the same replica. Nil
+	// disables reuse.
 	Cache *engine.Cache
 }
 

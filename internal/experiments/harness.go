@@ -25,7 +25,6 @@ type Bench struct {
 	snap  *engine.Snapshot
 	core  core.Options
 	truth map[uint64]bool
-	cache *engine.Cache
 }
 
 // replica generates the named replica as an internal dataset, with the
@@ -74,7 +73,7 @@ func (c Config) Bench(name DatasetName) (*Bench, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: prepare %s: %w", name, err)
 	}
-	b := &Bench{Name: name, snap: snap, core: benchCoreOptions(o), cache: c.Cache}
+	b := &Bench{Name: name, snap: snap, core: benchCoreOptions(o)}
 	if ds.HasGroundTruth() {
 		b.truth = ds.TrueMatches()
 	}
@@ -141,8 +140,7 @@ func (b *Bench) CoreOptions() core.Options { return b.core }
 
 // Fusion executes the fusion stages through the engine, optionally with
 // modified core options (the ablation hook), returning the result and
-// the per-stage trace (iter, recordgraph, cliquerank/rss, fuse). The
-// run's term weights are published to Config.Cache for FusionWeights.
+// the per-stage trace (iter, recordgraph, cliquerank/rss, fuse).
 func (b *Bench) Fusion(modify func(*core.Options)) (*core.FusionResult, engine.Trace, error) {
 	opts := b.core
 	if modify != nil {
@@ -153,19 +151,12 @@ func (b *Bench) Fusion(modify func(*core.Options)) (*core.FusionResult, engine.T
 	if err != nil {
 		return nil, nil, err
 	}
-	b.cache.AddTermWeights(engine.FusionKey(b.snap.Key, opts), res.X)
 	return res, run.Trace(), nil
 }
 
 // FusionWeights returns the learned term weights of the unmodified fusion
-// configuration, reusing the vector a previous Fusion on the same
-// snapshot and options cached (so e.g. Table IV and Figure 4 pay for one
-// fusion run between them).
+// configuration.
 func (b *Bench) FusionWeights() ([]float64, error) {
-	key := engine.FusionKey(b.snap.Key, b.core)
-	if w, ok := b.cache.TermWeights(key); ok {
-		return w, nil
-	}
 	res, _, err := b.Fusion(nil)
 	if err != nil {
 		return nil, err

@@ -32,7 +32,7 @@ func TestBenchSnapshotKeyMatchesPipeline(t *testing.T) {
 
 // TestConfigSharesCaches exercises both reuse paths of a configured
 // experiment run: the pipeline-level snapshot cache and the engine-level
-// harness cache with fusion term weights.
+// harness cache of prepared snapshots.
 func TestConfigSharesCaches(t *testing.T) {
 	cfg := Config{
 		Seed:      1,

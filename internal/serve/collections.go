@@ -20,9 +20,11 @@ import (
 // validated against in-memory state, appended to the log, applied, and
 // acknowledged only once its covering fsync returned — so a SIGKILL at
 // any point loses nothing a client was told succeeded. Resolution over a
-// collection snapshots its records into an er.Dataset and rides the
-// existing admission/worker/breaker path; the full corpus is re-resolved
-// on every query (incremental re-fusion is out of scope).
+// collection rides the existing admission/worker/breaker path: an
+// override-free resolve catches the collection's resident er.Collection
+// up to the current records and re-fuses only the components the
+// mutations since the last resolve touched (see resolver.go); a resolve
+// with option overrides re-resolves a snapshot of the records in full.
 
 // Collection-mutation errors, mapped onto 404/409 by the handlers.
 var (
@@ -89,13 +91,60 @@ type dedupEntry struct {
 	Data []byte `json:"data"`
 }
 
+// collection is one named collection: its records plus the state its
+// delta resolver catches up from. records, dirty and stale are guarded by
+// the store lock; mu serializes resolves and guards resolver.
+type collection struct {
+	records map[string]colRecord
+	// dirty holds the IDs mutated since the last sync. While stale is set
+	// nothing is tracked: the next sync starts a fresh resolver from every
+	// record instead.
+	dirty map[string]struct{}
+	stale bool
+
+	mu       sync.Mutex
+	resolver *er.Collection
+}
+
+// newCollection wraps a record set in a stale entry: its first resolve
+// builds the resolver from every record.
+func newCollection(records map[string]colRecord) *collection {
+	return &collection{records: records, stale: true}
+}
+
+// touchLocked marks id mutated. Once the dirty set outgrows the records —
+// only deletions can make it — the entry goes stale instead, which keeps
+// its memory bounded by the collection size.
+func (col *collection) touchLocked(id string) {
+	if col.stale {
+		return
+	}
+	if col.dirty == nil {
+		col.dirty = make(map[string]struct{})
+	}
+	col.dirty[id] = struct{}{}
+	if len(col.dirty) > len(col.records) {
+		col.dirty, col.stale = nil, true
+	}
+}
+
+// sortedIDs lists the record IDs in ascending order.
+func (col *collection) sortedIDs() []string {
+	ids := make([]string, 0, len(col.records))
+	for id := range col.records {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
 // colStore is the in-memory state the WAL makes durable: collections of
 // records, plus the idempotency dedup table. It is mutated only through
 // checkLocked+applyLocked (live path) and apply (replay path), so journal
 // order and state order always agree.
 type colStore struct {
 	mu   sync.RWMutex
-	cols map[string]map[string]colRecord
+	cols map[string]*collection
 
 	// dedup maps idempotency key → the mutation it already applied;
 	// dedupOrder is insertion (FIFO) order, the eviction order once the
@@ -106,14 +155,6 @@ type colStore struct {
 	dedupOrder []string
 	dedupCap   int
 
-	// version counts each collection's mutations in journal order (create,
-	// drop, upsert, delete all bump it; the counter survives drops so it is
-	// monotonic per name), and logs holds the capped per-collection delta
-	// logs the incremental resolvers catch up from. Both are derived state:
-	// never journaled, rebuilt by replay.
-	version map[string]uint64
-	logs    map[string]*colLog
-
 	replays   atomic.Int64 // keyed requests answered from the dedup table
 	conflicts atomic.Int64 // key reuse with a different request body
 	evictions atomic.Int64 // keys evicted from the table
@@ -121,11 +162,9 @@ type colStore struct {
 
 func newColStore(dedupCap int) *colStore {
 	return &colStore{
-		cols:     make(map[string]map[string]colRecord),
+		cols:     make(map[string]*collection),
 		dedup:    make(map[string]*dedupEntry),
 		dedupCap: dedupCap,
-		version:  make(map[string]uint64),
-		logs:     make(map[string]*colLog),
 	}
 }
 
@@ -177,7 +216,7 @@ func (c *colStore) checkLocked(typ byte, m mutation) error {
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrCollectionNotFound, m.Collection)
 		}
-		if _, ok := col[m.ID]; !ok {
+		if _, ok := col.records[m.ID]; !ok {
 			return fmt.Errorf("%w: %q in %q", ErrRecordNotFound, m.ID, m.Collection)
 		}
 	case mutEvict:
@@ -190,23 +229,27 @@ func (c *colStore) checkLocked(typ byte, m mutation) error {
 }
 
 // applyLocked applies a checked mutation. It cannot fail: checkLocked ran
-// under the same lock hold.
+// under the same lock hold. Record mutations mark their ID dirty, on the
+// live path and during replay alike.
 func (c *colStore) applyLocked(typ byte, m mutation) {
 	switch typ {
 	case mutCreate:
-		c.cols[m.Collection] = make(map[string]colRecord)
+		c.cols[m.Collection] = newCollection(make(map[string]colRecord))
 	case mutDrop:
 		delete(c.cols, m.Collection)
 	case mutUpsert:
-		c.cols[m.Collection][m.ID] = colRecord{Entity: m.Entity, Source: m.Source, Text: m.Text}
+		col := c.cols[m.Collection]
+		col.records[m.ID] = colRecord{Entity: m.Entity, Source: m.Source, Text: m.Text}
+		col.touchLocked(m.ID)
 	case mutDelete:
-		delete(c.cols[m.Collection], m.ID)
+		col := c.cols[m.Collection]
+		delete(col.records, m.ID)
+		col.touchLocked(m.ID)
 	case mutEvict:
 		for _, k := range m.Evict {
 			c.forgetLocked(k)
 		}
 	}
-	c.bumpLocked(typ, m)
 }
 
 // apply replays one journaled mutation during recovery. Keyed records
@@ -249,7 +292,10 @@ type snapshotState struct {
 func (s *Server) snapshotWithSeq() ([]byte, uint64, error) {
 	s.cols.mu.RLock()
 	defer s.cols.mu.RUnlock()
-	st := snapshotState{Collections: s.cols.cols}
+	st := snapshotState{Collections: make(map[string]map[string]colRecord, len(s.cols.cols))}
+	for name, col := range s.cols.cols {
+		st.Collections[name] = col.records
+	}
 	for _, key := range s.cols.dedupOrder {
 		st.Dedup = append(st.Dedup, *s.cols.dedup[key])
 	}
@@ -266,13 +312,12 @@ func (c *colStore) restoreJSON(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("%w: undecodable snapshot payload: %w", wal.ErrCorrupt, err)
 	}
-	if st.Collections == nil {
-		st.Collections = make(map[string]map[string]colRecord)
-	}
-	for name, col := range st.Collections {
-		if col == nil {
-			st.Collections[name] = make(map[string]colRecord)
+	cols := make(map[string]*collection, len(st.Collections))
+	for name, records := range st.Collections {
+		if records == nil {
+			records = make(map[string]colRecord)
 		}
+		cols[name] = newCollection(records)
 	}
 	dedup := make(map[string]*dedupEntry, len(st.Dedup))
 	order := make([]string, 0, len(st.Dedup))
@@ -284,17 +329,9 @@ func (c *colStore) restoreJSON(data []byte) error {
 		dedup[e.Key] = &e
 	}
 	c.mu.Lock()
-	c.cols = st.Collections
+	c.cols = cols
 	c.dedup = dedup
 	c.dedupOrder = order
-	// Restored collections start a fresh version lineage with no delta log:
-	// the first resolve of each rebuilds its mirror from the record set.
-	c.version = make(map[string]uint64, len(st.Collections))
-	c.logs = make(map[string]*colLog, len(st.Collections))
-	for name := range st.Collections {
-		c.version[name] = 1
-		c.logs[name] = &colLog{start: 2}
-	}
 	c.mu.Unlock()
 	return nil
 }
@@ -304,7 +341,7 @@ func (c *colStore) counts() (collections, records int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, col := range c.cols {
-		records += len(col)
+		records += len(col.records)
 	}
 	return len(c.cols), records
 }
@@ -319,14 +356,10 @@ func (c *colStore) dataset(name string) (*er.Dataset, bool) {
 	if !ok {
 		return nil, false
 	}
-	ids := make([]string, 0, len(col))
-	for id := range col {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := col.sortedIDs()
 	records := make([]er.Record, len(ids))
 	for i, id := range ids {
-		r := col[id]
+		r := col.records[id]
 		records[i] = er.Record{Text: r.Text, Source: r.Source, Entity: r.Entity}
 	}
 	return er.NewDataset("collection:"+name, records), true
@@ -344,7 +377,7 @@ func (c *colStore) list() []collectionInfo {
 	sort.Strings(names)
 	out := make([]collectionInfo, len(names))
 	for i, name := range names {
-		out[i] = collectionInfo{Name: name, Records: len(c.cols[name])}
+		out[i] = collectionInfo{Name: name, Records: len(c.cols[name].records)}
 	}
 	return out
 }
@@ -357,14 +390,10 @@ func (c *colStore) get(name string) ([]recordInfo, bool) {
 	if !ok {
 		return nil, false
 	}
-	ids := make([]string, 0, len(col))
-	for id := range col {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := col.sortedIDs()
 	out := make([]recordInfo, len(ids))
 	for i, id := range ids {
-		r := col[id]
+		r := col.records[id]
 		out[i] = recordInfo{ID: id, Entity: r.Entity, Source: r.Source, Text: r.Text}
 	}
 	return out, true
@@ -671,6 +700,12 @@ func (s *Server) handleRecordPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("serve: bad request body: %v", err))
 		return
 	}
+	if req.Source < 0 {
+		// Sources count from 0, as CSV upload enforces (dataset.Validate).
+		writeError(w, http.StatusBadRequest, "invalid_options",
+			fmt.Sprintf("%v: record source must be non-negative, got %d", er.ErrInvalidOptions, req.Source))
+		return
+	}
 	m := mutation{Collection: name, ID: id, Entity: req.Entity, Source: req.Source, Text: req.Text}
 	s.mutateAndRespond(w, r, mutUpsert, m,
 		http.StatusOK, recordInfo{ID: id, Entity: req.Entity, Source: req.Source, Text: req.Text})
@@ -685,11 +720,11 @@ func (s *Server) handleRecordDelete(w http.ResponseWriter, r *http.Request) {
 
 // handleCollectionResolve is POST /collections/{name}/resolve, through the
 // standard admission → queue → worker path. Without option overrides the
-// job runs delta-scoped: the collection's incremental mirror is synced from
-// the delta log and only the candidate-graph components touched since the
-// last resolve are re-fused (per-component fusion semantics — see
-// er.Collection; the response carries the work split in "delta" and on the
-// "deltafuse" stage). A request with option overrides — or a server with an
+// job runs delta-scoped: the collection's resident er.Collection catches up
+// to the records mutated since the last resolve and only the
+// candidate-graph components they touch are re-fused (per-component fusion
+// semantics — see er.Collection; the response carries the work split in
+// "delta" and on the "deltafuse" stage). A request with option overrides — or a server with an
 // injected Runner — falls back to snapshotting the collection into a
 // dataset and re-resolving the full corpus under those options.
 func (s *Server) handleCollectionResolve(w http.ResponseWriter, r *http.Request) {

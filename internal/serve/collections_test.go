@@ -173,6 +173,30 @@ func TestCollectionsCRUDEphemeral(t *testing.T) {
 	}
 }
 
+// TestRecordPutRejectsNegativeSource pins upsert validation: sources count
+// from 0, as CSV upload enforces, so a negative source is refused with 400
+// before it is journaled and never reaches the collection.
+func TestRecordPutRejectsNegativeSource(t *testing.T) {
+	s, hs := newTestServer(t, Options{DataDir: t.TempDir(), BreakerThreshold: -1})
+	waitReady(t, s)
+	seedCollection(t, hs.URL, "shops")
+	appends := getStats(t, hs.URL).Durability.WAL.Appends
+
+	status, body := doJSON(t, http.MethodPut, hs.URL+"/collections/shops/records/neg", `{"source":-1,"text":"joe's pizza 123 main st"}`)
+	if status != http.StatusBadRequest || body["kind"] != "invalid_options" {
+		t.Fatalf("negative source = %d %v, want 400 invalid_options", status, body)
+	}
+	if got := getStats(t, hs.URL).Durability.WAL.Appends; got != appends {
+		t.Fatalf("journal appends %d -> %d, want the rejected upsert unjournaled", appends, got)
+	}
+	records, _ := s.cols.get("shops")
+	for _, r := range records {
+		if r.ID == "neg" {
+			t.Fatalf("rejected record stored: %+v", r)
+		}
+	}
+}
+
 // TestCollectionResolve runs a real resolution over a collection corpus
 // through the standard admission path.
 func TestCollectionResolve(t *testing.T) {

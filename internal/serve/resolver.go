@@ -2,123 +2,41 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
+	"sort"
 
 	er "repro"
 )
 
-// Delta-scoped collection resolution: each collection gets a lazily-synced
-// er.Collection mirror of the store's records. Mutations bump a
-// per-collection version and append to a capped delta log; a resolve
-// catches the mirror up by replaying only the missed mutations (falling
-// back to a full rebuild when the log no longer reaches back far enough)
-// and then resolves incrementally — re-fusing only the candidate-graph
-// components the mutations touched, with everything else served from the
-// shared component cache.
+// Delta-scoped collection resolution: each collection entry keeps a
+// resident er.Collection, built from every record by its first resolve.
+// Every record mutation marks its ID dirty, on the live path and during
+// replay alike; a later resolve catches the resolver up by applying the
+// current state of each dirty ID — an upsert, or a delete once the record
+// is gone — and then re-fuses only the candidate-graph components those
+// records touch.
 //
-// The mirror is advisory state derived from the store: it is never
-// journaled, and a restart simply rebuilds it on the first resolve. The
-// incremental result is a pure function of the collection state and the
+// Catching up by record state rather than by mutation history is exact:
+// the er.Collection's result is a pure function of its record set and the
 // default options (per-component fusion semantics — see er.Collection), so
 // responses stay deterministic across restarts and mutation orderings.
+// The resolver is advisory state: never journaled, and a stale entry —
+// new, restored or replayed after a restart, grown more dirty IDs than
+// records, or cut short by a panic mid-sync — starts a fresh one.
 
-// deltaLogCap bounds each collection's mutation log. A resolver lagging
-// further behind than the log reaches is rebuilt from the full record set
-// instead — correct either way, the log only bounds the cheap path.
-const deltaLogCap = 1024
-
-// colMutation is one journal-ordered record change in a collection's delta
-// log. Delete distinguishes the two mutation kinds.
-type colMutation struct {
-	version uint64
-	delete  bool
+// recordChange is one record's current state as a sync applies it: an
+// upsert of rec, or a delete when the record is gone.
+type recordChange struct {
 	id      string
 	rec     colRecord
+	deleted bool
 }
 
-// colLog is one collection's capped mutation log: entries hold consecutive
-// versions start, start+1, ... so a resolver at version v resumes at entry
-// v+1-start.
-type colLog struct {
-	start   uint64
-	entries []colMutation
-}
-
-// bumpLocked advances a collection's version counter and, for record
-// mutations, appends to its delta log, trimming the oldest entries past
-// the cap. Called from applyLocked under the store write lock — including
-// during WAL replay, so versions count journal order on every path.
-func (c *colStore) bumpLocked(typ byte, m mutation) {
-	switch typ {
-	case mutCreate:
-		c.version[m.Collection]++
-		c.logs[m.Collection] = &colLog{start: c.version[m.Collection] + 1}
-	case mutDrop:
-		// Keep the version counter (monotonic across drop/recreate, so a
-		// stale resolver of a previous incarnation can never fast-path) and
-		// drop the log.
-		c.version[m.Collection]++
-		delete(c.logs, m.Collection)
-	case mutUpsert, mutDelete:
-		c.version[m.Collection]++
-		lg := c.logs[m.Collection]
-		if lg == nil {
-			lg = &colLog{start: c.version[m.Collection]}
-			c.logs[m.Collection] = lg
-		}
-		cm := colMutation{version: c.version[m.Collection], id: m.ID}
-		if typ == mutDelete {
-			cm.delete = true
-		} else {
-			cm.rec = colRecord{Entity: m.Entity, Source: m.Source, Text: m.Text}
-		}
-		lg.entries = append(lg.entries, cm)
-		if over := len(lg.entries) - deltaLogCap; over > 0 {
-			lg.entries = append([]colMutation(nil), lg.entries[over:]...)
-			lg.start += uint64(over)
-		}
-	}
-}
-
-// syncPlan computes, under the store's read lock, what a resolver at
-// version have must do to reach the current state: replay muts (cheap
-// path), or rebuild from the returned record snapshot. exists reports
-// whether the collection is still there at all.
-func (c *colStore) syncPlan(name string, have uint64, haveCol bool) (cur uint64, muts []colMutation, rebuild map[string]colRecord, exists bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	col, ok := c.cols[name]
-	if !ok {
-		return 0, nil, nil, false
-	}
-	cur = c.version[name]
-	if lg := c.logs[name]; haveCol && lg != nil && have+1 >= lg.start {
-		if idx := int(have + 1 - lg.start); idx <= len(lg.entries) {
-			return cur, append([]colMutation(nil), lg.entries[idx:]...), nil, true
-		}
-	}
-	rebuild = make(map[string]colRecord, len(col))
-	for id, r := range col {
-		rebuild[id] = r
-	}
-	return cur, nil, rebuild, true
-}
-
-// colResolver is one collection's incremental mirror. mu serializes use:
-// er.Collection is not safe for concurrent access, so concurrent resolves
-// of the same collection queue up here (distinct collections resolve in
-// parallel).
-type colResolver struct {
-	mu      sync.Mutex
-	col     *er.Collection
-	version uint64
-}
-
-// resolverOptions are the fixed pipeline options the incremental mirrors
-// run under: the defaults, the server's per-job worker budget, and the
-// shared snapshot cache (so component results survive mirror rebuilds and
-// are shared across collections).
+// resolverOptions are the fixed pipeline options the resolvers run under:
+// the defaults, the server's per-job worker budget, and the shared
+// snapshot cache (so component results survive resolver rebuilds and are
+// shared across collections).
 func (s *Server) resolverOptions() er.Options {
 	o := er.DefaultOptions()
 	o.Workers = s.opts.WorkersPerJob
@@ -126,61 +44,80 @@ func (s *Server) resolverOptions() er.Options {
 	return o
 }
 
-// resolver returns the collection's mirror entry, creating it on first use.
-func (s *Server) resolver(name string) *colResolver {
-	s.resolvers.Lock()
-	defer s.resolvers.Unlock()
-	r, ok := s.resolvers.m[name]
-	if !ok {
-		r = &colResolver{}
-		s.resolvers.m[name] = r
+// takeChanges hands col's resolver what it must apply to reach the current
+// records, in ascending ID order, and resets the dirty state: every record
+// when fresh is set, otherwise the dirty IDs. ok is false once col is no
+// longer the collection stored under name (dropped, perhaps recreated).
+// The caller holds col.mu.
+func (c *colStore) takeChanges(name string, col *collection) (changes []recordChange, fresh, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cols[name] != col {
+		return nil, false, false
 	}
-	return r
-}
-
-// dropResolver discards a collection's mirror (the collection is gone).
-func (s *Server) dropResolver(name string) {
-	s.resolvers.Lock()
-	delete(s.resolvers.m, name)
-	s.resolvers.Unlock()
+	fresh = col.stale || col.resolver == nil
+	if fresh {
+		for _, id := range col.sortedIDs() {
+			changes = append(changes, recordChange{id: id, rec: col.records[id]})
+		}
+	} else {
+		for id := range col.dirty {
+			rec, live := col.records[id]
+			changes = append(changes, recordChange{id: id, rec: rec, deleted: !live})
+		}
+		sort.Slice(changes, func(i, j int) bool { return changes[i].id < changes[j].id })
+	}
+	col.dirty, col.stale = nil, false
+	return changes, fresh, true
 }
 
 // resolveCollectionDelta is the delta-scoped job body for
-// POST /collections/{name}/resolve without option overrides: sync the
-// mirror to the store's current version, then resolve incrementally.
+// POST /collections/{name}/resolve without option overrides: catch the
+// collection's resolver up to the current records, then resolve
+// incrementally.
 func (s *Server) resolveCollectionDelta(ctx context.Context, name string) (*er.Result, error) {
-	r := s.resolver(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur, muts, rebuild, exists := s.cols.syncPlan(name, r.version, r.col != nil)
-	if !exists {
-		s.dropResolver(name)
+	s.cols.mu.RLock()
+	col := s.cols.cols[name]
+	s.cols.mu.RUnlock()
+	if col == nil {
 		return nil, fmt.Errorf("%w: collection %q was dropped", er.ErrNoRecords, name)
 	}
-	switch {
-	case rebuild != nil:
-		col, err := er.NewCollection(s.resolverOptions())
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	changes, fresh, ok := s.cols.takeChanges(name, col)
+	if !ok {
+		return nil, fmt.Errorf("%w: collection %q was dropped", er.ErrNoRecords, name)
+	}
+	// The dirty IDs are taken: a sync cut short by a panic must not leave
+	// a resolver missing them behind.
+	synced := false
+	defer func() {
+		if !synced {
+			s.cols.mu.Lock()
+			col.dirty, col.stale = nil, true
+			s.cols.mu.Unlock()
+		}
+	}()
+	if fresh {
+		r, err := er.NewCollection(s.resolverOptions())
 		if err != nil {
 			return nil, err
 		}
-		// Upsert order does not matter: the incremental resolver's result is
-		// mutation-order independent.
-		for id, rec := range rebuild {
-			col.Upsert(id, er.Record{Text: rec.Text, Source: rec.Source, Entity: rec.Entity})
-		}
-		r.col = col
+		col.resolver = r
 		s.c.resolverRebuilds.Add(1)
-	default:
-		for _, m := range muts {
-			if m.delete {
-				r.col.Delete(m.id)
-			} else {
-				r.col.Upsert(m.id, er.Record{Text: m.rec.Text, Source: m.rec.Source, Entity: m.rec.Entity})
-			}
+	}
+	for _, ch := range changes {
+		if ch.deleted {
+			col.resolver.Delete(ch.id)
+		} else {
+			col.resolver.Upsert(ch.id, er.Record{Text: ch.rec.Text, Source: ch.rec.Source, Entity: ch.rec.Entity})
 		}
 	}
-	r.version = cur
 	s.c.deltaResolves.Add(1)
-	//lint:ignore lockhold the per-collection resolver mutex IS the serialization point: er.Collection is not safe for concurrent use, so concurrent delta resolves of the same collection must queue here; other collections and batch jobs never touch this lock
-	return r.col.ResolveContext(ctx)
+	//lint:ignore lockhold the per-collection resolve mutex IS the serialization point: er.Collection is not safe for concurrent use, so concurrent delta resolves of the same collection must queue here; other collections and batch jobs never touch this lock
+	res, err := col.resolver.ResolveContext(ctx)
+	// ResolveContext reports its own panics as ErrInternal; the resident
+	// state they interrupted is suspect, so start over from every record.
+	synced = !errors.Is(err, er.ErrInternal)
+	return res, err
 }

@@ -56,13 +56,6 @@ type Server struct {
 	// dataset (nil when Options.SnapshotCache is negative).
 	snapshots *er.SnapshotCache
 
-	// resolvers holds the per-collection incremental mirrors the
-	// delta-scoped resolve path syncs lazily (see resolver.go).
-	resolvers struct {
-		sync.Mutex
-		m map[string]*colResolver
-	}
-
 	c        counters
 	queueLat *latencyRing
 	runLat   *latencyRing
@@ -98,7 +91,6 @@ func New(opts Options) (*Server, error) {
 		totalLat:    newLatencyRing(o.LatencyWindow),
 		stages:      newStageTotals(),
 	}
-	s.resolvers.m = make(map[string]*colResolver)
 	if o.SnapshotCache > 0 {
 		s.snapshots = er.NewSnapshotCache(o.SnapshotCache)
 	}

@@ -26,7 +26,7 @@ type counters struct {
 	running     atomic.Int64 // gauge: jobs executing right now
 
 	deltaResolves    atomic.Int64 // collection resolves served by the delta path
-	resolverRebuilds atomic.Int64 // delta resolves that rebuilt their mirror
+	resolverRebuilds atomic.Int64 // delta resolves that started a fresh er.Collection
 }
 
 // latencyRing keeps the most recent window of duration samples for one
@@ -190,8 +190,10 @@ func snapshotCacheStats(c *er.SnapshotCache) SnapshotCacheStats {
 
 // CollectionsStats is the /stats view of the durable-collections store and
 // its incremental resolve path: DeltaResolves counts collection resolves
-// served delta-scoped, ResolverRebuilds the subset that had to rebuild
-// their mirror from scratch (first use, restart, or a delta-log overflow).
+// served delta-scoped, ResolverRebuilds the subset that started a fresh
+// er.Collection from every record — the first resolve of a collection
+// incarnation, the first after a restart, and the first after the entry
+// went stale (more dirty IDs than records, or a sync cut short by a panic).
 type CollectionsStats struct {
 	Collections      int   `json:"collections"`
 	Records          int   `json:"records"`

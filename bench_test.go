@@ -12,6 +12,7 @@ package er_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -367,5 +368,47 @@ func BenchmarkResolveStages(b *testing.B) {
 				b.ReportMetric(float64(st.Wall)/float64(time.Millisecond), "stage-"+st.Stage+"-ms")
 			}
 		})
+	}
+}
+
+// BenchmarkCollectionWarmResolve measures the warm path of the public
+// Collection: a resident collection of the 100k synthetic corpus (4k under
+// -short) takes one seeded overwrite per iteration — a live record gets
+// another record's text, a true duplicate — and resolves. It reports B/op
+// and allocs/op, and each stage of Result.Trace as a stage-*-ms mean.
+func BenchmarkCollectionWarmResolve(b *testing.B) {
+	n := 100000
+	if testing.Short() {
+		n = 4000
+	}
+	d := er.SyntheticDataset(er.SyntheticConfig{Records: n, DuplicateRate: 0.3, VocabSize: 50000})
+	col, err := er.NewCollection(er.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := func(i int) string { return fmt.Sprintf("r%06d", i) }
+	for i := 0; i < n; i++ {
+		col.Upsert(id(i), er.Record{Text: d.Text(i)})
+	}
+	if _, err := col.Resolve(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	stages := make(map[string]time.Duration)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col.Upsert(id(rng.Intn(n)), er.Record{Text: d.Text(rng.Intn(n))})
+		res, err := col.Resolve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, st := range res.Trace {
+			stages[st.Stage] += st.Wall
+		}
+	}
+	b.StopTimer()
+	for s, wall := range stages {
+		b.ReportMetric(float64(wall)/float64(time.Millisecond)/float64(b.N), "stage-"+s+"-ms")
 	}
 }

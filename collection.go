@@ -2,8 +2,8 @@ package er
 
 import (
 	"context"
-	"slices"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/index"
@@ -27,11 +27,13 @@ type DeltaStats = engine.DeltaStats
 // Upsert and Delete maintain an inverted index and the blocking survivor
 // set in time proportional to the mutation's blast radius. The collection
 // keeps the outcome of its last successful resolve resident: every pair's
-// probability, every component's fusion aggregates, and per-label record
-// counts. ResolveContext therefore touches only the connected components
-// that hold a record some mutation touched since: it keys each such
-// component, fuses it on a cache miss, and leaves every other component as
-// it was. This is the streaming counterpart to the batch Resolve.
+// probability, every component's fusion aggregates, every component's
+// matched groups in cluster order, and per-label record counts.
+// ResolveContext therefore touches only the connected components that hold
+// a record some mutation touched since: it keys each such component, fuses
+// it on a cache miss, regroups its matches, and leaves every other
+// component as it was. This is the streaming counterpart to the batch
+// Resolve.
 //
 // Resolution semantics are per-component: each connected component of the
 // candidate graph runs the full ITER ⇄ CliqueRank loop on its own local
@@ -50,16 +52,20 @@ type Collection struct {
 
 	// Resident outcome of the last successful resolve: probabilities in
 	// the index's committed pair order, per-slot component aggregates and
-	// their running sums.
-	p                           []float64
-	slots                       []slotResult
-	edges, repairs, unconverged int
+	// their running sums, and the cluster layout.
+	p                                    []float64
+	slots                                []slotResult
+	edges, repairs, unconverged, matches int
+	layout                               cluster.Layout
+
+	// matched is scratch: one touched component's match flags.
+	matched []bool
 }
 
 // slotResult is the resident fusion aggregate of one committed component.
 type slotResult struct {
-	edges, repairs int32
-	converged      bool
+	edges, repairs, matches int32
+	converged               bool
 }
 
 // NewCollection returns an empty collection under the given options
@@ -126,13 +132,17 @@ func (c *Collection) Resolve() (*Result, error) {
 // ResolveContext resolves the collection's current state. The index
 // expands the records touched since the last successful resolve to the
 // connected components that now hold them (partition), builds those
-// components' local candidate graphs and the global pair order
-// (materialize), and each touched component is keyed and served from the
-// component cache or fused (deltafuse). Untouched components keep their
+// components' local candidate graphs and places their pairs in the global
+// pair order (materialize), and each touched component is keyed and served
+// from the component cache or fused (deltafuse). Only the touched
+// components' matches are regrouped into clusters, which merge into the
+// resident cluster order (cluster). Untouched components keep their
 // resident results. The Result is bit-identical to materializing the whole
-// index and fusing every component: record positions (Matches, Clusters)
-// index Result.IDs, the ascending external-ID order of this resolve, and
-// pair positions follow the batch candidate graph's numbering. Evaluation
+// index, fusing every component and clustering with cluster.FromMatches,
+// and its slices are fresh and belong to the caller. Record positions
+// (Matches, Clusters) index Result.IDs, the ascending external-ID order of
+// this resolve, and pair positions follow the batch candidate graph's
+// numbering. Evaluation
 // is populated when every record carries an entity label. The Options
 // budgets and cancellation behave as in the package-level ResolveContext;
 // a resolve that fails or is canceled leaves the resident state as it was,
@@ -158,7 +168,7 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 	if err := run.Stage(engine.StageMaterialize, func(st *engine.StageTrace) error {
 		pd.Materialize()
 		st.In, st.InUnit = len(pd.Comps), "components"
-		st.Out, st.OutUnit = len(pd.Pairs), "pairs"
+		st.Out, st.OutUnit = pd.NumPairs, "pairs"
 		return nil
 	}); err != nil {
 		return nil, wrapRunErr(ctx, err)
@@ -166,11 +176,11 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 
 	copts := c.opts.coreOptions()
 	results := make([]*engine.ComponentResult, len(pd.Comps))
-	p := make([]float64, len(pd.Pairs))
-	matched := make([]bool, len(pd.Pairs))
-	nMatched := 0
+	fused := make([]slotResult, len(pd.Comps))
+	p := make([]float64, pd.NumPairs)
+	var matches []Match
 	stats := DeltaStats{Components: pd.Components}
-	edges, repairs, unconverged := c.edges, c.repairs, c.unconverged
+	edges, repairs, unconverged, nMatched := c.edges, c.repairs, c.unconverged, c.matches
 	if err := run.Stage(engine.StageDeltaFuse, func(st *engine.StageTrace) error {
 		st.In, st.InUnit = len(pd.Comps), "components"
 		st.OutUnit = "matches"
@@ -191,29 +201,41 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 				stats.PairsFused += len(cr.P)
 			}
 		}
-		for k, from := range pd.From {
-			v := c.residentP(from, fresh)
-			p[k] = v
-			if v >= copts.Eta {
-				matched[k] = true
-				nMatched++
-			}
-		}
 		for _, s := range pd.Dissolved {
 			r := c.slots[s]
 			edges -= int(r.edges)
 			repairs -= int(r.repairs)
+			nMatched -= int(r.matches)
 			if !r.converged {
 				unconverged--
 			}
 		}
-		for _, cr := range results {
+		for ci, cr := range results {
+			fused[ci] = slotResult{
+				edges:     int32(cr.Edges),
+				repairs:   int32(cr.NumericRepairs),
+				matches:   int32(countMatched(cr.P, copts.Eta)),
+				converged: cr.Converged,
+			}
 			edges += cr.Edges
 			repairs += cr.NumericRepairs
+			nMatched += int(fused[ci].matches)
 			if !cr.Converged {
 				unconverged++
 			}
 		}
+		if nMatched > 0 {
+			matches = make([]Match, 0, nMatched)
+		}
+		k := 0
+		pd.Each(func(pr index.Pair, from int32) {
+			v := c.residentP(from, fresh)
+			p[k] = v
+			k++
+			if v >= copts.Eta {
+				matches = append(matches, Match{I: int(pr.I), J: int(pr.J), Probability: v})
+			}
+		})
 		stats.ComponentsReused = stats.Components - stats.ComponentsFused
 		stats.PairsReused = len(p) - stats.PairsFused
 		st.Out = nMatched
@@ -224,28 +246,38 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 		return nil, wrapRunErr(ctx, err)
 	}
 
-	clusters, err := engine.Cluster(run, len(pd.IDs), pd.Pairs, matched)
-	if err != nil {
+	// Regroup only the touched components; every other group stays where
+	// the resident layout holds it.
+	var clusters [][]int
+	if err := run.Stage(engine.StageCluster, func(st *engine.StageTrace) error {
+		c.layout.Begin(pd.Dissolved)
+		regrouped := 0
+		for ci, comp := range pd.Comps {
+			cp := results[ci].P
+			c.matched = index.Grow(c.matched, len(cp))
+			for k, v := range cp {
+				c.matched[k] = v >= copts.Eta
+			}
+			c.layout.Group(comp.Slot, comp.Records, pd.Handles, comp.Graph.Pairs, c.matched)
+			regrouped += len(comp.Records)
+		}
+		clusters = c.layout.Clusters(pd.Pos, len(pd.IDs))
+		st.In, st.InUnit = regrouped, "records"
+		st.Out, st.OutUnit = len(clusters), "clusters"
+		return nil
+	}); err != nil {
 		return nil, wrapRunErr(ctx, err)
 	}
 	res = &Result{
-		Probabilities:  slices.Clone(p),
+		Probabilities:  p,
 		Clusters:       clusters,
 		GraphNodes:     len(pd.IDs),
 		GraphEdges:     edges,
 		Converged:      unconverged == 0,
 		NumericRepairs: repairs,
 		IDs:            pd.IDs,
+		Matches:        matches,
 		Delta:          &stats,
-	}
-	if nMatched > 0 {
-		res.Matches = make([]Match, 0, nMatched)
-	}
-	for k, m := range matched {
-		if m {
-			pr := pd.Pairs[k]
-			res.Matches = append(res.Matches, Match{I: int(pr.I), J: int(pr.J), Probability: p[k]})
-		}
 	}
 	if c.truth.unlabeled == 0 {
 		if err := run.Stage(engine.StageEvaluate, func(st *engine.StageTrace) error {
@@ -257,7 +289,7 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 			}
 			m := eval.FromCounts(tp, nMatched-tp, c.truth.pairs)
 			res.Evaluation = &m
-			st.In, st.InUnit = len(pd.Pairs), "pairs"
+			st.In, st.InUnit = len(p), "pairs"
 			st.Out, st.OutUnit = nMatched, "matches"
 			return nil
 		}); err != nil {
@@ -271,20 +303,29 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 
 	// Success: adopt this resolve as the resident state.
 	if c.ix.Commit(pd) {
-		c.p = p
+		c.p = index.GrowSlack(c.p, len(p))
+		copy(c.p, p)
 		if n := pd.Slots; n > len(c.slots) {
 			c.slots = append(c.slots, make([]slotResult, n-len(c.slots))...)
 		}
-		for ci, cr := range results {
-			c.slots[pd.Comps[ci].Slot] = slotResult{
-				edges:     int32(cr.Edges),
-				repairs:   int32(cr.NumericRepairs),
-				converged: cr.Converged,
-			}
+		for ci, r := range fused {
+			c.slots[pd.Comps[ci].Slot] = r
 		}
-		c.edges, c.repairs, c.unconverged = edges, repairs, unconverged
+		c.edges, c.repairs, c.unconverged, c.matches = edges, repairs, unconverged, nMatched
+		c.layout.Commit()
 	}
 	return res, nil
+}
+
+// countMatched counts the probabilities at or above the match threshold.
+func countMatched(p []float64, eta float64) int {
+	n := 0
+	for _, v := range p {
+		if v >= eta {
+			n++
+		}
+	}
+	return n
 }
 
 // residentP returns the probability a pair takes from its index.Pending

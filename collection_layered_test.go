@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -559,45 +561,111 @@ func TestCollectionCanceledResolveKeepsTouched(t *testing.T) {
 	}
 }
 
+// warmCollection loads n synthetic records (about a third of them
+// singleton entities, the rest pairs) into a collection, resolves it cold
+// and returns it with a step that overwrites one record, alternating
+// between two texts, and resolves again.
+func warmCollection(t *testing.T, n int) (*Collection, func() *Result) {
+	t.Helper()
+	c, err := NewCollection(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		e := i / 2
+		if rng.Intn(3) == 0 {
+			e = n + i // a singleton entity
+		}
+		c.Upsert(fmt.Sprintf("r%06d", i), Record{
+			Text:   fmt.Sprintf("brand%d model%d series%d w%d w%d", e, e, e%97, rng.Intn(5000), rng.Intn(5000)),
+			Entity: fmt.Sprintf("e%d", e),
+		})
+	}
+	if _, err := c.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	flip := false
+	return c, func() *Result {
+		text := "brand7 model7 series7 w1 w2"
+		if flip = !flip; flip {
+			text = "brand7 model7 series7 w3 w4"
+		}
+		c.Upsert("r000014", Record{Text: text, Entity: "e7"})
+		res, err := c.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+}
+
 // TestWarmResolveAllocsDeltaSized guards the warm path's size: one fixed
 // one-record overwrite plus Resolve allocates about as many objects at 16k
 // records as at 4k. A path that rebuilt anything per record or per pair
 // would grow its allocation count with the corpus.
 func TestWarmResolveAllocsDeltaSized(t *testing.T) {
 	allocs := func(n int) float64 {
-		c, err := NewCollection(DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < n; i++ {
-			e := i / 2
-			if rng.Intn(3) == 0 {
-				e = n + i // a singleton entity
-			}
-			c.Upsert(fmt.Sprintf("r%06d", i), Record{
-				Text:   fmt.Sprintf("brand%d model%d series%d w%d w%d", e, e, e%97, rng.Intn(5000), rng.Intn(5000)),
-				Entity: fmt.Sprintf("e%d", e),
-			})
-		}
-		if _, err := c.Resolve(); err != nil {
-			t.Fatal(err)
-		}
-		flip := false
-		return testing.AllocsPerRun(10, func() {
-			text := "brand7 model7 series7 w1 w2"
-			if flip = !flip; flip {
-				text = "brand7 model7 series7 w3 w4"
-			}
-			c.Upsert("r000014", Record{Text: text, Entity: "e7"})
-			if _, err := c.Resolve(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		_, step := warmCollection(t, n)
+		return testing.AllocsPerRun(10, func() { step() })
 	}
 	small, large := allocs(4000), allocs(16000)
 	t.Logf("allocs per overwrite+resolve: %.0f at 4k records, %.0f at 16k", small, large)
 	if large > 1.5*small {
 		t.Fatalf("warm resolve allocations grow with the corpus: %.0f at 4k, %.0f at 16k records", small, large)
+	}
+}
+
+// TestWarmResolveBytesDeltaSized is the byte-sized twin of the count gate.
+// A warm resolve must hand the caller fresh IDs, Clusters, Probabilities
+// and Matches, which are as large as the collection; every other byte it
+// allocates, scratch included, must not grow with the corpus. Clustering
+// every record from scratch, or rebuilding any pair-ordered array, fails
+// it.
+func TestWarmResolveBytesDeltaSized(t *testing.T) {
+	// allocSize is what the runtime hands out for a request of b bytes:
+	// the size class, or whole pages for large objects.
+	allocSize := func(b uintptr) uint64 {
+		if b == 0 {
+			return 0
+		}
+		return uint64(cap(append([]byte(nil), make([]byte, b)...)))
+	}
+	owned := func(res *Result) uint64 {
+		n := allocSize(uintptr(len(res.IDs))*unsafe.Sizeof("")) +
+			allocSize(uintptr(len(res.Probabilities))*unsafe.Sizeof(0.0)) +
+			allocSize(uintptr(len(res.Matches))*unsafe.Sizeof(Match{})) +
+			allocSize(uintptr(len(res.Clusters))*unsafe.Sizeof([]int(nil)))
+		members := 0
+		for _, cl := range res.Clusters {
+			members += len(cl)
+		}
+		return n + allocSize(uintptr(members)*unsafe.Sizeof(0))
+	}
+	rest := func(n int) float64 {
+		_, step := warmCollection(t, n)
+		step()
+		const runs = 20
+		results := make([]*Result, 0, runs)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range runs {
+			results = append(results, step())
+		}
+		runtime.ReadMemStats(&after)
+		var ownedBytes uint64
+		for _, res := range results {
+			ownedBytes += owned(res)
+		}
+		total := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d records: %d bytes per overwrite+resolve, %d of them caller-owned",
+			n, total/runs, ownedBytes/runs)
+		return float64(total-ownedBytes) / runs
+	}
+	small, large := rest(4000), rest(16000)
+	t.Logf("bytes per overwrite+resolve beyond the caller-owned result: %.0f at 4k records, %.0f at 16k", small, large)
+	if large > 1.5*small {
+		t.Fatalf("warm resolve bytes beyond the result grow with the corpus: %.0f at 4k, %.0f at 16k records", small, large)
 	}
 }

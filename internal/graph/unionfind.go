@@ -23,6 +23,19 @@ func NewUnionFind(n int) *UnionFind {
 	return u
 }
 
+// Reset makes u n singleton sets again, reusing its storage.
+func (u *UnionFind) Reset(n int) {
+	if cap(u.parent) < n {
+		u.parent, u.rank = make([]int32, n), make([]int8, n)
+	}
+	u.parent, u.rank = u.parent[:n], u.rank[:n]
+	for i := range u.parent {
+		u.parent[i] = int32(i)
+		u.rank[i] = 0
+	}
+	u.count = n
+}
+
 // Find returns the canonical representative of x's set.
 func (u *UnionFind) Find(x int) int {
 	root := int32(x)

@@ -623,20 +623,26 @@ func (ix *Index) postingRemove(t, rid int32) {
 // scratchCnt returns the all-zero per-record counter scratch, growing it to
 // the current handle space.
 func (ix *Index) scratchCnt() []int32 {
-	if cap(ix.cnt) < len(ix.extID) {
-		ix.cnt = make([]int32, len(ix.extID))
-	}
-	ix.cnt = ix.cnt[:len(ix.extID)]
+	ix.cnt = Grow(ix.cnt, len(ix.extID))
 	return ix.cnt
 }
 
 // scratchMarked returns the all-false per-record flag scratch.
 func (ix *Index) scratchMarked() []bool {
-	if cap(ix.marked) < len(ix.extID) {
-		ix.marked = make([]bool, len(ix.extID))
-	}
-	ix.marked = ix.marked[:len(ix.extID)]
+	ix.marked = Grow(ix.marked, len(ix.extID))
 	return ix.marked
+}
+
+// Grow extends s to length n (at least len(s)), growing its capacity
+// amortized, so a slice that grows one element at a time reallocates
+// O(log n) times. Elements past len(s) hold what s's spare capacity held:
+// zero unless an earlier, longer use left values there, so a scratch kept
+// all-zero stays all-zero.
+func Grow[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s[:n]
+	}
+	return slices.Grow(s, n-len(s))[:n]
 }
 
 // containsInt32 reports membership by linear scan; adjacency rows are

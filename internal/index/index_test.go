@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -235,11 +236,18 @@ func TestIndexTouchedPositions(t *testing.T) {
 		t.Fatalf("initial build should touch all records and the {a b} component, got %d touched, %+v", pd.Touched, pd.Comps)
 	}
 	// An uncommitted Pending drains nothing.
-	if pd = commit(); pd.Touched != 3 || pd.Components != 1 || len(pd.Pairs) != 1 {
+	if pd = commit(); pd.Touched != 3 || pd.Components != 1 || pd.NumPairs != 1 {
 		t.Fatalf("uncommitted Pending lost the touched set: %+v", pd)
 	}
-	// No mutations: nothing touched.
-	if pd = commit(); pd.Touched != 0 || len(pd.Comps) != 0 || pd.Components != 1 || pd.From[0] != 0 {
+	// No mutations: nothing touched, and the one pair is the committed one.
+	var from []int32
+	if pd = commit(); pd.Touched != 0 || len(pd.Comps) != 0 || pd.Components != 1 {
+		t.Fatalf("expected no touched records, got %+v", pd)
+	}
+	pd = ix.Pending()
+	pd.Materialize()
+	pd.Each(func(_ Pair, f int32) { from = append(from, f) })
+	if !reflect.DeepEqual(from, []int32{0}) {
 		t.Fatalf("expected no touched records, got %+v", pd)
 	}
 	// Mutating c touches only c (it shares no terms with a/b), and c is in
@@ -247,6 +255,13 @@ func TestIndexTouchedPositions(t *testing.T) {
 	ix.Upsert("c", "omega chi", 0)
 	if pd = commit(); pd.Touched != 1 || len(pd.Comps) != 0 || pd.Components != 1 {
 		t.Fatalf("expected only c touched, got %+v", pd)
+	}
+	// A Pending that another Commit overtook is not committed.
+	pd = ix.Pending()
+	pd.Materialize()
+	commit()
+	if ix.Commit(pd) {
+		t.Fatal("commit of a Pending made before the last Commit accepted")
 	}
 	// A Pending that a mutation overtook is not committed.
 	pd = ix.Pending()
@@ -257,5 +272,37 @@ func TestIndexTouchedPositions(t *testing.T) {
 	}
 	if pd = commit(); pd.Touched != 3 || len(pd.Comps) != 1 || len(pd.Comps[0].Records) != 3 || len(pd.Dissolved) != 1 {
 		t.Fatalf("expected a, b, c touched and one component re-formed, got %+v", pd)
+	}
+}
+
+// TestLoadBytesLinear loads 4k and then 16k fresh records and requires the
+// bytes allocated to grow about linearly: at most 5× for 4× the records.
+// The vocabulary grows with the corpus, so a record's candidate row stays
+// the same size. Per-record scratch that reallocated to the exact handle
+// space on every new handle made a load quadratic (about 16× here).
+func TestLoadBytesLinear(t *testing.T) {
+	cfg := Config{
+		Corpus: textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions(), MaxDFRatio: 0.5},
+		Block:  BatchOptions{MinSharedTerms: 2, MinJaccard: 0.1},
+	}
+	load := func(n int) uint64 {
+		rng := rand.New(rand.NewSource(1))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ix := New(cfg)
+		for i := 0; i < n; i++ {
+			e := i / 2
+			ix.Upsert(fmt.Sprintf("r%06d", i), fmt.Sprintf("brand%d model%d w%d w%d",
+				e, e, rng.Intn(n), rng.Intn(n)), 0)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(ix)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := load(4000), load(16000)
+	t.Logf("bytes allocated by a load: %d for 4k records, %d for 16k (%.1f×)", small, large, float64(large)/float64(small))
+	if large > 5*small {
+		t.Fatalf("a 16k load allocates %.1f× a 4k load's bytes, want at most 5×", float64(large)/float64(small))
 	}
 }

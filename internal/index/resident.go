@@ -27,20 +27,36 @@ import (
 
 // resident is the committed state of the resident path.
 type resident struct {
-	// ordA, ordB and ordT are the global pair order of the last commit.
-	// Per pair they hold its record handles (ordA the smaller external ID)
-	// and the interned ID of its first eligible shared term in
-	// lexicographic order.
-	ordA, ordB, ordT []int32
+	// ord is the global pair order of the last commit.
+	ord []orderedPair
 	// compOf maps a record handle to its component's slot, or -1 when the
 	// record is in no candidate pair.
 	compOf []int32
+	// slotPairs counts each slot's committed pairs.
+	slotPairs []int32
 	// slots is the slot high-water mark; free lists the unused slots below
 	// it.
 	slots int32
 	free  []int32
 	// comps is the number of committed components.
 	comps int
+
+	// commits counts Commits, and pendings the Pendings made.
+	commits, pendings uint64
+
+	// dead marks the slots one Pending dissolves, deadSlots lists them and
+	// deadGen names that Pending. The marks are scratch: whichever Pending
+	// reads them next re-marks its own.
+	dead      []bool
+	deadSlots []int32
+	deadGen   uint64
+}
+
+// orderedPair is one pair of the global order: its record handles (a the
+// smaller external ID) and the interned ID of its first eligible shared
+// term in lexicographic order.
+type orderedPair struct {
+	a, b, t int32
 }
 
 // PendingComponent is one candidate-graph component that holds a record
@@ -60,17 +76,18 @@ type PendingComponent struct {
 }
 
 // Pending is what changed since the last Commit, as the resident path
-// reads it. It stays valid until the next mutation.
+// reads it. It stays valid until the next mutation or Commit.
 type Pending struct {
-	ix    *Index
-	seq   uint64
-	ready bool
+	ix             *Index
+	seq, gen, base uint64
+	ready          bool
 
 	// IDs maps position to external ID, ascending. The slice is fresh and
 	// belongs to the caller.
 	IDs []string
-	// Handles maps position to record handle. It aliases the index.
-	Handles []int32
+	// Handles maps position to record handle, and Pos record handle to
+	// position. Both alias the index.
+	Handles, Pos []int32
 	// Touched counts the records touched since the last commit, including
 	// deleted ones.
 	Touched int
@@ -82,17 +99,17 @@ type Pending struct {
 	// Components is the number of components once committed, and Slots
 	// the slot high-water mark.
 	Components, Slots int
+	// NumPairs is the number of pairs once committed, exactly the batch
+	// graph's. Materialize sets it; Each walks them.
+	NumPairs int
 
-	// Pairs and From are filled by Materialize. Pairs is the global pair
-	// order over positions: exactly the Pairs of the batch graph. From[k]
-	// is pair k's index in the previous commit's order when its component
-	// is untouched, and ^j otherwise, where j counts the touched
-	// components' pairs in Comps order and local pair order.
-	Pairs []Pair
-	From  []int32
-
-	free             []int32
-	ordA, ordB, ordT []int32
+	free []int32
+	// fresh holds the touched components' pairs in global order, freshFrom
+	// each one's index in Comps order and local pair order, and at[f] the
+	// number of surviving committed pairs that precede fresh[f].
+	fresh     []orderedPair
+	freshFrom []int32
+	at        []int32
 }
 
 // Pending expands the records touched since the last commit to the
@@ -100,11 +117,12 @@ type Pending struct {
 // state the index keeps.
 func (ix *Index) Pending() *Pending {
 	n := len(ix.order)
-	if cap(ix.pos) < len(ix.extID) {
-		ix.pos = make([]int32, len(ix.extID))
+	ix.pos = Grow(ix.pos, len(ix.extID))
+	ix.res.pendings++
+	pd := &Pending{
+		ix: ix, seq: ix.seq, gen: ix.res.pendings, base: ix.res.commits,
+		IDs: make([]string, n), Handles: ix.order, Pos: ix.pos, Touched: len(ix.dirty),
 	}
-	ix.pos = ix.pos[:len(ix.extID)]
-	pd := &Pending{ix: ix, seq: ix.seq, IDs: make([]string, n), Handles: ix.order, Touched: len(ix.dirty)}
 	for p, rid := range ix.order {
 		ix.pos[rid] = int32(p)
 		pd.IDs[p] = ix.extID[rid]
@@ -179,28 +197,23 @@ func (ix *Index) Pending() *Pending {
 	return pd
 }
 
-// Materialize builds the local graph of every touched component and the
-// global pair order: the committed order without the dissolved
-// components' pairs, merged with the touched components' pairs sorted on
-// their own. The cost follows the touched components plus one linear pass
-// over the pairs; nothing corpus-wide is rebuilt or re-sorted.
+// Materialize builds the local graph of every touched component and places
+// their pairs in the global order: the committed order without the
+// dissolved components' pairs, merged with the touched pairs sorted on
+// their own. The cost follows the touched components plus a scan of the
+// committed order that stops once every touched pair is placed; nothing
+// corpus-wide is rebuilt or re-sorted.
 func (pd *Pending) Materialize() {
 	ix := pd.ix
 	ix.ensureSorted()
 	maxDF := ix.maxKeptDF()
-	var fresh freshPairs
+	var fresh []orderedPair
 	for ci := range pd.Comps {
 		c := &pd.Comps[ci]
 		c.Graph = ix.localize(c.Records, maxDF, &fresh)
 	}
-	pd.merge(&fresh)
+	pd.place(fresh)
 	pd.ready = true
-}
-
-// freshPairs collects the touched components' pairs in Comps order and
-// local pair order: record handles and first eligible shared term.
-type freshPairs struct {
-	a, b, t []int32
 }
 
 // localPair is one pair of a component being localized.
@@ -212,7 +225,7 @@ type localPair struct {
 
 // localize builds one component's local graph from the pair table and
 // appends its pairs to fresh in local pair order.
-func (ix *Index) localize(recs []int32, maxDF int32, fresh *freshPairs) *Graph {
+func (ix *Index) localize(recs []int32, maxDF int32, fresh *[]orderedPair) *Graph {
 	rank := ix.rankOf
 	var lps []localPair
 	var shared []int32
@@ -277,9 +290,7 @@ func (ix *Index) localize(recs []int32, maxDF int32, fresh *freshPairs) *Graph {
 		idOf[k] = int32(id)
 		g.Pairs[id] = Pair{I: lp.i, J: lp.j}
 		g.Index[Key(lp.i, lp.j)] = int32(id)
-		fresh.a = append(fresh.a, ix.order[recs[lp.i]])
-		fresh.b = append(fresh.b, ix.order[recs[lp.j]])
-		fresh.t = append(fresh.t, lp.first)
+		*fresh = append(*fresh, orderedPair{a: ix.order[recs[lp.i]], b: ix.order[recs[lp.j]], t: lp.first})
 	}
 
 	// Terms in lexicographic order; each term's pairs by ascending local
@@ -316,95 +327,181 @@ func (ix *Index) localize(recs []int32, maxDF int32, fresh *freshPairs) *Graph {
 	return g
 }
 
-// merge lays out the global pair order: the committed pairs of untouched
-// components, still in order, merged with the touched pairs sorted by
-// (first-term rank, smaller position, larger position) — the batch
-// graph's numbering.
-func (pd *Pending) merge(fresh *freshPairs) {
-	ix := pd.ix
-	pos, rank := ix.pos, ix.rankOf
-	cmp := func(ta, aa, ab, tb, ba, bb int32) int {
-		if ra, rb := rank[ta], rank[tb]; ra != rb {
-			return int(ra) - int(rb)
-		}
-		if pa, pb := pos[aa], pos[ba]; pa != pb {
-			return int(pa) - int(pb)
-		}
-		return int(pos[ab]) - int(pos[bb])
+// cmpPairs orders two pairs as the batch graph numbers them: by first-term
+// rank, then smaller position, then larger position.
+func (ix *Index) cmpPairs(x, y orderedPair) int {
+	if rx, ry := ix.rankOf[x.t], ix.rankOf[y.t]; rx != ry {
+		return int(rx) - int(ry)
 	}
-	order := make([]int32, len(fresh.a))
-	for k := range order {
-		order[k] = int32(k)
+	if px, py := ix.pos[x.a], ix.pos[y.a]; px != py {
+		return int(px) - int(py)
 	}
-	slices.SortFunc(order, func(x, y int32) int {
-		return cmp(fresh.t[x], fresh.a[x], fresh.b[x], fresh.t[y], fresh.a[y], fresh.b[y])
-	})
+	return int(ix.pos[x.b]) - int(ix.pos[y.b])
+}
 
+// place sorts the touched pairs into global order and finds where each
+// one goes among the committed pairs that survive.
+func (pd *Pending) place(fresh []orderedPair) {
+	ix := pd.ix
 	res := &ix.res
-	dead := make([]bool, res.slots)
-	for _, s := range pd.Dissolved {
-		dead[s] = true
+	pd.freshFrom = make([]int32, len(fresh))
+	for j := range pd.freshFrom {
+		pd.freshFrom[j] = int32(j)
 	}
-	live := func(k int) bool { return !dead[res.compOf[res.ordA[k]]] }
-	total := len(order)
-	for k := range res.ordA {
-		if live(k) {
-			total++
+	slices.SortFunc(pd.freshFrom, func(x, y int32) int { return ix.cmpPairs(fresh[x], fresh[y]) })
+	pd.fresh = make([]orderedPair, len(fresh))
+	for f, j := range pd.freshFrom {
+		pd.fresh[f] = fresh[j]
+	}
+
+	pd.markDead()
+	pd.at = make([]int32, len(fresh))
+	f, live := 0, int32(0)
+	//lint:ignore guardloop one scan of the committed pairs, stopping once the touched pairs are placed
+	for _, op := range res.ord {
+		if f == len(pd.fresh) {
+			break
 		}
-	}
-	pd.Pairs = make([]Pair, 0, total)
-	pd.From = make([]int32, 0, total)
-	pd.ordA = make([]int32, 0, total)
-	pd.ordB = make([]int32, 0, total)
-	pd.ordT = make([]int32, 0, total)
-	emit := func(a, b, t, from int32) {
-		pd.Pairs = append(pd.Pairs, Pair{I: pos[a], J: pos[b]})
-		pd.From = append(pd.From, from)
-		pd.ordA = append(pd.ordA, a)
-		pd.ordB = append(pd.ordB, b)
-		pd.ordT = append(pd.ordT, t)
-	}
-	k, f := 0, 0
-	//lint:ignore guardloop one linear pass over the candidate pairs; the merge never compares more than it emits
-	for {
-		for k < len(res.ordA) && !live(k) {
-			k++
+		if pd.dropped(op) {
+			continue
 		}
-		switch {
-		case k < len(res.ordA) && (f == len(order) ||
-			cmp(res.ordT[k], res.ordA[k], res.ordB[k], fresh.t[order[f]], fresh.a[order[f]], fresh.b[order[f]]) < 0):
-			emit(res.ordA[k], res.ordB[k], res.ordT[k], int32(k))
-			k++
-		case f < len(order):
-			j := order[f]
-			emit(fresh.a[j], fresh.b[j], fresh.t[j], ^j)
+		for f < len(pd.fresh) && ix.cmpPairs(pd.fresh[f], op) < 0 {
+			pd.at[f] = live
 			f++
-		default:
-			return
+		}
+		live++
+	}
+	for ; f < len(pd.fresh); f++ {
+		pd.at[f] = live
+	}
+	pd.NumPairs = len(res.ord) + len(fresh)
+	for _, s := range pd.Dissolved {
+		pd.NumPairs -= int(res.slotPairs[s])
+	}
+}
+
+// markDead marks pd's dissolved slots in the index's dead-slot scratch,
+// clearing whatever an earlier Pending marked.
+func (pd *Pending) markDead() {
+	res := &pd.ix.res
+	if res.deadGen == pd.gen {
+		return
+	}
+	for _, s := range res.deadSlots {
+		res.dead[s] = false
+	}
+	res.dead = Grow(res.dead, int(res.slots))
+	for _, s := range pd.Dissolved {
+		res.dead[s] = true
+	}
+	res.deadSlots, res.deadGen = pd.Dissolved, pd.gen
+}
+
+// dropped reports whether a committed pair's component was dissolved.
+func (pd *Pending) dropped(op orderedPair) bool {
+	res := &pd.ix.res
+	return res.dead[res.compOf[op.a]]
+}
+
+// Each calls fn for every pair of the global order, in order, with its
+// endpoints' positions and its origin: the pair's index in the previous
+// commit's order when its component is untouched, and ^j otherwise, where
+// j counts the touched components' pairs in Comps order and local pair
+// order. pd must be materialized.
+func (pd *Pending) Each(fn func(pr Pair, from int32)) {
+	ix := pd.ix
+	pos := ix.pos
+	pd.markDead()
+	f, live := 0, int32(0)
+	//lint:ignore guardloop one linear pass over the candidate pairs; the caller polls its checkpoint around it
+	for k, op := range ix.res.ord {
+		if pd.dropped(op) {
+			continue
+		}
+		for ; f < len(pd.fresh) && pd.at[f] == live; f++ {
+			fp := pd.fresh[f]
+			fn(Pair{I: pos[fp.a], J: pos[fp.b]}, ^pd.freshFrom[f])
+		}
+		fn(Pair{I: pos[op.a], J: pos[op.b]}, int32(k))
+		live++
+	}
+	for ; f < len(pd.fresh); f++ {
+		fp := pd.fresh[f]
+		fn(Pair{I: pos[fp.a], J: pos[fp.b]}, ^pd.freshFrom[f])
+	}
+}
+
+// Splice removes in place the elements of s that drop reports, then
+// inserts ins[f] before the at[f]-th element that stayed; at is
+// ascending, and equal entries keep the order of ins. It returns the
+// result, which reuses s's backing array when it fits, and runs in one
+// forward and one backward pass without comparing elements.
+func Splice[T any](s []T, drop func(T) bool, ins []T, at []int32) []T {
+	kept := 0
+	for _, v := range s {
+		if !drop(v) {
+			s[kept] = v
+			kept++
 		}
 	}
+	s = GrowSlack(s[:kept], kept+len(ins))
+	r, w := kept, len(s)
+	//lint:ignore guardloop moves each kept element once; a Commit that must not stop halfway
+	for f := len(ins) - 1; f >= 0; f-- {
+		for ; r > int(at[f]); r-- {
+			w--
+			s[w] = s[r-1]
+		}
+		w--
+		s[w] = ins[f]
+	}
+	return s
+}
+
+// GrowSlack extends s to length n. When the capacity falls short it
+// reallocates with 1/64 slack, so a resident array that grows a few
+// elements at a time reallocates rarely while holding little unused
+// memory.
+func GrowSlack[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	grown := make([]T, n, n+n/64)
+	copy(grown, s)
+	return grown
 }
 
 // Commit adopts a materialized Pending as the resident state: the next
 // Pending reports only what is touched after this call. It reports false,
-// changing nothing, when pd is not materialized or a mutation came after
-// it.
+// changing nothing, when pd is not materialized or a mutation or another
+// Commit came after it. The committed pair order is spliced in place.
 func (ix *Index) Commit(pd *Pending) bool {
-	if pd.ix != ix || !pd.ready || pd.seq != ix.seq {
+	if pd.ix != ix || !pd.ready || pd.seq != ix.seq || pd.base != ix.res.commits {
 		return false
 	}
 	res := &ix.res
+	res.commits++
+	pd.markDead()
+	res.ord = Splice(res.ord, pd.dropped, pd.fresh, pd.at)
+	res.slotPairs = Grow(res.slotPairs, pd.Slots)
+	for _, s := range pd.Dissolved {
+		res.slotPairs[s] = 0
+	}
 	for _, r := range ix.dirty {
 		res.compOf[r] = -1
 		ix.isDirty[r] = false
 	}
 	//lint:ignore guardloop output-sized: one write per record of the touched components Pending already walked
 	for _, c := range pd.Comps {
+		res.slotPairs[c.Slot] = int32(len(c.Graph.Pairs))
 		for _, p := range c.Records {
 			res.compOf[ix.order[p]] = c.Slot
 		}
 	}
-	res.ordA, res.ordB, res.ordT = pd.ordA, pd.ordB, pd.ordT
+	for _, s := range res.deadSlots {
+		res.dead[s] = false
+	}
+	res.deadSlots, res.deadGen = nil, 0
 	res.slots = int32(pd.Slots)
 	res.free = pd.free
 	res.comps = pd.Components

@@ -1,5 +1,5 @@
-// Command erlint runs the repository's static-analysis suite: eleven
-// repo-specific analyzers — six syntactic checks plus five flow-aware
+// Command erlint runs the repository's static-analysis suite: nine
+// repo-specific analyzers — six syntactic checks plus three flow-aware
 // concurrency and durability checks built on per-function CFGs and
 // interprocedural call summaries — that mechanically enforce the
 // pipeline's safety, determinism, cancellation and durability invariants
@@ -16,7 +16,6 @@
 //
 //	//lint:ignore <analyzer>[,<analyzer>] <reason>   on or above the line
 //	//lint:invariant <reason>                        intentional panic asserts
-//	//lint:hotpath <reason>                          allocation-free function
 //
 // A directive without a reason is itself reported, and so is a directive
 // that suppressed nothing in a run covering its scope (stale suppression).
@@ -28,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"repro/internal/lint"
@@ -47,7 +47,7 @@ func main() {
 	}
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-12s %-34s %s\n", a.Name, a.Scope, a.Doc)
+			fmt.Printf("%-12s %s [%s]\n", a.Name, a.Doc, scope(a))
 		}
 		return
 	}
@@ -134,6 +134,19 @@ func selectAnalyzers(enable, disable string) ([]*lint.Analyzer, error) {
 		return nil, fmt.Errorf("no analyzers selected")
 	}
 	return selected, nil
+}
+
+// scope renders an analyzer's package set for -list.
+func scope(a *lint.Analyzer) string {
+	if a.Packages == nil {
+		return "module-wide"
+	}
+	paths := make([]string, 0, len(a.Packages))
+	for path := range a.Packages {
+		paths = append(paths, strings.TrimPrefix(path, "repro/"))
+	}
+	sort.Strings(paths)
+	return strings.Join(paths, ",")
 }
 
 // targetPaths resolves command-line package arguments to import paths.

@@ -9,6 +9,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/matrix"
 )
 
 // TestFusionInnerLoopAllocs pins the steady-state allocation count of one
@@ -38,6 +40,15 @@ func TestFusionInnerLoopAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(5, round); got > 120 {
 		t.Errorf("fusion round allocates %.0f times, budget 120", got)
 	}
+	// The arena getters scan their free lists for a fit; a warm get/put
+	// round trip must not allocate at all.
+	if got := testing.AllocsPerRun(5, func() {
+		edges, kept := ar.getEdges(g.NumPairs()), ar.getI32(g.NumPairs())
+		ar.putI32(kept)
+		ar.putEdges(edges)
+	}); got > 0 {
+		t.Errorf("warm arena get/put allocates %.0f times, want 0", got)
+	}
 
 	// The kernels alone must stay near-zero: the only per-call allocations
 	// are the result struct, the Updates series, and a fixed set of closure
@@ -50,6 +61,19 @@ func TestFusionInnerLoopAllocs(t *testing.T) {
 	defer rg.release()
 	if got := testing.AllocsPerRun(5, func() { CliqueRankInto(rg, opts, pbuf) }); got > 60 {
 		t.Errorf("CliqueRankInto allocates %.0f times with warm arena, budget 60", got)
+	}
+	// Rows that are all-zero in mt (dead) take the plan build's dead-row
+	// branch, which a CliqueRank run reaches only when canceled mid-pass;
+	// a build over half-dead rows must not allocate per row either.
+	pat := rg.Pattern
+	halfDead := matrix.NewPatVec(pat)
+	for i := 0; i < pat.N; i += 2 {
+		for s := pat.RowPtr[i]; s < pat.RowPtr[i+1]; s++ {
+			halfDead.Val[s] = 1
+		}
+	}
+	if got := testing.AllocsPerRun(5, func() { matrix.BuildMaskPlan(halfDead, 1, 0).Release() }); got > 16 {
+		t.Errorf("BuildMaskPlan over dead rows allocates %.0f times with warm pools, budget 16", got)
 	}
 }
 
@@ -83,5 +107,29 @@ func TestCliqueRankAllocsFlatAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d: %.0f allocs vs %.0f serial; fan-out must not allocate per worker",
 				w, got, serial)
 		}
+	}
+}
+
+// TestCliqueRankFallbackAllocs pins the merge fallback (TransposeInto,
+// MaskedMulInto, sparseDot) the way TestFusionInnerLoopAllocs pins the
+// mask-plan path: with a warm arena, a CliqueRankInto over a graph whose
+// plan exceeds the ceiling allocates only its fixed set of closure headers,
+// never per row, slot or merge term.
+func TestCliqueRankFallbackAllocs(t *testing.T) {
+	g, _ := fallbackClique(t)
+	s := make([]float64, g.NumPairs())
+	for pid := range s {
+		s[pid] = 1
+	}
+	rg := buildRecordGraph(g, s, g.NumRecords, &arena{})
+	defer rg.release()
+	opts := DefaultOptions()
+	opts.Workers = 1
+	opts.Steps = 2
+	pbuf := make([]float64, g.NumPairs())
+	// AllocsPerRun's own warm-up call fills the arena; one measured call
+	// keeps the 410-record merge pass affordable.
+	if got := testing.AllocsPerRun(1, func() { CliqueRankInto(rg, opts, pbuf) }); got > 60 {
+		t.Errorf("fallback CliqueRankInto allocates %.0f times with warm arena, budget 60", got)
 	}
 }

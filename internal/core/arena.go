@@ -21,8 +21,6 @@ type arena struct {
 }
 
 // getF64 returns a zeroed length-n buffer.
-//
-//lint:hotpath arena getters run once per fusion round; a loop allocation here defeats the buffer recycling they exist for
 func (a *arena) getF64(n int) []float64 {
 	if a == nil {
 		return make([]float64, n)
@@ -41,8 +39,6 @@ func (a *arena) putF64(b []float64) {
 }
 
 // getI32 returns a length-n buffer with unspecified contents.
-//
-//lint:hotpath arena getters run once per fusion round; a loop allocation here defeats the buffer recycling they exist for
 func (a *arena) getI32(n int) []int32 {
 	if a != nil {
 		for k := len(a.i32) - 1; k >= 0; k-- {
@@ -64,8 +60,6 @@ func (a *arena) putI32(b []int32) {
 }
 
 // getEdges returns an empty edge buffer with at least capacity n.
-//
-//lint:hotpath arena getters run once per fusion round; a loop allocation here defeats the buffer recycling they exist for
 func (a *arena) getEdges(n int) []matrix.Edge {
 	if a != nil {
 		for k := len(a.edges) - 1; k >= 0; k-- {

@@ -248,8 +248,6 @@ func probsFromPattern(rg *RecordGraph, read func(slotIJ, slotJI int32) float64) 
 // then fills the kept pairs from read, fanning out over workers. The
 // transposed slot comes from the pattern's precomputed permutation
 // (Pattern.TSlot), so the readout performs no per-pair search.
-//
-//lint:hotpath runs every CliqueRank iteration over every kept pair; the AllocsPerRun tests pin its steady state at zero
 func probsFromPatternInto(rg *RecordGraph, p []float64, workers int, read func(slotIJ, slotJI int32) float64) {
 	// Each pair costs two clamped loads; 4096 pairs per chunk amortize the
 	// handoff. The grain is a constant, so chunk sets stay worker-free.

@@ -102,15 +102,61 @@ func TestCliqueRankLowAlphaLeaksAcrossBridge(t *testing.T) {
 	}
 }
 
+// completeClique builds the record graph of a complete clique on k records
+// with pair weights weight(i, j).
+func completeClique(k int, weight func(i, j int) float64) (*index.Graph, *RecordGraph) {
+	g := &index.Graph{NumRecords: k, Index: map[uint64]int32{}}
+	var s []float64
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			g.Index[index.Key(int32(i), int32(j))] = int32(len(g.Pairs))
+			g.Pairs = append(g.Pairs, index.Pair{I: int32(i), J: int32(j)})
+			s = append(s, weight(i, j))
+		}
+	}
+	return g, BuildRecordGraph(g, s, k)
+}
+
+// fallbackClique is a complete clique large enough that its mask plan
+// exceeds matrix.MaskPlanMaxEntries: every one of its k(k−1) slots has k−2
+// live merge terms, and k(k−1)(k−2) > 2^26 from k = 408 on. CliqueRankInto
+// therefore takes the transpose + MaskedMulInto fallback on it. The weights
+// vary per pair, so M_t is not symmetric and a missing transpose shows.
+func fallbackClique(t testing.TB) (*index.Graph, *RecordGraph) {
+	const k = 410
+	if k*(k-1)*(k-2) <= matrix.MaskPlanMaxEntries {
+		t.Fatalf("a %d-clique no longer exceeds the mask-plan ceiling", k)
+	}
+	return completeClique(k, func(i, j int) float64 { return 0.5 + float64((7*i+13*j)%10)/20 })
+}
+
 // TestCliqueRankMatchesDenseReference validates the masked-pattern chain
 // against a direct dense implementation of the §VI-C recurrence
 // Mᵏ = M_t × (Mᵏ⁻¹ ⊙ M_n) with M¹ = M_t (bonus disabled so both sides use
-// the same first-step matrix).
+// the same first-step matrix). The small fixture runs through the mask
+// plan, the large clique through the merge fallback.
 func TestCliqueRankMatchesDenseReference(t *testing.T) {
-	g, rg := cliqueFixture(t, 0.3)
+	small, smallRG := cliqueFixture(t, 0.3)
+	large, largeRG := fallbackClique(t)
+	for _, tc := range []struct {
+		name  string
+		g     *index.Graph
+		rg    *RecordGraph
+		steps int
+	}{
+		{"plan", small, smallRG, 6},
+		{"fallback", large, largeRG, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkCliqueRankDense(t, tc.g, tc.rg, tc.steps)
+		})
+	}
+}
+
+func checkCliqueRankDense(t *testing.T, g *index.Graph, rg *RecordGraph, steps int) {
 	opts := DefaultOptions()
 	opts.DisableBonus = true
-	opts.Steps = 6
+	opts.Steps = steps
 	got := CliqueRank(rg, opts)
 
 	// Dense reference.
@@ -164,19 +210,7 @@ func TestCliqueRankBonusHelpsBigClique(t *testing.T) {
 	// Ablation 2: in a large clique the per-edge transition probability is
 	// ~1/(k-1), so without the target bonus the S-step reaching probability
 	// of a member pair is visibly lower.
-	k := 40
-	var pairs []index.Pair
-	idx := map[uint64]int32{}
-	var s []float64
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			idx[index.Key(int32(i), int32(j))] = int32(len(pairs))
-			pairs = append(pairs, index.Pair{I: int32(i), J: int32(j)})
-			s = append(s, 1)
-		}
-	}
-	g := &index.Graph{NumRecords: k, Pairs: pairs, Index: idx}
-	rg := BuildRecordGraph(g, s, k)
+	g, rg := completeClique(40, func(int, int) float64 { return 1 })
 
 	with := DefaultOptions()
 	without := DefaultOptions()
@@ -184,12 +218,12 @@ func TestCliqueRankBonusHelpsBigClique(t *testing.T) {
 	pWith := CliqueRank(rg, with)
 	pWithout := CliqueRank(rg, without)
 	var meanWith, meanWithout float64
-	for pid := range pairs {
+	for pid := range g.Pairs {
 		meanWith += pWith[pid]
 		meanWithout += pWithout[pid]
 	}
-	meanWith /= float64(len(pairs))
-	meanWithout /= float64(len(pairs))
+	meanWith /= float64(len(g.Pairs))
+	meanWithout /= float64(len(g.Pairs))
 	if meanWith <= meanWithout {
 		t.Errorf("bonus must raise in-clique probability: with %g, without %g", meanWith, meanWithout)
 	}

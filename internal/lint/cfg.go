@@ -6,7 +6,7 @@ import (
 )
 
 // This file builds per-function control-flow graphs from go/ast, the
-// substrate of the flow-aware analyzers (lockhold, lockorder, fsyncorder).
+// substrate of the flow-aware analyzers (lockhold, goleak, fsyncorder).
 // The x/tools CFG package is unavailable by design (the lint suite runs
 // anywhere the repository compiles), so the builder lives here.
 //

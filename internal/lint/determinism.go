@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // determinismCallPackages are the kernel packages where ambient
@@ -86,14 +87,13 @@ var determinismMapPackages = map[string]bool{
 //     float += where rounding depends on order) unless the result is sorted
 //     later in the same function.
 func Determinism() *Analyzer {
+	packages := maps.Clone(determinismCallPackages)
+	maps.Copy(packages, determinismMapPackages)
 	return &Analyzer{
-		Name:  "determinism",
-		Scope: "kernel + pipeline packages",
-		Doc:   "kernels use seeded RNGs and injected clocks; map iteration must not feed ordered output",
-		Applies: func(pkgPath string) bool {
-			return determinismCallPackages[pkgPath] || determinismMapPackages[pkgPath]
-		},
-		Run: runDeterminism,
+		Name:     "determinism",
+		Doc:      "kernels use seeded RNGs and injected clocks; map iteration must not feed ordered output",
+		Packages: packages,
+		Run:      runDeterminism,
 	}
 }
 
@@ -105,7 +105,7 @@ func runDeterminism(p *Package) []Finding {
 	var out []Finding
 	inCall, inMap := determinismCallPackages[p.Path], determinismMapPackages[p.Path]
 	// A package outside both scopes can only be a test fixture (the runner
-	// filters by Applies before Run); fixtures exercise every check.
+	// filters by Packages before Run); fixtures exercise every check.
 	banCalls := inCall || (!inCall && !inMap)
 	banMaps := inMap || (!inCall && !inMap)
 	for _, f := range p.Files {

@@ -22,11 +22,10 @@ import (
 // constructs must stay classifiable.
 func ErrWrap() *Analyzer {
 	return &Analyzer{
-		Name:    "errwrap",
-		Scope:   "repro, internal/{wal,client}",
-		Doc:     "public-API errors must wrap the errors.go taxonomy (%w); no ad-hoc sentinels",
-		Applies: func(pkgPath string) bool { return errWrapPackages[pkgPath] },
-		Run:     runErrWrap,
+		Name:     "errwrap",
+		Doc:      "public-API errors must wrap the errors.go taxonomy (%w); no ad-hoc sentinels",
+		Packages: errWrapPackages,
+		Run:      runErrWrap,
 	}
 }
 

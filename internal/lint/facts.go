@@ -14,8 +14,6 @@ import (
 //	blocking   — the function (transitively) performs a blocking
 //	             operation: fsync, durability wait, channel op, network
 //	             I/O, sleep. Consumed by lockhold.
-//	acquires   — the set of lock identities the function (transitively)
-//	             acquires. Consumed by lockorder.
 //	cancelable — the function (transitively) reaches a cancellation
 //	             point: a select, a channel receive, a range over a
 //	             channel, or any use of a context.Context. Consumed by
@@ -44,7 +42,6 @@ type funcInfo struct {
 	c    *cfg
 
 	blocking   *blockFact
-	acquires   map[string]token.Position // lock id → first acquisition site
 	cancelable bool
 
 	// syncCalls are the statically resolved module-internal callees
@@ -86,11 +83,10 @@ func newProgram(pkgs []*Package) *program {
 				}
 				obj := p.Info.Defs[fn.Name]
 				fi := &funcInfo{
-					pkg:      p,
-					decl:     fn,
-					obj:      obj,
-					c:        buildCFG(fn.Body),
-					acquires: make(map[string]token.Position),
+					pkg:  p,
+					decl: fn,
+					obj:  obj,
+					c:    buildCFG(fn.Body),
 				}
 				if obj != nil {
 					prog.funcs[obj] = fi
@@ -127,19 +123,12 @@ func (prog *program) directFacts(fi *funcInfo) {
 					fi.syncCalls = append(fi.syncCalls, op.callee)
 				}
 			}
-			for _, lop := range itemLockOps(p, fi.c, item) {
-				if lop.acquire {
-					if _, ok := fi.acquires[lop.id]; !ok {
-						fi.acquires[lop.id] = p.Fset.Position(lop.pos)
-					}
-				}
-			}
 		}
 	}
 	fi.cancelable = hasCancellationPoint(p, fi.decl.Body)
 }
 
-// fixpoint propagates blocking/acquires/cancelable over sync calls until
+// fixpoint propagates blocking/cancelable over sync calls until
 // stable.
 func (prog *program) fixpoint() {
 	for changed := true; changed; {
@@ -157,12 +146,6 @@ func (prog *program) fixpoint() {
 						via:     funcDisplayName(callee),
 					}
 					changed = true
-				}
-				for id, pos := range g.acquires {
-					if _, ok := fi.acquires[id]; !ok {
-						fi.acquires[id] = pos
-						changed = true
-					}
 				}
 				if g.cancelable && !fi.cancelable {
 					fi.cancelable = true

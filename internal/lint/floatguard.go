@@ -27,11 +27,10 @@ import (
 // //lint:ignore floatguard <reason>.
 func FloatGuard() *Analyzer {
 	return &Analyzer{
-		Name:    "floatguard",
-		Scope:   "internal/core",
-		Doc:     "fusion-loop float divisions need a visible zero-guard; no float equality",
-		Applies: func(pkgPath string) bool { return pkgPath == "repro/internal/core" },
-		Run:     runFloatGuard,
+		Name:     "floatguard",
+		Doc:      "fusion-loop float divisions need a visible zero-guard; no float equality",
+		Packages: map[string]bool{"repro/internal/core": true},
+		Run:      runFloatGuard,
 	}
 }
 

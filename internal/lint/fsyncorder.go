@@ -35,8 +35,7 @@ func FsyncOrder() *Analyzer {
 	return &Analyzer{
 		Name:      "fsyncorder",
 		Doc:       "WAL durability protocol: fsync before rename, directory fsync after entry mutations, journal append before in-memory apply",
-		Scope:     "internal/{wal,serve}",
-		Applies:   func(pkgPath string) bool { return fsyncOrderPackages[pkgPath] },
+		Packages:  fsyncOrderPackages,
 		RunModule: fsyncOrderModule,
 	}
 }

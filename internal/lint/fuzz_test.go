@@ -13,7 +13,7 @@ func FuzzDirective(f *testing.F) {
 	f.Add("ignore lockhold the group-commit barrier")
 	f.Add("ignore nopanic,goleak one reason covering two analyzers")
 	f.Add("invariant negative n is a programmer error")
-	f.Add("hotpath the fusion kernel")
+	f.Add("hotpath the fusion kernel") // a retired kind: rejected like any unknown one
 	f.Add("ignore")
 	f.Add("ignore lockhold")
 	f.Add("invariant")
@@ -34,7 +34,7 @@ func FuzzDirective(f *testing.F) {
 			return
 		}
 		switch d.kind {
-		case "ignore", "invariant", "hotpath":
+		case "ignore", "invariant":
 		default:
 			t.Fatalf("parseDirective(%q): accepted unknown kind %q", text, d.kind)
 		}

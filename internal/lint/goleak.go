@@ -15,8 +15,6 @@ func GoLeak() *Analyzer {
 	return &Analyzer{
 		Name:      "goleak",
 		Doc:       "every go statement needs a cancellation path (select, channel receive, range-over-channel, or context) or a reasoned //lint:ignore",
-		Scope:     "module-wide",
-		Applies:   func(string) bool { return true },
 		RunModule: goLeakModule,
 	}
 }

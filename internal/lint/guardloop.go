@@ -37,11 +37,10 @@ var guardLoopPackages = map[string]bool{
 // suppressed with //lint:ignore guardloop <reason>.
 func GuardLoop() *Analyzer {
 	return &Analyzer{
-		Name:    "guardloop",
-		Scope:   "internal/{core,baselines,engine,wal,index}",
-		Doc:     "nested loops in hot-path packages must poll a guard.Checkpoint",
-		Applies: func(pkgPath string) bool { return guardLoopPackages[pkgPath] },
-		Run:     runGuardLoop,
+		Name:     "guardloop",
+		Doc:      "nested loops in hot-path packages must poll a guard.Checkpoint",
+		Packages: guardLoopPackages,
+		Run:      runGuardLoop,
 	}
 }
 

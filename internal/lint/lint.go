@@ -9,14 +9,12 @@
 // crossing the public API wrap the taxonomy (errwrap), and every Options
 // field documents its zero value (optzero).
 //
-// Five analyzers are flow-aware, built on per-function control-flow graphs
+// Three analyzers are flow-aware, built on per-function control-flow graphs
 // (cfg.go), an abstract lock-state lattice (lockstate.go) and interprocedural
 // call-graph summaries (facts.go): no blocking operation while a mutex is
-// held (lockhold), a cycle-free cross-package lock acquisition order
-// (lockorder), a cancellation path for every spawned goroutine (goleak), the
-// WAL durability protocol — fsync before rename, directory fsync after entry
-// mutations, journal append before in-memory apply (fsyncorder) — and no
-// loop allocations in //lint:hotpath-annotated kernels (hotalloc).
+// held (lockhold), a cancellation path for every spawned goroutine (goleak),
+// and the WAL durability protocol — fsync before rename, directory fsync
+// after entry mutations, journal append before in-memory apply (fsyncorder).
 //
 // Findings are suppressed per line with a mandatory reason:
 //
@@ -27,16 +25,12 @@
 //
 //	//lint:invariant <reason>
 //
-// on the panic itself or in the enclosing function's doc comment, and hot
-// kernels opt into the allocation discipline with
-//
-//	//lint:hotpath <reason>
-//
-// in the function's doc comment. A directive without a reason is itself a
-// finding: unexplained suppressions rot into unreviewable noise. So is a
-// stale directive — one that suppressed nothing in a run that included every
-// analyzer it names: a suppression that outlives its finding hides the next
-// real one at the same spot.
+// on the panic itself or in the enclosing function's doc comment. A
+// directive without a reason is itself a finding: unexplained suppressions
+// rot into unreviewable noise. So is a stale directive — one that
+// suppressed nothing in a run that included every analyzer it names: a
+// suppression that outlives its finding hides the next real one at the
+// same spot.
 package lint
 
 import (
@@ -70,14 +64,12 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description for the driver's usage output.
 	Doc string
-	// Scope is a one-line human description of where the analyzer applies
-	// ("module-wide", "internal/{serve,wal,engine}", ...), for -list output.
-	Scope string
-	// Applies reports whether the analyzer covers the package; nil means
-	// every package. Scoping lives here (not in the driver) so the fixture
-	// tests and the driver cannot disagree about coverage. Module analyzers
-	// are filtered by the package owning each finding's file.
-	Applies func(pkgPath string) bool
+	// Packages is the set of import paths the analyzer covers; nil means
+	// every package. It is the one statement of scope: the runner filters
+	// by it (module analyzers by the package owning each finding's file),
+	// and erlint -list prints it, so coverage and its description cannot
+	// disagree.
+	Packages map[string]bool
 	// Run inspects one package and returns raw findings; the runner applies
 	// suppressions afterwards. Exactly one of Run and RunModule is set.
 	Run func(p *Package) []Finding
@@ -97,11 +89,14 @@ func All() []*Analyzer {
 		ErrWrap(),
 		OptZero(),
 		LockHold(),
-		LockOrder(),
 		GoLeak(),
 		FsyncOrder(),
-		HotAlloc(),
 	}
+}
+
+// Applies reports whether the analyzer covers the package.
+func (a *Analyzer) Applies(pkgPath string) bool {
+	return a.Packages == nil || a.Packages[pkgPath]
 }
 
 // Run executes the analyzers over the packages, applies //lint:ignore
@@ -109,7 +104,7 @@ func All() []*Analyzer {
 // surviving findings sorted by position. Module-level analyzers see every
 // package at once (their facts cross package boundaries); their findings
 // are attributed to the package owning the file and filtered through that
-// package's Applies scope and suppressions.
+// package's scope and suppressions.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	for _, p := range pkgs {
 		p.resetDirectives()
@@ -124,7 +119,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, p := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil || (a.Applies != nil && !a.Applies(p.Path)) {
+			if a.Run == nil || !a.Applies(p.Path) {
 				continue
 			}
 			for _, f := range a.Run(p) {
@@ -140,7 +135,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		}
 		for _, f := range a.RunModule(prog) {
 			p := prog.fileOf[f.Pos.Filename]
-			if p == nil || (a.Applies != nil && !a.Applies(p.Path)) {
+			if p == nil || !a.Applies(p.Path) {
 				continue
 			}
 			if !p.suppressed(a.Name, f.Pos) {
@@ -170,10 +165,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 
 // directive is one parsed //lint: comment.
 type directive struct {
-	// kind is "ignore", "invariant" or "hotpath".
+	// kind is "ignore" or "invariant".
 	kind string
 	// analyzers lists the analyzer names an ignore covers (nil for
-	// invariant and hotpath, which bind to single analyzers by definition).
+	// invariant, which binds to nopanic by definition).
 	analyzers []string
 	// reason is the mandatory justification.
 	reason string
@@ -201,7 +196,7 @@ func parseDirective(text string) (*directive, bool) {
 		if len(fields) > 2 {
 			d.reason = strings.Join(fields[2:], " ")
 		}
-	case "invariant", "hotpath":
+	case "invariant":
 		if len(fields) > 1 {
 			d.reason = strings.Join(fields[1:], " ")
 		}
@@ -289,24 +284,6 @@ func (p *Package) invariantAt(pos token.Position, fn *ast.FuncDecl) bool {
 	return false
 }
 
-// hotpathFor returns the //lint:hotpath directive in fn's doc comment, or
-// nil. The directive is marked used: an annotation the hotalloc analyzer
-// actually consulted is doing its job even when no finding results.
-func (p *Package) hotpathFor(fn *ast.FuncDecl) *directive {
-	if fn == nil || fn.Doc == nil {
-		return nil
-	}
-	start := p.Fset.Position(fn.Doc.Pos())
-	end := p.Fset.Position(fn.Doc.End())
-	for _, d := range p.suppressions[start.Filename] {
-		if d.kind == "hotpath" && d.pos.Line >= start.Line && d.pos.Line <= end.Line {
-			d.used = true
-			return d
-		}
-	}
-	return nil
-}
-
 // staleFindings reports directives that had no effect in this run even
 // though every analyzer they bind to ran on this package. A partial run
 // (-enable some-analyzer) never declares other analyzers' directives stale.
@@ -317,7 +294,7 @@ func (p *Package) staleFindings(analyzers []*Analyzer) []Finding {
 	}
 	ranHere := func(name string) bool {
 		a, ok := byName[name]
-		return ok && (a.Applies == nil || a.Applies(p.Path))
+		return ok && a.Applies(p.Path)
 	}
 	var out []Finding
 	for _, ds := range p.suppressions {
@@ -334,8 +311,6 @@ func (p *Package) staleFindings(analyzers []*Analyzer) []Finding {
 				}
 			case "invariant":
 				eligible = ranHere("nopanic")
-			case "hotpath":
-				eligible = ranHere("hotalloc")
 			}
 			if eligible {
 				out = append(out, Finding{Analyzer: "lint", Pos: d.pos,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -16,7 +15,7 @@ import (
 
 // Fixture packages live under testdata/src (which both the go tool and the
 // loader's Discover skip) and are loaded under synthetic import paths chosen
-// to satisfy each analyzer's Applies scope. Expected findings are declared
+// to fall inside each analyzer's package set. Expected findings are declared
 // in the fixtures themselves with trailing markers:
 //
 //	// want <analyzer> [<analyzer>...]   findings on this line
@@ -145,20 +144,12 @@ func TestLockHoldFixture(t *testing.T) {
 	checkFixture(t, "lockhold", "repro/internal/wal", lint.LockHold())
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	checkFixture(t, "lockorder", "repro/internal/serve", lint.LockOrder())
-}
-
 func TestGoLeakFixture(t *testing.T) {
 	checkFixture(t, "goleak", "fixture/goleak", lint.GoLeak())
 }
 
 func TestFsyncOrderFixture(t *testing.T) {
 	checkFixture(t, "fsyncorder", "repro/internal/wal", lint.FsyncOrder())
-}
-
-func TestHotAllocFixture(t *testing.T) {
-	checkFixture(t, "hotalloc", "repro/internal/core", lint.HotAlloc())
 }
 
 // TestStaleDirectiveFixture runs the full suite so every directive in the
@@ -169,81 +160,14 @@ func TestStaleDirectiveFixture(t *testing.T) {
 	checkFixture(t, "stale", "repro/internal/core", lint.All()...)
 }
 
-// TestAppliesScoping pins each analyzer's package scope: running the full
-// suite on a fixture must only ever produce findings from analyzers whose
-// Applies accepts the fixture's path.
+// TestAppliesScoping pins the runner's package filter: an analyzer whose
+// Packages excludes the fixture's path must report nothing there, even on a
+// fixture full of its findings.
 func TestAppliesScoping(t *testing.T) {
 	p := loadFixture(t, "floatguard", "repro/internal/textproc")
 	findings := lint.Run([]*lint.Package{p}, []*lint.Analyzer{lint.FloatGuard()})
 	if len(findings) != 0 {
 		t.Errorf("floatguard ran outside repro/internal/core: %v", findings)
-	}
-}
-
-// scopePiece matches one comma-separated piece of an analyzer's Scope that
-// names packages: "repro", "internal/core", or a brace list such as
-// "internal/{wal,serve}".
-var scopePiece = regexp.MustCompile(`^(repro|internal/[a-z0-9/]*)(?:\{([a-z0-9,]+)\})?$`)
-
-// scopePaths expands an analyzer's human-readable Scope into import paths.
-// A piece that names no package ("module-wide", "kernel + pipeline
-// packages") is prose and sets prose instead.
-func scopePaths(scope string) (paths []string, prose bool) {
-	for _, piece := range strings.Split(scope, ", ") {
-		m := scopePiece.FindStringSubmatch(piece)
-		if m == nil {
-			prose = true
-			continue
-		}
-		alts := []string{""}
-		if m[2] != "" {
-			alts = strings.Split(m[2], ",")
-		}
-		for _, alt := range alts {
-			path := m[1] + alt
-			if path != "repro" {
-				path = "repro/" + path
-			}
-			paths = append(paths, path)
-		}
-	}
-	return paths, prose
-}
-
-// TestScopeMatchesApplies keeps the -list output honest: every package a
-// Scope string names must be accepted by the analyzer's Applies, and an
-// analyzer whose Scope is a plain package list must not apply to any other
-// package of the module.
-func TestScopeMatchesApplies(t *testing.T) {
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	module, err := loader.Discover()
-	if err != nil {
-		t.Fatalf("Discover: %v", err)
-	}
-	for _, a := range lint.All() {
-		paths, prose := scopePaths(a.Scope)
-		listed := make(map[string]bool, len(paths))
-		for _, path := range paths {
-			listed[path] = true
-			if a.Applies != nil && !a.Applies(path) {
-				t.Errorf("%s: Scope %q names %s, which Applies rejects", a.Name, a.Scope, path)
-			}
-		}
-		if prose || a.Applies == nil {
-			continue
-		}
-		for _, path := range module {
-			if a.Applies(path) && !listed[path] {
-				t.Errorf("%s: Applies accepts %s, which Scope %q omits", a.Name, path, a.Scope)
-			}
-		}
-	}
-	if paths, prose := scopePaths("repro, internal/{wal,client}"); prose ||
-		!reflect.DeepEqual(paths, []string{"repro", "repro/internal/wal", "repro/internal/client"}) {
-		t.Errorf("scopePaths expanded a brace list to %q (prose %v)", paths, prose)
 	}
 }
 

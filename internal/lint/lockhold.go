@@ -7,7 +7,7 @@ import (
 
 // lockHoldPackages is the scope of the lock-hold analyzer: the stateful
 // concurrent subsystems whose locks sit on request paths. Kernel packages
-// hold no locks; the breadth there belongs to determinism/hotalloc.
+// hold no locks; the breadth there belongs to determinism.
 var lockHoldPackages = map[string]bool{
 	"repro/internal/serve":  true,
 	"repro/internal/wal":    true,
@@ -36,8 +36,7 @@ func LockHold() *Analyzer {
 	return &Analyzer{
 		Name:      "lockhold",
 		Doc:       "no blocking operation (fsync, durability wait, channel op, network I/O, sleep) while a mutex is held",
-		Scope:     "internal/{serve,wal,engine,client,index}",
-		Applies:   func(pkgPath string) bool { return lockHoldPackages[pkgPath] },
+		Packages:  lockHoldPackages,
 		RunModule: lockHoldModule,
 	}
 }

@@ -13,7 +13,7 @@ import (
 // a map from lock identity to the position of the acquisition that put it
 // there. Merges union (may-analysis), so a lock released on only one
 // branch is still reported held after the join — the sound direction for
-// lockhold and lockorder, whose findings must not miss the path that
+// lockhold, whose findings must not miss the path that
 // keeps the lock.
 
 // lockOp is one classified sync.Mutex/RWMutex call.

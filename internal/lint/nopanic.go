@@ -19,10 +19,9 @@ import (
 // impossible state crashes only itself.
 func NoPanic() *Analyzer {
 	return &Analyzer{
-		Name:  "nopanic",
-		Scope: "module-wide",
-		Doc:   "library code must not call panic() without a //lint:invariant justification",
-		Run:   runNoPanic,
+		Name: "nopanic",
+		Doc:  "library code must not call panic() without a //lint:invariant justification",
+		Run:  runNoPanic,
 	}
 }
 

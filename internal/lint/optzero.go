@@ -35,11 +35,10 @@ var zeroDocPattern = regexp.MustCompile(`(?i)\bzero\b|\bdefault\b|\bnil\b|\bunse
 // documented feature-off state by Go convention.
 func OptZero() *Analyzer {
 	return &Analyzer{
-		Name:    "optzero",
-		Scope:   "repro, internal/{core,serve,wal}",
-		Doc:     "every Options field documents its zero-value behavior in its doc comment",
-		Applies: func(pkgPath string) bool { return optZeroPackages[pkgPath] },
-		Run:     runOptZero,
+		Name:     "optzero",
+		Doc:      "every Options field documents its zero-value behavior in its doc comment",
+		Packages: optZeroPackages,
+		Run:      runOptZero,
 	}
 }
 

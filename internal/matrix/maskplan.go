@@ -168,8 +168,6 @@ func BuildMaskPlan(mt *PatVec, workers, maxEntries int) *MaskPlan {
 
 // countPlanRows walks the merge of rows [lo, hi) and records, per slot,
 // how many terms survive the liveness filter.
-//
-//lint:hotpath one full merge pass per power loop; allocation here would defeat the pooled plan buffers
 func countPlanRows(p *Pattern, live []byte, lo, hi int, cnt []int32) {
 	for i := lo; i < hi; i++ {
 		rs, re := p.RowPtr[i], p.RowPtr[i+1]
@@ -208,8 +206,6 @@ func countPlanRows(p *Pattern, live []byte, lo, hi int, cnt []int32) {
 // term's operand slots: srcMt is the slot of mt[i,c] in row i, and srcA is
 // the slot of a[c,j] — reached through the transpose permutation, so the
 // kernel gathers from a directly without a transpose pass.
-//
-//lint:hotpath one full merge pass per power loop; allocation here would defeat the pooled plan buffers
 func fillPlanRows(p *Pattern, live []byte, lo, hi int, dstPtr, srcMt, srcA []int32) {
 	for i := lo; i < hi; i++ {
 		rs, re := p.RowPtr[i], p.RowPtr[i+1]
@@ -255,9 +251,8 @@ func (pl *MaskPlan) Grain() int { return pl.grain }
 // through parallel.ForGrain with any worker count produces identical bits.
 // The caller is responsible for passing the operands the plan was built
 // for (CliqueRank hoists one closure over the loop); MulInto is the
-// checked form.
-//
-//lint:hotpath the fusion product's inner kernel, called every power-loop step; the AllocsPerRun tests pin its steady state at zero
+// checked form. It runs every power-loop step, and the core package's
+// TestFusionInnerLoopAllocs pins its steady state at zero allocations.
 func (pl *MaskPlan) MulRangeInto(dst, mt, a *PatVec, lo, hi int) {
 	dstPtr, srcMt, srcA := pl.dstPtr, pl.srcMt, pl.srcA
 	mv, av, dv := mt.Val, a.Val, dst.Val

@@ -131,8 +131,6 @@ func (v *PatVec) Transpose() *PatVec {
 
 // TransposeInto writes vᵀ into out, which must share v's pattern. It is the
 // allocation-free form of Transpose used by the CliqueRank power loop.
-//
-//lint:hotpath allocation-free by contract; the CliqueRank power loop calls it every iteration
 func (v *PatVec) TransposeInto(out *PatVec) {
 	if v.P != out.P {
 		//lint:invariant graph-structure preconditions are programmer errors; tests assert these panics
@@ -185,8 +183,8 @@ func MaskedMul(mt, at *PatVec) *PatVec {
 // pattern) and returns dst. Rows are fanned out through the deterministic
 // scheduler, and each row writes a disjoint slice of dst.Val, so the result
 // is bit-identical for every worker count. workers < 1 selects GOMAXPROCS.
-//
-//lint:hotpath the fusion product's inner kernel; the AllocsPerRun tests pin its steady state at zero
+// It is CliqueRank's product when a mask plan would exceed its ceiling; the
+// core package's TestCliqueRankFallbackAllocs pins its steady state.
 func MaskedMulInto(dst, mt, at *PatVec, workers int) *PatVec {
 	if mt.P != at.P || dst.P != mt.P {
 		//lint:invariant graph-structure preconditions are programmer errors; tests assert these panics
@@ -196,12 +194,6 @@ func MaskedMulInto(dst, mt, at *PatVec, workers int) *PatVec {
 	parallelRows(workers, p.N, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mtCols, mtVals := mt.RowSlice(i)
-			if len(mtCols) == 0 {
-				for s := p.RowPtr[i]; s < p.RowPtr[i+1]; s++ {
-					dst.Val[s] = 0
-				}
-				continue
-			}
 			for s := p.RowPtr[i]; s < p.RowPtr[i+1]; s++ {
 				j := p.Col[s]
 				atCols, atVals := at.RowSlice(int(j))

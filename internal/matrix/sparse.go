@@ -128,8 +128,6 @@ func (m *CSR) MulVecT(x []float64) []float64 {
 
 // sparseDot computes the dot product of two sparse vectors given as sorted
 // (index, value) pairs.
-//
-//lint:hotpath the innermost merge-join of the sparse product; runs per nonzero pair
 func sparseDot(aCols []int32, aVals []float64, bCols []int32, bVals []float64) float64 {
 	var s float64
 	x, y := 0, 0

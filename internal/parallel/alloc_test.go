@@ -12,15 +12,17 @@ import (
 )
 
 // TestForGrainFanOutAllocs pins the satellite-1 fix: a steady-state
-// ForGrain invocation must not allocate at any worker count. Before the
-// pooled forJob, every For call allocated one closure per worker plus the
-// WaitGroup/atomic state, which is why CliqueRankProduct's allocs/op grew
-// 40 → 200 → 280 at 1/2/4 workers.
+// ForGrain invocation must not allocate at any worker count, and a
+// ReduceSum no more than once. Before the pooled forJob, every For call
+// allocated one closure per worker plus the WaitGroup/atomic state, which
+// is why CliqueRankProduct's allocs/op grew 40 → 200 → 280 at 1/2/4
+// workers.
 func TestForGrainFanOutAllocs(t *testing.T) {
 	var sink atomic.Int64
 	body := func(lo, hi int) {
 		sink.Add(int64(hi - lo))
 	}
+	chunkLen := func(lo, hi int) float64 { return float64(hi - lo) }
 	for _, w := range []int{1, 2, 4} {
 		// Warm the job pool (and the runtime's goroutine free list) before
 		// measuring.
@@ -32,6 +34,11 @@ func TestForGrainFanOutAllocs(t *testing.T) {
 		})
 		if avg > 1 {
 			t.Errorf("workers=%d: ForGrain allocates %.1f allocs/op, want ≤1", w, avg)
+		}
+		// ReduceSum's pooled partials leave one allocation at most: the
+		// closure it hands to the fan-out.
+		if avg := testing.AllocsPerRun(50, func() { ReduceSum(w, 1<<14, chunkLen) }); avg > 1 {
+			t.Errorf("workers=%d: ReduceSum allocates %.1f allocs/op, want ≤1", w, avg)
 		}
 	}
 }

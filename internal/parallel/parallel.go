@@ -130,9 +130,9 @@ var forJobs = sync.Pool{New: func() any {
 // disjoint-write kernels remain bit-identical across worker counts, just
 // as with For. The calling goroutine participates as one of the workers,
 // and the fan-out state is pooled, so a steady-state invocation performs
-// no allocation at any worker count.
-//
-//lint:hotpath every kernel fans out through ForGrain; anything allocated per chunk multiplies across the whole pipeline
+// no allocation at any worker count. Every kernel fans out through
+// ForGrain, so anything allocated per chunk would multiply across the
+// whole pipeline; TestForGrainFanOutAllocs pins the count.
 func ForGrain(workers, n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -178,9 +178,9 @@ var partials = sync.Pool{New: func() any { b := make([]float64, 0, 64); return &
 // and the partials are folded in ascending chunk order. The bracketing —
 // (((p0+p1)+p2)+…) over Grain-sized chunk sums — is therefore a pure
 // function of n, independent of the worker count and the goroutine
-// schedule, so serial and parallel runs agree to the last bit.
-//
-//lint:hotpath every reduction fans out through ReduceSum; anything allocated per chunk multiplies across the whole pipeline
+// schedule, so serial and parallel runs agree to the last bit. A
+// steady-state call allocates at most the closure it hands to the fan-out
+// (TestForGrainFanOutAllocs).
 func ReduceSum(workers, n int, fn func(lo, hi int) float64) float64 {
 	if n <= 0 {
 		return 0

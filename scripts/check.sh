@@ -35,15 +35,17 @@ go build ./...
 
 # Build the linter once, then run each analyzer as its own named step so a
 # failure log says *which* invariant broke (lock discipline vs durability
-# protocol vs allocation budget), not just "erlint failed". The final
-# full-suite pass catches what the per-analyzer loop cannot: stale-directive
-# detection only fires for directives whose every named analyzer ran.
+# protocol vs cancellation), not just "erlint failed". The names come from
+# `erlint -list` (first column), so lint.All() is the only registry. The
+# final full-suite pass catches what the per-analyzer loop cannot:
+# stale-directive detection only fires for directives whose every named
+# analyzer ran.
 echo "==> erlint (build)"
 erlint_bin=$(mktemp -d)/erlint
 trap 'rm -rf "$(dirname "$erlint_bin")"' EXIT
 go build -o "$erlint_bin" ./cmd/erlint
-for analyzer in nopanic guardloop determinism floatguard errwrap optzero \
-                lockhold lockorder goleak fsyncorder hotalloc; do
+analyzers=$("$erlint_bin" -list | awk '{print $1}')
+for analyzer in $analyzers; do
     echo "==> erlint: $analyzer"
     "$erlint_bin" -enable "$analyzer" ./...
 done

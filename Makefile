@@ -22,6 +22,7 @@ lint:
 fuzz:
 	go test -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=10s ./internal/dataset
 	go test -run='^$$' -fuzz=FuzzTokenize -fuzztime=10s ./internal/textproc
+	go test -run='^$$' -fuzz=FuzzBuildCorpus -fuzztime=10s ./internal/textproc
 
 bench:
 	go test -bench=. -benchmem -run='^$$' .

@@ -216,31 +216,3 @@ func ReduceSum(workers, n int, fn func(lo, hi int) float64) float64 {
 	partials.Put(bp)
 	return sum
 }
-
-// Pool recycles float64 scratch buffers across rounds of an iterative
-// kernel. Get returns a buffer with at least n capacity, length n, contents
-// unspecified; Put recycles it. The zero value is ready to use. Pool is
-// safe for concurrent use.
-type Pool struct {
-	p sync.Pool
-}
-
-// Get returns a length-n buffer (contents unspecified).
-func (p *Pool) Get(n int) []float64 {
-	if v := p.p.Get(); v != nil {
-		b := *(v.(*[]float64))
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-// Put recycles a buffer obtained from Get.
-func (p *Pool) Put(b []float64) {
-	if b == nil {
-		return
-	}
-	b = b[:0]
-	p.p.Put(&b)
-}

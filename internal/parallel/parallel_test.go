@@ -215,22 +215,3 @@ func TestReduceSumEmpty(t *testing.T) {
 		t.Fatalf("empty reduction = %v, want 0", got)
 	}
 }
-
-func TestPoolReuse(t *testing.T) {
-	var p Pool
-	b := p.Get(100)
-	if len(b) != 100 {
-		t.Fatalf("Get(100) len = %d", len(b))
-	}
-	b[0] = 42
-	p.Put(b)
-	c := p.Get(50)
-	if len(c) != 50 {
-		t.Fatalf("Get(50) len = %d", len(c))
-	}
-	p.Put(nil) // must not panic
-	d := p.Get(200)
-	if len(d) != 200 {
-		t.Fatalf("Get(200) len = %d", len(d))
-	}
-}

@@ -2,7 +2,7 @@ package textproc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -61,16 +61,60 @@ func DefaultCorpusOptions() CorpusOptions {
 // frequent-term filter. Term IDs are assigned in lexicographic order so that
 // corpus construction is deterministic regardless of input order of equal
 // texts.
+//
+// It is one interning pass: tokens are looked up in a single map and get a
+// first-seen ID, and one string copy of each 64 KiB chunk of token bytes
+// backs the surface form of every term first seen in it, so interning
+// allocates per chunk, never per record, token or term (a live corpus
+// therefore holds its chunks' token bytes, about the size of the texts
+// themselves). Document
+// frequencies count in a slice, deduplicated within a record by a
+// last-seen stamp. The kept IDs are then sorted by surface form, one remap
+// table rewrites every sequence, and the interning map itself becomes
+// Index. Seqs and Docs are cap-limited windows of two shared backing
+// arrays.
 func BuildCorpus(texts []string, opts CorpusOptions) *Corpus {
+	const chunkBytes = 64 << 10
 	n := len(texts)
-	tokenized := make([][]string, n)
-	df := make(map[string]int)
+	index := make(map[string]int)
+	var (
+		surfaces []string // first-seen ID -> surface form
+		df       []int32  // first-seen ID -> document frequency
+		stamp    []int32  // first-seen ID -> 1 + last record that counted it
+		seq      []int32  // every record's first-seen IDs, back to back
+		buf      []byte   // the pending chunk's token bytes
+		ends     []int    // the pending chunk's token end offsets in buf
+	)
+	seqEnd := make([]int, n)
+	first := 0 // first record of the pending chunk
 	for i, txt := range texts {
-		toks := Tokenize(txt, opts.Tokenize)
-		tokenized[i] = toks
-		for _, t := range UniqueTokens(toks) {
-			df[t]++
+		buf, ends = appendTokens(buf, ends, txt, opts.Tokenize)
+		seqEnd[i] = len(seq) + len(ends)
+		if len(buf) < chunkBytes && i < n-1 {
+			continue
 		}
+		chunk := string(buf)
+		k, start := 0, 0
+		for r := first; r <= i; r++ {
+			for ; len(seq) < seqEnd[r]; k++ {
+				surface := chunk[start:ends[k]]
+				start = ends[k]
+				id, ok := index[surface]
+				if !ok {
+					id = len(surfaces)
+					index[surface] = id
+					surfaces = append(surfaces, surface)
+					df = append(df, 0)
+					stamp = append(stamp, 0)
+				}
+				if stamp[id] != int32(r+1) {
+					stamp[id] = int32(r + 1)
+					df[id]++
+				}
+				seq = append(seq, int32(id))
+			}
+		}
+		buf, ends, first = buf[:0], ends[:0], i+1
 	}
 
 	stop := make(map[string]struct{}, len(opts.Stopwords))
@@ -87,51 +131,65 @@ func BuildCorpus(texts []string, opts CorpusOptions) *Corpus {
 	}
 	minDF := opts.MinDF
 
-	kept := make([]string, 0, len(df))
-	for t, f := range df {
-		if f > maxDF || f < minDF {
+	kept := make([]int32, 0, len(surfaces))
+	for id, f := range df {
+		if int(f) > maxDF || int(f) < minDF {
 			continue
 		}
-		if _, banned := stop[t]; banned {
+		if _, banned := stop[surfaces[id]]; banned {
 			continue
 		}
-		kept = append(kept, t)
+		kept = append(kept, int32(id))
 	}
-	sort.Strings(kept)
+	slices.SortFunc(kept, func(a, b int32) int { return strings.Compare(surfaces[a], surfaces[b]) })
 
 	c := &Corpus{
-		Terms: kept,
-		Index: make(map[string]int, len(kept)),
+		Terms: make([]string, len(kept)),
+		Index: index,
 		Docs:  make([][]int32, n),
 		Seqs:  make([][]int32, n),
 		DF:    make([]int, len(kept)),
 	}
-	for id, t := range kept {
-		c.Index[t] = id
+	remap := stamp // stamps are spent; reuse the slice as first-seen -> final ID
+	for id := range remap {
+		remap[id] = -1
 	}
-	for i, toks := range tokenized {
-		seq := make([]int32, 0, len(toks))
-		set := make(map[int32]struct{}, len(toks))
-		for _, t := range toks {
-			id, ok := c.Index[t]
-			if !ok {
-				continue
+	for to, from := range kept {
+		remap[from] = int32(to)
+		c.Terms[to] = surfaces[from]
+		c.DF[to] = int(df[from])
+	}
+	for surface, id := range index {
+		if to := remap[id]; to < 0 {
+			delete(index, surface)
+		} else {
+			index[surface] = int(to)
+		}
+	}
+
+	// Rewrite the sequences in place, dropping filtered terms, then derive
+	// each record's term set from its sequence in the second array.
+	w, lo := 0, 0
+	for i, hi := range seqEnd {
+		from := w
+		for _, id := range seq[lo:hi] {
+			if to := remap[id]; to >= 0 {
+				seq[w] = to
+				w++
 			}
-			seq = append(seq, int32(id))
-			set[int32(id)] = struct{}{}
 		}
-		doc := make([]int32, 0, len(set))
-		for id := range set {
-			doc = append(doc, id)
-		}
-		sort.Slice(doc, func(a, b int) bool { return doc[a] < doc[b] })
-		c.Docs[i] = doc
-		c.Seqs[i] = seq
+		lo = hi
+		c.Seqs[i] = seq[from:w:w]
 	}
-	for _, doc := range c.Docs {
-		for _, id := range doc {
-			c.DF[id]++
-		}
+	docs := make([]int32, w)
+	d := 0
+	for i, s := range c.Seqs {
+		doc := docs[d : d+len(s)]
+		copy(doc, s)
+		slices.Sort(doc)
+		doc = slices.Compact(doc)
+		c.Docs[i] = doc[:len(doc):len(doc)]
+		d += len(doc)
 	}
 	return c
 }
@@ -181,9 +239,11 @@ func IntersectCount(a, b []int32) int {
 	return n
 }
 
-// Validate performs internal consistency checks and returns an error
-// describing the first violation found. It is used by tests and by the
-// dataset loaders to fail fast on malformed input.
+// Validate checks the whole corpus contract and returns an error describing
+// the first violation found: Terms strictly ascending, Index exactly the
+// inverse of Terms, every Seqs ID in range, each Docs entry the sorted
+// distinct IDs of its Seqs entry, and DF the document frequencies of Docs.
+// The tests hold every corpus they build to it.
 func (c *Corpus) Validate() error {
 	if len(c.Terms) != len(c.DF) {
 		return fmt.Errorf("textproc: %d terms but %d df entries", len(c.Terms), len(c.DF))
@@ -191,14 +251,28 @@ func (c *Corpus) Validate() error {
 	if len(c.Docs) != len(c.Seqs) {
 		return fmt.Errorf("textproc: %d docs but %d seqs", len(c.Docs), len(c.Seqs))
 	}
-	for i, doc := range c.Docs {
-		for k, id := range doc {
+	for id, t := range c.Terms {
+		if id > 0 && c.Terms[id-1] >= t {
+			return fmt.Errorf("textproc: terms not strictly ascending at %d (%q)", id, t)
+		}
+		if got, ok := c.Index[t]; !ok || got != id {
+			return fmt.Errorf("textproc: Index[%q] = %d, %v; want %d", t, got, ok, id)
+		}
+	}
+	if len(c.Index) != len(c.Terms) {
+		return fmt.Errorf("textproc: index has %d entries for %d terms", len(c.Index), len(c.Terms))
+	}
+	var set []int32
+	for i, seq := range c.Seqs {
+		for _, id := range seq {
 			if id < 0 || int(id) >= len(c.Terms) {
-				return fmt.Errorf("textproc: doc %d contains out-of-range term %d", i, id)
+				return fmt.Errorf("textproc: seq %d contains out-of-range term %d", i, id)
 			}
-			if k > 0 && doc[k-1] >= id {
-				return fmt.Errorf("textproc: doc %d term set not strictly ascending", i)
-			}
+		}
+		set = append(set[:0], seq...)
+		slices.Sort(set)
+		if !slices.Equal(c.Docs[i], slices.Compact(set)) {
+			return fmt.Errorf("textproc: doc %d is not the sorted term set of its sequence", i)
 		}
 	}
 	df := make([]int, len(c.Terms))

@@ -3,6 +3,7 @@ package textproc
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -229,10 +230,55 @@ func naiveIntersect(a, b []int32) []int32 {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	c := BuildCorpus([]string{"aa bb", "bb cc"}, DefaultCorpusOptions())
-	c.DF[0]++
-	if err := c.Validate(); err == nil {
-		t.Error("Validate should catch df corruption")
+	build := func() *Corpus {
+		return BuildCorpus([]string{"aa bb aa", "bb cc", "cc dd"}, CorpusOptions{Tokenize: DefaultTokenizeOptions()})
+	}
+	if err := build().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	corruptions := map[string]func(c *Corpus){
+		"df":               func(c *Corpus) { c.DF[0]++ },
+		"seq out of range": func(c *Corpus) { c.Seqs[1][0] = int32(len(c.Terms)) },
+		"seq negative":     func(c *Corpus) { c.Seqs[1][0] = -1 },
+		"doc not seq set":  func(c *Corpus) { c.Seqs[0] = c.Seqs[0][:1] },
+		"doc order":        func(c *Corpus) { c.Docs[0][0], c.Docs[0][1] = c.Docs[0][1], c.Docs[0][0] },
+		"terms not ascending": func(c *Corpus) {
+			c.Terms[0], c.Terms[1] = c.Terms[1], c.Terms[0]
+			c.Index[c.Terms[0]], c.Index[c.Terms[1]] = 0, 1
+		},
+		"index wrong id": func(c *Corpus) { c.Index["aa"] = 1 },
+		"index missing":  func(c *Corpus) { delete(c.Index, "dd") },
+		"index extra":    func(c *Corpus) { c.Index["zz"] = 0 },
+	}
+	for name, corrupt := range corruptions {
+		c := build()
+		corrupt(c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("Validate missed %s corruption", name)
+		}
+	}
+}
+
+// TestCorpusRecordsDoNotAlias holds the cap-limited shared backing of Docs
+// and Seqs: appending to one record's slice must reallocate, never write
+// into the next record's window.
+func TestCorpusRecordsDoNotAlias(t *testing.T) {
+	texts := []string{"aa bb aa cc", "bb cc dd", "dd ee"}
+	c := BuildCorpus(texts, CorpusOptions{Tokenize: DefaultTokenizeOptions()})
+	wantDocs, wantSeqs := slices.Clone(c.Docs[1]), slices.Clone(c.Seqs[1])
+	for i := 0; i < 2; i++ {
+		_ = append(c.Docs[i], 99, 99, 99)
+		_ = append(c.Seqs[i], 99, 99, 99)
+	}
+	if !slices.Equal(c.Docs[1], wantDocs) || !slices.Equal(c.Seqs[1], wantSeqs) {
+		t.Fatalf("appending to record 0 changed record 1: docs %v seqs %v, want %v %v",
+			c.Docs[1], c.Seqs[1], wantDocs, wantSeqs)
+	}
+	if !slices.Equal(c.Docs[2], []int32{3, 4}) || !slices.Equal(c.Seqs[2], []int32{3, 4}) {
+		t.Fatalf("appending to record 1 changed record 2: docs %v seqs %v", c.Docs[2], c.Seqs[2])
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,8 +5,8 @@
 package textproc
 
 import (
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenizeOptions controls how raw record text is split into terms.
@@ -31,45 +31,93 @@ func DefaultTokenizeOptions() TokenizeOptions {
 // digit. Alphanumeric model codes such as "pslx350h" survive as single
 // tokens, which is essential for the discriminative-term analysis.
 func Tokenize(text string, opts TokenizeOptions) []string {
-	if opts.Lowercase {
-		text = strings.ToLower(text)
+	// Stack scratch covers a typical record; only the result is allocated.
+	var bufArr [256]byte
+	var endsArr [32]int
+	buf, ends := appendTokens(bufArr[:0], endsArr[:0], text, opts)
+	if len(ends) == 0 {
+		return nil
 	}
-	var tokens []string
-	start := -1
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		tok := text[start:end]
-		start = -1
-		if len([]rune(tok)) < opts.MinLen {
-			return
-		}
-		if !opts.KeepDigits && isAllDigits(tok) {
-			return
-		}
-		tokens = append(tokens, tok)
+	all := string(buf)
+	tokens := make([]string, len(ends))
+	start := 0
+	for k, end := range ends {
+		tokens[k] = all[start:end]
+		start = end
 	}
-	for i, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		flush(i)
-	}
-	flush(len(text))
 	return tokens
 }
 
-func isAllDigits(s string) bool {
-	for _, r := range s {
-		if !unicode.IsDigit(r) {
-			return false
-		}
+// ASCII byte classes for the tokenizer's table lookup.
+const (
+	asciiAlnum = 1 << iota
+	asciiDigit
+	asciiUpper
+)
+
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := '0'; c <= '9'; c++ {
+		t[c] = asciiAlnum | asciiDigit
 	}
-	return len(s) > 0
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = asciiAlnum
+		t[c-'a'+'A'] = asciiAlnum | asciiUpper
+	}
+	return t
+}()
+
+// appendTokens is the tokenizer: it appends the (folded) bytes of each
+// token of text to buf, back to back, and each token's end offset in buf
+// to ends. Every rune is classified after folding, exactly as if the text
+// were lowered with strings.ToLower first; invalid UTF-8 bytes separate
+// tokens. ASCII bytes go through a table, and only bytes >= 0x80 are
+// decoded as runes. Reusing buf and ends across calls makes tokenizing a
+// record allocation-free.
+func appendTokens(buf []byte, ends []int, text string, opts TokenizeOptions) ([]byte, []int) {
+	start := -1 // offset in buf of the open token, -1 if none
+	runes, digits := 0, true
+	flush := func() {
+		if start < 0 {
+			return
+		}
+		if runes < opts.MinLen || (!opts.KeepDigits && digits) {
+			buf = buf[:start]
+		} else {
+			ends = append(ends, len(buf))
+		}
+		start = -1
+	}
+	for i := 0; i < len(text); {
+		r, w := rune(text[i]), 1
+		var alnum, digit bool
+		if r < utf8.RuneSelf {
+			class := asciiClass[r]
+			if opts.Lowercase && class&asciiUpper != 0 {
+				r += 'a' - 'A'
+			}
+			alnum, digit = class&asciiAlnum != 0, class&asciiDigit != 0
+		} else {
+			r, w = utf8.DecodeRuneInString(text[i:])
+			if opts.Lowercase {
+				r = unicode.ToLower(r)
+			}
+			digit = unicode.IsDigit(r)
+			alnum = digit || unicode.IsLetter(r)
+		}
+		i += w
+		if !alnum {
+			flush()
+			continue
+		}
+		if start < 0 {
+			start, runes, digits = len(buf), 0, true
+		}
+		buf = utf8.AppendRune(buf, r)
+		runes++
+		digits = digits && digit
+	}
+	flush()
+	return buf, ends
 }
 
 // UniqueTokens returns the distinct tokens of a record, preserving first

@@ -32,17 +32,6 @@ func reportF1(b *testing.B, name string, f1 float64) {
 	b.ReportMetric(f1, name+"-F1")
 }
 
-// mustPipeline builds the standard pipeline for the named replica, failing
-// the benchmark on configuration errors.
-func mustPipeline(b *testing.B, cfg experiments.Config, name experiments.DatasetName) *er.Pipeline {
-	b.Helper()
-	p, err := cfg.Pipeline(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p
-}
-
 // mustBench prepares the engine-backed harness for the named replica.
 func mustBench(b *testing.B, cfg experiments.Config, name experiments.DatasetName) *experiments.Bench {
 	b.Helper()
@@ -74,8 +63,8 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable2PerMethod measures each method's scoring cost in isolation
 // on the Product replica (the paper's hardest string-similarity case).
 func BenchmarkTable2PerMethod(b *testing.B) {
-	cfg := benchConfig()
-	p := mustPipeline(b, cfg, experiments.Product)
+	d := er.ProductReplica(er.ReplicaConfig{Seed: 1, Scale: benchScale})
+	p := mustNewPipeline(b, d, er.DefaultOptions())
 	b.Run("Jaccard", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.Jaccard()

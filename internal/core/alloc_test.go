@@ -136,3 +136,34 @@ func TestCliqueRankFallbackAllocs(t *testing.T) {
 		t.Errorf("fallback CliqueRankInto allocates %.0f times with warm arena, budget 27", got)
 	}
 }
+
+// TestITERAllocsFlatAcrossWorkers pins ITER's allocation count as workers
+// grow, as TestCliqueRankAllocsFlatAcrossWorkers does for CliqueRank.
+// Above one worker the term→pair sweep takes the parallel gather and the
+// convergence sum fans out; a gather closure built per sweep and a
+// ReduceSum closure built per call each allocated once per inner iteration
+// (11 allocs at one worker, 46 at two and four on this graph's 17
+// iterations). With both built once the count must stay flat.
+func TestITERAllocsFlatAcrossWorkers(t *testing.T) {
+	_, g := productScaleGraph(t)
+	opts := DefaultOptions()
+	p := onesP(g)
+	sc := &iterScratch{}
+	rng := rand.New(rand.NewSource(1))
+
+	measure := func(w int) float64 {
+		opts.Workers = w
+		runITER(g, p, opts, rng, sc) // warm the scratch and goroutine pools
+		return testing.AllocsPerRun(5, func() { runITER(g, p, opts, rng, sc) })
+	}
+	serial := measure(1)
+	if serial > 40 {
+		t.Errorf("workers=1: %.0f allocs, budget 40", serial)
+	}
+	for _, w := range []int{2, 4} {
+		if got := measure(w); got > serial+10 {
+			t.Errorf("workers=%d: %.0f allocs vs %.0f serial; the sweeps must not allocate per iteration",
+				w, got, serial)
+		}
+	}
+}

@@ -236,16 +236,9 @@ func cliqueRankUnmasked(rg *RecordGraph, mt, mb *matrix.PatVec, opts Options, p 
 	})
 }
 
-// probsFromPattern assembles the per-pair probability slice from a function
-// of the two directed slots of each kept edge.
-func probsFromPattern(rg *RecordGraph, read func(slotIJ, slotJI int32) float64) []float64 {
-	p := make([]float64, len(rg.PairSlot))
-	probsFromPatternInto(rg, p, 0, read)
-	return p
-}
-
-// probsFromPatternInto is the readout behind probsFromPattern: it zeroes p,
-// then fills the kept pairs from read, fanning out over workers. The
+// probsFromPatternInto assembles the per-pair probability slice from a
+// function of the two directed slots of each kept edge: it zeroes p, then
+// fills the kept pairs from read, fanning out over workers. The
 // transposed slot comes from the pattern's precomputed permutation
 // (Pattern.TSlot), so the readout performs no per-pair search.
 func probsFromPatternInto(rg *RecordGraph, p []float64, workers int, read func(slotIJ, slotJI int32) float64) {

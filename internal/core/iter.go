@@ -105,28 +105,14 @@ func runITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand, sc *iter
 	// serial term-major scatter adds them in, and skipping x_t = 0 in the
 	// scatter is exact for non-negative weights, so both forms produce
 	// bit-identical sums (TestITERGatherMatchesScatter pins this). On one
-	// worker the term-major scatter is kept instead: its streaming stores
-	// pipeline better than the gather's dependent loads, and hand-rolled
-	// graphs without the transpose take the same path.
-	resolvedWorkers := parallel.Workers(workers)
-	termToPair := func() {
-		if g.PairTermPtr == nil || resolvedWorkers <= 1 {
-			for k := range s {
-				s[k] = 0
-			}
-			for t, pairIDs := range g.TermPairs {
-				xt := x[t]
-				if xt == 0 {
-					continue
-				}
-				for _, pid := range pairIDs {
-					s[pid] += xt
-				}
-			}
-			return
-		}
-		ptr, terms := g.PairTermPtr, g.PairTerms
-		parallel.For(workers, len(s), func(lo, hi int) {
+	// worker, and on hand-rolled graphs without the transpose, the
+	// term-major scatter runs instead. Which form is faster on one worker
+	// depends on the graph (DESIGN §9). The choice is made once per call,
+	// and the gather, like pairToTerm below, is built once, so the sweeps
+	// do not allocate per iteration.
+	var gather func(lo, hi int)
+	if ptr, terms := g.PairTermPtr, g.PairTerms; ptr != nil && parallel.Workers(workers) > 1 {
+		gather = func(lo, hi int) {
 			// One poll per chunk (≤ Grain pairs): cheap enough to leave the
 			// gather branch-free, frequent enough that a canceled run stops
 			// within a few thousand additions.
@@ -140,7 +126,25 @@ func runITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand, sc *iter
 				}
 				s[pid] = acc
 			}
-		})
+		}
+	}
+	termToPair := func() {
+		if gather != nil {
+			parallel.For(workers, len(s), gather)
+			return
+		}
+		for k := range s {
+			s[k] = 0
+		}
+		for t, pairIDs := range g.TermPairs {
+			xt := x[t]
+			if xt == 0 {
+				continue
+			}
+			for _, pid := range pairIDs {
+				s[pid] += xt
+			}
+		}
 	}
 
 	// Pair → term sweep with the P_t punishment and the p(ri,rj) edge

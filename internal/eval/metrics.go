@@ -224,3 +224,49 @@ func RankSeries(weights, termScores []float64) []float64 {
 	}
 	return out
 }
+
+// TermWeightQuality computes the Table IV diagnostic: Spearman's rank
+// correlation between a term-weight vector and the score(t) oracle over
+// terms connected to at least one candidate pair. It returns false
+// without ground truth (truth == nil).
+func TermWeightQuality(g *index.Graph, truth map[uint64]bool, weights []float64) (float64, bool) {
+	if truth == nil {
+		return 0, false
+	}
+	var w, o []float64
+	for t, s := range TermScores(g, truth) {
+		if s < 0 {
+			continue
+		}
+		w = append(w, weights[t])
+		o = append(o, s)
+	}
+	rho, err := Spearman(w, o)
+	if err != nil {
+		// Unreachable: w and o are appended pairwise above, so the only
+		// Spearman error (length mismatch) cannot occur. Reported as
+		// "no oracle" rather than crashing.
+		return 0, false
+	}
+	return rho, true
+}
+
+// BlockingRecall returns the fraction of ground-truth matching pairs that
+// survived candidate generation into g — the recall ceiling of every
+// downstream method. It returns false without ground truth (truth == nil)
+// and 1 when the ground truth holds no matching pair.
+func BlockingRecall(g *index.Graph, truth map[uint64]bool) (float64, bool) {
+	if truth == nil {
+		return 0, false
+	}
+	if len(truth) == 0 {
+		return 1, true
+	}
+	hit := 0
+	for key := range truth {
+		if _, ok := g.Index[key]; ok {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(truth)), true
+}

@@ -40,10 +40,15 @@ func RunAblations(cfg Config) ([]AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		full := benchFusionF1(b, nil)
+		full, err := benchFusionF1(b, nil)
+		if err != nil {
+			return nil, err
+		}
 		for i, spec := range ablationSpecs {
 			results[i].Full[di] = full
-			results[i].Ablated[di] = benchFusionF1(b, spec.apply)
+			if results[i].Ablated[di], err = benchFusionF1(b, spec.apply); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return results, nil
@@ -51,15 +56,13 @@ func RunAblations(cfg Config) ([]AblationResult, error) {
 
 // benchFusionF1 runs the fusion stages on the harness snapshot with
 // optionally modified core options and returns the resulting F1.
-func benchFusionF1(b *Bench, modify func(*core.Options)) float64 {
+func benchFusionF1(b *Bench, modify func(*core.Options)) (float64, error) {
 	res, _, err := b.Fusion(modify)
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	if m, ok := b.EvaluateMatches(res.Matches); ok {
-		return m.F1
-	}
-	return 0
+	m, _ := b.EvaluateMatches(res.Matches)
+	return m.F1, nil
 }
 
 // RenderAblations formats the ablation study.

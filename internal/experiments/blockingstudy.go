@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"repro"
+	"repro/internal/similarity"
 )
 
 // BlockingPoint measures one blocking configuration on one dataset.
@@ -36,32 +36,30 @@ var blockingRules = []struct {
 func RunBlockingStudy(cfg Config) ([]BlockingPoint, error) {
 	var out []BlockingPoint
 	for _, name := range AllDatasets {
-		d, err := cfg.Dataset(name)
-		if err != nil {
-			return nil, err
-		}
 		for _, rule := range blockingRules {
 			opts := cfg.options()
 			rule.apply(&opts)
-			p, err := er.NewPipelineContext(context.Background(), d, opts)
+			sub := cfg
+			sub.Options = &opts
+			b, err := sub.Bench(name)
 			if err != nil {
 				return nil, err
 			}
-			recall, _ := p.BlockingRecall()
-			fusion, err := p.FusionContext(context.Background())
+			fres, _, err := b.Fusion(nil)
 			if err != nil {
 				return nil, err
 			}
+			recall, _ := b.BlockingRecall()
 			point := BlockingPoint{
 				Dataset:    name,
 				Rule:       rule.name,
-				Candidates: p.NumCandidates(),
+				Candidates: b.Graph().NumPairs(),
 				Recall:     recall,
 			}
-			if m, ok := p.EvaluateMatches(fusion.Matched); ok {
+			if m, ok := b.EvaluateMatches(fres.Matches); ok {
 				point.FusionF1 = m.F1
 			}
-			if _, m, ok := p.EvaluateScores(p.Jaccard()); ok {
+			if m, ok := b.EvaluateScores(similarity.Jaccard(b.Corpus(), b.Graph())); ok {
 				point.JaccardF1 = m.F1
 			}
 			out = append(out, point)

@@ -1,6 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (§VII) on the three benchmark replicas. It is the
-// engine behind cmd/erbench and the root-level benchmark suite.
+// engine behind cmd/erbench and the root-level benchmark suite. Every
+// experiment runs through one harness, Bench: a prepared replica snapshot
+// scored by the similarity and baseline kernels and fused by the
+// whole-graph engine loop.
 //
 // All experiments run with the universal parameter setting of §VII-C via
 // er.DefaultOptions (α = 20, S = 20, η = 0.98, 5 fusion iterations) so the
@@ -8,7 +11,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -32,65 +34,31 @@ var AllDatasets = []DatasetName{Restaurant, Product, Paper}
 
 // Config parameterizes an experiment run.
 type Config struct {
-	// Seed drives replica generation and the pipeline.
+	// Seed drives replica generation and the fusion run.
 	Seed int64
 	// Scale multiplies the published dataset sizes (1.0 = paper size).
 	Scale float64
-	// Options are the pipeline parameters; zero value means
-	// er.DefaultOptions.
+	// Options are the run parameters; nil means er.DefaultOptions. Their
+	// Snapshots cache is not read: Cache below is the harness's one cache.
 	Options *er.Options
-	// Workers bounds the kernel goroutines per pipeline run (0 =
-	// GOMAXPROCS). Ignored when Options is set — explicit Options carry
-	// their own Workers field.
+	// Workers bounds the kernel goroutines per run (0 = GOMAXPROCS).
+	// Ignored when Options is set — explicit Options carry their own
+	// Workers field.
 	Workers int
-	// Snapshots, when non-nil, is injected into every pipeline the config
-	// builds (unless explicit Options already carry a cache), so the
-	// pipeline-based experiments share tokenization and blocking per
-	// replica. Nil disables reuse.
-	Snapshots *er.SnapshotCache
-	// Cache, when non-nil, backs the engine-level Bench harness: prepared
-	// snapshots are shared across experiments on the same replica. Nil
-	// disables reuse.
+	// Cache, when non-nil, shares prepared snapshots (tokenized corpus +
+	// candidate graph) across every Bench built on the same replica and
+	// options. Nil disables reuse.
 	Cache *engine.Cache
 }
 
 func (c Config) options() er.Options {
 	if c.Options != nil {
-		o := *c.Options
-		if o.Snapshots == nil {
-			o.Snapshots = c.Snapshots
-		}
-		return o
+		return *c.Options
 	}
 	o := er.DefaultOptions()
 	o.Seed = c.Seed
 	o.Workers = c.Workers
-	o.Snapshots = c.Snapshots
 	return o
-}
-
-// Dataset generates the named replica. Unknown names report an error
-// wrapping er.ErrInvalidOptions, so callers can branch with errors.Is.
-func (c Config) Dataset(name DatasetName) (*er.Dataset, error) {
-	cfg := er.ReplicaConfig{Seed: c.Seed, Scale: c.Scale}
-	switch name {
-	case Restaurant:
-		return er.RestaurantReplica(cfg), nil
-	case Product:
-		return er.ProductReplica(cfg), nil
-	case Paper:
-		return er.PaperReplica(cfg), nil
-	}
-	return nil, fmt.Errorf("%w: experiments: unknown dataset %q", er.ErrInvalidOptions, name)
-}
-
-// Pipeline builds the standard pipeline for the named replica.
-func (c Config) Pipeline(name DatasetName) (*er.Pipeline, error) {
-	d, err := c.Dataset(name)
-	if err != nil {
-		return nil, err
-	}
-	return er.NewPipelineContext(context.Background(), d, c.options())
 }
 
 // Cell is one measured value with the corresponding published value (NaN

@@ -1,5 +1,10 @@
 package experiments
 
+import (
+	"repro/internal/baselines"
+	"repro/internal/similarity"
+)
+
 // ExtendedRow is one of the library's additional similarity metrics (beyond
 // the paper's competitor set) evaluated with the same oracle threshold
 // protocol.
@@ -16,19 +21,19 @@ type ExtendedRow struct {
 func RunExtended(cfg Config) ([]ExtendedRow, error) {
 	rows := []ExtendedRow{{Method: "SoftTFIDF"}, {Method: "MongeElkan"}, {Method: "BiRank+TW-IDF"}}
 	for di, name := range AllDatasets {
-		p, err := cfg.Pipeline(name)
+		b, err := cfg.Bench(name)
 		if err != nil {
 			return nil, err
 		}
-		if _, m, ok := p.EvaluateScores(p.SoftTFIDF()); ok {
-			rows[0].F1[di] = m.F1
-		}
-		if _, m, ok := p.EvaluateScores(p.MongeElkan()); ok {
-			rows[1].F1[di] = m.F1
-		}
-		if br, _ := p.BiRank(); br != nil {
-			if _, m, ok := p.EvaluateScores(br); ok {
-				rows[2].F1[di] = m.F1
+		corpus, graph := b.Corpus(), b.Graph()
+		birank, _ := baselines.BiRankTWIDF(corpus, graph, baselines.DefaultBiRankOptions())
+		for i, scores := range [][]float64{
+			similarity.SoftTFIDFScores(corpus, graph),
+			similarity.MongeElkanScores(corpus, graph),
+			birank,
+		} {
+			if m, ok := b.EvaluateScores(scores); ok {
+				rows[i].F1[di] = m.F1
 			}
 		}
 	}

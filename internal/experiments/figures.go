@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 )
@@ -19,8 +18,9 @@ type Figure4Result struct {
 	Series []Figure4Series
 }
 
-// RunFigure4 extracts the ranked score(t) series per dataset, reusing the
-// fusion term weights a Table IV run on the same Config already cached.
+// RunFigure4 extracts the ranked score(t) series per dataset from the
+// fusion term weights. With Config.Cache set, the prepared replica
+// snapshots are shared with a Table IV run on the same Config.
 func RunFigure4(cfg Config) (*Figure4Result, error) {
 	res := &Figure4Result{}
 	for _, name := range AllDatasets {
@@ -98,16 +98,16 @@ type Figure5Result struct {
 func RunFigure5(cfg Config) (*Figure5Result, error) {
 	res := &Figure5Result{}
 	for _, name := range AllDatasets {
-		p, err := cfg.Pipeline(name)
+		b, err := cfg.Bench(name)
 		if err != nil {
 			return nil, err
 		}
-		out, err := p.FusionContext(context.Background())
+		fres, _, err := b.Fusion(nil)
 		if err != nil {
 			return nil, err
 		}
 		var updates []float64
-		for _, trace := range out.ITERUpdateTrace {
+		for _, trace := range fres.ITERTrace {
 			updates = append(updates, trace...)
 		}
 		if len(updates) > 20 {

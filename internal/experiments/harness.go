@@ -14,14 +14,14 @@ import (
 	"repro/internal/textproc"
 )
 
-// Bench is the engine-backed experiment harness: a prepared snapshot of
-// one replica (tokenized corpus + candidate graph, shared through
-// Config.Cache) plus stage-level access to the fusion loop. It replaces
-// the deprecated er.Pipeline.Internals bridge — experiments that need to
-// time ITER and CliqueRank separately, or to run ablated core options,
-// go through here instead of re-orchestrating the loop by hand.
+// Bench is the experiment harness every table and figure runs through: a
+// prepared snapshot of one replica (tokenized corpus + candidate graph,
+// shared through Config.Cache), the ground truth to score against, and
+// stage-level access to the whole-graph fusion loop. Baseline scorers run
+// on Corpus and Graph and are scored by EvaluateScores; the fusion loop
+// runs through Fusion, whose hook sets ablated core options or the
+// per-round Progress observer.
 type Bench struct {
-	Name  DatasetName
 	snap  *engine.Snapshot
 	core  core.Options
 	truth map[uint64]bool
@@ -73,7 +73,7 @@ func (c Config) Bench(name DatasetName) (*Bench, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: prepare %s: %w", name, err)
 	}
-	b := &Bench{Name: name, snap: snap, core: benchCoreOptions(o)}
+	b := &Bench{snap: snap, core: benchCoreOptions(o)}
 	if ds.HasGroundTruth() {
 		b.truth = ds.TrueMatches()
 	}
@@ -128,9 +128,6 @@ func (b *Bench) Graph() *index.Graph { return b.snap.Graph }
 // Corpus returns the tokenized corpus.
 func (b *Bench) Corpus() *textproc.Corpus { return b.snap.Corpus }
 
-// NumRecords returns the replica's record count.
-func (b *Bench) NumRecords() int { return b.snap.NumRecords() }
-
 // SnapshotKey returns the snapshot's content key.
 func (b *Bench) SnapshotKey() string { return b.snap.Key }
 
@@ -180,26 +177,27 @@ func (b *Bench) PageRankSalience() []float64 {
 	return salience
 }
 
+// EvaluateScores applies the paper's automatic threshold protocol to a
+// pair scoring (quantize [0, max] into 1000 thresholds, keep the best F1);
+// false without ground truth.
+func (b *Bench) EvaluateScores(scores []float64) (eval.PRF, bool) {
+	if b.truth == nil {
+		return eval.PRF{}, false
+	}
+	_, m := eval.BestThreshold(b.snap.Graph.Pairs, scores, b.truth, len(b.truth), 1000)
+	return m, true
+}
+
+// BlockingRecall returns the fraction of true matches that survived
+// blocking; false without ground truth.
+func (b *Bench) BlockingRecall() (float64, bool) {
+	return eval.BlockingRecall(b.snap.Graph, b.truth)
+}
+
 // TermWeightQuality computes Spearman's ρ between a weight vector and the
 // score(t) oracle (the Table IV diagnostic); false without ground truth.
 func (b *Bench) TermWeightQuality(weights []float64) (float64, bool) {
-	if b.truth == nil {
-		return 0, false
-	}
-	oracle := eval.TermScores(b.snap.Graph, b.truth)
-	var w, o []float64
-	for t, s := range oracle {
-		if s < 0 {
-			continue
-		}
-		w = append(w, weights[t])
-		o = append(o, s)
-	}
-	rho, err := eval.Spearman(w, o)
-	if err != nil {
-		return 0, false
-	}
-	return rho, true
+	return eval.TermWeightQuality(b.snap.Graph, b.truth, weights)
 }
 
 // TermScoreSeries returns the Figure 4 series for a weight vector:

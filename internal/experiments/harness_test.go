@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -14,12 +15,18 @@ import (
 // pipeline-level ones.
 func TestBenchSnapshotKeyMatchesPipeline(t *testing.T) {
 	cfg := Config{Seed: 1, Scale: 0.1}
+	replicas := map[DatasetName]func(er.ReplicaConfig) *er.Dataset{
+		Restaurant: er.RestaurantReplica,
+		Product:    er.ProductReplica,
+		Paper:      er.PaperReplica,
+	}
 	for _, name := range AllDatasets {
 		b, err := cfg.Bench(name)
 		if err != nil {
 			t.Fatalf("Bench(%s): %v", name, err)
 		}
-		p, err := cfg.Pipeline(name)
+		d := replicas[name](er.ReplicaConfig{Seed: cfg.Seed, Scale: cfg.Scale})
+		p, err := er.NewPipelineContext(context.Background(), d, cfg.options())
 		if err != nil {
 			t.Fatalf("Pipeline(%s): %v", name, err)
 		}
@@ -30,36 +37,11 @@ func TestBenchSnapshotKeyMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestConfigSharesCaches exercises both reuse paths of a configured
-// experiment run: the pipeline-level snapshot cache and the engine-level
-// harness cache of prepared snapshots.
+// TestConfigSharesCaches exercises the harness's one reuse path: a second
+// Bench on the same replica is served from Config.Cache and fuses to the
+// same term weights.
 func TestConfigSharesCaches(t *testing.T) {
-	cfg := Config{
-		Seed:      1,
-		Scale:     0.1,
-		Snapshots: er.NewSnapshotCache(2),
-		Cache:     engine.NewCache(2),
-	}
-
-	p1, err := cfg.Pipeline(Restaurant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := cfg.Pipeline(Restaurant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.SnapshotKey() != p2.SnapshotKey() {
-		t.Fatalf("same config produced different snapshot keys")
-	}
-	for _, st := range p2.Trace() {
-		if !st.Cached {
-			t.Errorf("second pipeline recomputed stage %s; want a snapshot-cache hit", st.Stage)
-		}
-	}
-	if stats := cfg.Snapshots.Stats(); stats.Hits < 1 {
-		t.Errorf("snapshot cache stats = %+v, want at least one hit", stats)
-	}
+	cfg := Config{Seed: 1, Scale: 0.1, Cache: engine.NewCache(2)}
 
 	b1, err := cfg.Bench(Restaurant)
 	if err != nil {

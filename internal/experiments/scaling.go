@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
@@ -45,7 +44,6 @@ func RunScaling(cfg Config, scales []int) ([]ScalingPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := b.CoreOptions()
 		rg := fres.Graph
 
 		var sumDegSq int64
@@ -59,24 +57,13 @@ func RunScaling(cfg Config, scales []int) ([]ScalingPoint, error) {
 			crTime = st.Wall
 		}
 
-		sample := rg.NumEdges()
-		if sample > rssSampleEdges {
-			sample = rssSampleEdges
-		}
-		var perEdge time.Duration
-		if sample > 0 {
-			positions := rand.New(rand.NewSource(opts.Seed)).Perm(rg.NumEdges())[:sample]
-			start := time.Now()
-			core.RSSOnEdges(rg, opts, positions)
-			perEdge = time.Since(start) / time.Duration(sample)
-		}
 		out = append(out, ScalingPoint{
 			Scale:      pct,
 			Nodes:      rg.NumNodes(),
 			Edges:      rg.NumEdges(),
 			SumDegSq:   sumDegSq,
 			CliqueRank: crTime,
-			RSSPerEdge: perEdge,
+			RSSPerEdge: rssPerEdge(rg, b.CoreOptions()),
 		})
 	}
 	return out, nil

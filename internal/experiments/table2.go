@@ -1,10 +1,12 @@
 package experiments
 
 import (
-	"context"
+	"fmt"
 	"math"
 
+	"repro/internal/baselines"
 	"repro/internal/eval"
+	"repro/internal/similarity"
 )
 
 // Table2Row is one competitor's F1 across the three datasets.
@@ -29,38 +31,38 @@ type Table2Result struct {
 func RunTable2(cfg Config) (*Table2Result, error) {
 	measured := map[string][3]float64{}
 	for di, name := range AllDatasets {
-		p, err := cfg.Pipeline(name)
+		b, err := cfg.Bench(name)
 		if err != nil {
 			return nil, err
 		}
-		record := func(method string, f1 float64) {
+		corpus, graph := b.Corpus(), b.Graph()
+		set := func(method string, f1 float64) {
 			row := measured[method]
 			row[di] = f1
 			measured[method] = row
 		}
-		if _, m, ok := p.EvaluateScores(p.Jaccard()); ok {
-			record("Jaccard", m.F1)
+		record := func(method string, scores []float64) {
+			if m, ok := b.EvaluateScores(scores); ok {
+				set(method, m.F1)
+			}
 		}
-		if _, m, ok := p.EvaluateScores(p.TFIDF()); ok {
-			record("TF-IDF", m.F1)
+		record("Jaccard", similarity.Jaccard(corpus, graph))
+		record("TF-IDF", similarity.TFIDFCosine(corpus, graph))
+		sb := baselines.SimRank(corpus, graph, baselines.DefaultSimRankOptions())
+		record("SimRank", sb)
+		su, _ := baselines.PageRankTWIDF(corpus, graph, baselines.DefaultPageRankOptions())
+		record("PageRank", su)
+		hybrid, err := baselines.Hybrid(sb, su, 0.5)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s hybrid: %w", name, err)
 		}
-		sb := p.SimRank()
-		if _, m, ok := p.EvaluateScores(sb); ok {
-			record("SimRank", m.F1)
-		}
-		su, _ := p.PageRank()
-		if _, m, ok := p.EvaluateScores(su); ok {
-			record("PageRank", m.F1)
-		}
-		if _, m, ok := p.EvaluateScores(p.Hybrid(0.5)); ok {
-			record("Hybrid", m.F1)
-		}
-		out, err := p.FusionContext(context.Background())
+		record("Hybrid", hybrid)
+		fres, _, err := b.Fusion(nil)
 		if err != nil {
 			return nil, err
 		}
-		if m, ok := p.EvaluateMatches(out.Matched); ok {
-			record("ITER+CliqueRank", m.F1)
+		if m, ok := b.EvaluateMatches(fres.Matches); ok {
+			set("ITER+CliqueRank", m.F1)
 		}
 	}
 
@@ -69,18 +71,10 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 		row := Table2Row{Group: ref.Group, Method: ref.Method, Backend: ref.Implemented}
 		pub := [3]float64{ref.Restaurant, ref.Product, ref.Paper1}
 		got, ok := measured[ref.Method]
-		for di := range AllDatasets {
-			cell := Cell{Measured: math.NaN(), Published: pub[di]}
+		for di, cell := range [3]*Cell{&row.Restaurant, &row.Product, &row.Paper} {
+			*cell = Cell{Measured: math.NaN(), Published: pub[di]}
 			if ok && ref.Implemented {
 				cell.Measured = got[di]
-			}
-			switch di {
-			case 0:
-				row.Restaurant = cell
-			case 1:
-				row.Product = cell
-			case 2:
-				row.Paper = cell
 			}
 		}
 		res.Rows = append(res.Rows, row)

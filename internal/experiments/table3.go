@@ -40,6 +40,20 @@ type Table3Result struct {
 // RSS cost.
 const rssSampleEdges = 400
 
+// rssPerEdge measures the per-edge cost of RSS sampling on up to
+// rssSampleEdges edges of rg, picked by a permutation seeded from
+// opts.Seed; 0 on an edgeless graph.
+func rssPerEdge(rg *core.RecordGraph, opts core.Options) time.Duration {
+	sample := min(rg.NumEdges(), rssSampleEdges)
+	if sample == 0 {
+		return 0
+	}
+	positions := rand.New(rand.NewSource(opts.Seed)).Perm(rg.NumEdges())[:sample]
+	start := time.Now()
+	core.RSSOnEdges(rg, opts, positions)
+	return time.Since(start) / time.Duration(sample)
+}
+
 // RunTable3 runs the fusion stages through the engine, reads the
 // per-phase walls off the stage trace, and estimates the RSS cost on each
 // dataset's final record graph.
@@ -71,21 +85,9 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 
 		// Estimate RSS on a sample of the final graph's edges, then
 		// extrapolate to all edges and all fusion iterations.
-		sample := rg.NumEdges()
-		if sample > rssSampleEdges {
-			sample = rssSampleEdges
-		}
-		if sample > 0 {
-			positions := make([]int, sample)
-			perm := rand.New(rand.NewSource(opts.Seed)).Perm(rg.NumEdges())
-			copy(positions, perm[:sample])
-			t0 := time.Now()
-			core.RSSOnEdges(rg, opts, positions)
-			perEdge := time.Since(t0) / time.Duration(sample)
-			row.RSSEstimate = perEdge * time.Duration(rg.NumEdges()*opts.FusionIterations)
-			if row.CliqueRankTime > 0 {
-				row.Speedup = float64(row.RSSEstimate) / float64(row.CliqueRankTime)
-			}
+		row.RSSEstimate = rssPerEdge(rg, opts) * time.Duration(rg.NumEdges()*opts.FusionIterations)
+		if row.CliqueRankTime > 0 {
+			row.Speedup = float64(row.RSSEstimate) / float64(row.CliqueRankTime)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -106,8 +108,8 @@ func (t *Table3Result) Render() string {
 		return row
 	}
 	rows := [][]string{
-		metric("Nodes in G_r", func(r Table3Row) string { return itoa(r.GraphNodes) }),
-		metric("Edges in G_r", func(r Table3Row) string { return itoa(r.GraphEdges) }),
+		metric("Nodes in G_r", func(r Table3Row) string { return fmtInt(r.GraphNodes) }),
+		metric("Edges in G_r", func(r Table3Row) string { return fmtInt(r.GraphEdges) }),
 		metric("Total running time", func(r Table3Row) string { return dur(r.TotalTime) }),
 		metric("Running time for ITER", func(r Table3Row) string { return dur(r.ITERTime) }),
 		metric("Running time for CliqueRank", func(r Table3Row) string { return dur(r.CliqueRankTime) }),
@@ -118,5 +120,3 @@ func (t *Table3Result) Render() string {
 	}
 	return "Table III — efficiency of ITER+CliqueRank\n" + renderTable(header, rows)
 }
-
-func itoa(v int) string { return fmtInt(v) }

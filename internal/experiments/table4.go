@@ -10,9 +10,9 @@ type Table4Result struct {
 	ITER     [3]Cell
 }
 
-// RunTable4 measures both weighting schemes on the three replicas. The
-// fusion term weights go through the harness cache, so a Figure 4 run on
-// the same Config reuses them instead of re-running the whole framework.
+// RunTable4 measures both weighting schemes on the three replicas. With
+// Config.Cache set, the prepared replica snapshots are shared with a
+// Figure 4 run on the same Config.
 func RunTable4(cfg Config) (*Table4Result, error) {
 	res := &Table4Result{}
 	for di, name := range AllDatasets {

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/eval"
-
-	"repro"
 )
 
 // Table5Iteration is one fusion round's F1 and cumulative time per dataset.
@@ -31,28 +29,24 @@ func RunTable5(cfg Config) (*Table5Result, error) {
 		res.Iterations[i].Iteration = i + 1
 	}
 	for di, name := range AllDatasets {
-		d, err := cfg.Dataset(name)
+		b, err := cfg.Bench(name)
 		if err != nil {
 			return nil, err
 		}
-		opts := cfg.options()
-		var pipe *er.Pipeline
-		opts.Progress = func(it int, s, p []float64, elapsed time.Duration) {
+		eta := b.CoreOptions().Eta
+		progress := func(it int, _, p []float64, elapsed time.Duration) {
 			matched := make([]bool, len(p))
 			for k, v := range p {
-				matched[k] = v >= opts.Eta
+				matched[k] = v >= eta
 			}
-			if m, ok := pipe.EvaluateMatches(matched); ok {
+			if m, ok := b.EvaluateMatches(matched); ok {
 				row := &res.Iterations[it-1]
 				published := eval.TableV[it-1][di]
 				row.F1[di] = Cell{Measured: m.F1, Published: published}
 				row.Time[di] = elapsed
 			}
 		}
-		if pipe, err = er.NewPipelineContext(context.Background(), d, opts); err != nil {
-			return nil, err
-		}
-		if _, err := pipe.FusionContext(context.Background()); err != nil {
+		if _, _, err := b.Fusion(func(o *core.Options) { o.Progress = progress }); err != nil {
 			return nil, err
 		}
 	}

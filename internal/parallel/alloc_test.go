@@ -35,8 +35,8 @@ func TestForGrainFanOutAllocs(t *testing.T) {
 		if avg > 1 {
 			t.Errorf("workers=%d: ForGrain allocates %.1f allocs/op, want ≤1", w, avg)
 		}
-		// ReduceSum's pooled partials leave one allocation at most: the
-		// closure it hands to the fan-out.
+		// ReduceSum's pooled job leaves no steady-state allocation; the
+		// bound of one absorbs a pool miss, as ForGrain's does.
 		if avg := testing.AllocsPerRun(50, func() { ReduceSum(w, 1<<14, chunkLen) }); avg > 1 {
 			t.Errorf("workers=%d: ReduceSum allocates %.1f allocs/op, want ≤1", w, avg)
 		}

@@ -169,17 +169,30 @@ func ForGrain(workers, n, grain int, fn func(lo, hi int)) {
 	forJobs.Put(j)
 }
 
-// partials recycles the per-chunk accumulator slices of ReduceSum so a
-// steady-state reduction performs no allocation.
-var partials = sync.Pool{New: func() any { b := make([]float64, 0, 64); return &b }}
+// reduceJob is the pooled state of a ReduceSum fan-out: the per-chunk
+// partials and the chunk body, a method value bound once when the pool
+// builds the job, so a steady-state reduction hands For no fresh closure.
+type reduceJob struct {
+	parts []float64
+	fn    func(lo, hi int) float64
+	body  func(lo, hi int)
+}
+
+func (j *reduceJob) chunk(lo, hi int) { j.parts[lo/Grain] = j.fn(lo, hi) }
+
+var reduceJobs = sync.Pool{New: func() any {
+	j := &reduceJob{}
+	j.body = j.chunk
+	return j
+}}
 
 // ReduceSum computes an order-stable parallel sum: fn returns the partial
 // for chunk [lo, hi), each partial lands in the slot of its chunk index,
 // and the partials are folded in ascending chunk order. The bracketing —
 // (((p0+p1)+p2)+…) over Grain-sized chunk sums — is therefore a pure
 // function of n, independent of the worker count and the goroutine
-// schedule, so serial and parallel runs agree to the last bit. A
-// steady-state call allocates at most the closure it hands to the fan-out
+// schedule, so serial and parallel runs agree to the last bit. The fan-out
+// state is pooled, so a steady-state call performs no allocation
 // (TestForGrainFanOutAllocs).
 func ReduceSum(workers, n int, fn func(lo, hi int) float64) float64 {
 	if n <= 0 {
@@ -199,20 +212,18 @@ func ReduceSum(workers, n int, fn func(lo, hi int) float64) float64 {
 		}
 		return sum
 	}
-	bp := partials.Get().(*[]float64)
-	parts := *bp
-	if cap(parts) < nc {
-		parts = make([]float64, nc)
+	j := reduceJobs.Get().(*reduceJob)
+	if cap(j.parts) < nc {
+		j.parts = make([]float64, nc)
 	}
-	parts = parts[:nc]
-	For(workers, n, func(lo, hi int) {
-		parts[lo/Grain] = fn(lo, hi)
-	})
+	j.parts = j.parts[:nc]
+	j.fn = fn
+	For(workers, n, j.body)
 	var sum float64
-	for _, v := range parts {
+	for _, v := range j.parts {
 		sum += v
 	}
-	*bp = parts[:0]
-	partials.Put(bp)
+	j.fn = nil
+	reduceJobs.Put(j)
 	return sum
 }

@@ -44,12 +44,6 @@ const (
 	// DefaultBreakerCooldown is the first open interval selected by a zero
 	// Options.BreakerCooldown.
 	DefaultBreakerCooldown = 5 * time.Second
-	// DefaultBreakerMaxCooldown caps the exponential backoff, selected by a
-	// zero Options.BreakerMaxCooldown.
-	DefaultBreakerMaxCooldown = 2 * time.Minute
-	// DefaultLatencyWindow is the per-stage latency ring size selected by a
-	// zero Options.LatencyWindow.
-	DefaultLatencyWindow = 512
 	// DefaultRetainedJobs is the terminal-job history size selected by a
 	// zero Options.RetainedJobs.
 	DefaultRetainedJobs = 256
@@ -59,6 +53,16 @@ const (
 	// DefaultDedupCapacity is the idempotency dedup-table bound selected by
 	// a zero Options.DedupCapacity.
 	DefaultDedupCapacity = 4096
+)
+
+// Fixed server parameters that no deployment has needed to tune.
+const (
+	// breakerMaxCooldown caps a tripped class's exponential backoff
+	// between half-open probes.
+	breakerMaxCooldown = 2 * time.Minute
+	// latencyWindow is the number of recent samples each latency stage
+	// keeps for the /stats quantiles.
+	latencyWindow = 512
 )
 
 // Options configures a Server. The zero value is valid: every field's zero
@@ -92,14 +96,9 @@ type Options struct {
 	// DefaultBreakerThreshold; negative disables the breaker.
 	BreakerThreshold int
 	// BreakerCooldown is the open interval before the first half-open
-	// probe; each re-trip doubles it. Zero selects DefaultBreakerCooldown.
+	// probe; each re-trip doubles it, up to 2 minutes. Zero selects
+	// DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// BreakerMaxCooldown caps the exponential backoff between probes. Zero
-	// selects DefaultBreakerMaxCooldown.
-	BreakerMaxCooldown time.Duration
-	// LatencyWindow is the number of recent samples kept per latency stage
-	// for the /stats quantiles. Zero selects DefaultLatencyWindow.
-	LatencyWindow int
 	// RetainedJobs bounds the terminal jobs kept for /jobs/{id} lookups.
 	// Zero selects DefaultRetainedJobs.
 	RetainedJobs int
@@ -206,12 +205,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if o.BreakerMaxCooldown <= 0 {
-		o.BreakerMaxCooldown = DefaultBreakerMaxCooldown
-	}
-	if o.LatencyWindow <= 0 {
-		o.LatencyWindow = DefaultLatencyWindow
 	}
 	if o.RetainedJobs <= 0 {
 		o.RetainedJobs = DefaultRetainedJobs

@@ -83,12 +83,12 @@ func New(opts Options) (*Server, error) {
 		stopWorkers: make(chan struct{}),
 		baseCtx:     base,
 		kill:        kill,
-		breaker:     newBreaker(o.BreakerThreshold, o.BreakerCooldown, o.BreakerMaxCooldown, o.Clock, newEqualJitter()),
+		breaker:     newBreaker(o.BreakerThreshold, o.BreakerCooldown, breakerMaxCooldown, o.Clock, newEqualJitter()),
 		jobs:        newStore(o.RetainedJobs),
 		cols:        newColStore(o.DedupCapacity),
-		queueLat:    newLatencyRing(o.LatencyWindow),
-		runLat:      newLatencyRing(o.LatencyWindow),
-		totalLat:    newLatencyRing(o.LatencyWindow),
+		queueLat:    newLatencyRing(),
+		runLat:      newLatencyRing(),
+		totalLat:    newLatencyRing(),
 		stages:      newStageTotals(),
 	}
 	if o.SnapshotCache > 0 {

@@ -40,8 +40,8 @@ type latencyRing struct {
 	filled  bool
 }
 
-func newLatencyRing(window int) *latencyRing {
-	return &latencyRing{samples: make([]time.Duration, window)}
+func newLatencyRing() *latencyRing {
+	return &latencyRing{samples: make([]time.Duration, latencyWindow)}
 }
 
 func (r *latencyRing) add(d time.Duration) {

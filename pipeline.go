@@ -349,26 +349,7 @@ func (p *Pipeline) PRCurve(scores []float64) ([]PRPoint, bool) {
 // correlation between a term-weight vector and the score(t) oracle over
 // terms connected to at least one candidate pair.
 func (p *Pipeline) TermWeightQuality(weights []float64) (float64, bool) {
-	if p.truth == nil {
-		return 0, false
-	}
-	oracle := eval.TermScores(p.graph, p.truth)
-	var w, o []float64
-	for t, s := range oracle {
-		if s < 0 {
-			continue
-		}
-		w = append(w, weights[t])
-		o = append(o, s)
-	}
-	rho, err := eval.Spearman(w, o)
-	if err != nil {
-		// Unreachable: w and o are appended pairwise above, so the only
-		// Spearman error (length mismatch) cannot occur. Reported as
-		// "no oracle" rather than crashing.
-		return 0, false
-	}
-	return rho, true
+	return eval.TermWeightQuality(p.graph, p.truth, weights)
 }
 
 // TermScoreSeries returns the Figure 4 series for a weight vector: score(t)
@@ -385,19 +366,7 @@ func (p *Pipeline) TermScoreSeries(weights []float64) ([]float64, bool) {
 // survived candidate generation — the recall ceiling of every downstream
 // method. It returns false when the dataset has no ground truth.
 func (p *Pipeline) BlockingRecall() (float64, bool) {
-	if p.truth == nil {
-		return 0, false
-	}
-	if len(p.truth) == 0 {
-		return 1, true
-	}
-	hit := 0
-	for key := range p.truth {
-		if _, ok := p.graph.Index[key]; ok {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(p.truth)), true
+	return eval.BlockingRecall(p.graph, p.truth)
 }
 
 // TermWeight pairs a term's surface form with its learned weight.

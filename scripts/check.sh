@@ -5,9 +5,9 @@
 # Stages, cheap to expensive: formatting, vet (full suite, then the
 # concurrency/format analyzers named explicitly so a stock-vet regression
 # cannot silently drop them), build, erlint (the repo-specific invariant
-# suite in cmd/erlint), the race-enabled tests, the separate bench module,
-# and the erserve daemon smoke test (real binary, real sockets, real SIGTERM
-# drain).
+# suite in cmd/erlint), the race-enabled tests, the non-race allocation
+# gates, the separate bench module, and the erserve daemon smoke test (real
+# binary, real sockets, real SIGTERM drain).
 #
 # govulncheck is intentionally absent: it needs network access to the
 # vulnerability database and this module is stdlib-only and built offline.
@@ -54,6 +54,13 @@ echo "==> erlint: full suite (stale-directive audit)"
 
 echo "==> go test -race -shuffle=on"
 go test -race -shuffle=on ./...
+
+# The allocation gates (alloc_test.go in core, parallel and textproc) are
+# built only without -race: the race detector instruments allocation and
+# inflates AllocsPerRun. The race suite above therefore never compiles
+# them, so they run here as their own non-race step.
+echo "==> allocation gates (non-race)"
+go test -count=1 -run 'Allocs' ./internal/core/ ./internal/parallel/ ./internal/textproc/
 
 # bench/ is a module of its own (it points repro at ..), so the root
 # `go build ./...` and `go test ./...` above never compile it. Vet and test

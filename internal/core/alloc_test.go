@@ -31,7 +31,7 @@ func TestFusionInnerLoopAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	round := func() {
 		res := runITER(g, p, opts, rng, sc)
-		rg := buildRecordGraph(g, res.S, g.NumRecords, ar)
+		rg := buildRecordGraph(g, res.S, g.NumRecords, nil, nil, ar)
 		CliqueRankInto(rg, opts, pbuf)
 		rg.release()
 	}
@@ -58,7 +58,7 @@ func TestFusionInnerLoopAllocs(t *testing.T) {
 		t.Errorf("runITER allocates %.0f times with warm scratch, budget 40", got)
 	}
 	res := runITER(g, p, opts, rng, sc)
-	rg := buildRecordGraph(g, res.S, g.NumRecords, ar)
+	rg := buildRecordGraph(g, res.S, g.NumRecords, nil, nil, ar)
 	defer rg.release()
 	// The arena's float64 free list recycles CliqueRank's value vectors
 	// without boxing them; the measured ~23 is the closure headers alone.
@@ -92,7 +92,7 @@ func TestCliqueRankAllocsFlatAcrossWorkers(t *testing.T) {
 	opts := DefaultOptions()
 	iter := RunITER(g, onesP(g), opts, rand.New(rand.NewSource(1)))
 	ar := &arena{}
-	rg := buildRecordGraph(g, iter.S, g.NumRecords, ar)
+	rg := buildRecordGraph(g, iter.S, g.NumRecords, nil, nil, ar)
 	defer rg.release()
 	pbuf := make([]float64, g.NumPairs())
 
@@ -124,7 +124,7 @@ func TestCliqueRankFallbackAllocs(t *testing.T) {
 	for pid := range s {
 		s[pid] = 1
 	}
-	rg := buildRecordGraph(g, s, g.NumRecords, &arena{})
+	rg := buildRecordGraph(g, s, g.NumRecords, nil, nil, &arena{})
 	defer rg.release()
 	opts := DefaultOptions()
 	opts.Workers = 1

@@ -79,15 +79,8 @@ func RunFusion(g *index.Graph, numRecords int, opts Options) (*FusionResult, err
 		if _, err := f.StepITER(); err != nil {
 			return nil, err
 		}
-		if f.Sharded() {
-			if _, err := f.StepShardedRank(); err != nil {
-				return nil, err
-			}
-		} else {
-			f.StepGraph()
-			if err := f.StepRank(); err != nil {
-				return nil, err
-			}
+		if _, err := f.StepRank(); err != nil {
+			return nil, err
 		}
 	}
 	return f.Finish(), nil

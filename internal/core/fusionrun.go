@@ -26,19 +26,21 @@ type Scratch struct {
 }
 
 // FusionRun is the resumable form of RunFusion: the same reinforcement
-// loop decomposed into its three per-round phases (ITER, record-graph
-// construction, CliqueRank/RSS) so instrumented callers — the staged
-// execution engine — can time and size each phase without duplicating the
-// orchestration. The phase sequence and every cancellation poll sit
-// exactly where RunFusion's monolithic loop had them, so driving
+// loop decomposed into its two per-round phases (ITER, then building and
+// ranking G_r) so instrumented callers — the staged execution engine — can
+// time and size each phase without duplicating the orchestration. Driving
 //
 //	f := NewFusionRun(g, numRecords, opts)
+//	if opts.ShardComponents {
+//	    f.Partition()
+//	}
 //	for f.Next() {
-//	    f.StepITER(); f.StepGraph(); f.StepRank()
+//	    f.StepITER(); f.StepRank()
 //	}
 //	res := f.Finish()
 //
-// is bit-identical to RunFusion (which is implemented this way).
+// is RunFusion (which is implemented this way). Whether the rank phase
+// runs per component or on the whole graph is decided in StepRank alone.
 type FusionRun struct {
 	g          *index.Graph
 	numRecords int
@@ -92,8 +94,8 @@ func NewFusionRun(g *index.Graph, numRecords int, opts Options) *FusionRun {
 }
 
 // Next advances to the next fusion round, reporting false once all rounds
-// have run. Each round must execute StepITER, StepGraph and StepRank in
-// order before calling Next again.
+// have run. Each round must execute StepITER and then StepRank before
+// calling Next again.
 func (f *FusionRun) Next() bool {
 	if f.round >= f.rounds {
 		return false
@@ -124,28 +126,36 @@ func (f *FusionRun) StepITER() (iterations int, err error) {
 	return iterRes.Iterations, nil
 }
 
-// StepGraph rebuilds the record graph from the round's similarities,
-// releasing the previous round's graph back into the arena. It returns
-// the new graph's node and edge counts.
-func (f *FusionRun) StepGraph() (nodes, edges int) {
-	if f.res.Graph != nil {
-		f.res.Graph.release()
+// StepRank ranks the round's record graph, writing the matching
+// probabilities into p in place, and returns its kept-edge count. After
+// Partition it is StepShardedRank; otherwise it builds the whole G_r from
+// the round's similarities, releasing the previous round's graph back into
+// the arena, and ranks it with CliqueRank, or RSS under UseRSS. It returns
+// the checkpoint's error when the run was canceled.
+func (f *FusionRun) StepRank() (edges int, err error) {
+	if f.shards != nil {
+		return f.StepShardedRank()
 	}
-	f.res.Graph = buildRecordGraph(f.g, f.res.S, f.numRecords, f.ar)
-	f.res.Nodes, f.res.Edges = f.res.Graph.NumNodes(), f.res.Graph.NumEdges()
-	return f.res.Nodes, f.res.Edges
+	res := f.res
+	if res.Graph != nil {
+		res.Graph.release()
+	}
+	res.Graph = buildRecordGraph(f.g, res.S, f.numRecords, nil, nil, f.ar)
+	res.Nodes, res.Edges = res.Graph.NumNodes(), res.Graph.NumEdges()
+	if f.opts.UseRSS {
+		RSSInto(res.Graph, f.opts, f.p)
+	} else {
+		CliqueRankInto(res.Graph, f.opts, f.p)
+	}
+	if err := f.endRound(); err != nil {
+		return 0, err
+	}
+	return res.Edges, nil
 }
 
-// StepRank runs CliqueRank (or RSS) on the round's record graph, writing
-// the matching probabilities in place, sanitizing them, and invoking the
-// Progress hook. It returns the checkpoint's error when the run was
-// canceled.
-func (f *FusionRun) StepRank() error {
-	if f.opts.UseRSS {
-		RSSInto(f.res.Graph, f.opts, f.p)
-	} else {
-		CliqueRankInto(f.res.Graph, f.opts, f.p)
-	}
+// endRound closes a rank step: it polls the checkpoint, sanitizes p and
+// invokes the Progress hook.
+func (f *FusionRun) endRound() error {
 	if err := f.opts.Check.Err(); err != nil {
 		return err
 	}

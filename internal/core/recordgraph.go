@@ -33,33 +33,60 @@ type RecordGraph struct {
 // ended with weight 0) are excluded: a zero-weight edge can never be chosen
 // by the walk and would only add zero rows to the transition matrix.
 func BuildRecordGraph(g *index.Graph, s []float64, numRecords int) *RecordGraph {
-	return buildRecordGraph(g, s, numRecords, nil)
+	return buildRecordGraph(g, s, numRecords, nil, nil, nil)
 }
 
-func buildRecordGraph(g *index.Graph, s []float64, numRecords int, ar *arena) *RecordGraph {
-	edges := ar.getEdges(g.NumPairs())
-	kept := ar.getI32(g.NumPairs())[:0]
-	for pid, p := range g.Pairs {
+// buildRecordGraph builds G_r over numRecords nodes from the candidate
+// pairs listed in pairs, or from every candidate pair when pairs is nil.
+// recLocal, when non-nil, renumbers record IDs into the graph's nodes (a
+// component's local numbering). PairSlot is indexed by, and Edges lists, a
+// pair's position in pairs, which for the whole graph is its global ID.
+func buildRecordGraph(g *index.Graph, s []float64, numRecords int, pairs, recLocal []int32, ar *arena) *RecordGraph {
+	n := g.NumPairs()
+	if pairs != nil {
+		n = len(pairs)
+	}
+	// pairID maps position k to its global pair ID, ends a pair to its
+	// endpoint nodes.
+	pairID := func(k int) int {
+		if pairs != nil {
+			return int(pairs[k])
+		}
+		return k
+	}
+	ends := func(pid int) (i, j int32) {
+		i, j = g.Pairs[pid].I, g.Pairs[pid].J
+		if recLocal != nil {
+			i, j = recLocal[i], recLocal[j]
+		}
+		return i, j
+	}
+	edges := ar.getEdges(n)
+	kept := ar.getI32(n)[:0]
+	for k := 0; k < n; k++ {
+		pid := pairID(k)
 		if s[pid] <= 0 {
 			continue
 		}
-		edges = append(edges, matrix.Edge{I: p.I, J: p.J})
-		kept = append(kept, int32(pid))
+		i, j := ends(pid)
+		edges = append(edges, matrix.Edge{I: i, J: j})
+		kept = append(kept, int32(k))
 	}
 	pat := matrix.NewPattern(numRecords, edges)
 	ar.putEdges(edges)
 	sv := &matrix.PatVec{P: pat, Val: ar.getF64(pat.NNZ())}
-	slot := ar.getI32(g.NumPairs())
-	for i := range slot {
-		slot[i] = -1
+	slot := ar.getI32(n)
+	for k := range slot {
+		slot[k] = -1
 	}
-	for _, pid := range kept {
-		p := g.Pairs[pid]
-		a := pat.Slot(int(p.I), int(p.J))
-		b := pat.Slot(int(p.J), int(p.I))
+	for _, k := range kept {
+		pid := pairID(int(k))
+		i, j := ends(pid)
+		a := pat.Slot(int(i), int(j))
+		b := pat.Slot(int(j), int(i))
 		sv.Val[a] = s[pid]
 		sv.Val[b] = s[pid]
-		slot[pid] = int32(a)
+		slot[k] = int32(a)
 	}
 	slotRow := ar.getI32(pat.NNZ())
 	//lint:ignore guardloop output-sized fill of the slot→row index; the surrounding fusion round polls between kernels

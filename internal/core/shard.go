@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/index"
-	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
 
@@ -165,47 +164,6 @@ func newShardSet(g *index.Graph, numRecords int) *shardSet {
 	return ss
 }
 
-// buildShardGraph is buildRecordGraph restricted to one component: nodes
-// are renumbered through recLocal, and PairSlot/Edges are indexed by the
-// shard-local pair position rather than the global pair ID.
-func buildShardGraph(g *index.Graph, sh *Component, recLocal []int32, s []float64, ar *arena) *RecordGraph {
-	edges := ar.getEdges(len(sh.Pairs))
-	kept := ar.getI32(len(sh.Pairs))[:0]
-	for k, pid := range sh.Pairs {
-		if s[pid] <= 0 {
-			continue
-		}
-		pr := g.Pairs[pid]
-		edges = append(edges, matrix.Edge{I: recLocal[pr.I], J: recLocal[pr.J]})
-		kept = append(kept, int32(k))
-	}
-	pat := matrix.NewPattern(len(sh.Records), edges)
-	ar.putEdges(edges)
-	sv := &matrix.PatVec{P: pat, Val: ar.getF64(pat.NNZ())}
-	slot := ar.getI32(len(sh.Pairs))
-	for i := range slot {
-		slot[i] = -1
-	}
-	for _, k := range kept {
-		pid := sh.Pairs[k]
-		pr := g.Pairs[pid]
-		a := pat.Slot(int(recLocal[pr.I]), int(recLocal[pr.J]))
-		b := pat.Slot(int(recLocal[pr.J]), int(recLocal[pr.I]))
-		sv.Val[a] = s[pid]
-		sv.Val[b] = s[pid]
-		slot[k] = int32(a)
-	}
-	slotRow := ar.getI32(pat.NNZ())
-	//lint:ignore guardloop output-sized fill of the slot→row index; the surrounding fusion round polls between kernels
-	for i := 0; i < pat.N; i++ {
-		row := slotRow[pat.RowPtr[i]:pat.RowPtr[i+1]]
-		for k := range row {
-			row[k] = int32(i)
-		}
-	}
-	return &RecordGraph{Pattern: pat, S: sv, PairSlot: slot, Edges: kept, SlotRow: slotRow, arena: ar}
-}
-
 // shardArenas recycles per-task arenas for the small-component fan-out.
 // The fusion run's own arena is single-goroutine by contract, so each
 // fan-out chunk checks one out for exclusive use and returns it when done.
@@ -224,11 +182,6 @@ func (f *FusionRun) Partition() int {
 	}
 	return len(f.shards.Comps)
 }
-
-// Sharded reports whether Partition has prepared a component partition —
-// when true, drive rounds with StepITER + StepShardedRank instead of
-// StepITER + StepGraph + StepRank.
-func (f *FusionRun) Sharded() bool { return f.shards != nil }
 
 // rankShard scores one component: build its local record graph from the
 // round's similarities, run CliqueRank on it with the given worker budget,
@@ -249,7 +202,7 @@ func (f *FusionRun) rankShard(sh *Component, ar *arena, workers int) int {
 		}
 		return 0
 	}
-	rg := buildShardGraph(f.g, sh, f.shards.RecLocal, s, ar)
+	rg := buildRecordGraph(f.g, s, len(sh.Records), sh.Pairs, f.shards.RecLocal, ar)
 	opts := f.opts
 	opts.Workers = workers
 	pl := ar.getF64(len(sh.Pairs))
@@ -262,13 +215,13 @@ func (f *FusionRun) rankShard(sh *Component, ar *arena, workers int) int {
 	return kept
 }
 
-// StepShardedRank is the sharded replacement for StepGraph + StepRank: it
-// rebuilds and ranks every component's record graph, merges the per-shard
-// probabilities (disjoint slices of p, in deterministic component order),
-// and aggregates the node/edge counts into the result. Big components run
-// sequentially with the full worker budget; small ones fan out over
-// components with one worker each. It returns the total kept-edge count
-// and the checkpoint's error when the run was canceled.
+// StepShardedRank is StepRank after Partition: it rebuilds and ranks every
+// component's record graph, merges the per-shard probabilities (disjoint
+// slices of p, in deterministic component order), and aggregates the
+// node/edge counts into the result. Big components run sequentially with
+// the full worker budget; small ones fan out over components with one
+// worker each. It returns the total kept-edge count and the checkpoint's
+// error when the run was canceled. Partition must have run.
 func (f *FusionRun) StepShardedRank() (edges int, err error) {
 	if err := f.opts.Check.Err(); err != nil {
 		return 0, err
@@ -276,7 +229,7 @@ func (f *FusionRun) StepShardedRank() (edges int, err error) {
 	ss := f.shards
 	res := f.res
 	if res.Graph != nil {
-		// A caller may have mixed unsharded rounds in; the global graph is
+		// Partition may have run after whole-graph rounds; their graph is
 		// stale the moment similarities change.
 		res.Graph.release()
 		res.Graph = nil
@@ -306,18 +259,13 @@ func (f *FusionRun) StepShardedRank() (edges int, err error) {
 			shardArenas.Put(ar)
 		})
 	}
-	if err := f.opts.Check.Err(); err != nil {
-		f.ar.putI32(counts)
-		return 0, err
-	}
 	for _, c := range counts {
 		edges += int(c)
 	}
 	f.ar.putI32(counts)
 	res.Nodes, res.Edges = f.numRecords, edges
-	res.NumericRepairs += sanitizeProbabilities(f.p)
-	if f.opts.Progress != nil {
-		f.opts.Progress(f.round, res.S, f.p, f.now().Sub(f.start))
+	if err := f.endRound(); err != nil {
+		return 0, err
 	}
 	return edges, nil
 }

@@ -183,17 +183,10 @@ func (f *ComponentFuser) Fuse(lg *index.Graph) (*ComponentResult, bool, error) {
 	if cr, ok := f.cache.Component(key); ok {
 		return cr, false, nil
 	}
-	run := core.NewFusionRun(lg, lg.NumRecords, f.opts)
-	for run.Next() {
-		if _, err := run.StepITER(); err != nil {
-			return nil, false, err
-		}
-		run.StepGraph()
-		if err := run.StepRank(); err != nil {
-			return nil, false, err
-		}
+	lres, err := core.RunFusion(lg, lg.NumRecords, f.opts)
+	if err != nil {
+		return nil, false, err
 	}
-	lres := run.Finish()
 	cr := &ComponentResult{
 		P:              append([]float64(nil), lres.P...),
 		Converged:      lres.Converged,

@@ -38,7 +38,6 @@ const (
 	StageMaterialize = "materialize"
 	StagePartition   = "partition"
 	StageITER        = "iter"
-	StageRecordGraph = "recordgraph"
 	StageCliqueRank  = "cliquerank"
 	StageRSS         = "rss"
 	StageFuse        = "fuse"
@@ -51,9 +50,10 @@ const (
 // root package exports it as er.StageTrace.
 type StageTrace struct {
 	// Stage is the stage name (one of the Stage* constants): "tokenize",
-	// "block", "iter", "recordgraph", "cliquerank" (or "rss"), "fuse",
-	// "cluster", "evaluate", and on delta-scoped resolves "partition",
-	// "materialize", "deltafuse".
+	// "block", "iter", "cliquerank" (or "rss", each including the build of
+	// the record graph it ranks), "fuse", "cluster", "evaluate";
+	// "partition" when the fusion is sharded by component; and on
+	// delta-scoped resolves "partition", "materialize", "deltafuse".
 	Stage string
 	// Cached reports that the stage's output was served from a Snapshot
 	// cache (er.SnapshotCache) instead of being computed; Wall is then ~0.
@@ -150,7 +150,6 @@ type RunOptions struct {
 // the same run. It accumulates the Trace as stages execute. A Run is not
 // safe for concurrent use.
 type Run struct {
-	ctx     context.Context
 	check   *guard.Checkpoint
 	clk     clock.Func
 	workers int
@@ -162,28 +161,15 @@ type Run struct {
 // the context's guard checkpoint before every stage and inside the hot
 // loops.
 func NewRun(ctx context.Context, o RunOptions) *Run {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	return &Run{
-		ctx:     ctx,
 		check:   guard.FromContext(ctx),
 		clk:     clock.OrSystem(o.Clock),
 		workers: o.Workers,
 	}
 }
 
-// Context returns the context the run was bound to.
-func (r *Run) Context() context.Context { return r.ctx }
-
 // Check returns the run's guard checkpoint (nil-safe to poll).
 func (r *Run) Check() *guard.Checkpoint { return r.check }
-
-// Clock returns the run's clock.
-func (r *Run) Clock() clock.Func { return r.clk }
-
-// Workers returns the run's worker budget.
-func (r *Run) Workers() int { return r.workers }
 
 // Trace returns a copy of the stages recorded so far, in execution order.
 func (r *Run) Trace() Trace { return append(Trace(nil), r.trace...) }

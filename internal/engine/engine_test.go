@@ -126,53 +126,85 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestFuseMatchesRunFusion pins, for each rank path, that the engine's
+// staged fusion is bit-identical to core.RunFusion and records exactly the
+// stages that path runs.
 func TestFuseMatchesRunFusion(t *testing.T) {
-	run := NewRun(context.Background(), RunOptions{Clock: fakeClock()})
-	snap, err := Prepare(run, testInputs(t, nil))
+	prep := NewRun(context.Background(), RunOptions{Clock: fakeClock()})
+	snap, err := Prepare(prep, testInputs(t, nil))
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	opts := core.DefaultOptions()
-	opts.FusionIterations = 3
+	cases := []struct {
+		name   string
+		modify func(*core.Options)
+		stages []string
+	}{
+		{"sharded", func(o *core.Options) { o.ShardComponents = true },
+			[]string{StagePartition, StageITER, StageCliqueRank, StageFuse}},
+		{"whole-graph", func(*core.Options) {},
+			[]string{StageITER, StageCliqueRank, StageFuse}},
+		// er.Resolve passes UseRSS with sharding left on.
+		{"rss", func(o *core.Options) { o.UseRSS, o.ShardComponents = true, true },
+			[]string{StageITER, StageRSS, StageFuse}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := core.DefaultOptions()
+			opts.FusionIterations = 3
+			tc.modify(&opts)
 
-	res, err := Fuse(run, snap.Graph, snap.Corpus.NumRecords(), opts)
-	if err != nil {
-		t.Fatalf("Fuse: %v", err)
-	}
-	want, err := core.RunFusion(snap.Graph, snap.Corpus.NumRecords(), opts)
-	if err != nil {
-		t.Fatalf("RunFusion: %v", err)
-	}
-	for k := range want.P {
-		if res.P[k] != want.P[k] || res.Matches[k] != want.Matches[k] {
-			t.Fatalf("pair %d diverges: engine p=%v matched=%v, core p=%v matched=%v",
-				k, res.P[k], res.Matches[k], want.P[k], want.Matches[k])
-		}
-	}
-	for tm := range want.X {
-		if res.X[tm] != want.X[tm] {
-			t.Fatalf("term %d weight diverges: %v vs %v", tm, res.X[tm], want.X[tm])
-		}
-	}
+			run := NewRun(context.Background(), RunOptions{Clock: fakeClock()})
+			res, err := Fuse(run, snap.Graph, snap.Corpus.NumRecords(), opts)
+			if err != nil {
+				t.Fatalf("Fuse: %v", err)
+			}
+			want, err := core.RunFusion(snap.Graph, snap.Corpus.NumRecords(), opts)
+			if err != nil {
+				t.Fatalf("RunFusion: %v", err)
+			}
+			for k := range want.P {
+				if res.P[k] != want.P[k] || res.Matches[k] != want.Matches[k] {
+					t.Fatalf("pair %d diverges: engine p=%v matched=%v, core p=%v matched=%v",
+						k, res.P[k], res.Matches[k], want.P[k], want.Matches[k])
+				}
+			}
+			for tm := range want.X {
+				if res.X[tm] != want.X[tm] {
+					t.Fatalf("term %d weight diverges: %v vs %v", tm, res.X[tm], want.X[tm])
+				}
+			}
+			if res.Nodes != want.Nodes || res.Edges != want.Edges {
+				t.Fatalf("graph size %d/%d, core %d/%d", res.Nodes, res.Edges, want.Nodes, want.Edges)
+			}
 
-	tr := run.Trace()
-	iter := tr.Find(StageITER)
-	if iter == nil || iter.Rounds != 3 || iter.Iterations <= 0 || iter.Wall <= 0 {
-		t.Fatalf("iter stage = %+v, want 3 rounds with iterations and wall", iter)
-	}
-	rank := tr.Find(StageCliqueRank)
-	if rank == nil || rank.Rounds != 3 || rank.In != res.Graph.NumEdges() {
-		t.Fatalf("cliquerank stage = %+v, want 3 rounds over %d edges", rank, res.Graph.NumEdges())
-	}
-	fuse := tr.Find(StageFuse)
-	matched := 0
-	for _, m := range res.Matches {
-		if m {
-			matched++
-		}
-	}
-	if fuse == nil || fuse.Out != matched {
-		t.Fatalf("fuse stage = %+v, want Out=%d", fuse, matched)
+			tr := run.Trace()
+			var got []string
+			for _, st := range tr {
+				got = append(got, st.Stage)
+			}
+			if strings.Join(got, ",") != strings.Join(tc.stages, ",") {
+				t.Fatalf("stages = %v, want %v", got, tc.stages)
+			}
+			iter := tr.Find(StageITER)
+			if iter.Rounds != 3 || iter.Iterations <= 0 || iter.Wall <= 0 {
+				t.Fatalf("iter stage = %+v, want 3 rounds with iterations and wall", iter)
+			}
+			rank := tr.Find(tc.stages[len(tc.stages)-2])
+			if rank.Rounds != 3 || rank.In != res.Edges || res.Edges == 0 || rank.Wall <= 0 {
+				t.Fatalf("%s stage = %+v, want 3 rounds over %d edges", rank.Stage, rank, res.Edges)
+			}
+			fuse := tr.Find(StageFuse)
+			matched := 0
+			for _, m := range res.Matches {
+				if m {
+					matched++
+				}
+			}
+			if fuse.Out != matched {
+				t.Fatalf("fuse stage = %+v, want Out=%d", fuse, matched)
+			}
+		})
 	}
 }
 

@@ -53,9 +53,9 @@ func Key(texts []string, sources []int, copts textproc.CorpusOptions, bopts inde
 	for _, s := range sources {
 		fmt.Fprintf(h, "%d,", s)
 	}
-	fmt.Fprintf(h, "|tok=%t,%d,%t|df=%g|mindf=%d|stop=",
+	fmt.Fprintf(h, "|tok=%t,%d,%t|df=%g|stop=",
 		copts.Tokenize.Lowercase, copts.Tokenize.MinLen, copts.Tokenize.KeepDigits,
-		copts.MaxDFRatio, copts.MinDF)
+		copts.MaxDFRatio)
 	stop := append([]string(nil), copts.Stopwords...)
 	sort.Strings(stop)
 	for _, w := range stop {

@@ -137,7 +137,7 @@ func (b *Bench) CoreOptions() core.Options { return b.core }
 
 // Fusion executes the fusion stages through the engine, optionally with
 // modified core options (the ablation hook), returning the result and
-// the per-stage trace (iter, recordgraph, cliquerank/rss, fuse).
+// the per-stage trace (iter, cliquerank/rss, fuse).
 func (b *Bench) Fusion(modify func(*core.Options)) (*core.FusionResult, engine.Trace, error) {
 	opts := b.core
 	if modify != nil {

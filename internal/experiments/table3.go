@@ -18,7 +18,8 @@ type Table3Row struct {
 	TotalTime time.Duration
 	// ITERTime is the part spent in the ITER inner loops.
 	ITERTime time.Duration
-	// CliqueRankTime is the part spent in CliqueRank.
+	// CliqueRankTime is the part spent building G_r and ranking it with
+	// CliqueRank.
 	CliqueRankTime time.Duration
 	// RSSEstimate extrapolates the cost of replacing every CliqueRank call
 	// with full RSS sampling, measured on a sample of edges (running RSS

@@ -9,7 +9,7 @@ import (
 )
 
 // Config parameterizes a mutable Index. The corpus options must match the
-// pipeline's (tokenizer, MaxDFRatio, MinDF, stopwords) for Materialize to
+// pipeline's (tokenizer, MaxDFRatio, stopwords) for Materialize to
 // reproduce textproc.BuildCorpus bit for bit; the block options carry the
 // candidate filters. Block.Check and Block.Workers apply to the full
 // pair-table rebuild fallback; single-record mutations are delta-sized and
@@ -138,7 +138,7 @@ func (ix *Index) maxKeptDF() int32 { return ix.maxKeptDFAt(ix.live) }
 // keptAt reports whether a term with document frequency f survives the
 // corpus filters (frequency band + stopword list) at threshold maxDF.
 func (ix *Index) keptAt(iid, f, maxDF int32) bool {
-	return f >= 1 && f >= int32(ix.cfg.Corpus.MinDF) && f <= maxDF && !ix.stopped[iid]
+	return f >= 1 && f <= maxDF && !ix.stopped[iid]
 }
 
 // eligAt reports whether a term with document frequency f participates in

@@ -88,7 +88,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			Block:  BatchOptions{MinSharedTerms: 1},
 		}},
 		{"ratio-threshold", Config{
-			Corpus: textproc.CorpusOptions{Tokenize: base, MaxDFRatio: 0.25, MinDF: 1},
+			Corpus: textproc.CorpusOptions{Tokenize: base, MaxDFRatio: 0.25},
 			Block:  BatchOptions{MinSharedTerms: 2, MinJaccard: 0.2},
 		}},
 		{"cross-source-capped", Config{

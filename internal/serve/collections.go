@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -733,18 +734,20 @@ func (s *Server) handleCollectionResolve(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	name := r.PathValue("name")
-	var jo *jobOptions
-	if r.ContentLength != 0 {
-		var req struct {
-			Options *jobOptions `json:"options"`
-		}
-		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.opts.MaxUploadBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("serve: bad request body: %v", err))
-			return
-		}
-		jo = req.Options
+	// An empty body, however framed, and an options object that sets no
+	// field both mean no overrides.
+	var req struct {
+		Options *jobOptions `json:"options"`
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.opts.MaxUploadBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("serve: bad request body: %v", err))
+		return
+	}
+	jo := req.Options
+	if jo != nil && *jo == (jobOptions{}) {
+		jo = nil
 	}
 	d, ok := s.cols.dataset(name)
 	if !ok {

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,11 +18,17 @@ import (
 	"repro/internal/dataset"
 )
 
-// resolveCollectionDelta posts an override-free resolve, which routes
+// resolveCollectionDeltaJSON posts an override-free resolve, which routes
 // through the delta-scoped path.
 func resolveCollectionDeltaJSON(t *testing.T, base, name string) (int, jobResponse) {
 	t.Helper()
-	resp, err := http.Post(base+"/collections/"+name+"/resolve", "application/json", nil)
+	return postCollectionResolve(t, base, name, nil)
+}
+
+// postCollectionResolve posts a collection resolve with the given body.
+func postCollectionResolve(t *testing.T, base, name string, body io.Reader) (int, jobResponse) {
+	t.Helper()
+	resp, err := http.Post(base+"/collections/"+name+"/resolve", "application/json", body)
 	if err != nil {
 		t.Fatalf("POST resolve: %v", err)
 	}
@@ -92,9 +100,28 @@ func TestCollectionDeltaResolve(t *testing.T) {
 		t.Fatalf("post-mutation resolve should reuse untouched components: %+v", *jr3.Delta)
 	}
 
+	// Bodies that override nothing take the delta path too: an options
+	// object that sets no field, and an empty body sent chunked (unknown
+	// length), which the server must not read as a malformed body.
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+	}{
+		{"empty options", strings.NewReader(`{"options":{}}`)},
+		{"chunked empty body", struct{ io.Reader }{strings.NewReader("")}},
+	} {
+		status, jr := postCollectionResolve(t, hs.URL, "shops", tc.body)
+		if status != http.StatusOK || jr.State != JobCompleted {
+			t.Fatalf("%s: resolve = %d/%s (%s), want 200/completed", tc.name, status, jr.State, jr.Error)
+		}
+		if jr.Delta == nil {
+			t.Fatalf("%s: resolve took the batch path, want delta", tc.name)
+		}
+	}
+
 	st := getStats(t, hs.URL)
-	if st.Collections.DeltaResolves != 3 {
-		t.Fatalf("stats delta_resolves = %d, want 3", st.Collections.DeltaResolves)
+	if st.Collections.DeltaResolves != 5 {
+		t.Fatalf("stats delta_resolves = %d, want 5", st.Collections.DeltaResolves)
 	}
 	if st.Collections.ResolverRebuilds != 1 {
 		t.Fatalf("stats resolver_rebuilds = %d, want 1 (first resolve only)", st.Collections.ResolverRebuilds)

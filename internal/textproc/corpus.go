@@ -38,11 +38,6 @@ type CorpusOptions struct {
 	// records ("remove the terms that are very frequent", §VII-A).
 	// Zero or negative disables the filter.
 	MaxDFRatio float64
-	// MinDF removes terms occurring in fewer than MinDF records. Terms with
-	// document frequency 1 connect no record pair and carry no signal for
-	// entity resolution; the default of 0 keeps them (they are simply
-	// isolated nodes in the bipartite graph).
-	MinDF int
 	// Stopwords are removed regardless of frequency — for domain knowledge
 	// the df filter cannot see (e.g. "inc", "llc" in company data).
 	Stopwords []string
@@ -129,11 +124,9 @@ func BuildCorpus(texts []string, opts CorpusOptions) *Corpus {
 			maxDF = 2 // never filter so hard that nothing can match
 		}
 	}
-	minDF := opts.MinDF
-
 	kept := make([]int32, 0, len(surfaces))
 	for id, f := range df {
-		if int(f) > maxDF || int(f) < minDF {
+		if int(f) > maxDF {
 			continue
 		}
 		if _, banned := stop[surfaces[id]]; banned {

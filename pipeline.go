@@ -249,8 +249,9 @@ type FusionOutcome struct {
 	// guardrails replaced with their documented fallbacks; 0 on a healthy
 	// run.
 	NumericRepairs int
-	// Trace records the fusion stages (iter, recordgraph, cliquerank/rss,
-	// fuse) with per-stage wall times, sizes and iteration counts.
+	// Trace records the fusion stages (partition when sharded, iter,
+	// cliquerank/rss, fuse) with per-stage wall times, sizes and iteration
+	// counts.
 	Trace Trace
 	// Elapsed is the wall-clock time of the fusion loop.
 	Elapsed time.Duration

@@ -3,9 +3,10 @@ package er
 import "repro/internal/engine"
 
 // StageTrace records one pipeline stage execution: the stage name
-// ("tokenize", "block", "iter", "recordgraph", "cliquerank" or "rss",
-// "fuse", "cluster", "evaluate", and on Collection resolves "partition",
-// "materialize", "deltafuse"), wall time under the run's clock,
+// ("tokenize", "block", "partition" when fusion is sharded by component,
+// "iter", "cliquerank" or "rss" (including the build of the record graph
+// it ranks), "fuse", "cluster", "evaluate", and on Collection resolves
+// "partition", "materialize", "deltafuse"), wall time under the run's clock,
 // input/output sizes, round and iteration counts for the fusion phases,
 // the delta resolver's fused/reused split, and degradation events. Cached
 // marks a stage served from a SnapshotCache.

@@ -1,0 +1,42 @@
+//go:build !race
+
+// The race detector instruments allocation and inflates AllocsPerRun, so
+// this gate runs only in normal builds (scripts/check.sh runs it in its
+// non-race allocation step).
+
+package er
+
+import "testing"
+
+// TestWarmResolveAllocs bounds the warm path's allocation count outright,
+// where TestWarmResolveAllocsDeltaSized bounds only its growth with the
+// corpus: on a 4k-record collection, a one-record overwrite plus Resolve
+// that re-fuses one 2-record component allocates at most warmResolveAllocs
+// times. The component cache is off, so every resolve fuses the touched
+// component instead of finding it memoized. The budget is the count
+// measured when the gate was added.
+func TestWarmResolveAllocs(t *testing.T) {
+	const warmResolveAllocs = 318
+	c, _ := warmCollection(t, 4000)
+	c.cache = nil
+	c.Upsert("pair-a", Record{Text: "alpha9 beta9 gamma9", Entity: "pair"})
+	texts := []string{"alpha9 beta9 gamma9 delta9", "alpha9 beta9 gamma9 epsilon9"}
+	k := 0
+	step := func() *Result {
+		k++
+		c.Upsert("pair-b", Record{Text: texts[k%2], Entity: "pair"})
+		res, err := c.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	step()
+	if d := step().Delta; d.ComponentsFused != 1 || d.PairsFused != 1 {
+		t.Fatalf("an overwrite fused %d components with %d pairs, want one 2-record component", d.ComponentsFused, d.PairsFused)
+	}
+	got := testing.AllocsPerRun(10, func() { step() })
+	if got > warmResolveAllocs {
+		t.Fatalf("a warm overwrite plus resolve allocates %.0f times, budget %d", got, warmResolveAllocs)
+	}
+}

@@ -476,6 +476,14 @@ func TestExplain(t *testing.T) {
 	if _, ok := p.Explain(out, 0, 3); ok {
 		t.Error("non-candidate pair must not be explainable")
 	}
+	if rev, ok := p.Explain(out, 1, 0); !ok || rev.Similarity != ex.Similarity || rev.Probability != ex.Probability {
+		t.Errorf("Explain(1, 0) = %+v, %v; want the pair of Explain(0, 1)", rev, ok)
+	}
+	for _, ij := range [][2]int{{0, 0}, {-1, 1}, {0, 4}} {
+		if _, ok := p.Explain(out, ij[0], ij[1]); ok {
+			t.Errorf("Explain(%d, %d) must not be explainable", ij[0], ij[1])
+		}
+	}
 }
 
 func TestOptionsValidate(t *testing.T) {

@@ -71,6 +71,10 @@ func SimRank(c *textproc.Corpus, g *index.Graph, opts SimRankOptions) []float64 
 	}
 
 	recSim := make([]float64, g.NumPairs()) // aligned with g.Pairs
+	pairID := make(map[uint64]int, g.NumPairs())
+	for id, pr := range g.Pairs {
+		pairID[index.Key(pr.I, pr.J)] = id
+	}
 	termSim := make([]float64, len(tpairs)) // aligned with tpairs
 
 	// recLookup returns s_b(ri, rj) including the diagonal s(r, r) = 1.
@@ -78,7 +82,7 @@ func SimRank(c *textproc.Corpus, g *index.Graph, opts SimRankOptions) []float64 
 		if ri == rj {
 			return 1
 		}
-		if id, ok := g.PairID(ri, rj); ok {
+		if id, ok := pairID[index.Key(ri, rj)]; ok {
 			return recSim[id]
 		}
 		return 0

@@ -8,27 +8,42 @@ import (
 	"repro/internal/matrix"
 )
 
+// pairID returns the pair-node ID of records (i, j), in either order, and
+// whether they form a candidate pair.
+func pairID(g *index.Graph, i, j int32) (int32, bool) {
+	key := index.Key(i, j)
+	for id, pr := range g.Pairs {
+		if index.Key(pr.I, pr.J) == key {
+			return int32(id), true
+		}
+	}
+	return 0, false
+}
+
+// pairGraph builds a candidate graph over n records with no term nodes:
+// the fixture shape for the record-graph stages, which read only the pairs.
+// NewGraph numbers termless pairs by key.
+func pairGraph(n int, pairs []index.Pair) *index.Graph {
+	return index.NewGraph(n, 0, pairs, make([][]int32, len(pairs)))
+}
+
 // cliqueFixture builds a record graph with two internally well-connected
 // cliques {0,1,2} and {3,4,5} joined by one weak bridge (2,3). Weights: 1.0
 // inside cliques, bridge weight w.
 func cliqueFixture(t *testing.T, bridge float64) (*index.Graph, *RecordGraph) {
 	t.Helper()
-	pairs := [][2]int32{
-		{0, 1}, {0, 2}, {1, 2},
-		{3, 4}, {3, 5}, {4, 5},
-		{2, 3},
-	}
-	g := &index.Graph{
-		NumRecords: 6,
-		Index:      map[uint64]int32{},
-	}
-	s := make([]float64, len(pairs))
-	for k, ij := range pairs {
-		g.Pairs = append(g.Pairs, index.Pair{I: ij[0], J: ij[1]})
-		g.Index[index.Key(ij[0], ij[1])] = int32(k)
+	g := pairGraph(6, []index.Pair{
+		{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 2},
+		{I: 3, J: 4}, {I: 3, J: 5}, {I: 4, J: 5},
+		{I: 2, J: 3},
+	})
+	s := make([]float64, g.NumPairs())
+	for k, pr := range g.Pairs {
 		s[k] = 1
+		if pr == (index.Pair{I: 2, J: 3}) {
+			s[k] = bridge
+		}
 	}
-	s[len(s)-1] = bridge
 	return g, BuildRecordGraph(g, s, 6)
 }
 
@@ -50,14 +65,7 @@ func TestBuildRecordGraphStructure(t *testing.T) {
 }
 
 func TestBuildRecordGraphDropsZeroPairs(t *testing.T) {
-	g := &index.Graph{
-		NumRecords: 3,
-		Pairs:      []index.Pair{{I: 0, J: 1}, {I: 1, J: 2}},
-		Index: map[uint64]int32{
-			index.Key(0, 1): 0,
-			index.Key(1, 2): 1,
-		},
-	}
+	g := pairGraph(3, []index.Pair{{I: 0, J: 1}, {I: 1, J: 2}})
 	rg := BuildRecordGraph(g, []float64{0.5, 0}, 3)
 	if rg.NumEdges() != 1 {
 		t.Fatalf("edges = %d, want 1 (zero-similarity pair dropped)", rg.NumEdges())
@@ -71,8 +79,8 @@ func TestCliqueRankSeparatesCliques(t *testing.T) {
 	g, rg := cliqueFixture(t, 0.2)
 	opts := DefaultOptions()
 	p := CliqueRank(rg, opts)
-	within, _ := g.PairID(0, 1)
-	cross, _ := g.PairID(2, 3)
+	within, _ := pairID(g, 0, 1)
+	cross, _ := pairID(g, 2, 3)
 	if p[within] < 0.9 {
 		t.Errorf("within-clique probability %g, want >= 0.9", p[within])
 	}
@@ -95,7 +103,7 @@ func TestCliqueRankLowAlphaLeaksAcrossBridge(t *testing.T) {
 	soft.Alpha = 1
 	pSharp := CliqueRank(rg, sharp)
 	pSoft := CliqueRank(rg, soft)
-	cross, _ := g.PairID(2, 3)
+	cross, _ := pairID(g, 2, 3)
 	if pSoft[cross] <= pSharp[cross] {
 		t.Errorf("linear walk must leak more across the bridge: α=1 gives %g, α=20 gives %g",
 			pSoft[cross], pSharp[cross])
@@ -105,15 +113,15 @@ func TestCliqueRankLowAlphaLeaksAcrossBridge(t *testing.T) {
 // completeClique builds the record graph of a complete clique on k records
 // with pair weights weight(i, j).
 func completeClique(k int, weight func(i, j int) float64) (*index.Graph, *RecordGraph) {
-	g := &index.Graph{NumRecords: k, Index: map[uint64]int32{}}
+	var pairs []index.Pair
 	var s []float64
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			g.Index[index.Key(int32(i), int32(j))] = int32(len(g.Pairs))
-			g.Pairs = append(g.Pairs, index.Pair{I: int32(i), J: int32(j)})
+			pairs = append(pairs, index.Pair{I: int32(i), J: int32(j)})
 			s = append(s, weight(i, j))
 		}
 	}
+	g := pairGraph(k, pairs)
 	return g, BuildRecordGraph(g, s, k)
 }
 
@@ -253,7 +261,7 @@ func TestCliqueRankUnmaskedAblation(t *testing.T) {
 	// Without the mask the walk may wander outside the clique and return,
 	// so the cross-clique probability cannot be lower than the masked one.
 	masked := CliqueRank(rg, DefaultOptions())
-	cross, _ := g.PairID(2, 3)
+	cross, _ := pairID(g, 2, 3)
 	if p[cross] < masked[cross]-1e-9 {
 		t.Errorf("unmasked cross probability %g below masked %g", p[cross], masked[cross])
 	}

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/index"
+	"repro/internal/parallel"
 )
 
 // workerCounts are the settings the determinism suite compares: serial, a
@@ -56,20 +59,80 @@ func TestITERBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestITERGatherMatchesScatter asserts the parallel pair→term-CSR gather is
-// bit-identical to the legacy serial term-major scatter, which runs when a
-// hand-assembled graph has no transposed layout.
+// scatterITER is the reference for ITER's term → pair sweep: runITER with
+// the serial term-major scatter the per-pair gather replaced, for the
+// default bounded normalization. The convergence sum is folded as
+// runITER folds it, so the two agree bit for bit only if the sweeps do.
+func scatterITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand) *ITERResult {
+	x := make([]float64, g.NumTerms)
+	var active []int32
+	for t := range x {
+		if g.Pt(t) > 0 {
+			x[t] = rng.Float64()
+			active = append(active, int32(t))
+		}
+	}
+	s := make([]float64, g.NumPairs())
+	scatter := func() {
+		clear(s)
+		for t, pairIDs := range g.TermPairs {
+			if x[t] == 0 {
+				continue
+			}
+			for _, pid := range pairIDs {
+				s[pid] += x[t]
+			}
+		}
+	}
+	raw := make([]float64, len(active))
+	res := &ITERResult{X: x, S: s}
+	for iter := 0; iter < opts.ITERMaxIters; iter++ {
+		scatter()
+		for k, t := range active {
+			var acc float64
+			for _, pid := range g.TermPairs[t] {
+				acc += p[pid] * s[pid]
+			}
+			raw[k] = acc / float64(g.Pt(int(t)))
+		}
+		delta := parallel.ReduceSum(1, len(active), func(lo, hi int) float64 {
+			var d float64
+			for k := lo; k < hi; k++ {
+				nx := raw[k] / (1 + raw[k])
+				d += math.Abs(nx - x[active[k]])
+				x[active[k]] = nx
+			}
+			return d
+		})
+		res.Updates = append(res.Updates, delta)
+		res.Iterations = iter + 1
+		if delta < opts.ITERTol {
+			res.Converged = true
+			break
+		}
+	}
+	scatter()
+	return res
+}
+
+// TestITERGatherMatchesScatter asserts ITER's per-pair gather over the
+// pair→term transpose is bit-identical to the serial term-major scatter,
+// serially and fanned out.
 func TestITERGatherMatchesScatter(t *testing.T) {
 	_, g := productScaleGraph(t)
 	p := onesP(g)
 	opts := DefaultOptions()
-	opts.Workers = 2
-	withCSR := RunITER(g, p, opts, rand.New(rand.NewSource(5)))
-	gc := *g
-	gc.PairTermPtr, gc.PairTerms = nil, nil
-	serial := RunITER(&gc, p, opts, rand.New(rand.NewSource(5)))
-	bitsEqual(t, "X", serial.X, withCSR.X)
-	bitsEqual(t, "S", serial.S, withCSR.S)
+	want := scatterITER(g, p, opts, rand.New(rand.NewSource(5)))
+	for _, w := range []int{1, 2} {
+		opts.Workers = w
+		got := RunITER(g, p, opts, rand.New(rand.NewSource(5)))
+		bitsEqual(t, "X", want.X, got.X)
+		bitsEqual(t, "S", want.S, got.S)
+		bitsEqual(t, "Updates", want.Updates, got.Updates)
+		if got.Converged != want.Converged {
+			t.Fatalf("workers=%d: converged %v, scatter %v", w, got.Converged, want.Converged)
+		}
+	}
 }
 
 // TestCliqueRankBitIdenticalAcrossWorkers covers the masked power chain and

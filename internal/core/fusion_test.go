@@ -51,7 +51,7 @@ func TestRunFusionEndToEnd(t *testing.T) {
 
 	matchPairs := [][2]int32{{0, 1}, {2, 3}, {4, 5}}
 	for _, mp := range matchPairs {
-		id, ok := g.PairID(mp[0], mp[1])
+		id, ok := pairID(g, mp[0], mp[1])
 		if !ok {
 			t.Fatalf("pair %v not a candidate", mp)
 		}
@@ -84,7 +84,7 @@ func TestRunFusionWithRSSBackend(t *testing.T) {
 	opts.RSSWalks = 100
 	opts.FusionIterations = 2
 	res := mustFusion(t, g, len(fusionTexts), opts)
-	id, _ := g.PairID(0, 1)
+	id, _ := pairID(g, 0, 1)
 	if !res.Matches[id] {
 		t.Errorf("RSS backend missed duplicate pair, p=%g", res.P[id])
 	}
@@ -158,7 +158,7 @@ func TestRunFusionStopWordDegeneracy(t *testing.T) {
 	}
 	_, g := setup(texts...)
 	res := mustFusion(t, g, len(texts), DefaultOptions())
-	id, ok := g.PairID(2, 3)
+	id, ok := pairID(g, 2, 3)
 	if !ok {
 		t.Fatal("stop-word pair must be a candidate")
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/guard"
 	"repro/internal/index"
 	"repro/internal/parallel"
 )
@@ -33,6 +34,12 @@ type ITERResult struct {
 type iterScratch struct {
 	x, s, raw []float64
 	active    []int32
+	// ptr, terms and check are the current call's graph transpose and
+	// checkpoint, read by gather. gatherFn is gather bound once per
+	// scratch, so a sweep hands parallel.For no fresh closure.
+	ptr, terms []int32
+	check      *guard.Checkpoint
+	gatherFn   func(lo, hi int)
 }
 
 func (sc *iterScratch) grow(numTerms, numPairs int) {
@@ -44,6 +51,28 @@ func (sc *iterScratch) grow(numTerms, numPairs int) {
 		sc.s = make([]float64, numPairs)
 	}
 	sc.s = sc.s[:numPairs]
+}
+
+// gather is the term → pair sweep over pairs [lo, hi): s(ri,rj) = Σ x_t
+// over the pair's terms, read from the pair→term transpose. Each pair
+// writes only its own s, so chunks fan out race-free. Its terms ascend, so
+// the sum adds them in the order a serial term-major scatter would, and
+// skipping x_t = 0 there is exact for non-negative weights: the sweep is
+// bit-identical to that scatter (TestITERGatherMatchesScatter).
+func (sc *iterScratch) gather(lo, hi int) {
+	// One poll per chunk (≤ Grain pairs), none per pair: frequent enough
+	// that a canceled run stops within a few thousand additions.
+	if sc.check.Tick() != nil {
+		return
+	}
+	ptr, terms, x, s := sc.ptr, sc.terms, sc.x, sc.s
+	for pid := lo; pid < hi; pid++ {
+		var acc float64
+		for k, end := ptr[pid], ptr[pid+1]; k < end; k++ {
+			acc += x[terms[k]]
+		}
+		s[pid] = acc
+	}
 }
 
 // RunITER executes Algorithm 1 on the bipartite term/pair graph. p is the
@@ -99,59 +128,16 @@ func runITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand, sc *iter
 
 	workers := opts.Workers
 
-	// Term → pair sweep: s(ri,rj) = Σ shared x_t. When the sweep actually
-	// fans out, the pair→term CSR transpose turns it into a race-free
-	// per-pair gather; each pair's terms are ascending, the same order the
-	// serial term-major scatter adds them in, and skipping x_t = 0 in the
-	// scatter is exact for non-negative weights, so both forms produce
-	// bit-identical sums (TestITERGatherMatchesScatter pins this). On one
-	// worker, and on hand-rolled graphs without the transpose, the
-	// term-major scatter runs instead. Which form is faster on one worker
-	// depends on the graph (DESIGN §9). The choice is made once per call,
-	// and the gather, like pairToTerm below, is built once, so the sweeps
-	// do not allocate per iteration.
-	var gather func(lo, hi int)
-	if ptr, terms := g.PairTermPtr, g.PairTerms; ptr != nil && parallel.Workers(workers) > 1 {
-		gather = func(lo, hi int) {
-			// One poll per chunk (≤ Grain pairs): cheap enough to leave the
-			// gather branch-free, frequent enough that a canceled run stops
-			// within a few thousand additions.
-			if opts.Check.Tick() != nil {
-				return
-			}
-			for pid := lo; pid < hi; pid++ {
-				var acc float64
-				for k, end := ptr[pid], ptr[pid+1]; k < end; k++ {
-					acc += x[terms[k]]
-				}
-				s[pid] = acc
-			}
-		}
-	}
-	termToPair := func() {
-		if gather != nil {
-			parallel.For(workers, len(s), gather)
-			return
-		}
-		for k := range s {
-			s[k] = 0
-		}
-		for t, pairIDs := range g.TermPairs {
-			xt := x[t]
-			if xt == 0 {
-				continue
-			}
-			for _, pid := range pairIDs {
-				s[pid] += xt
-			}
-		}
+	sc.ptr, sc.terms, sc.check = g.PairTermPtr, g.PairTerms, opts.Check
+	if sc.gatherFn == nil {
+		sc.gatherFn = sc.gather
 	}
 
 	// Pair → term sweep with the P_t punishment and the p(ri,rj) edge
 	// weight. Chunks write disjoint raw[lo:hi], so the fan-out is race-free
 	// and order-independent.
 	pairToTerm := func(lo, hi int) {
-		// Polled per chunk, like the gather above.
+		// Polled per chunk, like gather.
 		if opts.Check.Tick() != nil {
 			return
 		}
@@ -199,7 +185,7 @@ func runITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand, sc *iter
 		if opts.Check.Err() != nil {
 			break
 		}
-		termToPair()
+		parallel.For(workers, len(s), sc.gatherFn)
 		parallel.For(workers, len(active), pairToTerm)
 		var delta float64
 		switch opts.Normalization {
@@ -229,6 +215,6 @@ func runITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand, sc *iter
 		}
 	}
 	// Final term → pair sweep so S reflects the converged weights.
-	termToPair()
+	parallel.For(workers, len(s), sc.gatherFn)
 	return res
 }

@@ -80,8 +80,8 @@ func TestRunITERDiscriminativeTermsWin(t *testing.T) {
 	}
 	// And consequently the duplicate pair outscores a spurious pair that
 	// only shares the stop word.
-	dup, _ := g.PairID(0, 1)
-	spurious, _ := g.PairID(0, 2)
+	dup, _ := pairID(g, 0, 1)
+	spurious, _ := pairID(g, 0, 2)
 	if res.S[dup] <= res.S[spurious] {
 		t.Errorf("duplicate similarity %g must exceed spurious %g", res.S[dup], res.S[spurious])
 	}

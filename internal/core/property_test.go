@@ -10,19 +10,18 @@ import (
 // randomCandidateGraph builds a random blocking graph over n records with
 // the given edge density and random positive similarities.
 func randomCandidateGraph(rng *rand.Rand, n int, density float64) (*index.Graph, []float64) {
-	g := &index.Graph{NumRecords: n, Index: map[uint64]int32{}}
+	var pairs []index.Pair
 	var s []float64
 	for i := int32(0); i < int32(n); i++ {
 		for j := i + 1; j < int32(n); j++ {
 			if rng.Float64() >= density {
 				continue
 			}
-			g.Index[index.Key(i, j)] = int32(len(g.Pairs))
-			g.Pairs = append(g.Pairs, index.Pair{I: i, J: j})
+			pairs = append(pairs, index.Pair{I: i, J: j})
 			s = append(s, 0.05+rng.Float64())
 		}
 	}
-	return g, s
+	return pairGraph(n, pairs), s
 }
 
 // TestCliqueRankProbabilityInvariants checks, over many random graphs, that
@@ -98,19 +97,21 @@ func TestRSSProbabilityInvariants(t *testing.T) {
 // probability (there is no pair node between them at all), and that two
 // well-formed cliques both resolve internally.
 func TestCliqueRankDisjointComponentsStayDisjoint(t *testing.T) {
-	g := &index.Graph{NumRecords: 6, Index: map[uint64]int32{}}
-	var s []float64
+	var pairs []index.Pair
 	addClique := func(members []int32) {
 		for a := 0; a < len(members); a++ {
 			for b := a + 1; b < len(members); b++ {
-				g.Index[index.Key(members[a], members[b])] = int32(len(g.Pairs))
-				g.Pairs = append(g.Pairs, index.Pair{I: members[a], J: members[b]})
-				s = append(s, 1)
+				pairs = append(pairs, index.Pair{I: members[a], J: members[b]})
 			}
 		}
 	}
 	addClique([]int32{0, 1, 2})
 	addClique([]int32{3, 4, 5})
+	g := pairGraph(6, pairs)
+	s := make([]float64, len(pairs))
+	for k := range s {
+		s[k] = 1
+	}
 	rg := BuildRecordGraph(g, s, 6)
 	p := CliqueRank(rg, DefaultOptions())
 	for k := range g.Pairs {

@@ -11,8 +11,8 @@ func TestRSSSeparatesCliques(t *testing.T) {
 	opts := DefaultOptions()
 	opts.RSSWalks = 200
 	p := RSS(rg, opts)
-	within, _ := g.PairID(0, 1)
-	cross, _ := g.PairID(2, 3)
+	within, _ := pairID(g, 0, 1)
+	cross, _ := pairID(g, 2, 3)
 	if p[within] < 0.9 {
 		t.Errorf("within-clique RSS probability %g, want >= 0.9", p[within])
 	}
@@ -35,7 +35,7 @@ func TestRSSAgreesWithCliqueRankQualitatively(t *testing.T) {
 	opts.RSSWalks = 400
 	pRSS := RSS(rg, opts)
 	pCR := CliqueRank(rg, opts)
-	cross, _ := g.PairID(2, 3)
+	cross, _ := pairID(g, 2, 3)
 	for pid := range g.Pairs {
 		if pid == int(cross) {
 			continue
@@ -101,16 +101,12 @@ func TestRSSOnEdgesSubset(t *testing.T) {
 func TestRSSSingleEdgeGraph(t *testing.T) {
 	// Corner case from §VI-B: a node with a single neighbor always reaches
 	// it, so p must be 1 for an isolated matched pair.
-	g := &index.Graph{
-		NumRecords: 2,
-		Pairs:      []index.Pair{{I: 0, J: 1}},
-		Index:      map[uint64]int32{index.Key(0, 1): 0},
-	}
+	g := pairGraph(2, []index.Pair{{I: 0, J: 1}})
 	rg := BuildRecordGraph(g, []float64{0.7}, 2)
 	opts := DefaultOptions()
 	opts.RSSWalks = 20
 	p := RSS(rg, opts)
-	id, _ := g.PairID(0, 1)
+	id, _ := pairID(g, 0, 1)
 	if p[id] != 1 {
 		t.Errorf("single-edge pair probability = %g, want 1", p[id])
 	}

@@ -47,17 +47,14 @@ type Component struct {
 }
 
 // Partition is the component decomposition of a candidate graph plus the
-// global→local renumbering arrays. Record and pair membership is unique,
-// so one flat array per dimension serves every component at once and the
-// consumers' hot loops stay map-free.
+// global→local record renumbering. Record membership is unique, so one
+// flat array serves every component at once and the consumers' hot loops
+// stay map-free.
 type Partition struct {
 	Comps []Component
-	// RecLocal and PairLocal give a record's / pair's local index within
-	// its component (-1 for records in no candidate pair).
-	RecLocal  []int32
-	PairLocal []int32
-	// PairComp gives a pair's component index.
-	PairComp []int32
+	// RecLocal gives a record's local index within its component (-1 for
+	// records in no candidate pair).
+	RecLocal []int32
 }
 
 // PartitionComponents computes the connected components of the candidate
@@ -107,10 +104,8 @@ func PartitionComponents(g *index.Graph, numRecords int) *Partition {
 		pairCount[compOf[pr.I]]++
 	}
 	part := &Partition{
-		Comps:     make([]Component, ncomps),
-		RecLocal:  make([]int32, numRecords),
-		PairLocal: make([]int32, g.NumPairs()),
-		PairComp:  make([]int32, g.NumPairs()),
+		Comps:    make([]Component, ncomps),
+		RecLocal: make([]int32, numRecords),
 	}
 	for ci := range part.Comps {
 		part.Comps[ci].Records = make([]int32, 0, recCount[ci])
@@ -130,8 +125,6 @@ func PartitionComponents(g *index.Graph, numRecords int) *Partition {
 	}
 	for pid, pr := range g.Pairs {
 		ci := compOf[pr.I]
-		part.PairComp[pid] = ci
-		part.PairLocal[pid] = int32(len(part.Comps[ci].Pairs))
 		part.Comps[ci].Pairs = append(part.Comps[ci].Pairs, int32(pid))
 	}
 	return part

@@ -58,11 +58,11 @@ func componentTerms(g *index.Graph, comp *core.Component, seen []bool) []int32 {
 	return terms
 }
 
-// LocalizeComponent builds component ci's local candidate graph: records
-// and pairs renumbered densely (preserving global order, so local key
-// order matches global key order), terms restricted to the component in
-// ascending global order. It is the layout index.Pending materializes for
-// a touched component.
+// LocalizeComponent builds component ci's local candidate graph with
+// index.NewGraph: records renumbered densely in global order, terms
+// restricted to the component in ascending global order. Both renumberings
+// are monotone, so the local pair IDs keep the global pair order. It is
+// the graph index.Pending materializes for a touched component.
 func LocalizeComponent(g *index.Graph, part *core.Partition, ci int) *index.Graph {
 	return localizeComponent(g, part, ci, make([]bool, g.NumTerms))
 }
@@ -72,29 +72,25 @@ func LocalizeComponent(g *index.Graph, part *core.Partition, ci int) *index.Grap
 func localizeComponent(g *index.Graph, part *core.Partition, ci int, seen []bool) *index.Graph {
 	comp := &part.Comps[ci]
 	terms := componentTerms(g, comp, seen)
-	lg := &index.Graph{
-		NumRecords: len(comp.Records),
-		NumTerms:   len(terms),
-		Pairs:      make([]index.Pair, len(comp.Pairs)),
-		Index:      make(map[uint64]int32, len(comp.Pairs)),
-		TermPairs:  make([][]int32, len(terms)),
+	pairs := make([]index.Pair, len(comp.Pairs))
+	lists := make([][]int32, len(comp.Pairs))
+	refs := 0
+	for _, pid := range comp.Pairs {
+		refs += int(g.PairTermPtr[pid+1] - g.PairTermPtr[pid])
 	}
+	buf := make([]int32, 0, refs)
+	//lint:ignore guardloop bounded by one component's pair-term lists; DeltaFuse polls the checkpoint per component
 	for k, pid := range comp.Pairs {
 		pr := g.Pairs[pid]
-		li, lj := part.RecLocal[pr.I], part.RecLocal[pr.J]
-		lg.Pairs[k] = index.Pair{I: li, J: lj}
-		lg.Index[index.Key(li, lj)] = int32(k)
-	}
-	//lint:ignore guardloop bounded by one component's term-pair lists; DeltaFuse polls the checkpoint per component
-	for lt, t := range terms {
-		for _, pid := range g.TermPairs[t] {
-			if part.PairComp[pid] == int32(ci) {
-				lg.TermPairs[lt] = append(lg.TermPairs[lt], part.PairLocal[pid])
-			}
+		pairs[k] = index.Pair{I: part.RecLocal[pr.I], J: part.RecLocal[pr.J]}
+		start := len(buf)
+		for _, t := range g.PairTerms[g.PairTermPtr[pid]:g.PairTermPtr[pid+1]] {
+			lt, _ := slices.BinarySearch(terms, t)
+			buf = append(buf, int32(lt))
 		}
+		lists[k] = buf[start:len(buf):len(buf)]
 	}
-	lg.BuildPairIndex()
-	return lg
+	return index.NewGraph(len(comp.Records), len(terms), pairs, lists)
 }
 
 // componentKey derives the content key of a component's fusion result from

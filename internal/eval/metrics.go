@@ -263,8 +263,8 @@ func BlockingRecall(g *index.Graph, truth map[uint64]bool) (float64, bool) {
 		return 1, true
 	}
 	hit := 0
-	for key := range truth {
-		if _, ok := g.Index[key]; ok {
+	for _, pr := range g.Pairs {
+		if truth[index.Key(pr.I, pr.J)] {
 			hit++
 		}
 	}

@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -73,13 +72,10 @@ func (o *BatchOptions) survives(shared int32, docLen []int32, a, b int32) bool {
 	return true
 }
 
-// survivor is one candidate pair that passed every blocking filter, tagged
-// with the first eligible term shared by its records — the term under which
-// the historical serial enumeration would have assigned its pair-node ID.
+// survivor is one candidate pair that passed every blocking filter.
 type survivor struct {
 	r, q   int32 // record positions, r < q
 	shared int32 // number of eligible shared terms
-	firstT int32 // smallest eligible shared term (dense corpus ID)
 }
 
 // batchScratch is one worker's dense partner-accumulation state. cnt is
@@ -88,7 +84,6 @@ type survivor struct {
 // or builds.
 type batchScratch struct {
 	cnt     []int32 // per-record shared-term count with the current record
-	firstT  []int32 // valid only where cnt > 0
 	touched []int32 // partners touched by the current record, first-touch order
 }
 
@@ -98,18 +93,14 @@ func getBatchScratch(n int) *batchScratch {
 	s := batchScratchPool.Get().(*batchScratch)
 	if cap(s.cnt) < n {
 		s.cnt = make([]int32, n)
-		s.firstT = make([]int32, n)
 	}
 	s.cnt = s.cnt[:n]
-	s.firstT = s.firstT[:n]
 	return s
 }
 
 // BuildGraph constructs the candidate set and bipartite graph for the
-// corpus, bit-identical to the historical serial term-major enumeration:
-// pair-node IDs follow the order (first eligible shared term, record pair),
-// and each TermPairs[t] lists its pairs in ascending record order — exactly
-// the order the serial two-pass loop produced. The scan itself is a
+// corpus in NewGraph's layout, which is bit-identical to the historical
+// serial term-major enumeration. The scan itself is a
 // per-record partner accumulation fanned out over parallel.ForGrain, so
 // chunk outputs depend only on the chunk's records, never on the schedule.
 //
@@ -163,7 +154,7 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 	chunkOut := make([][]survivor, numChunks)
 	parallel.ForGrain(opts.Workers, n, grain, func(lo, hi int) {
 		sc := getBatchScratch(n)
-		cnt, firstT := sc.cnt, sc.firstT
+		cnt := sc.cnt
 		out := chunkOut[lo/grain]
 		for r := lo; r < hi; r++ {
 			if opts.Check.Tick() != nil {
@@ -183,7 +174,6 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 						continue
 					}
 					if cnt[q] == 0 {
-						firstT[q] = t
 						touched = append(touched, q)
 					}
 					cnt[q]++
@@ -193,7 +183,7 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 				s := cnt[q]
 				cnt[q] = 0
 				if opts.survives(s, docLen, ri, q) {
-					out = append(out, survivor{r: ri, q: q, shared: s, firstT: firstT[q]})
+					out = append(out, survivor{r: ri, q: q, shared: s})
 				}
 			}
 			sc.touched = touched[:0]
@@ -213,109 +203,47 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 	for _, out := range chunkOut {
 		survivors = append(survivors, out...)
 	}
-	return assembleGraph(c, survivors, eligible, n, nt), nil
+	return assembleGraph(c, survivors, eligible, opts.Workers), nil
 }
 
-// assembleGraph turns the surviving pairs into a Graph in the historical
-// enumeration order: pair-node IDs ascend by (first eligible shared term,
-// pair key), and TermPairs[t] lists pairs in ascending key order.
-func assembleGraph(c *textproc.Corpus, survivors []survivor, eligible []bool, n, nt int) *Graph {
-	// slices.SortFunc, not sort.Slice: the reflection-based swapper is
-	// measurable on the warm resolve path at 100k records.
-	slices.SortFunc(survivors, func(a, b survivor) int {
-		if a.firstT != b.firstT {
-			return int(a.firstT) - int(b.firstT)
-		}
-		ka, kb := Key(a.r, a.q), Key(b.r, b.q)
-		switch {
-		case ka < kb:
-			return -1
-		case ka > kb:
-			return 1
-		}
-		return 0
-	})
-	g := &Graph{
-		NumRecords: n,
-		NumTerms:   nt,
-		Pairs:      make([]Pair, len(survivors)),
-		Index:      make(map[uint64]int32, len(survivors)),
-		TermPairs:  make([][]int32, nt),
-	}
-	for id, s := range survivors {
-		g.Pairs[id] = Pair{I: s.r, J: s.q}
-		g.Index[Key(s.r, s.q)] = int32(id)
-	}
-	// Bipartite adjacency: visit pairs in ascending key order so each
-	// term's pair list comes out in the serial enumeration's order.
-	byKey := make([]int32, len(survivors))
-	for i := range byKey {
-		byKey[i] = int32(i)
-	}
-	slices.SortFunc(byKey, func(a, b int32) int {
-		ka := Key(survivors[a].r, survivors[a].q)
-		kb := Key(survivors[b].r, survivors[b].q)
-		switch {
-		case ka < kb:
-			return -1
-		case ka > kb:
-			return 1
-		}
-		return 0
-	})
-	// Emit (term, pair) references flat, then lay TermPairs out with a
-	// stable counting sort into one backing array: a pair's shared count is
-	// exactly its eligible shared terms, so the reference total is known up
-	// front and no per-term slice ever grows — at 100k records the append
-	// version costs ~30k small allocations per materialize. Stability keeps
-	// each term's pair list in the byKey emission order, identical to the
-	// appends it replaces.
+// assembleGraph lists each surviving pair's eligible shared terms and
+// hands them to NewGraph. A survivor's shared count is exactly its number
+// of eligible shared terms, so the lists are windows of one array whose
+// offsets are known up front, and chunks of survivors fill their windows
+// in parallel.
+func assembleGraph(c *textproc.Corpus, survivors []survivor, eligible []bool, workers int) *Graph {
+	pairs := make([]Pair, len(survivors))
+	terms := make([][]int32, len(survivors))
 	total := 0
 	for _, s := range survivors {
 		total += int(s.shared)
 	}
-	refT := make([]int32, 0, total)
-	refP := make([]int32, 0, total)
-	//lint:ignore guardloop output-sized adjacency fill over the already-filtered survivors; the guarded stage is the quadratic scan in BuildGraph, upstream
-	for _, id := range byKey {
-		s := survivors[id]
-		di, dj := c.Docs[s.r], c.Docs[s.q]
-		x, y := 0, 0
-		for x < len(di) && y < len(dj) {
-			switch {
-			case di[x] < dj[y]:
-				x++
-			case di[x] > dj[y]:
-				y++
-			default:
-				if eligible[di[x]] {
-					refT = append(refT, di[x])
-					refP = append(refP, id)
+	buf := make([]int32, total)
+	off := 0
+	for k, s := range survivors {
+		pairs[k] = Pair{I: s.r, J: s.q}
+		terms[k] = buf[off : off : off+int(s.shared)]
+		off += int(s.shared)
+	}
+	parallel.ForGrain(workers, len(survivors), 1<<12, func(lo, hi int) {
+		//lint:ignore guardloop output-sized merge over the already-filtered survivors; the guarded stage is the quadratic scan in BuildGraph, upstream
+		for k := lo; k < hi; k++ {
+			di, dj := c.Docs[pairs[k].I], c.Docs[pairs[k].J]
+			for x, y := 0, 0; x < len(di) && y < len(dj); {
+				switch {
+				case di[x] < dj[y]:
+					x++
+				case di[x] > dj[y]:
+					y++
+				default:
+					if eligible[di[x]] {
+						terms[k] = append(terms[k], di[x])
+					}
+					x++
+					y++
 				}
-				x++
-				y++
 			}
 		}
-	}
-	counts := make([]int32, nt+1)
-	for _, t := range refT {
-		counts[t+1]++
-	}
-	for t := 0; t < nt; t++ {
-		counts[t+1] += counts[t]
-	}
-	backing := make([]int32, len(refP))
-	fill := make([]int32, nt)
-	copy(fill, counts[:nt])
-	for k, t := range refT {
-		backing[fill[t]] = refP[k]
-		fill[t]++
-	}
-	for t := 0; t < nt; t++ {
-		if counts[t+1] > counts[t] {
-			g.TermPairs[t] = backing[counts[t]:counts[t+1]:counts[t+1]]
-		}
-	}
-	g.BuildPairIndex()
-	return g
+	})
+	return NewGraph(c.NumRecords(), c.NumTerms(), pairs, terms)
 }

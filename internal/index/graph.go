@@ -13,6 +13,11 @@
 // instead of the corpus.
 package index
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Pair is a candidate record pair with I < J.
 type Pair struct {
 	I, J int32
@@ -28,65 +33,132 @@ func Key(i, j int32) uint64 {
 
 // Graph is the candidate set plus the bipartite term/pair adjacency of the
 // paper's §V-B: a term node t is connected to a pair node (ri, rj) iff t
-// appears in both records after the blocking filters.
+// appears in both records after the blocking filters. NewGraph builds it
+// and documents its layout.
 type Graph struct {
 	NumRecords int
 	NumTerms   int
 	// Pairs lists the candidate pairs; the slice index is the pair-node ID.
 	Pairs []Pair
-	// Index maps Key(i,j) to the pair-node ID.
-	Index map[uint64]int32
 	// TermPairs holds, per term, the IDs of the pair nodes it connects to.
 	// len(TermPairs[t]) is the paper's P_t after candidate restriction.
 	TermPairs [][]int32
 	// PairTermPtr/PairTerms are the transpose of TermPairs in CSR layout:
 	// the terms connected to pair p are PairTerms[PairTermPtr[p]:
-	// PairTermPtr[p+1]], ascending. The transpose turns ITER's term→pair
-	// scatter into a race-free per-pair gather; because terms are visited in
-	// ascending order either way, the gather adds contributions in exactly
-	// the scatter's order and the sweep stays bit-identical to the serial
-	// term-major loop. Built by BuildPairIndex; nil on hand-rolled graphs,
-	// in which case consumers fall back to the serial scatter.
+	// PairTermPtr[p+1]].
 	PairTermPtr []int32
 	PairTerms   []int32
 }
 
-// BuildPairIndex (re)builds the pair→term CSR transpose of TermPairs.
-// BuildGraph and Truncate call it; a caller that assembles a Graph by hand
-// only needs it to opt into the parallel ITER sweep.
-func (g *Graph) BuildPairIndex() {
-	np := g.NumPairs()
-	ptr := make([]int32, np+1)
-	//lint:ignore guardloop output-sized transpose of the already-built adjacency; the guarded stage is the quadratic enumeration in BuildGraph, upstream
-	for _, pairIDs := range g.TermPairs {
-		for _, pid := range pairIDs {
-			ptr[pid+1]++
+// NewGraph is the one constructor of a Graph. pairs lists the pair nodes,
+// each with I < J, in any order, and terms[k] lists the term nodes of
+// pairs[k] in ascending order: for a blocking graph, the eligible terms its
+// records share. The layout it builds is the one every builder of a
+// candidate graph shares and every consumer relies on:
+//
+//   - Pair-node IDs ascend by (smallest term, Key). This is the order in
+//     which the serial term-major enumeration first meets each pair. A
+//     pair with no term sorts after every pair with one.
+//   - TermPairs[t] lists the pairs of term t by ascending Key, the order
+//     the enumeration appends them in.
+//   - PairTermPtr/PairTerms is the exact transpose of TermPairs: each
+//     pair's terms, ascending. ITER's term→pair sweep gathers over it,
+//     adding each pair's terms in the order a term-major scatter would.
+//
+// Renumbering records and terms monotonically, as a component's local
+// graph does, keeps both orders, so a component localized from the batch
+// graph and one built from the resident index come out identical.
+func NewGraph(numRecords, numTerms int, pairs []Pair, terms [][]int32) *Graph {
+	np := len(pairs)
+	refs := 0
+	for _, ts := range terms {
+		refs += len(ts)
+	}
+	// One scratch allocation: pairs in Key order, each pair's ID, and the
+	// per-term counters of two counting sorts.
+	scratch := make([]int32, 2*np+numTerms+2)
+	byKey, idOf, cnt := scratch[:np], scratch[np:2*np], scratch[2*np:]
+	for k := range byKey {
+		byKey[k] = int32(k)
+	}
+	slices.SortFunc(byKey, func(a, b int32) int {
+		return cmp.Compare(Key(pairs[a].I, pairs[a].J), Key(pairs[b].I, pairs[b].J))
+	})
+	first := func(k int32) int {
+		if len(terms[k]) == 0 {
+			return numTerms
 		}
+		return int(terms[k][0])
+	}
+	// IDs: a stable counting sort of the Key order by smallest term.
+	for _, k := range byKey {
+		cnt[first(k)+1]++
+	}
+	for t := 1; t < len(cnt); t++ {
+		cnt[t] += cnt[t-1]
+	}
+	for _, k := range byKey {
+		f := first(k)
+		idOf[k] = cnt[f]
+		cnt[f]++
+	}
+
+	// The transpose and TermPairs share one allocation with PairTermPtr;
+	// all three live as long as the graph.
+	buf := make([]int32, np+1+2*refs)
+	g := &Graph{
+		NumRecords:  numRecords,
+		NumTerms:    numTerms,
+		Pairs:       make([]Pair, np),
+		TermPairs:   make([][]int32, numTerms),
+		PairTermPtr: buf[: np+1 : np+1],
+		PairTerms:   buf[np+1 : np+1+refs : np+1+refs],
+	}
+	backing := buf[np+1+refs:]
+	ptr := g.PairTermPtr
+	for k, id := range idOf {
+		g.Pairs[id] = pairs[k]
+		ptr[id+1] = int32(len(terms[k]))
 	}
 	for p := 0; p < np; p++ {
 		ptr[p+1] += ptr[p]
 	}
-	terms := make([]int32, ptr[np])
-	fill := make([]int32, np)
-	copy(fill, ptr[:np])
-	// Terms are scanned ascending, so each pair's term list comes out
-	// ascending — the property the gather's bit-identity argument needs.
-	for t, pairIDs := range g.TermPairs {
-		for _, pid := range pairIDs {
-			terms[fill[pid]] = int32(t)
-			fill[pid]++
+	for k, id := range idOf {
+		copy(g.PairTerms[ptr[id]:], terms[k])
+	}
+
+	// TermPairs: a counting sort of the (term, pair) references, visiting
+	// pairs in Key order. After the fill cnt[t] is where term t ends.
+	clear(cnt)
+	for _, t := range g.PairTerms {
+		cnt[t+1]++
+	}
+	for t := 1; t < len(cnt); t++ {
+		cnt[t] += cnt[t-1]
+	}
+	//lint:ignore guardloop output-sized layout of pairs already enumerated; the guarded stage is the candidate scan upstream
+	for _, k := range byKey {
+		for _, t := range terms[k] {
+			backing[cnt[t]] = idOf[k]
+			cnt[t]++
 		}
 	}
-	g.PairTermPtr = ptr
-	g.PairTerms = terms
+	lo := int32(0)
+	for t := range g.TermPairs {
+		if hi := cnt[t]; hi > lo {
+			g.TermPairs[t] = backing[lo:hi:hi]
+			lo = hi
+		}
+	}
+	return g
 }
 
 // Truncate returns a graph restricted to the first maxPairs candidate pairs
 // (enumeration order). It is the last-resort degradation step of the pair
 // budget: when tightening MinJaccard/MaxTermRecords cannot bring the
 // candidate set under budget, the caller drops the tail deterministically.
-// The input graph is not modified; when it is already within budget it is
-// returned unchanged.
+// The kept pairs keep their IDs. The input graph is not modified; when it
+// is already within budget it is returned unchanged.
 func Truncate(g *Graph, maxPairs int) *Graph {
 	if maxPairs < 0 {
 		maxPairs = 0
@@ -94,26 +166,11 @@ func Truncate(g *Graph, maxPairs int) *Graph {
 	if g.NumPairs() <= maxPairs {
 		return g
 	}
-	out := &Graph{
-		NumRecords: g.NumRecords,
-		NumTerms:   g.NumTerms,
-		Pairs:      g.Pairs[:maxPairs:maxPairs],
-		Index:      make(map[uint64]int32, maxPairs),
-		TermPairs:  make([][]int32, g.NumTerms),
+	terms := make([][]int32, maxPairs)
+	for p := range terms {
+		terms[p] = g.PairTerms[g.PairTermPtr[p]:g.PairTermPtr[p+1]]
 	}
-	for _, p := range out.Pairs {
-		out.Index[Key(p.I, p.J)] = int32(len(out.Index))
-	}
-	//lint:ignore guardloop output-sized copy of the already-built graph; the guarded stage is BuildGraph, upstream
-	for t, pairIDs := range g.TermPairs {
-		for _, pid := range pairIDs {
-			if int(pid) < maxPairs {
-				out.TermPairs[t] = append(out.TermPairs[t], pid)
-			}
-		}
-	}
-	out.BuildPairIndex()
-	return out
+	return NewGraph(g.NumRecords, g.NumTerms, g.Pairs[:maxPairs], terms)
 }
 
 // NumPairs returns the candidate pair count (edges of G_r).
@@ -121,10 +178,3 @@ func (g *Graph) NumPairs() int { return len(g.Pairs) }
 
 // Pt returns the number of pair nodes connected to term t.
 func (g *Graph) Pt(t int) int { return len(g.TermPairs[t]) }
-
-// PairID returns the pair-node ID for records (i, j) and whether the pair is
-// a candidate.
-func (g *Graph) PairID(i, j int32) (int32, bool) {
-	id, ok := g.Index[Key(i, j)]
-	return id, ok
-}

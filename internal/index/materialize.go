@@ -157,44 +157,18 @@ func (ix *Index) Materialize() *View {
 		}
 	})
 
-	// Survivors from the pair table, re-keyed to positions and tagged with
-	// their first eligible shared dense term, then assembled in the exact
-	// batch enumeration order. Map iteration order is irrelevant:
-	// assembleGraph sorts by (firstT, key).
+	// Survivors from the pair table, re-keyed to positions. Map iteration
+	// order is irrelevant: NewGraph orders the pairs.
 	survivors := make([]survivor, 0, len(ix.pairs))
 	for key, shared := range ix.pairs {
-		//lint:ignore determinism assembleGraph sorts the survivors by (firstT, key), so map order never reaches the graph
-		survivors = append(survivors, survivor{r: int32(key >> 32), q: int32(key & 0xffffffff), shared: shared})
-	}
-	parallel.ForGrain(workers, len(survivors), 1<<12, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pa, pb := posOf[survivors[i].r], posOf[survivors[i].q]
-			if pa > pb {
-				pa, pb = pb, pa
-			}
-			first := int32(-1)
-			di, dj := c.Docs[pa], c.Docs[pb]
-			x, y := 0, 0
-			for x < len(di) && y < len(dj) {
-				switch {
-				case di[x] < dj[y]:
-					x++
-				case di[x] > dj[y]:
-					y++
-				default:
-					if eligible[di[x]] {
-						first = di[x]
-						x = len(di) // break
-					} else {
-						x++
-						y++
-					}
-				}
-			}
-			survivors[i] = survivor{r: pa, q: pb, shared: survivors[i].shared, firstT: first}
+		pa, pb := posOf[int32(key>>32)], posOf[int32(key&0xffffffff)]
+		if pa > pb {
+			pa, pb = pb, pa
 		}
-	})
-	g := assembleGraph(c, survivors, eligible, n, nt)
+		//lint:ignore determinism NewGraph orders the pairs by (first term, key), so map order never reaches the graph
+		survivors = append(survivors, survivor{r: pa, q: pb, shared: shared})
+	}
+	g := assembleGraph(c, survivors, eligible, workers)
 
 	return &View{Corpus: c, Graph: g, Sources: sources, IDs: ids}
 }

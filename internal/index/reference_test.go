@@ -25,9 +25,9 @@ func referenceBuild(c *textproc.Corpus, source []int, opts BatchOptions) *Graph 
 	g := &Graph{
 		NumRecords: n,
 		NumTerms:   c.NumTerms(),
-		Index:      make(map[uint64]int32),
 		TermPairs:  make([][]int32, c.NumTerms()),
 	}
+	ids := make(map[uint64]int32)
 	termEligible := func(recs []int32) bool {
 		if len(recs) < 2 {
 			return false
@@ -73,38 +73,46 @@ func referenceBuild(c *textproc.Corpus, source []int, opts BatchOptions) *Graph 
 						continue
 					}
 				}
-				id, ok := g.Index[key]
+				id, ok := ids[key]
 				if !ok {
 					id = int32(len(g.Pairs))
 					g.Pairs = append(g.Pairs, Pair{I: ri, J: rj})
-					g.Index[key] = id
+					ids[key] = id
 				}
 				g.TermPairs[t] = append(g.TermPairs[t], id)
 			}
 		}
 	}
-	g.BuildPairIndex()
+	// The pair→term transpose: terms are visited ascending, so each
+	// pair's list comes out ascending.
+	pairTerms := make([][]int32, len(g.Pairs))
+	for t, pairIDs := range g.TermPairs {
+		for _, id := range pairIDs {
+			pairTerms[id] = append(pairTerms[id], int32(t))
+		}
+	}
+	g.PairTermPtr = make([]int32, 1, len(g.Pairs)+1)
+	for _, terms := range pairTerms {
+		g.PairTerms = append(g.PairTerms, terms...)
+		g.PairTermPtr = append(g.PairTermPtr, int32(len(g.PairTerms)))
+	}
 	return g
 }
 
 // requireGraphsEqual compares two graphs field by field, with empty and nil
-// slices considered equal (append-built vs make-built adjacency rows).
+// slices considered equal (append-built vs make-built adjacency rows), and
+// checks got's layout.
 func requireGraphsEqual(t *testing.T, want, got *Graph) {
 	t.Helper()
+	if err := CheckLayout(got); err != nil {
+		t.Fatal(err)
+	}
 	if want.NumRecords != got.NumRecords || want.NumTerms != got.NumTerms {
 		t.Fatalf("shape mismatch: want %d records/%d terms, got %d/%d",
 			want.NumRecords, want.NumTerms, got.NumRecords, got.NumTerms)
 	}
 	if !reflect.DeepEqual(normPairs(want.Pairs), normPairs(got.Pairs)) {
 		t.Fatalf("pairs mismatch:\nwant %v\ngot  %v", want.Pairs, got.Pairs)
-	}
-	if len(want.Index) != len(got.Index) {
-		t.Fatalf("index size mismatch: want %d, got %d", len(want.Index), len(got.Index))
-	}
-	for k, id := range want.Index {
-		if got.Index[k] != id {
-			t.Fatalf("index mismatch at key %d: want %d, got %d", k, id, got.Index[k])
-		}
 	}
 	if len(want.TermPairs) != len(got.TermPairs) {
 		t.Fatalf("termpairs length mismatch: want %d, got %d", len(want.TermPairs), len(got.TermPairs))

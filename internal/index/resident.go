@@ -65,11 +65,10 @@ type PendingComponent struct {
 	// Records lists the component's record positions, ascending. A
 	// record's index in the list is its local node ID.
 	Records []int32
-	// Graph is the component's local candidate graph. Its layout is the one
-	// the batch graph's component localizes to: records in ascending
-	// external-ID order; pairs ordered by (the lexicographic rank of their
-	// first eligible shared term, local key); terms in lexicographic order,
-	// each listing its pairs by ascending local key. Nil until Materialize.
+	// Graph is the component's local candidate graph: its records in
+	// ascending external-ID order and its terms in lexicographic order,
+	// laid out by NewGraph. It equals the batch graph's component
+	// localized the same way. Nil until Materialize.
 	Graph *Graph
 	// Slot is the resident slot the component occupies once committed.
 	Slot int32
@@ -216,25 +215,17 @@ func (pd *Pending) Materialize() {
 	pd.ready = true
 }
 
-// localPair is one pair of a component being localized.
-type localPair struct {
-	i, j   int32 // local endpoints, i < j
-	first  int32 // first eligible shared term (interned ID)
-	lo, hi int32 // its eligible shared terms: shared[lo:hi]
-}
-
 // localize builds one component's local graph from the pair table and
 // appends its pairs to fresh in local pair order.
 func (ix *Index) localize(recs []int32, maxDF int32, fresh *[]orderedPair) *Graph {
 	rank := ix.rankOf
-	var lps []localPair
+	var pairs []Pair
+	var ends []int32 // pair k's eligible shared terms are shared[ends[k-1]:ends[k]]
 	var shared []int32
-	// Each pair is seen from its smaller position, so lps comes out in
-	// ascending local key order.
+	// Each pair is seen from its smaller position.
 	//lint:ignore guardloop bounded by one component's pairs × their records' term lists; the resolver polls its checkpoint per component
 	for li, p := range recs {
 		r := ix.order[p]
-		start := len(lps)
 		for _, q := range ix.adj[r] {
 			if _, ok := ix.pairs[Key(r, q)]; !ok {
 				continue
@@ -244,8 +235,6 @@ func (ix *Index) localize(recs []int32, maxDF int32, fresh *[]orderedPair) *Grap
 				continue
 			}
 			lj, _ := slices.BinarySearch(recs, pq)
-			lo := int32(len(shared))
-			first := int32(-1)
 			ti, tq := ix.terms[r], ix.terms[q]
 			for x, y := 0, 0; x < len(ti) && y < len(tq); {
 				switch {
@@ -256,74 +245,37 @@ func (ix *Index) localize(recs []int32, maxDF int32, fresh *[]orderedPair) *Grap
 				default:
 					if t := ti[x]; ix.eligAt(t, ix.df[t], maxDF) {
 						shared = append(shared, t)
-						if first < 0 || rank[t] < rank[first] {
-							first = t
-						}
 					}
 					x++
 					y++
 				}
 			}
-			lps = append(lps, localPair{i: int32(li), j: int32(lj), first: first, lo: lo, hi: int32(len(shared))})
+			pairs = append(pairs, Pair{I: int32(li), J: int32(lj)})
+			ends = append(ends, int32(len(shared)))
 		}
-		row := lps[start:]
-		slices.SortFunc(row, func(a, b localPair) int { return int(a.j) - int(b.j) })
 	}
 
-	// Pair IDs: by first eligible shared term, then local key.
-	np := len(lps)
-	byID := make([]int32, np)
-	for k := range byID {
-		byID[k] = int32(k)
-	}
-	slices.SortStableFunc(byID, func(a, b int32) int {
-		return int(rank[lps[a].first]) - int(rank[lps[b].first])
-	})
-	idOf := make([]int32, np)
-	g := &Graph{
-		NumRecords: len(recs),
-		Pairs:      make([]Pair, np),
-		Index:      make(map[uint64]int32, np),
-	}
-	for id, k := range byID {
-		lp := lps[k]
-		idOf[k] = int32(id)
-		g.Pairs[id] = Pair{I: lp.i, J: lp.j}
-		g.Index[Key(lp.i, lp.j)] = int32(id)
-		*fresh = append(*fresh, orderedPair{a: ix.order[recs[lp.i]], b: ix.order[recs[lp.j]], t: lp.first})
-	}
-
-	// Terms in lexicographic order; each term's pairs by ascending local
-	// key, laid out in one backing array.
+	// Local terms are the component's terms in lexicographic order; each
+	// pair's list is rewritten in place to ascending local IDs.
 	terms := slices.Clone(shared)
 	slices.SortFunc(terms, func(a, b int32) int { return int(rank[a]) - int(rank[b]) })
 	terms = slices.Compact(terms)
-	localTerm := func(t int32) int {
-		lt, _ := slices.BinarySearchFunc(terms, rank[t], func(e, target int32) int { return int(rank[e]) - int(target) })
-		return lt
-	}
-	off := make([]int32, len(terms)+1)
-	for _, t := range shared {
-		off[localTerm(t)+1]++
-	}
-	for lt := range terms {
-		off[lt+1] += off[lt]
-	}
-	backing := make([]int32, len(shared))
-	fill := slices.Clone(off[:len(terms)])
-	for k, lp := range lps {
-		for _, t := range shared[lp.lo:lp.hi] {
-			lt := localTerm(t)
-			backing[fill[lt]] = idOf[k]
-			fill[lt]++
+	lists := make([][]int32, len(pairs))
+	lo := int32(0)
+	for k, hi := range ends {
+		list := shared[lo:hi:hi]
+		for x, t := range list {
+			lt, _ := slices.BinarySearchFunc(terms, rank[t], func(e, target int32) int { return int(rank[e]) - int(target) })
+			list[x] = int32(lt)
 		}
+		sortInt32(list)
+		lists[k], lo = list, hi
 	}
-	g.NumTerms = len(terms)
-	g.TermPairs = make([][]int32, len(terms))
-	for lt := range terms {
-		g.TermPairs[lt] = backing[off[lt]:off[lt+1]:off[lt+1]]
+	g := NewGraph(len(recs), len(terms), pairs, lists)
+	for id, pr := range g.Pairs {
+		first := terms[g.PairTerms[g.PairTermPtr[id]]]
+		*fresh = append(*fresh, orderedPair{a: ix.order[recs[pr.I]], b: ix.order[recs[pr.J]], t: first})
 	}
-	g.BuildPairIndex()
 	return g
 }
 

@@ -180,17 +180,18 @@ func (c *colStore) rememberLocked(key string, seq uint64, typ byte, data []byte)
 	c.dedup[key] = &dedupEntry{Key: key, Seq: seq, Type: typ, Data: data}
 }
 
-// forgetLocked removes one key from the dedup table and its FIFO order.
-func (c *colStore) forgetLocked(key string) {
-	if _, ok := c.dedup[key]; !ok {
-		return
-	}
-	delete(c.dedup, key)
-	for i, k := range c.dedupOrder {
-		if k == key {
-			c.dedupOrder = append(c.dedupOrder[:i], c.dedupOrder[i+1:]...)
-			break
+// forgetLocked evicts keys from the dedup table, skipping any it no longer
+// tracks. The tracked ones are its oldest keys in FIFO order: the live path
+// evicts from the head of dedupOrder, and replay rebuilds that order from
+// the journal, so each eviction drops the head.
+func (c *colStore) forgetLocked(keys []string) {
+	for _, k := range keys {
+		if _, ok := c.dedup[k]; !ok {
+			continue
 		}
+		delete(c.dedup, k)
+		c.dedupOrder[0] = ""
+		c.dedupOrder = c.dedupOrder[1:]
 	}
 }
 
@@ -247,9 +248,7 @@ func (c *colStore) applyLocked(typ byte, m mutation) {
 		delete(col.records, m.ID)
 		col.touchLocked(m.ID)
 	case mutEvict:
-		for _, k := range m.Evict {
-			c.forgetLocked(k)
-		}
+		c.forgetLocked(m.Evict)
 	}
 }
 
@@ -559,7 +558,7 @@ func (s *Server) evictDedupOverflowLocked() {
 	if over <= 0 {
 		return
 	}
-	keys := append([]string(nil), c.dedupOrder[:over]...)
+	keys := c.dedupOrder[:over:over]
 	if s.walLog != nil {
 		data, err := json.Marshal(mutation{Evict: keys})
 		if err != nil {
@@ -571,10 +570,8 @@ func (s *Server) evictDedupOverflowLocked() {
 			return
 		}
 	}
-	for _, k := range keys {
-		c.forgetLocked(k)
-	}
 	c.evictions.Add(int64(len(keys)))
+	c.forgetLocked(keys)
 }
 
 // collectionsReady gates the collections API on recovery state.

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -225,21 +229,54 @@ func TestIdempotencyEvictionJournaled(t *testing.T) {
 		t.Fatal("resident key must replay")
 	}
 
+	// Past 3× capacity every keyed put evicts the head: the table holds the
+	// two newest keys, oldest first.
+	for i := 0; i < 6; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		if status, _, _ := doKeyed(t, http.MethodPut, hs1.URL+"/collections/shops/records/"+k, k, `{"text":"x"}`); status != http.StatusOK {
+			t.Fatalf("put %s failed", k)
+		}
+		want := []string{"key-a", k}
+		if i > 0 {
+			want[0] = fmt.Sprintf("key-%d", i-1)
+		}
+		if order, table := dedupState(s1); !slices.Equal(order, want) || len(table) != 2 {
+			t.Fatalf("after %s: order %v with %d tracked, want %v", k, order, len(table), want)
+		}
+	}
+	if st := getStats(t, hs1.URL); st.Idempotency.Evictions != 8 {
+		t.Fatalf("evictions = %d, want 8", st.Idempotency.Evictions)
+	}
+
 	// A crash-restart rebuilds the same table from the log: the evict
 	// records replay too, so the restarted table matches — even under a
 	// different configured capacity, because replay never re-evicts.
 	s2, hs2 := newTestServer(t, Options{DataDir: dir, BreakerThreshold: -1, DedupCapacity: 64})
 	waitReady(t, s2)
-	st2 := getStats(t, hs2.URL)
-	if st2.Idempotency.TrackedKeys != 2 {
-		t.Fatalf("restarted tracked keys = %d, want 2 (key-a refreshed, key-c resident)", st2.Idempotency.TrackedKeys)
+	order1, table1 := dedupState(s1)
+	order2, table2 := dedupState(s2)
+	if !slices.Equal(order1, order2) || !maps.EqualFunc(table1, table2, func(a, b dedupEntry) bool {
+		return a.Key == b.Key && a.Seq == b.Seq && a.Type == b.Type && bytes.Equal(a.Data, b.Data)
+	}) {
+		t.Fatalf("restarted table %v %v, live %v %v", order2, table2, order1, table1)
 	}
-	if _, replayed, _ := doKeyed(t, http.MethodPut, hs2.URL+"/collections/shops/records/key-c", "key-c", `{"text":"x"}`); !replayed {
+	if _, replayed, _ := doKeyed(t, http.MethodPut, hs2.URL+"/collections/shops/records/key-5", "key-5", `{"text":"x"}`); !replayed {
 		t.Fatal("resident key must replay after restart")
 	}
-	if _, replayed, _ := doKeyed(t, http.MethodPut, hs2.URL+"/collections/shops/records/key-b", "key-b", `{"text":"x"}`); replayed {
+	if _, replayed, _ := doKeyed(t, http.MethodPut, hs2.URL+"/collections/shops/records/key-c", "key-c", `{"text":"x"}`); replayed {
 		t.Fatal("journal-evicted key must not replay after restart")
 	}
+}
+
+// dedupState copies a server's dedup table and its FIFO order.
+func dedupState(s *Server) ([]string, map[string]dedupEntry) {
+	s.cols.mu.RLock()
+	defer s.cols.mu.RUnlock()
+	table := make(map[string]dedupEntry, len(s.cols.dedup))
+	for k, e := range s.cols.dedup {
+		table[k] = *e
+	}
+	return slices.Clone(s.cols.dedupOrder), table
 }
 
 // TestKeylessMutationsBypassDedup: requests without a key take the plain

@@ -1,6 +1,7 @@
 package er
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -421,8 +422,29 @@ type Explanation struct {
 // returns false when (i, j) is not a candidate pair (records sharing
 // nothing can never match).
 func (p *Pipeline) Explain(out *FusionOutcome, i, j int) (Explanation, bool) {
-	id, ok := p.graph.PairID(int32(i), int32(j))
-	if !ok {
+	n := p.corpus.NumRecords()
+	if i < 0 || j < 0 || i >= n || j >= n {
+		return Explanation{}, false
+	}
+	shared := textproc.IntersectSorted(p.corpus.Docs[i], p.corpus.Docs[j])
+	// A candidate pair is listed under every eligible term its records
+	// share, and only eligible terms list pairs, each by ascending key
+	// (index.NewGraph): the first shared term listing any pair decides.
+	id := -1
+	key := index.Key(int32(i), int32(j))
+	for _, t := range shared {
+		if tp := p.graph.TermPairs[t]; len(tp) > 0 {
+			k, ok := slices.BinarySearchFunc(tp, key, func(pid int32, key uint64) int {
+				pr := p.graph.Pairs[pid]
+				return cmp.Compare(index.Key(pr.I, pr.J), key)
+			})
+			if ok {
+				id = int(tp[k])
+			}
+			break
+		}
+	}
+	if id < 0 {
 		return Explanation{}, false
 	}
 	ex := Explanation{
@@ -430,7 +452,7 @@ func (p *Pipeline) Explain(out *FusionOutcome, i, j int) (Explanation, bool) {
 		Similarity:  out.Similarities[id],
 		Probability: out.Probabilities[id],
 	}
-	for _, t := range textproc.IntersectSorted(p.corpus.Docs[i], p.corpus.Docs[j]) {
+	for _, t := range shared {
 		ex.SharedTerms = append(ex.SharedTerms, TermWeight{
 			Term:   p.corpus.Terms[t],
 			Weight: out.TermWeights[t],

@@ -55,12 +55,12 @@ echo "==> erlint: full suite (stale-directive audit)"
 echo "==> go test -race -shuffle=on"
 go test -race -shuffle=on ./...
 
-# The allocation gates (alloc_test.go in core, parallel and textproc) are
-# built only without -race: the race detector instruments allocation and
-# inflates AllocsPerRun. The race suite above therefore never compiles
-# them, so they run here as their own non-race step.
+# The allocation gates (alloc_test.go in the root package, core, parallel
+# and textproc) are built only without -race: the race detector instruments
+# allocation and inflates AllocsPerRun. The race suite above therefore
+# never compiles them, so they run here as their own non-race step.
 echo "==> allocation gates (non-race)"
-go test -count=1 -run 'Allocs' ./internal/core/ ./internal/parallel/ ./internal/textproc/
+go test -count=1 -run 'Allocs' . ./internal/core/ ./internal/parallel/ ./internal/textproc/
 
 # bench/ is a module of its own (it points repro at ..), so the root
 # `go build ./...` and `go test ./...` above never compile it. Vet and test

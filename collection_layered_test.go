@@ -564,7 +564,10 @@ func TestCollectionCanceledResolveKeepsTouched(t *testing.T) {
 // warmCollection loads n synthetic records (about a third of them
 // singleton entities, the rest pairs) into a collection, resolves it cold
 // and returns it with a step that overwrites one record, alternating
-// between two texts, and resolves again.
+// between two texts, and resolves again. The overwritten record r000010
+// bridges the pair of entity 5 and the record of entity 4, so every step
+// re-fuses a three-record component; the component cache is off, or the
+// two alternating texts would be served from it after the second step.
 func warmCollection(t *testing.T, n int) (*Collection, func() *Result) {
 	t.Helper()
 	c, err := NewCollection(DefaultOptions())
@@ -585,13 +588,14 @@ func warmCollection(t *testing.T, n int) (*Collection, func() *Result) {
 	if _, err := c.Resolve(); err != nil {
 		t.Fatal(err)
 	}
+	c.cache = nil
 	flip := false
 	return c, func() *Result {
-		text := "brand7 model7 series7 w1 w2"
+		text := "brand4 model4 brand5 model5 w1"
 		if flip = !flip; flip {
-			text = "brand7 model7 series7 w3 w4"
+			text = "brand4 model4 brand5 model5 w2"
 		}
-		c.Upsert("r000014", Record{Text: text, Entity: "e7"})
+		c.Upsert("r000010", Record{Text: text, Entity: "e5"})
 		res, err := c.Resolve()
 		if err != nil {
 			t.Fatal(err)
@@ -607,6 +611,9 @@ func warmCollection(t *testing.T, n int) (*Collection, func() *Result) {
 func TestWarmResolveAllocsDeltaSized(t *testing.T) {
 	allocs := func(n int) float64 {
 		_, step := warmCollection(t, n)
+		if d := step().Delta; d.ComponentsFused < 1 {
+			t.Fatalf("%d records: the overwrite fused no component", n)
+		}
 		return testing.AllocsPerRun(10, func() { step() })
 	}
 	small, large := allocs(4000), allocs(16000)
@@ -644,7 +651,9 @@ func TestWarmResolveBytesDeltaSized(t *testing.T) {
 	}
 	rest := func(n int) float64 {
 		_, step := warmCollection(t, n)
-		step()
+		if d := step().Delta; d.ComponentsFused < 1 {
+			t.Fatalf("%d records: the overwrite fused no component", n)
+		}
 		const runs = 20
 		results := make([]*Result, 0, runs)
 		var before, after runtime.MemStats

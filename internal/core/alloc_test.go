@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/matrix"
 )
 
@@ -78,6 +79,68 @@ func TestFusionInnerLoopAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(5, func() { matrix.BuildMaskPlan(halfDead, 1, 0).Release() }); got > 16 {
 		t.Errorf("BuildMaskPlan over dead rows allocates %.0f times with warm pools, budget 16", got)
 	}
+
+	// The dense chain's power step — the masked i-k-j product and the slot
+	// accumulation — allocates nothing, serially or fanned out: the row
+	// kernel is bound once per chain and ForGrain's fan-out is pooled.
+	_, clique := completeClique(64, func(i, j int) float64 { return 0.5 + float64((i+j)%7)/14 })
+	acc := matrix.NewPatVec(clique.Pattern)
+	chain := newDenseChain(clique.S, clique.S, acc, true, ar)
+	defer chain.release(ar)
+	for _, w := range []int{1, 2, 4} {
+		chain.step(w)
+		if got := testing.AllocsPerRun(5, func() { chain.step(w) }); got > 0 {
+			t.Errorf("dense chain step at %d workers allocates %.0f times, want 0", w, got)
+		}
+	}
+}
+
+// TestTwoRecordRankAllocs pins the two-record closed form at zero
+// allocations: a rank step over two-record components — sharded, and as
+// the whole graph of one component the way the delta resolver fuses it —
+// builds no record graph and runs no kernel.
+func TestTwoRecordRankAllocs(t *testing.T) {
+	opts := DefaultOptions()
+	opts.FusionIterations = 1
+	step := func(t *testing.T, f *FusionRun) {
+		t.Helper()
+		f.Next()
+		if _, err := f.StepITER(); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2} {
+			f.opts.Workers = w
+			if _, err := f.StepRank(); err != nil {
+				t.Fatal(err)
+			}
+			if got := testing.AllocsPerRun(10, func() { f.StepRank() }); got > 0 {
+				t.Errorf("rank step at %d workers allocates %.0f times, want 0", w, got)
+			}
+		}
+		res := f.Finish()
+		if res.Graph != nil {
+			t.Error("a two-record rank step built a record graph")
+		}
+		for pid, p := range res.P {
+			if p != twoRecordProb(opts) || res.S[pid] <= 0 {
+				t.Errorf("pair %d: s %g, p %g, want p %g", pid, res.S[pid], p, twoRecordProb(opts))
+			}
+		}
+	}
+	t.Run("sharded", func(t *testing.T) {
+		// Four two-record components, one term each.
+		pairs := []index.Pair{{I: 0, J: 1}, {I: 2, J: 3}, {I: 4, J: 5}, {I: 6, J: 7}}
+		g := index.NewGraph(8, 4, pairs, [][]int32{{0}, {1}, {2}, {3}})
+		f := NewFusionRun(g, 8, opts)
+		if n := f.Partition(); n != 4 {
+			t.Fatalf("%d components, want 4", n)
+		}
+		step(t, f)
+	})
+	t.Run("whole-graph", func(t *testing.T) {
+		g := index.NewGraph(2, 1, []index.Pair{{I: 0, J: 1}}, [][]int32{{0}})
+		step(t, NewFusionRun(g, 2, opts))
+	})
 }
 
 // TestCliqueRankAllocsFlatAcrossWorkers pins the fix for the per-worker
@@ -115,7 +178,7 @@ func TestCliqueRankAllocsFlatAcrossWorkers(t *testing.T) {
 
 // TestCliqueRankFallbackAllocs pins the merge fallback (TransposeInto,
 // MaskedMulInto, sparseDot) the way TestFusionInnerLoopAllocs pins the
-// mask-plan path: with a warm arena, a CliqueRankInto over a graph whose
+// mask-plan path: with a warm arena, the plan kernel over a graph whose
 // plan exceeds the ceiling allocates only its fixed set of closure headers,
 // never per row, slot or merge term.
 func TestCliqueRankFallbackAllocs(t *testing.T) {
@@ -132,7 +195,7 @@ func TestCliqueRankFallbackAllocs(t *testing.T) {
 	pbuf := make([]float64, g.NumPairs())
 	// AllocsPerRun's own warm-up call fills the arena; one measured call
 	// keeps the 410-record merge pass affordable.
-	if got := testing.AllocsPerRun(1, func() { CliqueRankInto(rg, opts, pbuf) }); got > 27 {
+	if got := testing.AllocsPerRun(1, func() { cliqueRank(rg, opts, pbuf, chainPlan) }); got > 27 {
 		t.Errorf("fallback CliqueRankInto allocates %.0f times with warm arena, budget 27", got)
 	}
 }

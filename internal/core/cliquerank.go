@@ -19,9 +19,10 @@ import (
 //
 // Because every iterate is masked by the adjacency M_n before the next
 // product, the whole chain lives on the record graph's sparsity pattern;
-// each step costs Σ_i deg(i)² sparse-dot operations instead of n³
-// (matrix.MaskedMul). This replaces the Eigen-based dense products of the
-// original implementation.
+// on sparse graphs each step costs Σ_i deg(i)² sparse-dot operations
+// instead of n³ (matrix.MaskPlan), while near-complete graphs, where the
+// two counts meet, run dense (see selectChain). This replaces
+// the Eigen-based dense products of the original implementation.
 //
 // The returned slice is aligned with the candidate pairs; dropped pairs get
 // probability 0.
@@ -31,13 +32,46 @@ func CliqueRank(rg *RecordGraph, opts Options) []float64 {
 	return p
 }
 
+// chainKernel names a kernel for the power chain M² … M^S. Every kernel
+// produces the same bits; they differ in what they cost on a given shape
+// of record graph (DESIGN §14).
+type chainKernel int
+
+const (
+	// chainDense runs the chain on n×n row-major iterates (denseChain).
+	chainDense chainKernel = iota
+	// chainPlan gathers through a matrix.MaskPlan, and takes the merge
+	// product when the plan would exceed matrix.MaskPlanMaxEntries.
+	chainPlan
+	// chainMerge is the transpose + matrix.MaskedMulInto product. The
+	// selector reaches it only through chainPlan's ceiling.
+	chainMerge
+)
+
+// selectChain picks the power-chain kernel for a record graph of n records
+// and nnz directed slots: dense for at-least-half-complete graphs (nnz ≥
+// ½·n(n−1)), the mask plan otherwise.
+func selectChain(n, nnz int) chainKernel {
+	if 2*nnz >= n*(n-1) {
+		return chainDense
+	}
+	return chainPlan
+}
+
 // CliqueRankInto writes the CliqueRank probabilities into p (length
 // len(rg.PairSlot)), overwriting every element, and draws all matrix
-// scratch from the record graph's arena when it has one. The row loops, the
-// masked products, and the readout fan out over opts.Workers goroutines
-// through the deterministic scheduler; every worker count produces
-// bit-identical probabilities.
+// scratch from the record graph's arena when it has one. The power-chain
+// kernel is chosen by selectChain from the graph's shape. The row loops,
+// the products, and the readout fan out over opts.Workers goroutines
+// through the deterministic scheduler; every worker count and every
+// kernel produces bit-identical probabilities.
 func CliqueRankInto(rg *RecordGraph, opts Options, p []float64) {
+	cliqueRank(rg, opts, p, selectChain(rg.Pattern.N, rg.Pattern.NNZ()))
+}
+
+// cliqueRank is CliqueRankInto with the power-chain kernel given. The
+// DisableMask ablation ignores it and runs the unmasked dense chain.
+func cliqueRank(rg *RecordGraph, opts Options, p []float64, kernel chainKernel) {
 	pat := rg.Pattern
 	ar := rg.arena
 	nnz := pat.NNZ()
@@ -49,35 +83,20 @@ func CliqueRankInto(rg *RecordGraph, opts Options, p []float64) {
 	// M_b of Eq. 12, all in one parallel row pass — each row writes only its
 	// own slots of w/mt/mb and its own rowSum entry, so the fan-out is
 	// race-free and bit-identical for any worker count.
-	//
-	// On M_b: in RSS the bonus b ∈ (0,1) is redrawn at every step of every
-	// one of the M walks, so the per-walk boosted transition probability
-	// that the success frequency estimates is the expectation over b. The
-	// matrix analog is therefore E_b[p_b(i → j)], which we evaluate by
-	// midpoint quadrature: norm = rowSum_i − w(i,j) + (1+b)^α·w(i,j) per
-	// sample. (Sampling b once per entry instead would make weak-tied
-	// entries saturate at ≈1 whenever the single draw lands high — a
-	// false-positive generator RSS does not have.)
 	w := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
 	rowSum := ar.getF64(pat.N)
 	mt := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
 	mb := mt
-	const quadraturePoints = 8
-	var boost [quadraturePoints]float64
+	var boost bonusQuadrature
 	if !opts.DisableBonus {
 		mb = &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-		for q := range boost {
-			b := (float64(q) + 0.5) / quadraturePoints
-			boost[q] = math.Pow(1+b, opts.Alpha)
-		}
+		boost = newBonusQuadrature(opts.Alpha)
 	}
 	// Grains are pure functions of the graph shape (never the worker
 	// count), so the chunk sets — and with them the bits — are identical
 	// for every Workers setting. The row pass costs ~deg(i) pow calls per
-	// row, the accumulate pass one add per slot, so the default Grain=256
-	// rows is far too coarse for the former and too fine for the latter.
+	// row, so the default Grain=256 rows is far too coarse for it.
 	rowGrain := parallel.GrainFor(pat.N, nnz+pat.N, 512)
-	const addGrain = 8192
 	parallel.ForGrain(workers, pat.N, rowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// One poll per row bounds post-cancellation work to a row per
@@ -111,91 +130,279 @@ func CliqueRankInto(rg *RecordGraph, opts Options, p []float64) {
 				continue
 			}
 			for k := klo; k < khi; k++ {
-				var sum float64
-				for _, bf := range boost {
-					boosted := bf * w.Val[k]
-					if norm := rowSum[i] - w.Val[k] + boosted; norm > 0 {
-						sum += boosted / norm
-					}
-				}
-				mb.Val[k] = sum / quadraturePoints
+				mb.Val[k] = boost.step(w.Val[k], rowSum[i])
 			}
 		}
 	})
 
-	if opts.DisableMask {
-		cliqueRankUnmasked(rg, mt, mb, opts, p)
-	} else {
-		// Ping-pong the power chain through two scratch iterates (M_b and
-		// M_t stay read-only, so the DisableBonus aliasing mb == mt is
-		// safe). Per-slot accumulation is element-wise, hence order-free.
-		acc := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-		copy(acc.Val, mb.Val)
-		cur := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-		next := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-		a := mb
-		var addSrc []float64
-		addIn := func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				acc.Val[k] += addSrc[k]
-			}
+	// acc accumulates Σ_k Mᵏ slot by slot, starting from M¹ = M_b. M_b and
+	// M_t stay read-only, so the DisableBonus aliasing mb == mt is safe.
+	acc := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
+	copy(acc.Val, mb.Val)
+	if opts.Steps >= 2 {
+		switch {
+		case opts.DisableMask:
+			runDenseChain(mt, mb, acc, false, opts, ar)
+		case kernel == chainDense:
+			runDenseChain(mt, mb, acc, true, opts, ar)
+		case kernel == chainPlan || kernel == chainMerge:
+			runSparseChain(mt, mb, acc, kernel == chainMerge, opts, ar)
 		}
-		// The masked product runs through a MaskPlan: the per-slot merges
-		// and the dead rows are resolved once, and every step is then a
-		// branch-free gather — bit-identical to the transpose+merge kernel
-		// (the plan skips only terms that are exactly +0). One closure is
-		// hoisted over the whole loop; a and next are rebound per step.
-		var plan *matrix.MaskPlan
-		if opts.Steps >= 2 {
-			plan = matrix.BuildMaskPlan(mt, workers, 0)
-		}
-		if plan != nil {
-			mulRange := func(lo, hi int) { plan.MulRangeInto(next, mt, a, lo, hi) }
-			planGrain := plan.Grain()
-			for step := 2; step <= opts.Steps; step++ {
-				// One poll per matrix power: each masked product is the
-				// expensive unit of work, so a canceled run gives up at
-				// most one power of latency.
-				if opts.Check.Err() != nil {
-					break
-				}
-				parallel.ForGrain(workers, nnz, planGrain, mulRange)
-				addSrc = next.Val
-				parallel.ForGrain(workers, nnz, addGrain, addIn)
-				a = next
-				next, cur = cur, next
-			}
-			plan.Release()
-		} else {
-			// Fallback when the plan would exceed its memory ceiling: the
-			// original transpose + merge product, same bits.
-			at := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-			for step := 2; step <= opts.Steps; step++ {
-				if opts.Check.Err() != nil {
-					break
-				}
-				a.TransposeInto(at)
-				matrix.MaskedMulInto(next, mt, at, workers)
-				addSrc = next.Val
-				parallel.ForGrain(workers, nnz, addGrain, addIn)
-				a = next
-				next, cur = cur, next
-			}
-			ar.putF64(at.Val)
-		}
-		probsFromPatternInto(rg, p, workers, func(slotIJ, slotJI int32) float64 {
-			return (clamp01(acc.Val[slotIJ]) + clamp01(acc.Val[slotJI])) / 2
-		})
-		ar.putF64(acc.Val)
-		ar.putF64(cur.Val)
-		ar.putF64(next.Val)
 	}
+	probsFromPatternInto(rg, p, workers, func(slotIJ, slotJI int32) float64 {
+		return (clamp01(acc.Val[slotIJ]) + clamp01(acc.Val[slotJI])) / 2
+	})
 
+	ar.putF64(acc.Val)
 	ar.putF64(w.Val)
 	ar.putF64(rowSum)
 	ar.putF64(mt.Val)
 	if mb != mt {
 		ar.putF64(mb.Val)
+	}
+}
+
+// quadraturePoints is the number of midpoint samples of the bonus b.
+const quadraturePoints = 8
+
+// bonusQuadrature holds (1+b)^α at the midpoints b of quadraturePoints
+// equal slices of (0, 1).
+//
+// On M_b: in RSS the bonus b ∈ (0,1) is redrawn at every step of every
+// one of the M walks, so the per-walk boosted transition probability
+// that the success frequency estimates is the expectation over b. The
+// matrix analog is therefore E_b[p_b(i → j)], which we evaluate by
+// midpoint quadrature: norm = rowSum_i − w(i,j) + (1+b)^α·w(i,j) per
+// sample. (Sampling b once per entry instead would make weak-tied
+// entries saturate at ≈1 whenever the single draw lands high — a
+// false-positive generator RSS does not have.)
+type bonusQuadrature [quadraturePoints]float64
+
+func newBonusQuadrature(alpha float64) bonusQuadrature {
+	var bq bonusQuadrature
+	for q := range bq {
+		b := (float64(q) + 0.5) / quadraturePoints
+		bq[q] = math.Pow(1+b, alpha)
+	}
+	return bq
+}
+
+// step is the M_b entry of an edge with powered weight w in a row whose
+// powered weights sum to rowSum.
+func (bq bonusQuadrature) step(w, rowSum float64) float64 {
+	var sum float64
+	for _, bf := range bq {
+		boosted := bf * w
+		if norm := rowSum - w + boosted; norm > 0 {
+			sum += boosted / norm
+		}
+	}
+	return sum / quadraturePoints
+}
+
+// twoRecordProb is what CliqueRank gives the one edge of a two-record
+// record graph whose weight s is finite and positive: s/smax = 1 exactly,
+// so w = 1^α = 1, rowSum = 1 and M_t = 1; M_b is the bonus step at w =
+// rowSum = 1, whose every sample is bf/bf (exactly 1 for a finite bf > 0);
+// and M² onward is empty (two records share no neighbour). Both directions are equal, so p is
+// the clamped M_b entry — 1.0 at any usable α. The fusion loop uses it to
+// rank two-record components without building their record graph;
+// TestCliqueRankKernelsBitIdentical pins it against the kernels.
+func twoRecordProb(opts Options) float64 {
+	mb := 1.0
+	if !opts.DisableBonus {
+		bq := newBonusQuadrature(opts.Alpha)
+		mb = bq.step(1, 1)
+	}
+	return (clamp01(mb) + clamp01(mb)) / 2
+}
+
+// runSparseChain adds M² … M^S into acc on the pattern: through a
+// MaskPlan, or through the transpose + merge product when merge is set or
+// the plan would exceed its memory ceiling. Both compute the same bits.
+func runSparseChain(mt, mb, acc *matrix.PatVec, merge bool, opts Options, ar *arena) {
+	pat := mt.P
+	nnz := pat.NNZ()
+	workers := opts.Workers
+	// Ping-pong the power chain through two scratch iterates. Per-slot
+	// accumulation is element-wise, hence order-free; one add per slot
+	// makes the default grain far too fine.
+	const addGrain = 8192
+	cur := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
+	next := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
+	a := mb
+	var addSrc []float64
+	addIn := func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			acc.Val[k] += addSrc[k]
+		}
+	}
+	// The masked product runs through a MaskPlan: the per-slot merges
+	// and the dead rows are resolved once, and every step is then a
+	// branch-free gather — bit-identical to the transpose+merge kernel
+	// (the plan skips only terms that are exactly +0). One closure is
+	// hoisted over the whole loop; a and next are rebound per step.
+	var plan *matrix.MaskPlan
+	if !merge {
+		plan = matrix.BuildMaskPlan(mt, workers, 0)
+	}
+	if plan != nil {
+		mulRange := func(lo, hi int) { plan.MulRangeInto(next, mt, a, lo, hi) }
+		planGrain := plan.Grain()
+		for step := 2; step <= opts.Steps; step++ {
+			// One poll per matrix power: each masked product is the
+			// expensive unit of work, so a canceled run gives up at
+			// most one power of latency.
+			if opts.Check.Err() != nil {
+				break
+			}
+			parallel.ForGrain(workers, nnz, planGrain, mulRange)
+			addSrc = next.Val
+			parallel.ForGrain(workers, nnz, addGrain, addIn)
+			a = next
+			next, cur = cur, next
+		}
+		plan.Release()
+	} else {
+		at := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
+		for step := 2; step <= opts.Steps; step++ {
+			if opts.Check.Err() != nil {
+				break
+			}
+			a.TransposeInto(at)
+			matrix.MaskedMulInto(next, mt, at, workers)
+			addSrc = next.Val
+			parallel.ForGrain(workers, nnz, addGrain, addIn)
+			a = next
+			next, cur = cur, next
+		}
+		ar.putF64(at.Val)
+	}
+	ar.putF64(cur.Val)
+	ar.putF64(next.Val)
+}
+
+// runDenseChain adds M² … M^S into acc through a denseChain; masked false
+// is the DisableMask ablation, whose iterates are not confined to M_n.
+func runDenseChain(mt, mb, acc *matrix.PatVec, masked bool, opts Options, ar *arena) {
+	c := newDenseChain(mt, mb, acc, masked, ar)
+	for step := 2; step <= opts.Steps; step++ {
+		// One poll per matrix power, as in the sparse chain.
+		if opts.Check.Err() != nil {
+			break
+		}
+		c.step(opts.Workers)
+	}
+	c.release(ar)
+}
+
+// denseChain is the power chain on n×n row-major iterates. Row i of Mᵏ is
+// Σ_{k ∈ N(i)} M_t[i,k] · row k of Mᵏ⁻¹, accumulated in ascending k into
+// every column at once (an i-k-j loop), then masked to N(i). Each entry is
+// therefore summed in the plan's order: the plan's terms are the k in
+// N(i) ∩ N(j) with a live row k, and every other k ∈ N(i) contributes
+// M_t[i,k] · 0 = +0, which leaves a finite non-negative sum unchanged.
+// Rows write disjoint slices of next and of acc, so the fan-out is
+// bit-identical for any worker count.
+type denseChain struct {
+	pat     *matrix.Pattern
+	mt, acc []float64 // by slot
+	a, next []float64 // Mᵏ⁻¹ and Mᵏ, n×n row-major
+	masked  bool
+	grain   int
+	rows    func(lo, hi int) // mulRows, bound once
+}
+
+// newDenseChain expands M_b into the first dense iterate. The two n×n
+// iterates come from the arena. At nnz ≥ ½·n(n−1) they are no larger
+// than the five pattern-sized vectors the rank already holds from five
+// records on, and at most 32 floats below.
+func newDenseChain(mt, mb, acc *matrix.PatVec, masked bool, ar *arena) *denseChain {
+	pat := mt.P
+	n := pat.N
+	c := &denseChain{
+		pat:    pat,
+		mt:     mt.Val,
+		acc:    acc.Val,
+		a:      ar.getF64(n * n),
+		next:   ar.getF64(n * n),
+		masked: masked,
+		// A row costs up to n² multiply-adds, so the grain depends on n
+		// alone: one chunk up to n = 32, one row per chunk from n ≈ 32.
+		grain: parallel.GrainFor(n, n*n*n, 1<<15),
+	}
+	//lint:ignore guardloop one nnz-sized scatter per chain, cheaper than the row pass before it; the chain polls the checkpoint per power
+	for i := 0; i < n; i++ {
+		row := c.a[i*n : (i+1)*n]
+		for s := pat.RowPtr[i]; s < pat.RowPtr[i+1]; s++ {
+			row[pat.Col[s]] = mb.Val[s]
+		}
+	}
+	c.rows = c.mulRows
+	return c
+}
+
+// step computes the next power and makes it the current one.
+func (c *denseChain) step(workers int) {
+	parallel.ForGrain(workers, c.pat.N, c.grain, c.rows)
+	c.a, c.next = c.next, c.a
+}
+
+func (c *denseChain) release(ar *arena) {
+	ar.putF64(c.a)
+	ar.putF64(c.next)
+	c.a, c.next = nil, nil
+}
+
+// mulRows writes rows [lo, hi) of the next power and adds their pattern
+// entries into acc. Four rows of the previous power are folded in per pass
+// over the output row, each with its own `+=` so that every entry still
+// sees its terms one at a time in ascending k — the same sequence of
+// `sum += x*y` the plan's gather performs.
+func (c *denseChain) mulRows(lo, hi int) {
+	pat, n := c.pat, c.pat.N
+	a := c.a
+	//lint:ignore guardloop one power step over a scheduler chunk of rows; runDenseChain polls the checkpoint per power, as the sparse chain does
+	for i := lo; i < hi; i++ {
+		out := c.next[i*n : (i+1)*n]
+		clear(out)
+		rs, re := pat.RowPtr[i], pat.RowPtr[i+1]
+		cols, m := pat.Col[rs:re], c.mt[rs:re]
+		k := 0
+		for ; k+4 <= len(cols); k += 4 {
+			m0, m1, m2, m3 := m[k], m[k+1], m[k+2], m[k+3]
+			b0 := a[int(cols[k])*n:][:len(out)]
+			b1 := a[int(cols[k+1])*n:][:len(out)]
+			b2 := a[int(cols[k+2])*n:][:len(out)]
+			b3 := a[int(cols[k+3])*n:][:len(out)]
+			for j := range out {
+				v := out[j]
+				v += m0 * b0[j]
+				v += m1 * b1[j]
+				v += m2 * b2[j]
+				v += m3 * b3[j]
+				out[j] = v
+			}
+		}
+		for ; k < len(cols); k++ {
+			mk := m[k]
+			b := a[int(cols[k])*n:][:len(out)]
+			for j := range out {
+				out[j] += mk * b[j]
+			}
+		}
+		if c.masked {
+			prev := int32(0)
+			for _, j := range cols {
+				clear(out[prev:j])
+				prev = j + 1
+			}
+			clear(out[prev:])
+		}
+		acc := c.acc[rs:re]
+		for s, j := range cols {
+			acc[s] += out[j]
+		}
 	}
 }
 
@@ -214,26 +421,6 @@ func clamp01(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// cliqueRankUnmasked is the ablation path (DisableMask): the iterates are
-// not confined to the adjacency pattern, so the chain is computed with
-// dense products — the O(S·n³) formulation the paper starts from.
-func cliqueRankUnmasked(rg *RecordGraph, mt, mb *matrix.PatVec, opts Options, p []float64) {
-	mtD := mt.ToDense()
-	a := mb.ToDense()
-	acc := a.Clone()
-	for step := 2; step <= opts.Steps; step++ {
-		if opts.Check.Err() != nil {
-			break
-		}
-		a = mtD.Mul(a)
-		acc = acc.Add(a)
-	}
-	probsFromPatternInto(rg, p, opts.Workers, func(slotIJ, slotJI int32) float64 {
-		i, j := slotCoords(rg, slotIJ)
-		return (clamp01(acc.At(i, j)) + clamp01(acc.At(j, i))) / 2
-	})
 }
 
 // probsFromPatternInto assembles the per-pair probability slice from a
@@ -255,10 +442,4 @@ func probsFromPatternInto(rg *RecordGraph, p []float64, workers int, read func(s
 			p[pid] = read(slot, rg.Pattern.TSlot(slot))
 		}
 	})
-}
-
-// slotCoords recovers the (row, col) coordinates of a directed slot via the
-// record graph's precomputed slot→row index.
-func slotCoords(rg *RecordGraph, slot int32) (int, int) {
-	return int(rg.SlotRow[slot]), int(rg.Pattern.Col[slot])
 }

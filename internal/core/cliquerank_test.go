@@ -127,9 +127,11 @@ func completeClique(k int, weight func(i, j int) float64) (*index.Graph, *Record
 
 // fallbackClique is a complete clique large enough that its mask plan
 // exceeds matrix.MaskPlanMaxEntries: every one of its k(k−1) slots has k−2
-// live merge terms, and k(k−1)(k−2) > 2^26 from k = 408 on. CliqueRankInto
-// therefore takes the transpose + MaskedMulInto fallback on it. The weights
-// vary per pair, so M_t is not symmetric and a missing transpose shows.
+// live merge terms, and k(k−1)(k−2) > 2^26 from k = 408 on. The plan
+// kernel therefore takes the transpose + MaskedMulInto fallback on it (the
+// selector sends a complete clique to the dense chain, so tests name the
+// plan kernel). The weights vary per pair, so M_t is not symmetric and a
+// missing transpose shows.
 func fallbackClique(t testing.TB) (*index.Graph, *RecordGraph) {
 	const k = 410
 	if k*(k-1)*(k-2) <= matrix.MaskPlanMaxEntries {
@@ -138,34 +140,57 @@ func fallbackClique(t testing.TB) (*index.Graph, *RecordGraph) {
 	return completeClique(k, func(i, j int) float64 { return 0.5 + float64((7*i+13*j)%10)/20 })
 }
 
-// TestCliqueRankMatchesDenseReference validates the masked-pattern chain
+// TestCliqueRankMatchesDenseReference validates the power-chain kernels
 // against a direct dense implementation of the §VI-C recurrence
 // Mᵏ = M_t × (Mᵏ⁻¹ ⊙ M_n) with M¹ = M_t (bonus disabled so both sides use
 // the same first-step matrix). The small fixture runs through the mask
-// plan, the large clique through the merge fallback.
+// plan and the dense chain, the large clique through the plan kernel's
+// merge fallback; the DisableMask ablation is checked against the
+// recurrence without ⊙ M_n.
 func TestCliqueRankMatchesDenseReference(t *testing.T) {
 	small, smallRG := cliqueFixture(t, 0.3)
 	large, largeRG := fallbackClique(t)
 	for _, tc := range []struct {
-		name  string
-		g     *index.Graph
-		rg    *RecordGraph
-		steps int
+		name     string
+		g        *index.Graph
+		rg       *RecordGraph
+		kernel   chainKernel
+		steps    int
+		unmasked bool
 	}{
-		{"plan", small, smallRG, 6},
-		{"fallback", large, largeRG, 2},
+		{"plan", small, smallRG, chainPlan, 6, false},
+		{"dense", small, smallRG, chainDense, 6, false},
+		{"unmasked", small, smallRG, chainDense, 6, true},
+		{"fallback", large, largeRG, chainPlan, 2, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkCliqueRankDense(t, tc.g, tc.rg, tc.steps)
+			checkCliqueRankDense(t, tc.g, tc.rg, tc.kernel, tc.steps, tc.unmasked)
 		})
 	}
 }
 
-func checkCliqueRankDense(t *testing.T, g *index.Graph, rg *RecordGraph, steps int) {
+// denseMul returns a × b by the textbook triple loop.
+func denseMul(a, b *matrix.Dense) *matrix.Dense {
+	out := matrix.NewDense(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+func checkCliqueRankDense(t *testing.T, g *index.Graph, rg *RecordGraph, kernel chainKernel, steps int, unmasked bool) {
 	opts := DefaultOptions()
 	opts.DisableBonus = true
+	opts.DisableMask = unmasked
 	opts.Steps = steps
-	got := CliqueRank(rg, opts)
+	got := make([]float64, len(rg.PairSlot))
+	cliqueRank(rg, opts, got, kernel)
 
 	// Dense reference.
 	n := rg.Pattern.N
@@ -190,15 +215,19 @@ func checkCliqueRankDense(t *testing.T, g *index.Graph, rg *RecordGraph, steps i
 	}
 	mask := matrix.NewDense(n, n)
 	for i := 0; i < n; i++ {
-		for _, j := range rg.Pattern.Neighbors(i) {
-			mask.Set(i, int(j), 1)
+		for j := 0; j < n; j++ {
+			if unmasked || rg.Pattern.Has(i, j) {
+				mask.Set(i, j, 1)
+			}
 		}
 	}
 	mk := mt.Clone()
 	acc := mk.Clone()
 	for step := 2; step <= opts.Steps; step++ {
-		mk = mt.Mul(mk.Hadamard(mask))
-		acc = acc.Add(mk)
+		mk = denseMul(mt, mk.Hadamard(mask))
+		for k, v := range mk.Data {
+			acc.Data[k] += v
+		}
 	}
 	clamp := func(v float64) float64 {
 		if v > 1 {

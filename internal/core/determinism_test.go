@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -260,4 +261,90 @@ func TestFusionReuseMatchesSingleShot(t *testing.T) {
 	}
 	bitsEqual(t, "S", iter.S, res.S)
 	bitsEqual(t, "P", p, res.P)
+}
+
+// shapeGraph builds the record graph of n records with exactly edges
+// distinct pairs, drawn uniformly, and random weights in (0, 1].
+func shapeGraph(rng *rand.Rand, n, edges int) *RecordGraph {
+	var all []index.Pair
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			all = append(all, index.Pair{I: int32(i), J: int32(j)})
+		}
+	}
+	rng.Shuffle(len(all), func(a, b int) { all[a], all[b] = all[b], all[a] })
+	pairs := all[:edges]
+	s := make([]float64, edges)
+	for k := range s {
+		s[k] = 1 - rng.Float64()
+	}
+	return BuildRecordGraph(pairGraph(n, pairs), s, n)
+}
+
+// TestCliqueRankKernelsBitIdentical runs every power-chain kernel on the
+// same record graphs: on both sides of the selector's half-density cut at
+// 5, 17 and 40 records, on a two-record graph, on a sparse 16-record graph
+// and on a 192-record, 98%-dense clique like the Paper replica's largest
+// component. The dense chain, the mask plan and the merge product must
+// give the same bits at every worker count, and so must the two-record
+// closed form the fusion loop uses in place of any kernel.
+func TestCliqueRankKernelsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	half := func(n int) int { return (n*(n-1) + 3) / 4 } // least edge count with nnz ≥ ½·n(n−1)
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges int
+		steps int
+		want  chainKernel
+	}{
+		{"pair", 2, 1, 20, chainDense},
+		{"n5-below-half", 5, half(5) - 1, 20, chainPlan},
+		{"n5-at-half", 5, half(5), 20, chainDense},
+		{"n16-sparse", 16, 30, 20, chainPlan},
+		{"n17-below-half", 17, half(17) - 1, 20, chainPlan},
+		{"n17-at-half", 17, half(17), 20, chainDense},
+		{"n40-below-half", 40, half(40) - 1, 20, chainPlan},
+		{"n40-at-half", 40, half(40), 20, chainDense},
+		{"n192-98pct", 192, 192 * 191 / 2 * 98 / 100, 4, chainDense},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rg := shapeGraph(rng, tc.n, tc.edges)
+			if got := selectChain(rg.Pattern.N, rg.Pattern.NNZ()); got != tc.want {
+				t.Fatalf("selectChain(%d, %d) = %d, want %d", rg.Pattern.N, rg.Pattern.NNZ(), got, tc.want)
+			}
+			kernels := []chainKernel{chainDense, chainMerge}
+			for _, disableBonus := range []bool{false, true} {
+				opts := DefaultOptions()
+				opts.Steps = tc.steps
+				opts.DisableBonus = disableBonus
+				opts.Workers = 1
+				want := make([]float64, len(rg.PairSlot))
+				cliqueRank(rg, opts, want, chainPlan)
+				for _, k := range kernels {
+					for _, w := range []int{1, 2, 4} {
+						opts.Workers = w
+						got := make([]float64, len(rg.PairSlot))
+						cliqueRank(rg, opts, got, k)
+						bitsEqual(t, fmt.Sprintf("kernel %d, workers %d, no bonus %v", k, w, disableBonus), want, got)
+					}
+				}
+			}
+		})
+	}
+
+	// The closed form must reproduce the kernels' bits at every α — also
+	// where a quadrature factor (1+b)^α overflows and the plan's M_b, and
+	// with it p, is NaN.
+	rg := shapeGraph(rng, 2, 1)
+	for _, alpha := range []float64{20, 1, 0.25, 2000} {
+		for _, disableBonus := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.Alpha = alpha
+			opts.DisableBonus = disableBonus
+			want := make([]float64, 1)
+			cliqueRank(rg, opts, want, chainPlan)
+			bitsEqual(t, fmt.Sprintf("closed form, α %g, no bonus %v", alpha, disableBonus), want, []float64{twoRecordProb(opts)})
+		}
+	}
 }

@@ -18,9 +18,10 @@ type FusionResult struct {
 	// Matches flags the pairs with P >= opts.Eta.
 	Matches []bool
 	// Graph is the record graph of the last iteration (Table III stats).
-	// It is nil when the run was sharded by component (ShardComponents):
-	// the global graph is never materialized then. Nodes and Edges below
-	// are populated either way.
+	// It is nil when the run was sharded by component (ShardComponents),
+	// or ranked a two-record graph by CliqueRank's closed form: the graph
+	// is never materialized then. Nodes and Edges below are populated
+	// either way.
 	Graph *RecordGraph
 	// Nodes and Edges are the last round's record-graph size — the record
 	// count and the kept (similarity > 0) pair count. Unlike Graph, they

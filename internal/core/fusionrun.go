@@ -53,6 +53,8 @@ type FusionRun struct {
 	sc         *iterScratch
 	ar         *arena
 	shards     *shardSet
+	rankSmall  func(lo, hi int) // rankSmallShards, bound once by Partition
+	pairP      float64          // twoRecordProb(opts)
 	rounds     int
 	round      int
 }
@@ -89,6 +91,7 @@ func NewFusionRun(g *index.Graph, numRecords int, opts Options) *FusionRun {
 		res:        &FusionResult{Converged: true},
 		sc:         &iterScratch{},
 		ar:         ar,
+		pairP:      twoRecordProb(opts),
 		rounds:     rounds,
 	}
 }
@@ -130,8 +133,10 @@ func (f *FusionRun) StepITER() (iterations int, err error) {
 // probabilities into p in place, and returns its kept-edge count. After
 // Partition it is StepShardedRank; otherwise it builds the whole G_r from
 // the round's similarities, releasing the previous round's graph back into
-// the arena, and ranks it with CliqueRank, or RSS under UseRSS. It returns
-// the checkpoint's error when the run was canceled.
+// the arena, and ranks it with CliqueRank, or RSS under UseRSS. A
+// two-record graph is ranked by CliqueRank's closed form and never built,
+// leaving FusionResult.Graph nil. It returns the checkpoint's error when
+// the run was canceled.
 func (f *FusionRun) StepRank() (edges int, err error) {
 	if f.shards != nil {
 		return f.StepShardedRank()
@@ -139,18 +144,47 @@ func (f *FusionRun) StepRank() (edges int, err error) {
 	res := f.res
 	if res.Graph != nil {
 		res.Graph.release()
+		res.Graph = nil
 	}
-	res.Graph = buildRecordGraph(f.g, res.S, f.numRecords, nil, nil, f.ar)
-	res.Nodes, res.Edges = res.Graph.NumNodes(), res.Graph.NumEdges()
-	if f.opts.UseRSS {
-		RSSInto(res.Graph, f.opts, f.p)
+	if f.twoRecords(f.numRecords) {
+		res.Nodes, res.Edges = f.numRecords, 0
+		for pid, s := range res.S {
+			f.p[pid] = f.twoRecordP(s)
+			if s > 0 {
+				res.Edges++
+			}
+		}
 	} else {
-		CliqueRankInto(res.Graph, f.opts, f.p)
+		res.Graph = buildRecordGraph(f.g, res.S, f.numRecords, nil, nil, f.ar)
+		res.Nodes, res.Edges = res.Graph.NumNodes(), res.Graph.NumEdges()
+		if f.opts.UseRSS {
+			RSSInto(res.Graph, f.opts, f.p)
+		} else {
+			CliqueRankInto(res.Graph, f.opts, f.p)
+		}
 	}
 	if err := f.endRound(); err != nil {
 		return 0, err
 	}
 	return res.Edges, nil
+}
+
+// twoRecords reports whether a record graph over n records is ranked by
+// CliqueRank's two-record closed form (twoRecordProb). RSS samples walks
+// and the DisableMask ablation lets them leave the edge, so both still
+// build the graph.
+func (f *FusionRun) twoRecords(n int) bool {
+	return n == 2 && !f.opts.UseRSS && !f.opts.DisableMask
+}
+
+// twoRecordP is the closed-form probability of a pair with similarity s in
+// a two-record graph: the pair is an edge exactly when s > 0, and s is
+// finite because StepITER sanitizes S.
+func (f *FusionRun) twoRecordP(s float64) float64 {
+	if s > 0 {
+		return f.pairP
+	}
+	return 0
 }
 
 // endRound closes a rank step: it polls the checkpoint, sanitizes p and

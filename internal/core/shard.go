@@ -139,6 +139,8 @@ type shardSet struct {
 	big        []int32
 	small      []int32
 	smallGrain int
+	// edges receives each component's kept-edge count for the round.
+	edges []int32
 }
 
 // newShardSet partitions the candidate graph and schedules its components.
@@ -154,6 +156,7 @@ func newShardSet(g *index.Graph, numRecords int) *shardSet {
 		}
 	}
 	ss.smallGrain = parallel.GrainFor(len(ss.small), smallPairs+len(ss.small), 4096)
+	ss.edges = make([]int32, len(ss.Comps))
 	return ss
 }
 
@@ -172,6 +175,7 @@ func (f *FusionRun) Partition() int {
 	}
 	if f.shards == nil {
 		f.shards = newShardSet(f.g, f.numRecords)
+		f.rankSmall = f.rankSmallShards
 	}
 	return len(f.shards.Comps)
 }
@@ -180,7 +184,8 @@ func (f *FusionRun) Partition() int {
 // round's similarities, run CliqueRank on it with the given worker budget,
 // and scatter the probabilities into the global p. Components whose pairs
 // all have similarity 0 write zeros directly — exactly what the global
-// graph's dropped-edge path produces. Returns the kept-edge count.
+// graph's dropped-edge path produces — and two-record components take
+// their closed form without a record graph. Returns the kept-edge count.
 func (f *FusionRun) rankShard(sh *Component, ar *arena, workers int) int {
 	s := f.res.S
 	kept := 0
@@ -189,11 +194,13 @@ func (f *FusionRun) rankShard(sh *Component, ar *arena, workers int) int {
 			kept++
 		}
 	}
-	if kept == 0 {
+	if kept == 0 || f.twoRecords(len(sh.Records)) {
+		// Nothing to build: every pair is a dropped edge (p = 0) or the
+		// one pair of a two-record component.
 		for _, pid := range sh.Pairs {
-			f.p[pid] = 0
+			f.p[pid] = f.twoRecordP(s[pid])
 		}
-		return 0
+		return kept
 	}
 	rg := buildRecordGraph(f.g, s, len(sh.Records), sh.Pairs, f.shards.RecLocal, ar)
 	opts := f.opts
@@ -206,6 +213,23 @@ func (f *FusionRun) rankShard(sh *Component, ar *arena, workers int) int {
 	ar.putF64(pl)
 	rg.release()
 	return kept
+}
+
+// rankSmallShards ranks the small components [lo, hi) of the schedule with
+// one worker each, on an arena of its own.
+func (f *FusionRun) rankSmallShards(lo, hi int) {
+	ss := f.shards
+	ar := shardArenas.Get().(*arena)
+	for k := lo; k < hi; k++ {
+		// One poll per component bounds post-cancellation work; the torn
+		// p slices are discarded with the step's error.
+		if f.opts.Check.Err() != nil {
+			break
+		}
+		si := ss.small[k]
+		ss.edges[si] = int32(f.rankShard(&ss.Comps[si], ar, 1))
+	}
+	shardArenas.Put(ar)
 }
 
 // StepShardedRank is StepRank after Partition: it rebuilds and ranks every
@@ -227,35 +251,19 @@ func (f *FusionRun) StepShardedRank() (edges int, err error) {
 		res.Graph.release()
 		res.Graph = nil
 	}
-	counts := f.ar.getI32(len(ss.Comps))
-	for i := range counts {
-		counts[i] = 0
-	}
+	clear(ss.edges)
 	for _, si := range ss.big {
 		if f.opts.Check.Err() != nil {
 			break
 		}
-		counts[si] = int32(f.rankShard(&ss.Comps[si], f.ar, f.opts.Workers))
+		ss.edges[si] = int32(f.rankShard(&ss.Comps[si], f.ar, f.opts.Workers))
 	}
 	if f.opts.Check.Err() == nil && len(ss.small) > 0 {
-		parallel.ForGrain(f.opts.Workers, len(ss.small), ss.smallGrain, func(lo, hi int) {
-			ar := shardArenas.Get().(*arena)
-			for k := lo; k < hi; k++ {
-				// One poll per component bounds post-cancellation work; the
-				// torn p slices are discarded with the error below.
-				if f.opts.Check.Err() != nil {
-					break
-				}
-				si := ss.small[k]
-				counts[si] = int32(f.rankShard(&ss.Comps[si], ar, 1))
-			}
-			shardArenas.Put(ar)
-		})
+		parallel.ForGrain(f.opts.Workers, len(ss.small), ss.smallGrain, f.rankSmall)
 	}
-	for _, c := range counts {
+	for _, c := range ss.edges {
 		edges += int(c)
 	}
-	f.ar.putI32(counts)
 	res.Nodes, res.Edges = f.numRecords, edges
 	if err := f.endRound(); err != nil {
 		return 0, err

@@ -105,6 +105,8 @@ func benchBlockingOptions(o er.Options, multiSource bool) index.BatchOptions {
 // ShardComponents off: the experiment tables (Table III, scaling) read the
 // concrete FusionResult.Graph, which the sharded path never materializes.
 // The scores are bit-identical either way, so the tables are unaffected.
+// Graph is also nil when the whole run has two records (CliqueRank's
+// closed form); the tables then take the size from Nodes and Edges.
 func benchCoreOptions(o er.Options) core.Options {
 	c := core.DefaultOptions()
 	c.Alpha = o.Alpha

@@ -44,27 +44,26 @@ func RunScaling(cfg Config, scales []int) ([]ScalingPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		rg := fres.Graph
-
-		var sumDegSq int64
-		for i := 0; i < rg.Pattern.N; i++ {
-			d := int64(rg.Pattern.Degree(i))
-			sumDegSq += d * d
-		}
-
 		var crTime time.Duration
 		if st := trace.Find(engine.StageCliqueRank); st != nil {
 			crTime = st.Wall
 		}
-
-		out = append(out, ScalingPoint{
+		pt := ScalingPoint{
 			Scale:      pct,
-			Nodes:      rg.NumNodes(),
-			Edges:      rg.NumEdges(),
-			SumDegSq:   sumDegSq,
+			Nodes:      fres.Nodes,
+			Edges:      fres.Edges,
 			CliqueRank: crTime,
-			RSSPerEdge: rssPerEdge(rg, b.CoreOptions()),
-		})
+		}
+		// A two-record scale is ranked without a record graph: its Σ deg²
+		// and RSS cost per edge stay zero.
+		if rg := fres.Graph; rg != nil {
+			for i := 0; i < rg.Pattern.N; i++ {
+				d := int64(rg.Pattern.Degree(i))
+				pt.SumDegSq += d * d
+			}
+			pt.RSSPerEdge = rssPerEdge(rg, b.CoreOptions())
+		}
+		out = append(out, pt)
 	}
 	return out, nil
 }

@@ -80,13 +80,15 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 		if st := trace.Find(engine.StageCliqueRank); st != nil {
 			row.CliqueRankTime = st.Wall
 		}
-		rg := fres.Graph
-		row.GraphNodes = rg.NumNodes()
-		row.GraphEdges = rg.NumEdges()
+		row.GraphNodes = fres.Nodes
+		row.GraphEdges = fres.Edges
 
 		// Estimate RSS on a sample of the final graph's edges, then
-		// extrapolate to all edges and all fusion iterations.
-		row.RSSEstimate = rssPerEdge(rg, opts) * time.Duration(rg.NumEdges()*opts.FusionIterations)
+		// extrapolate to all edges and all fusion iterations. A two-record
+		// dataset is ranked without a record graph, so it has no estimate.
+		if rg := fres.Graph; rg != nil {
+			row.RSSEstimate = rssPerEdge(rg, opts) * time.Duration(rg.NumEdges()*opts.FusionIterations)
+		}
 		if row.CliqueRankTime > 0 {
 			row.Speedup = float64(row.RSSEstimate) / float64(row.CliqueRankTime)
 		}

@@ -1,12 +1,14 @@
 // Package matrix provides the linear-algebra substrate of the reproduction.
 // The original implementation delegated CliqueRank's chained matrix products
-// to the Eigen C++ library; this package replaces it with pure-Go dense and
-// sparse kernels, parallelized across rows with a worker pool.
+// to the Eigen C++ library; this package replaces it with pure-Go pattern
+// and sparse kernels, parallelized across rows through internal/parallel.
 package matrix
 
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/parallel"
 )
 
 // Dense is a row-major dense matrix of float64.
@@ -59,32 +61,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// Mul computes m × b with a cache-friendly i-k-j loop, parallelized across
-// row blocks. It panics on dimension mismatch.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.Cols != b.Rows {
-		//lint:invariant dimension preconditions are programmer errors; tests assert these panics
-		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewDense(m.Rows, b.Cols)
-	parallelRows(0, m.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := m.Row(i)
-			crow := out.Row(i)
-			for k, aik := range arow {
-				if aik == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bkj := range brow {
-					crow[j] += aik * bkj
-				}
-			}
-		}
-	})
-	return out
-}
-
 // Hadamard computes the element-wise product m ⊙ b in place on a new matrix.
 func (m *Dense) Hadamard(b *Dense) *Dense {
 	if m.Rows != b.Rows || m.Cols != b.Cols {
@@ -110,19 +86,6 @@ func (m *Dense) Transpose() *Dense {
 	return out
 }
 
-// Add returns m + b.
-func (m *Dense) Add(b *Dense) *Dense {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		//lint:invariant dimension preconditions are programmer errors; tests assert these panics
-		panic("matrix: Add dimension mismatch")
-	}
-	out := NewDense(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v + b.Data[i]
-	}
-	return out
-}
-
 // Scale returns s·m.
 func (m *Dense) Scale(s float64) *Dense {
 	out := NewDense(m.Rows, m.Cols)
@@ -139,7 +102,7 @@ func (m *Dense) MulVec(x []float64) []float64 {
 		panic("matrix: MulVec dimension mismatch")
 	}
 	out := make([]float64, m.Rows)
-	parallelRows(0, m.Rows, func(lo, hi int) {
+	parallel.For(0, m.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := m.Row(i)
 			var s float64

@@ -48,19 +48,6 @@ func BenchmarkMaskedMul(b *testing.B) {
 	}
 }
 
-func BenchmarkDenseMul(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		rng := rand.New(rand.NewSource(2))
-		x := randomDense(rng, n, n)
-		y := randomDense(rng, n, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				x.Mul(y)
-			}
-		})
-	}
-}
-
 func BenchmarkPatVecTranspose(b *testing.B) {
 	_, a, _ := benchPattern(500, 0.1)
 	b.ResetTimer()
@@ -79,16 +66,5 @@ func BenchmarkCSRMulVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MulVec(x)
-	}
-}
-
-func sizeName(n int) string {
-	switch n {
-	case 64:
-		return "n=64"
-	case 256:
-		return "n=256"
-	default:
-		return "n=?"
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"repro/internal/parallel"
 )
 
 // Edge is an undirected edge between nodes I < J.
@@ -155,19 +157,6 @@ func (v *PatVec) At(i, j int) float64 {
 	return 0
 }
 
-// ToDense expands to a dense matrix (tests, small graphs).
-func (v *PatVec) ToDense() *Dense {
-	d := NewDense(v.P.N, v.P.N)
-	for i := 0; i < v.P.N; i++ {
-		cols, vals := v.RowSlice(i)
-		row := d.Row(i)
-		for k, c := range cols {
-			row[c] = vals[k]
-		}
-	}
-	return d
-}
-
 // MaskedMul computes (mt × a) ⊙ pattern, i.e. the CliqueRank step
 // Aᵏ = (M_t × Aᵏ⁻¹) ⊙ M_n, without ever materializing the full product.
 // at must be a.Transpose(); passing it explicitly lets callers reuse one
@@ -191,7 +180,7 @@ func MaskedMulInto(dst, mt, at *PatVec, workers int) *PatVec {
 		panic("matrix: MaskedMul requires operands on the same pattern")
 	}
 	p := mt.P
-	parallelRows(workers, p.N, func(lo, hi int) {
+	parallel.For(workers, p.N, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mtCols, mtVals := mt.RowSlice(i)
 			for s := p.RowPtr[i]; s < p.RowPtr[i+1]; s++ {

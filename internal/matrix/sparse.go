@@ -3,6 +3,8 @@ package matrix
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/parallel"
 )
 
 // CSR is a compressed sparse row matrix. Column indexes inside each row are
@@ -93,7 +95,7 @@ func (m *CSR) MulVec(x []float64) []float64 {
 		panic("matrix: CSR MulVec dimension mismatch")
 	}
 	out := make([]float64, m.Rows)
-	parallelRows(0, m.Rows, func(lo, hi int) {
+	parallel.For(0, m.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cols, vals := m.RowSlice(i)
 			var s float64

@@ -257,16 +257,13 @@ func BenchmarkCliqueRankVsRSS(b *testing.B) {
 	for _, name := range experiments.AllDatasets {
 		bench := mustBench(b, cfg, name)
 		opts := bench.CoreOptions()
-		// One fusion round yields the first-round record graph (ITER on the
-		// all-ones prior), the same graph the hand-rolled loop built here.
+		// One fusion round yields the first-round similarities (ITER on the
+		// all-ones prior), from which the first-round record graph is built.
 		fres, _, err := bench.Fusion(func(o *core.Options) { o.FusionIterations = 1 })
 		if err != nil {
 			b.Fatal(err)
 		}
-		rg := fres.Graph
-		if rg == nil {
-			continue // a two-record graph is ranked without being built
-		}
+		rg := core.BuildRecordGraph(bench.Graph(), fres.S, bench.Corpus().NumRecords())
 		b.Run("CliqueRank/"+string(name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.CliqueRank(rg, opts)

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestNewDataset(t *testing.T) {
@@ -120,20 +122,29 @@ func TestResolveReportsEvaluation(t *testing.T) {
 	}
 }
 
-// TestResolveShardingBitIdentical pins the public contract of the default
-// component-sharded rank path: Resolve with sharding (the default) must
-// reproduce the DisableSharding run bit for bit — probabilities,
-// similarities, matches, clusters and graph aggregates — at every worker
-// count. This is the end-to-end face of the core determinism suite.
+// TestResolveShardingBitIdentical pins the public contract of the
+// per-component rank path: Resolve must reproduce the whole-graph
+// core.RunFusion over the pipeline's candidate graph bit for bit —
+// probabilities, matches and graph aggregates — at every worker count, and
+// its clusters must not depend on the worker count. This is the end-to-end
+// face of the core determinism suite.
 func TestResolveShardingBitIdentical(t *testing.T) {
 	d := ProductReplica(ReplicaConfig{Seed: 1, Scale: 0.25})
-	opts := DefaultOptions()
-	opts.DisableSharding = true
-	opts.Workers = 1
-	want, err := Resolve(d, opts)
+	p := mustNewPipeline(t, d, DefaultOptions())
+	copts := DefaultOptions().coreOptions()
+	copts.Workers = 1
+	want, err := core.RunFusion(p.graph, d.NumRecords(), copts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var wantMatches []Match
+	for k, m := range want.Matches {
+		if m {
+			i, j := p.CandidatePair(k)
+			wantMatches = append(wantMatches, Match{I: i, J: j, Probability: want.P[k]})
+		}
+	}
+	var wantClusters [][]int
 	for _, w := range []int{1, 2, 4} {
 		opts := DefaultOptions()
 		opts.Workers = w
@@ -141,25 +152,26 @@ func TestResolveShardingBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.GraphNodes != want.GraphNodes || got.GraphEdges != want.GraphEdges {
+		if got.GraphNodes != want.Nodes || got.GraphEdges != want.Edges {
 			t.Fatalf("workers=%d: graph %d/%d, want %d/%d",
-				w, got.GraphNodes, got.GraphEdges, want.GraphNodes, want.GraphEdges)
+				w, got.GraphNodes, got.GraphEdges, want.Nodes, want.Edges)
 		}
-		if len(got.Probabilities) != len(want.Probabilities) {
+		if len(got.Probabilities) != len(want.P) {
 			t.Fatalf("workers=%d: probabilities length %d != %d",
-				w, len(got.Probabilities), len(want.Probabilities))
+				w, len(got.Probabilities), len(want.P))
 		}
-		for i := range want.Probabilities {
-			if math.Float64bits(got.Probabilities[i]) != math.Float64bits(want.Probabilities[i]) {
-				t.Fatalf("workers=%d: p[%d] = %v, want %v",
-					w, i, got.Probabilities[i], want.Probabilities[i])
+		for i := range want.P {
+			if math.Float64bits(got.Probabilities[i]) != math.Float64bits(want.P[i]) {
+				t.Fatalf("workers=%d: p[%d] = %v, want %v", w, i, got.Probabilities[i], want.P[i])
 			}
 		}
-		if !reflect.DeepEqual(got.Matches, want.Matches) {
-			t.Fatalf("workers=%d: matches diverge from unsharded run", w)
+		if !reflect.DeepEqual(got.Matches, wantMatches) {
+			t.Fatalf("workers=%d: matches diverge from the whole-graph fusion", w)
 		}
-		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
-			t.Fatalf("workers=%d: clusters diverge from unsharded run", w)
+		if wantClusters == nil {
+			wantClusters = got.Clusters
+		} else if !reflect.DeepEqual(got.Clusters, wantClusters) {
+			t.Fatalf("workers=%d: clusters diverge from the 1-worker run", w)
 		}
 	}
 }

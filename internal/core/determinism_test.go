@@ -197,10 +197,27 @@ func TestFusionBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedFusionBitIdenticalAcrossWorkers is the satellite property
-// test for component sharding: the sharded run must reproduce the
-// unsharded serial run — similarities, probabilities, match decisions, and
-// the graph size aggregates — to the last bit, for every worker count.
+// runSharded drives the fusion loop the way engine.Fuse does: partitioned
+// once, then ranking each connected component on its own every round.
+func runSharded(t *testing.T, g *index.Graph, numRecords int, opts Options) *FusionResult {
+	t.Helper()
+	f := NewFusionRun(g, numRecords, opts)
+	f.Partition()
+	for f.Next() {
+		if _, err := f.StepITER(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.StepRank(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f.Finish()
+}
+
+// TestShardedFusionBitIdenticalAcrossWorkers is the property test for
+// component sharding: the per-component run must reproduce the whole-graph
+// serial run — similarities, probabilities, match decisions, and the final
+// record graph's size — to the last bit, for every worker count.
 func TestShardedFusionBitIdenticalAcrossWorkers(t *testing.T) {
 	_, g := productScaleGraph(t)
 	opts := DefaultOptions()
@@ -210,20 +227,14 @@ func TestShardedFusionBitIdenticalAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Graph == nil || want.Nodes != want.Graph.NumNodes() || want.Edges != want.Graph.NumEdges() {
-		t.Fatalf("unsharded aggregates %d/%d disagree with Graph %d/%d",
-			want.Nodes, want.Edges, want.Graph.NumNodes(), want.Graph.NumEdges())
+	rg := BuildRecordGraph(g, want.S, g.NumRecords)
+	if want.Nodes != rg.NumNodes() || want.Edges != rg.NumEdges() {
+		t.Fatalf("whole-graph aggregates %d/%d disagree with the final record graph %d/%d",
+			want.Nodes, want.Edges, rg.NumNodes(), rg.NumEdges())
 	}
-	opts.ShardComponents = true
 	for _, w := range workerCounts() {
 		opts.Workers = w
-		got, err := RunFusion(g, g.NumRecords, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Graph != nil {
-			t.Fatalf("workers=%d: sharded run materialized a global graph", w)
-		}
+		got := runSharded(t, g, g.NumRecords, opts)
 		if got.Nodes != want.Nodes || got.Edges != want.Edges {
 			t.Fatalf("workers=%d: nodes/edges %d/%d, want %d/%d",
 				w, got.Nodes, got.Edges, want.Nodes, want.Edges)

@@ -17,15 +17,10 @@ type FusionResult struct {
 	P []float64
 	// Matches flags the pairs with P >= opts.Eta.
 	Matches []bool
-	// Graph is the record graph of the last iteration (Table III stats).
-	// It is nil when the run was sharded by component (ShardComponents),
-	// or ranked a two-record graph by CliqueRank's closed form: the graph
-	// is never materialized then. Nodes and Edges below are populated
-	// either way.
-	Graph *RecordGraph
 	// Nodes and Edges are the last round's record-graph size — the record
-	// count and the kept (similarity > 0) pair count. Unlike Graph, they
-	// are populated in both the sharded and unsharded paths.
+	// count and the kept (similarity > 0) pair count. The graph itself is
+	// released after ranking; BuildRecordGraph(g, S, numRecords) rebuilds
+	// it.
 	Nodes, Edges int
 	// ITERTrace records, per fusion iteration, the Σ|Δx_t| update series of
 	// the inner ITER loop (the Figure 5 data, concatenated across fusion
@@ -61,6 +56,9 @@ type FusionResult struct {
 // After the last round, pairs with p >= η are declared matches.
 // opts.Progress, when set, observes every iteration (the Table V hook).
 //
+// RunFusion ranks g as one record graph; engine.Fuse ranks each connected
+// component on its own, which gives the same bits.
+//
 // A zero opts.Seed is normalized to 1 (the library-wide default). When
 // opts.Check reports cancellation, RunFusion stops between sweeps and
 // returns the checkpoint's error with a nil result; after every round the
@@ -69,13 +67,10 @@ type FusionResult struct {
 func RunFusion(g *index.Graph, numRecords int, opts Options) (*FusionResult, error) {
 	// The reinforcement loop reuses its working memory across rounds: the
 	// ITER scratch carries the x/s/raw vectors, the arena recycles the
-	// record-graph and CliqueRank buffers, and p is rewritten in place. Only
-	// the last round's buffers survive into the result, so the steady state
-	// of the loop allocates nothing but the per-round adjacency pattern.
+	// record-graph and CliqueRank buffers, and p is rewritten in place, so
+	// the steady state of the loop allocates nothing but the per-round
+	// adjacency pattern.
 	f := NewFusionRun(g, numRecords, opts)
-	if opts.ShardComponents {
-		f.Partition()
-	}
 	for f.Next() {
 		if _, err := f.StepITER(); err != nil {
 			return nil, err

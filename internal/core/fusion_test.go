@@ -125,8 +125,10 @@ func TestRunFusionTraceMatchesIterations(t *testing.T) {
 			t.Errorf("fusion iteration %d recorded no ITER updates", i+1)
 		}
 	}
-	if res.Graph == nil || res.Graph.NumNodes() != len(fusionTexts) {
-		t.Error("final record graph missing or wrong size")
+	rg := BuildRecordGraph(g, res.S, len(fusionTexts))
+	if res.Nodes != len(fusionTexts) || res.Nodes != rg.NumNodes() || res.Edges != rg.NumEdges() {
+		t.Errorf("final record graph size %d/%d, want %d/%d",
+			res.Nodes, res.Edges, rg.NumNodes(), rg.NumEdges())
 	}
 	if res.Elapsed <= 0 {
 		t.Error("elapsed must be positive")

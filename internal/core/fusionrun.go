@@ -16,11 +16,9 @@ import (
 // free lists are unsynchronized by design (get/put happen on the fusion
 // goroutine only).
 //
-// Sharing is safe across sequential runs because the buffers a finished
-// run retains — the final round's RecordGraph — are taken out of the free
-// lists when handed out and only re-enter them through an explicit
-// release, which the fusion loop performs solely on superseded per-round
-// graphs.
+// Sharing is safe across sequential runs because a finished run retains
+// none of the arena's buffers: every record graph is released into the
+// arena as soon as it is ranked.
 type Scratch struct {
 	ar arena
 }
@@ -31,16 +29,15 @@ type Scratch struct {
 // time and size each phase without duplicating the orchestration. Driving
 //
 //	f := NewFusionRun(g, numRecords, opts)
-//	if opts.ShardComponents {
-//	    f.Partition()
-//	}
+//	f.Partition() // optional: rank per component
 //	for f.Next() {
 //	    f.StepITER(); f.StepRank()
 //	}
 //	res := f.Finish()
 //
-// is RunFusion (which is implemented this way). Whether the rank phase
-// runs per component or on the whole graph is decided in StepRank alone.
+// without Partition is RunFusion (which is implemented this way). With
+// Partition, StepRank ranks each connected component on its own, which
+// gives the same bits (see shard.go); engine.Fuse drives it that way.
 type FusionRun struct {
 	g          *index.Graph
 	numRecords int
@@ -131,42 +128,79 @@ func (f *FusionRun) StepITER() (iterations int, err error) {
 
 // StepRank ranks the round's record graph, writing the matching
 // probabilities into p in place, and returns its kept-edge count. After
-// Partition it is StepShardedRank; otherwise it builds the whole G_r from
-// the round's similarities, releasing the previous round's graph back into
-// the arena, and ranks it with CliqueRank, or RSS under UseRSS. A
-// two-record graph is ranked by CliqueRank's closed form and never built,
-// leaving FusionResult.Graph nil. It returns the checkpoint's error when
+// Partition it is StepShardedRank; otherwise it ranks the whole G_r with
+// CliqueRank, or RSS under UseRSS. It returns the checkpoint's error when
 // the run was canceled.
 func (f *FusionRun) StepRank() (edges int, err error) {
 	if f.shards != nil {
 		return f.StepShardedRank()
 	}
-	res := f.res
-	if res.Graph != nil {
-		res.Graph.release()
-		res.Graph = nil
-	}
-	if f.twoRecords(f.numRecords) {
-		res.Nodes, res.Edges = f.numRecords, 0
-		for pid, s := range res.S {
-			f.p[pid] = f.twoRecordP(s)
-			if s > 0 {
-				res.Edges++
-			}
-		}
-	} else {
-		res.Graph = buildRecordGraph(f.g, res.S, f.numRecords, nil, nil, f.ar)
-		res.Nodes, res.Edges = res.Graph.NumNodes(), res.Graph.NumEdges()
-		if f.opts.UseRSS {
-			RSSInto(res.Graph, f.opts, f.p)
-		} else {
-			CliqueRankInto(res.Graph, f.opts, f.p)
-		}
-	}
+	f.res.Nodes = f.numRecords
+	f.res.Edges = f.rankGraph(f.numRecords, nil, nil, f.ar, f.opts.Workers)
 	if err := f.endRound(); err != nil {
 		return 0, err
 	}
-	return res.Edges, nil
+	return f.res.Edges, nil
+}
+
+// rankGraph ranks one record graph of the round over n records: the graph
+// of the candidate pairs listed in pairs, with recLocal renumbering their
+// records into its nodes, or the whole candidate graph when both are nil.
+// It builds the graph from the round's similarities, ranks it with the
+// given worker budget, writes the pairs' probabilities into p and releases
+// the graph into ar. A graph whose pairs all have similarity 0 is all
+// dropped edges (p = 0), and a two-record graph takes CliqueRank's closed
+// form; neither is built. It returns the kept-edge count.
+func (f *FusionRun) rankGraph(n int, pairs, recLocal []int32, ar *arena, workers int) int {
+	s := f.res.S
+	m := len(s)
+	if pairs != nil {
+		m = len(pairs)
+	}
+	kept := 0
+	for k := 0; k < m; k++ {
+		if s[pairAt(pairs, k)] > 0 {
+			kept++
+		}
+	}
+	if kept == 0 || f.twoRecords(n) {
+		for k := 0; k < m; k++ {
+			pid := pairAt(pairs, k)
+			f.p[pid] = f.twoRecordP(s[pid])
+		}
+		return kept
+	}
+	rg := buildRecordGraph(f.g, s, n, pairs, recLocal, ar)
+	opts := f.opts
+	opts.Workers = workers
+	// The whole graph's positions are global pair IDs, so it ranks into p
+	// directly; a component ranks into scratch and scatters.
+	pl := f.p
+	if pairs != nil {
+		pl = ar.getF64(m)
+	}
+	if opts.UseRSS {
+		RSSInto(rg, opts, pl)
+	} else {
+		CliqueRankInto(rg, opts, pl)
+	}
+	if pairs != nil {
+		for k, pid := range pairs {
+			f.p[pid] = pl[k]
+		}
+		ar.putF64(pl)
+	}
+	rg.release()
+	return kept
+}
+
+// pairAt is the global ID of the pair at position k of a pair list, where
+// a nil list stands for every candidate pair in ID order.
+func pairAt(pairs []int32, k int) int {
+	if pairs == nil {
+		return k
+	}
+	return int(pairs[k])
 }
 
 // twoRecords reports whether a record graph over n records is ranked by

@@ -75,13 +75,9 @@ type Options struct {
 	// selects runtime.GOMAXPROCS(0).
 	Workers int
 
-	// ShardComponents splits the rank phase by connected component of the
-	// candidate graph: each round builds and ranks a per-component record
-	// graph instead of one global graph, with components fanned out over
-	// Workers. The scores are bit-identical to the unsharded run (the
-	// determinism suite pins this) — the flag trades the global graph in
-	// FusionResult.Graph (left nil) for coarse-grained parallelism that
-	// scales on corpora with many components. Ignored under UseRSS.
+	// Deprecated: ignored. engine.Fuse ranks every CliqueRank run per
+	// connected component and RunFusion ranks the graph it is given whole;
+	// both give the same bits.
 	ShardComponents bool
 
 	// Scratch, when non-nil, recycles the record-graph and rank-kernel

@@ -46,14 +46,7 @@ func buildRecordGraph(g *index.Graph, s []float64, numRecords int, pairs, recLoc
 	if pairs != nil {
 		n = len(pairs)
 	}
-	// pairID maps position k to its global pair ID, ends a pair to its
-	// endpoint nodes.
-	pairID := func(k int) int {
-		if pairs != nil {
-			return int(pairs[k])
-		}
-		return k
-	}
+	// ends maps a pair to its endpoint nodes.
 	ends := func(pid int) (i, j int32) {
 		i, j = g.Pairs[pid].I, g.Pairs[pid].J
 		if recLocal != nil {
@@ -64,7 +57,7 @@ func buildRecordGraph(g *index.Graph, s []float64, numRecords int, pairs, recLoc
 	edges := ar.getEdges(n)
 	kept := ar.getI32(n)[:0]
 	for k := 0; k < n; k++ {
-		pid := pairID(k)
+		pid := pairAt(pairs, k)
 		if s[pid] <= 0 {
 			continue
 		}
@@ -80,7 +73,7 @@ func buildRecordGraph(g *index.Graph, s []float64, numRecords int, pairs, recLoc
 		slot[k] = -1
 	}
 	for _, k := range kept {
-		pid := pairID(int(k))
+		pid := pairAt(pairs, int(k))
 		i, j := ends(pid)
 		a := pat.Slot(int(i), int(j))
 		b := pat.Slot(int(j), int(i))

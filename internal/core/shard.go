@@ -8,7 +8,7 @@ import (
 	"repro/internal/parallel"
 )
 
-// Component sharding (Options.ShardComponents) splits the rank phase of the
+// Component sharding (FusionRun.Partition) splits the rank phase of the
 // fusion loop by connected component of the *candidate* graph. Blocking
 // fixes the candidate pairs for the whole run, the record graph of every
 // round keeps a subset of those edges (similarity > 0), and CliqueRank
@@ -26,7 +26,7 @@ import (
 // node numbering preserves global record order, and each shard's pairs
 // keep global candidate order — so every per-shard kernel sees exactly the
 // rows (in the same order, with the same values) it would see inside the
-// global graph, and writes its slice of p bit-identically to the unsharded
+// global graph, and writes its slice of p bit-identically to the whole-graph
 // run. Large components run one at a time with the full worker budget;
 // small components fan out across workers with one worker each, which
 // cannot change bits because a kernel's result is worker-independent.
@@ -180,41 +180,6 @@ func (f *FusionRun) Partition() int {
 	return len(f.shards.Comps)
 }
 
-// rankShard scores one component: build its local record graph from the
-// round's similarities, run CliqueRank on it with the given worker budget,
-// and scatter the probabilities into the global p. Components whose pairs
-// all have similarity 0 write zeros directly — exactly what the global
-// graph's dropped-edge path produces — and two-record components take
-// their closed form without a record graph. Returns the kept-edge count.
-func (f *FusionRun) rankShard(sh *Component, ar *arena, workers int) int {
-	s := f.res.S
-	kept := 0
-	for _, pid := range sh.Pairs {
-		if s[pid] > 0 {
-			kept++
-		}
-	}
-	if kept == 0 || f.twoRecords(len(sh.Records)) {
-		// Nothing to build: every pair is a dropped edge (p = 0) or the
-		// one pair of a two-record component.
-		for _, pid := range sh.Pairs {
-			f.p[pid] = f.twoRecordP(s[pid])
-		}
-		return kept
-	}
-	rg := buildRecordGraph(f.g, s, len(sh.Records), sh.Pairs, f.shards.RecLocal, ar)
-	opts := f.opts
-	opts.Workers = workers
-	pl := ar.getF64(len(sh.Pairs))
-	CliqueRankInto(rg, opts, pl)
-	for k, pid := range sh.Pairs {
-		f.p[pid] = pl[k]
-	}
-	ar.putF64(pl)
-	rg.release()
-	return kept
-}
-
 // rankSmallShards ranks the small components [lo, hi) of the schedule with
 // one worker each, on an arena of its own.
 func (f *FusionRun) rankSmallShards(lo, hi int) {
@@ -227,7 +192,8 @@ func (f *FusionRun) rankSmallShards(lo, hi int) {
 			break
 		}
 		si := ss.small[k]
-		ss.edges[si] = int32(f.rankShard(&ss.Comps[si], ar, 1))
+		c := &ss.Comps[si]
+		ss.edges[si] = int32(f.rankGraph(len(c.Records), c.Pairs, ss.RecLocal, ar, 1))
 	}
 	shardArenas.Put(ar)
 }
@@ -244,19 +210,13 @@ func (f *FusionRun) StepShardedRank() (edges int, err error) {
 		return 0, err
 	}
 	ss := f.shards
-	res := f.res
-	if res.Graph != nil {
-		// Partition may have run after whole-graph rounds; their graph is
-		// stale the moment similarities change.
-		res.Graph.release()
-		res.Graph = nil
-	}
 	clear(ss.edges)
 	for _, si := range ss.big {
 		if f.opts.Check.Err() != nil {
 			break
 		}
-		ss.edges[si] = int32(f.rankShard(&ss.Comps[si], f.ar, f.opts.Workers))
+		c := &ss.Comps[si]
+		ss.edges[si] = int32(f.rankGraph(len(c.Records), c.Pairs, ss.RecLocal, f.ar, f.opts.Workers))
 	}
 	if f.opts.Check.Err() == nil && len(ss.small) > 0 {
 		parallel.ForGrain(f.opts.Workers, len(ss.small), ss.smallGrain, f.rankSmall)
@@ -264,7 +224,7 @@ func (f *FusionRun) StepShardedRank() (edges int, err error) {
 	for _, c := range ss.edges {
 		edges += int(c)
 	}
-	res.Nodes, res.Edges = f.numRecords, edges
+	f.res.Nodes, f.res.Edges = f.numRecords, edges
 	if err := f.endRound(); err != nil {
 		return 0, err
 	}

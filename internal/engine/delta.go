@@ -127,8 +127,8 @@ func componentKey(sig []byte, lg *index.Graph, scratch []byte) (string, []byte) 
 }
 
 // fusionOptsSig serializes every core option that influences fusion output.
-// Workers, Check, Clock, Progress, Scratch and ShardComponents are
-// excluded: output is bit-identical across all of them.
+// Workers, Check, Clock, Progress and Scratch are excluded: output is
+// bit-identical across all of them.
 func fusionOptsSig(o core.Options) string {
 	return fmt.Sprintf("fuse=%g,%d,%g,%d,%g,%d,%d,%t,%d,%t,%t,%t,%d",
 		o.Alpha, o.Steps, o.Eta, o.FusionIterations,
@@ -158,9 +158,6 @@ func NewComponentFuser(r *Run, opts core.Options, cache *Cache) *ComponentFuser 
 	if opts.Clock == nil {
 		opts.Clock = r.clk
 	}
-	// A component is fused whole: sharding inside one component would only
-	// re-partition what is already a single component.
-	opts.ShardComponents = false
 	return &ComponentFuser{opts: opts, sig: []byte(fusionOptsSig(opts)), cache: cache}
 }
 

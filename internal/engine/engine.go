@@ -52,7 +52,8 @@ type StageTrace struct {
 	// Stage is the stage name (one of the Stage* constants): "tokenize",
 	// "block", "iter", "cliquerank" (or "rss", each including the build of
 	// the record graph it ranks), "fuse", "cluster", "evaluate";
-	// "partition" when the fusion is sharded by component; and on
+	// "partition" when CliqueRank ranks by component (every run but
+	// UseRSS); and on
 	// delta-scoped resolves "partition", "materialize", "deltafuse".
 	Stage string
 	// Cached reports that the stage's output was served from a Snapshot

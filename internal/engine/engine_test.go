@@ -127,25 +127,36 @@ func TestKeySensitivity(t *testing.T) {
 }
 
 // TestFuseMatchesRunFusion pins, for each rank path, that the engine's
-// staged fusion is bit-identical to core.RunFusion and records exactly the
-// stages that path runs.
+// staged fusion is bit-identical to the whole-graph core.RunFusion and
+// records exactly the stages that path runs: CliqueRank, ablations
+// included, is ranked per component, RSS on the whole graph.
 func TestFuseMatchesRunFusion(t *testing.T) {
+	// A Paper replica slice: components of 2 to 12 records, sparse and
+	// near-complete, so every component kernel runs.
+	in := testInputs(t, nil)
+	ds := dataset.GenPaper(dataset.GenConfig{Seed: 1, Scale: 0.05})
+	in.Texts, in.Sources = ds.Texts(), ds.Sources()
+	in.Blocking.CrossSourceOnly = ds.NumSources > 1
 	prep := NewRun(context.Background(), RunOptions{Clock: fakeClock()})
-	snap, err := Prepare(prep, testInputs(t, nil))
+	snap, err := Prepare(prep, in)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
+	partitioned := []string{StagePartition, StageITER, StageCliqueRank, StageFuse}
 	cases := []struct {
 		name   string
 		modify func(*core.Options)
 		stages []string
 	}{
-		{"sharded", func(o *core.Options) { o.ShardComponents = true },
-			[]string{StagePartition, StageITER, StageCliqueRank, StageFuse}},
-		{"whole-graph", func(*core.Options) {},
-			[]string{StageITER, StageCliqueRank, StageFuse}},
-		// er.Resolve passes UseRSS with sharding left on.
-		{"rss", func(o *core.Options) { o.UseRSS, o.ShardComponents = true, true },
+		{"default", func(*core.Options) {}, partitioned},
+		// The deprecated field is ignored.
+		{"sharded", func(o *core.Options) { o.ShardComponents = true }, partitioned},
+		{"no-mask", func(o *core.Options) { o.DisableMask = true }, partitioned},
+		{"no-bonus", func(o *core.Options) { o.DisableBonus = true }, partitioned},
+		{"l2-no-denominator", func(o *core.Options) {
+			o.Normalization, o.DisableDenominator = core.NormL2, true
+		}, partitioned},
+		{"rss", func(o *core.Options) { o.UseRSS = true },
 			[]string{StageITER, StageRSS, StageFuse}},
 	}
 	for _, tc := range cases {

@@ -13,13 +13,15 @@ import (
 // corresponding option fields; the run's clock times the phases
 // (opts.Clock, when set, still times the core result's Elapsed).
 //
-// Under opts.ShardComponents a StagePartition entry records the component
-// split first (RSS ranks the whole graph, so a UseRSS run makes none). The
-// per-round phases are recorded as aggregates: one StageITER and one
+// A CliqueRank run is ranked per connected component, which gives the
+// whole-graph bits: a StagePartition entry records the component split
+// first. RSS ranks the whole graph, because its walks are seeded by
+// global pair ID, so a UseRSS run makes no partition. The per-round
+// phases are recorded as aggregates: one StageITER and one
 // StageCliqueRank (or StageRSS) entry each summing all rounds — the rank
 // entry includes building G_r — followed by a StageFuse entry for the
-// thresholding. Entries are recorded even when the run is canceled
-// mid-loop, so partial traces survive for diagnosis.
+// thresholding. Entries are recorded even when the run is canceled, so
+// partial traces survive for diagnosis.
 func Fuse(r *Run, g *index.Graph, numRecords int, opts core.Options) (*core.FusionResult, error) {
 	opts.Check = r.check
 	opts.Workers = r.workers
@@ -36,14 +38,14 @@ func Fuse(r *Run, g *index.Graph, numRecords int, opts core.Options) (*core.Fusi
 	rankSt := StageTrace{Stage: rankStage, InUnit: "edges", Out: g.NumPairs(), OutUnit: "pairs"}
 
 	f := core.NewFusionRun(g, numRecords, opts)
-	if opts.ShardComponents && !opts.UseRSS {
-		if err := r.Stage(StagePartition, func(st *StageTrace) error {
-			st.In, st.InUnit = g.NumPairs(), "pairs"
-			st.Out, st.OutUnit = f.Partition(), "components"
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	if !opts.UseRSS {
+		// Recorded directly rather than through r.Stage, which records
+		// nothing on an already-canceled run; the canceled round below
+		// then ends the partial trace.
+		start := r.clk()
+		comps := f.Partition()
+		r.Record(StageTrace{Stage: StagePartition, Wall: r.clk().Sub(start),
+			In: g.NumPairs(), InUnit: "pairs", Out: comps, OutUnit: "components"})
 	}
 
 	var err error

@@ -2,11 +2,19 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro"
 	"repro/internal/engine"
 )
+
+// replicas maps each harness dataset to its public replica generator.
+var replicas = map[DatasetName]func(er.ReplicaConfig) *er.Dataset{
+	Restaurant: er.RestaurantReplica,
+	Product:    er.ProductReplica,
+	Paper:      er.PaperReplica,
+}
 
 // TestBenchSnapshotKeyMatchesPipeline pins the harness's duplicated
 // option mappings (benchCorpusOptions, benchBlockingOptions) to the root
@@ -15,11 +23,6 @@ import (
 // pipeline-level ones.
 func TestBenchSnapshotKeyMatchesPipeline(t *testing.T) {
 	cfg := Config{Seed: 1, Scale: 0.1}
-	replicas := map[DatasetName]func(er.ReplicaConfig) *er.Dataset{
-		Restaurant: er.RestaurantReplica,
-		Product:    er.ProductReplica,
-		Paper:      er.PaperReplica,
-	}
 	for _, name := range AllDatasets {
 		b, err := cfg.Bench(name)
 		if err != nil {
@@ -33,6 +36,36 @@ func TestBenchSnapshotKeyMatchesPipeline(t *testing.T) {
 		if b.SnapshotKey() != p.SnapshotKey() {
 			t.Errorf("%s: harness snapshot key %s != pipeline key %s; the bench* option mappings drifted from er.Options'",
 				name, b.SnapshotKey(), p.SnapshotKey())
+		}
+	}
+}
+
+// TestBenchFusionMatchesResolve pins benchCoreOptions to er.Options'
+// fusion mapping: on every replica the harness's default fusion gives
+// er.Resolve's probabilities bit for bit.
+func TestBenchFusionMatchesResolve(t *testing.T) {
+	cfg := testConfig()
+	for _, name := range AllDatasets {
+		b, err := cfg.Bench(name)
+		if err != nil {
+			t.Fatalf("Bench(%s): %v", name, err)
+		}
+		got, _, err := b.Fusion(nil)
+		if err != nil {
+			t.Fatalf("%s: Fusion: %v", name, err)
+		}
+		d := replicas[name](er.ReplicaConfig{Seed: cfg.Seed, Scale: cfg.Scale})
+		want, err := er.Resolve(d, cfg.options())
+		if err != nil {
+			t.Fatalf("%s: Resolve: %v", name, err)
+		}
+		if len(got.P) != len(want.Probabilities) || len(got.P) == 0 {
+			t.Fatalf("%s: harness has %d pairs, Resolve %d", name, len(got.P), len(want.Probabilities))
+		}
+		for k := range got.P {
+			if math.Float64bits(got.P[k]) != math.Float64bits(want.Probabilities[k]) {
+				t.Fatalf("%s: p[%d] = %v, Resolve %v", name, k, got.P[k], want.Probabilities[k])
+			}
 		}
 	}
 }

@@ -54,15 +54,12 @@ func RunScaling(cfg Config, scales []int) ([]ScalingPoint, error) {
 			Edges:      fres.Edges,
 			CliqueRank: crTime,
 		}
-		// A two-record scale is ranked without a record graph: its Σ deg²
-		// and RSS cost per edge stay zero.
-		if rg := fres.Graph; rg != nil {
-			for i := 0; i < rg.Pattern.N; i++ {
-				d := int64(rg.Pattern.Degree(i))
-				pt.SumDegSq += d * d
-			}
-			pt.RSSPerEdge = rssPerEdge(rg, b.CoreOptions())
+		rg := core.BuildRecordGraph(b.Graph(), fres.S, b.snap.NumRecords())
+		for i := 0; i < rg.Pattern.N; i++ {
+			d := int64(rg.Pattern.Degree(i))
+			pt.SumDegSq += d * d
 		}
+		pt.RSSPerEdge = rssPerEdge(rg, b.CoreOptions())
 		out = append(out, pt)
 	}
 	return out, nil

@@ -84,11 +84,9 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 		row.GraphEdges = fres.Edges
 
 		// Estimate RSS on a sample of the final graph's edges, then
-		// extrapolate to all edges and all fusion iterations. A two-record
-		// dataset is ranked without a record graph, so it has no estimate.
-		if rg := fres.Graph; rg != nil {
-			row.RSSEstimate = rssPerEdge(rg, opts) * time.Duration(rg.NumEdges()*opts.FusionIterations)
-		}
+		// extrapolate to all edges and all fusion iterations.
+		rg := core.BuildRecordGraph(b.Graph(), fres.S, b.snap.NumRecords())
+		row.RSSEstimate = rssPerEdge(rg, opts) * time.Duration(rg.NumEdges()*opts.FusionIterations)
 		if row.CliqueRankTime > 0 {
 			row.Speedup = float64(row.RSSEstimate) / float64(row.CliqueRankTime)
 		}

@@ -1,7 +1,7 @@
 // Package graph provides the generic graph structures used across the
 // reproduction: a union-find for entity clustering and the term
 // co-occurrence graph of the TextRank/TW-IDF baseline. The specialised
-// bipartite term/record-pair graph lives in package blocking (it is a direct
+// bipartite term/record-pair graph lives in package index (it is a direct
 // byproduct of candidate generation), and the record graph G_r is
 // represented by matrix.Pattern.
 package graph

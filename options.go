@@ -85,14 +85,8 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); Validate rejects negative values.
 	Workers int
 
-	// DisableSharding turns off component-sharded ranking. By default the
-	// pipeline partitions the candidate graph into connected components
-	// after blocking and runs record-graph construction + CliqueRank per
-	// component — coarse-grained parallelism that scales on real corpora
-	// (many small components) where row-level fan-out cannot. Scores and
-	// clusters are bit-identical either way (the determinism suite pins
-	// it); set this only to diagnose the sharded path or to force the
-	// single global record graph. Ignored (always unsharded) under UseRSS.
+	// Deprecated: ignored. Resolve always ranks per connected component,
+	// which gives the same bits as ranking the whole record graph.
 	DisableSharding bool
 
 	// MaxCandidatePairs caps the number of candidate pairs blocking may
@@ -179,7 +173,6 @@ func (o Options) coreOptions() core.Options {
 	}
 	c.Seed = o.Seed
 	c.Workers = o.Workers
-	c.ShardComponents = !o.DisableSharding
 	c.Progress = o.Progress
 	return c
 }

@@ -250,7 +250,7 @@ type FusionOutcome struct {
 	// guardrails replaced with their documented fallbacks; 0 on a healthy
 	// run.
 	NumericRepairs int
-	// Trace records the fusion stages (partition when sharded, iter,
+	// Trace records the fusion stages (partition unless UseRSS, iter,
 	// cliquerank/rss, fuse) with per-stage wall times, sizes and iteration
 	// counts.
 	Trace Trace

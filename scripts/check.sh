@@ -6,7 +6,7 @@
 # concurrency/format analyzers named explicitly so a stock-vet regression
 # cannot silently drop them), build, erlint (the repo-specific invariant
 # suite in cmd/erlint), the race-enabled tests, the non-race allocation
-# gates, the separate bench module, and the erserve daemon smoke test (real
+# gates, one iteration of every benchmark, the separate bench module, and the erserve daemon smoke test (real
 # binary, real sockets, real SIGTERM drain).
 #
 # govulncheck is intentionally absent: it needs network access to the
@@ -61,6 +61,12 @@ go test -race -shuffle=on ./...
 # never compiles them, so they run here as their own non-race step.
 echo "==> allocation gates (non-race)"
 go test -count=1 -run 'Allocs' . ./internal/core/ ./internal/parallel/ ./internal/textproc/
+
+# go vet compiles the benchmarks but nothing else runs them; one iteration
+# of each catches a benchmark that no longer runs against the API it
+# exercises.
+echo "==> benchmarks (one iteration each)"
+go test -run '^$' -bench . -benchtime 1x ./...
 
 # bench/ is a module of its own (it points repro at ..), so the root
 # `go build ./...` and `go test ./...` above never compile it. Vet and test

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -169,16 +170,17 @@ func TestCliqueRankMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// denseMul returns a × b by the textbook triple loop.
-func denseMul(a, b *matrix.Dense) *matrix.Dense {
-	out := matrix.NewDense(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
+// denseMul returns a × b for row-major n×n matrices by the textbook
+// triple loop.
+func denseMul(n int, a, b []float64) []float64 {
+	out := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			var s float64
-			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+			for k := 0; k < n; k++ {
+				s += a[i*n+k] * b[k*n+j]
 			}
-			out.Set(i, j, s)
+			out[i*n+j] = s
 		}
 	}
 	return out
@@ -192,9 +194,9 @@ func checkCliqueRankDense(t *testing.T, g *index.Graph, rg *RecordGraph, kernel 
 	got := make([]float64, len(rg.PairSlot))
 	cliqueRank(rg, opts, got, kernel)
 
-	// Dense reference.
+	// Dense reference on row-major n×n matrices.
 	n := rg.Pattern.N
-	mt := matrix.NewDense(n, n)
+	mt := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		nbrs, vals := rg.S.RowSlice(i)
 		smax := 0.0
@@ -210,23 +212,24 @@ func checkCliqueRankDense(t *testing.T, g *index.Graph, rg *RecordGraph, kernel 
 			sum += w[k]
 		}
 		for k, j := range nbrs {
-			mt.Set(i, int(j), w[k]/sum)
+			mt[i*n+int(j)] = w[k] / sum
 		}
 	}
-	mask := matrix.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if unmasked || rg.Pattern.Has(i, j) {
-				mask.Set(i, j, 1)
+	mk := slices.Clone(mt)
+	acc := slices.Clone(mt)
+	masked := make([]float64, n*n)
+	for step := 2; step <= opts.Steps; step++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				masked[i*n+j] = 0
+				if unmasked || rg.Pattern.Has(i, j) {
+					masked[i*n+j] = mk[i*n+j]
+				}
 			}
 		}
-	}
-	mk := mt.Clone()
-	acc := mk.Clone()
-	for step := 2; step <= opts.Steps; step++ {
-		mk = denseMul(mt, mk.Hadamard(mask))
-		for k, v := range mk.Data {
-			acc.Data[k] += v
+		mk = denseMul(n, mt, masked)
+		for k, v := range mk {
+			acc[k] += v
 		}
 	}
 	clamp := func(v float64) float64 {
@@ -236,7 +239,8 @@ func checkCliqueRankDense(t *testing.T, g *index.Graph, rg *RecordGraph, kernel 
 		return v
 	}
 	for pid, pair := range g.Pairs {
-		want := (clamp(acc.At(int(pair.I), int(pair.J))) + clamp(acc.At(int(pair.J), int(pair.I)))) / 2
+		i, j := int(pair.I), int(pair.J)
+		want := (clamp(acc[i*n+j]) + clamp(acc[j*n+i])) / 2
 		if math.Abs(got[pid]-want) > 1e-9 {
 			t.Fatalf("pair %d: CliqueRank %g, dense reference %g", pid, got[pid], want)
 		}

@@ -70,6 +70,7 @@ type Index struct {
 	vocab      map[string]int32
 	df         []int32
 	stopped    []bool
+	nAtDF      []int32   // df value -> number of non-stopped terms at it
 	postings   [][]int32 // iid -> sorted live rids
 	vocabDirty bool
 	sortedIIDs []int32 // iids in lexicographic surface order
@@ -91,8 +92,14 @@ type Index struct {
 	adj   [][]int32        // rid -> partner rids; staleness resolved against pairs
 
 	// Mutation scratch, reused across calls.
-	cnt    []int32
-	marked []bool
+	cnt      []int32
+	marked   []bool
+	row      []int32 // partners a row scan reached
+	affected []int32 // records a mutation re-derives
+
+	// bandVisited counts the terms the MaxDFRatio band scan has visited,
+	// a work counter the load-linearity test reads.
+	bandVisited int64
 
 	// Live record handles in ascending external-ID order, maintained on
 	// every insert and delete.
@@ -253,11 +260,12 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 	})
 
 	// Threshold shift: when the kept band moved with the corpus size, any
-	// term sitting between the old and new thresholds flips. An O(V) scan
-	// finds them; the band moves at most every ~1/MaxDFRatio mutations and
-	// V is small next to the blocking scan this replaces. With no ratio cap
-	// the threshold n+1 moves on every mutation but exceeds every possible
-	// df, so no term can flip and the scan is skipped.
+	// term whose df sits between the old and new thresholds flips, and its
+	// holders' rows are re-derived below. bandTerms finds those terms; it
+	// reads the df histogram first and skips its O(V) scan when the band
+	// is empty, which is nearly always once the corpus has grown past its
+	// head terms. With no ratio cap the threshold n+1 moves on every
+	// mutation but exceeds every possible df, so no term can flip.
 	if maxBefore != maxAfter && ix.cfg.Corpus.MaxDFRatio > 0 {
 		lo, hi := maxBefore, maxAfter
 		if lo > hi {
@@ -271,9 +279,8 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 			}
 			return false
 		}
-		for t := int32(0); t < int32(len(ix.df)); t++ {
-			f := ix.df[t]
-			if f > lo && f <= hi && !ix.stopped[t] && !inDiff(t) {
+		for _, t := range ix.bandTerms(lo, hi) {
+			if f := ix.df[t]; !inDiff(t) {
 				flips = append(flips, termFlip{
 					iid:     t,
 					wasKept: ix.keptAt(t, f, maxBefore),
@@ -289,10 +296,14 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 	ix.sources[rid] = source
 
 	// Diff each candidate term's eligibility, patch docLens for kept
-	// flips, and collect the affected records.
-	affected := make(map[int32]struct{})
+	// flips, and collect the affected records: rid itself while it stays
+	// live, then each holder of a flipped term once. marked dedupes the
+	// list and is cleared again before any row is re-derived.
+	marked := ix.scratchMarked()
+	marked[rid] = true
+	affected := ix.affected[:0]
 	if keep {
-		affected[rid] = struct{}{}
+		affected = append(affected, rid)
 	}
 	//lint:ignore guardloop bounded by one record's term flips × capped posting lists; a single-record mutation never approaches batch scale
 	for _, fl := range flips {
@@ -310,10 +321,18 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 		}
 		if isKept != fl.wasKept || isElig != fl.was {
 			for _, q := range ix.postings[fl.iid] {
-				affected[q] = struct{}{}
+				if !marked[q] {
+					marked[q] = true
+					affected = append(affected, q)
+				}
 			}
 		}
 	}
+	for _, q := range affected {
+		marked[q] = false
+	}
+	marked[rid] = false
+	ix.affected = affected
 	// The mutated record's own docLen is recomputed outright.
 	if keep {
 		ix.docLen[rid] = ix.countKept(newTerms, maxAfter)
@@ -323,7 +342,6 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 	// membership in rid changed — those affect only rid's docLen, already
 	// recomputed. (A term leaving rid changes no other record's docLen.)
 
-	delete(affected, rid)
 	if !keep {
 		// Removal: drop every pair involving rid directly.
 		var removed [][2]string
@@ -343,7 +361,6 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 		return d
 	}
 
-	affected[rid] = struct{}{}
 	ix.touch(rid)
 	return ix.recomputeRows(affected, maxAfter)
 }
@@ -351,7 +368,7 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 // recomputeRows re-derives the candidate rows of the affected records,
 // patching the pair table in place, or falls back to a full rebuild when
 // the affected set is a large fraction of the corpus.
-func (ix *Index) recomputeRows(affected map[int32]struct{}, maxDF int32) Delta {
+func (ix *Index) recomputeRows(affected []int32, maxDF int32) Delta {
 	if len(affected) == 0 {
 		return Delta{}
 	}
@@ -361,14 +378,10 @@ func (ix *Index) recomputeRows(affected map[int32]struct{}, maxDF int32) Delta {
 	}
 	// Deterministic processing order (ascending rid) so the Delta's pair
 	// lists are reproducible; the resulting table state is order-free.
-	rids := make([]int32, 0, len(affected))
-	for r := range affected {
-		rids = append(rids, r)
-	}
-	sort.Slice(rids, func(a, b int) bool { return rids[a] < rids[b] })
+	slices.Sort(affected)
 
 	var d Delta
-	for _, r := range rids {
+	for _, r := range affected {
 		ix.touch(r)
 		d.Touched = append(d.Touched, ix.extID[r])
 		add, rem := ix.recomputeRow(r, maxDF)
@@ -395,7 +408,7 @@ func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string)
 	marked := ix.scratchMarked()
 	cross := ix.cfg.Block.CrossSourceOnly
 
-	var touched []int32
+	touched := ix.row[:0]
 	//lint:ignore guardloop bounded by one record's eligible terms × MaxTermRecords-capped posting lists; large affected sets take the rebuildPairs path, which polls
 	for _, t := range ix.terms[r] {
 		if !ix.eligAt(t, ix.df[t], maxDF) {
@@ -457,6 +470,7 @@ func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string)
 	for _, q := range touched {
 		marked[q] = false
 	}
+	ix.row = touched
 	return added, removed
 }
 
@@ -488,7 +502,7 @@ func (ix *Index) rebuildPairs(maxDF int32) {
 			continue
 		}
 		ix.touch(ri)
-		var touched []int32
+		touched := ix.row[:0]
 		for _, t := range ix.terms[r] {
 			if !ix.eligAt(t, ix.df[t], maxDF) {
 				continue
@@ -516,6 +530,7 @@ func (ix *Index) rebuildPairs(maxDF int32) {
 			ix.adj[ri] = append(ix.adj[ri], q)
 			ix.adj[q] = append(ix.adj[q], ri)
 		}
+		ix.row = touched
 	}
 }
 
@@ -599,25 +614,71 @@ func (ix *Index) orderRemove(id string) {
 }
 
 // postingAdd inserts rid into a term's posting list (kept sorted) and
-// bumps its df.
+// bumps its df. A fresh handle is the largest yet, so a load appends.
 func (ix *Index) postingAdd(t, rid int32) {
 	p := ix.postings[t]
-	i := sort.Search(len(p), func(k int) bool { return p[k] >= rid })
-	p = append(p, 0)
-	copy(p[i+1:], p[i:])
-	p[i] = rid
+	if n := len(p); n == 0 || p[n-1] < rid {
+		p = append(p, rid)
+	} else {
+		i, _ := slices.BinarySearch(p, rid)
+		p = slices.Insert(p, i, rid)
+	}
 	ix.postings[t] = p
-	ix.df[t]++
+	ix.shiftDF(t, 1)
 }
 
 // postingRemove deletes rid from a term's posting list and drops its df.
 func (ix *Index) postingRemove(t, rid int32) {
 	p := ix.postings[t]
-	i := sort.Search(len(p), func(k int) bool { return p[k] >= rid })
-	if i < len(p) && p[i] == rid {
-		ix.postings[t] = append(p[:i], p[i+1:]...)
-		ix.df[t]--
+	if i, ok := slices.BinarySearch(p, rid); ok {
+		ix.postings[t] = slices.Delete(p, i, i+1)
+		ix.shiftDF(t, -1)
 	}
+}
+
+// shiftDF moves term t's df by d, keeping the histogram nAtDF in step.
+// Stopped terms never enter the kept band, so they are not counted; nor
+// is df 0, which no band reaches.
+func (ix *Index) shiftDF(t, d int32) {
+	f := ix.df[t]
+	ix.df[t] = f + d
+	if ix.stopped[t] {
+		return
+	}
+	if f > 0 {
+		ix.nAtDF[f]--
+	}
+	if f += d; f > 0 {
+		if int(f) >= len(ix.nAtDF) {
+			ix.nAtDF = Grow(ix.nAtDF, int(f)+1)
+		}
+		ix.nAtDF[f]++
+	}
+}
+
+// bandTerms returns the non-stopped terms whose df lies in (lo, hi]. A
+// mutation moves the corpus size by one, so the band is a df value or two
+// wide and the histogram tells whether any term sits in it; only then
+// does an O(V) scan find which.
+func (ix *Index) bandTerms(lo, hi int32) []int32 {
+	if hi >= int32(len(ix.nAtDF)) {
+		hi = int32(len(ix.nAtDF)) - 1
+	}
+	empty := true
+	for f := lo + 1; f <= hi && empty; f++ {
+		empty = ix.nAtDF[f] == 0
+	}
+	if empty {
+		return nil
+	}
+	ix.bandVisited += int64(len(ix.df))
+	var band []int32
+	for t, f := range ix.df {
+		if f > lo && f <= hi && !ix.stopped[t] {
+			band = append(band, int32(t))
+		}
+	}
+	return band
 }
 
 // scratchCnt returns the all-zero per-record counter scratch, growing it to
@@ -685,9 +746,8 @@ func uniqueSorted(seq []int32) []int32 {
 	if len(seq) == 0 {
 		return nil
 	}
-	out := make([]int32, len(seq))
-	copy(out, seq)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	out := slices.Clone(seq)
+	slices.Sort(out)
 	w := 1
 	for i := 1; i < len(out); i++ {
 		if out[i] != out[w-1] {

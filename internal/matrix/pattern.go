@@ -1,3 +1,7 @@
+// Package matrix provides the linear-algebra substrate of the reproduction.
+// The original implementation delegated CliqueRank's chained matrix products
+// to the Eigen C++ library; this package replaces it with pure-Go pattern
+// and sparse kernels, parallelized across rows through internal/parallel.
 package matrix
 
 import (

@@ -75,19 +75,6 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// ToDense expands the matrix to dense form (used by tests and small inputs).
-func (m *CSR) ToDense() *Dense {
-	d := NewDense(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.RowSlice(i)
-		row := d.Row(i)
-		for k, c := range cols {
-			row[c] = vals[k]
-		}
-	}
-	return d
-}
-
 // MulVec computes m · x.
 func (m *CSR) MulVec(x []float64) []float64 {
 	if m.Cols != len(x) {

@@ -406,33 +406,45 @@ func BenchmarkCollectionWarmResolve(b *testing.B) {
 // fresh collection takes one Upsert per record of a 20000-record synthetic
 // corpus (the size of erserve's resolver rebuild in the serve benchmark),
 // then pays the cold Resolve. It reports the two phases as load-ms and
-// resolve-ms; the corpus is generated outside the timer.
+// resolve-ms; the corpus is generated outside the timer. The ascending
+// case upserts in external-ID order, as erserve's rebuild does; the
+// shuffled case upserts the same records in a seeded random order.
 func BenchmarkCollectionLoad(b *testing.B) {
 	const n = 20000
 	d := er.SyntheticDataset(er.SyntheticConfig{Records: n, DuplicateRate: 0.3, VocabSize: 50000})
 	ids := make([]string, n)
+	ascending := make([]int, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("r%06d", i)
+		ascending[i] = i
 	}
-	var load, resolve time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		col, err := er.NewCollection(er.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		for j, id := range ids {
-			col.Upsert(id, er.Record{Text: d.Text(j)})
-		}
-		mid := time.Now()
-		if _, err := col.Resolve(); err != nil {
-			b.Fatal(err)
-		}
-		load += mid.Sub(start)
-		resolve += time.Since(mid)
+	shuffled := rand.New(rand.NewSource(1)).Perm(n)
+	for _, bc := range []struct {
+		name  string
+		order []int
+	}{{"ascending", ascending}, {"shuffled", shuffled}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var load, resolve time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				col, err := er.NewCollection(er.DefaultOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				for _, j := range bc.order {
+					col.Upsert(ids[j], er.Record{Text: d.Text(j)})
+				}
+				mid := time.Now()
+				if _, err := col.Resolve(); err != nil {
+					b.Fatal(err)
+				}
+				load += mid.Sub(start)
+				resolve += time.Since(mid)
+			}
+			b.ReportMetric(float64(load)/float64(time.Millisecond)/float64(b.N), "load-ms")
+			b.ReportMetric(float64(resolve)/float64(time.Millisecond)/float64(b.N), "resolve-ms")
+		})
 	}
-	b.ReportMetric(float64(load)/float64(time.Millisecond)/float64(b.N), "load-ms")
-	b.ReportMetric(float64(resolve)/float64(time.Millisecond)/float64(b.N), "resolve-ms")
 }

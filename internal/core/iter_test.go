@@ -238,3 +238,34 @@ func TestNormalizationString(t *testing.T) {
 		t.Error("unknown normalization must stringify to unknown")
 	}
 }
+
+// iterMatrixStep performs one ITER iteration in the matrix form of §V-D,
+//
+//	y = Sᵀ x ;  x = D⁻¹ S C y,
+//
+// where S is the m×q bipartite adjacency (terms × pair nodes), D the
+// diagonal of P_t and C the diagonal of p(ri, rj), followed by the same
+// x/(1+x) normalization as the loop implementation. S is read entry by
+// entry from the pair→term transpose, not from the TermPairs lists the
+// loop form sweeps.
+func iterMatrixStep(g *index.Graph, p, x []float64) (xNext, y []float64) {
+	y = make([]float64, g.NumPairs())
+	xNext = make([]float64, g.NumTerms)
+	for b := range y {
+		for _, t := range g.PairTerms[g.PairTermPtr[b]:g.PairTermPtr[b+1]] {
+			y[b] += x[t] // y = Sᵀ x
+		}
+	}
+	for b := range y {
+		for _, t := range g.PairTerms[g.PairTermPtr[b]:g.PairTermPtr[b+1]] {
+			xNext[t] += p[b] * y[b] // S C y
+		}
+	}
+	for t := range xNext {
+		if pt := g.Pt(t); pt > 0 {
+			xNext[t] /= float64(pt) // D⁻¹
+		}
+		xNext[t] = xNext[t] / (1 + xNext[t])
+	}
+	return xNext, y
+}

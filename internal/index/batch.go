@@ -100,9 +100,8 @@ func getBatchScratch(n int) *batchScratch {
 
 // BuildGraph constructs the candidate set and bipartite graph for the
 // corpus in NewGraph's layout, which is bit-identical to the historical
-// serial term-major enumeration. The scan itself is a
-// per-record partner accumulation fanned out over parallel.ForGrain, so
-// chunk outputs depend only on the chunk's records, never on the schedule.
+// serial term-major enumeration. The partner scan is scanPartners, which
+// the index's rebuild runs too.
 //
 // source[i] gives the origin of record i; it may be nil when
 // !opts.CrossSourceOnly. It returns an error when the source labels are
@@ -134,21 +133,46 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 		}
 	}
 	eligible := make([]bool, nt)
+	for t, df := range c.DF {
+		eligible[t] = df >= 2 && (opts.MaxTermRecords <= 0 || df <= opts.MaxTermRecords)
+	}
+	var src []int32
+	if opts.CrossSourceOnly {
+		src = make([]int32, n)
+		for r, s := range source {
+			src[r] = int32(s)
+		}
+	}
+	survivors := scanPartners(c.Docs, ptr, postings, eligible, docLen, src, &opts)
+	if err := opts.Check.Err(); err != nil {
+		return nil, err
+	}
+	return assembleGraph(c, survivors, eligible, opts.Workers), nil
+}
+
+// scanPartners is the forward partner scan of the batch build and of the
+// index's rebuild. For each record r it accumulates shared-term counts
+// against every later record co-occurring under an eligible term, then
+// applies the MinSharedTerms/MinJaccard filters, so each pair is examined
+// exactly once, at its smaller endpoint. docs[r] lists record r's terms,
+// and post[ptr[t]:ptr[t+1]] holds term t's records in ascending order
+// (only eligible terms are read). docLen feeds the Jaccard floor and source
+// the CrossSourceOnly filter; source may be nil without that filter.
+//
+// Records fan out over parallel.ForGrain. Chunk outputs land in the slot
+// of their chunk index and are concatenated in chunk order, so the
+// survivor sequence is a pure function of the input at every worker count.
+// When opts.Check reports cancellation the scan stops early and the
+// caller reads the checkpoint's error.
+func scanPartners(docs [][]int32, ptr, post []int32, eligible []bool, docLen, source []int32, opts *BatchOptions) []survivor {
+	n := len(docs)
 	work := 0
-	for t := 0; t < nt; t++ {
-		df := c.DF[t]
-		if df >= 2 && (opts.MaxTermRecords <= 0 || df <= opts.MaxTermRecords) {
-			eligible[t] = true
+	for t, ok := range eligible {
+		if ok {
+			df := int(ptr[t+1] - ptr[t])
 			work += df * df
 		}
 	}
-
-	// Per-record partner scan: for each record r, accumulate shared-term
-	// counts against every later record co-occurring under an eligible
-	// term, then apply the MinSharedTerms/MinJaccard filters. Each pair is
-	// examined exactly once, at its smaller endpoint. Chunk outputs land in
-	// the slot of their chunk index and are concatenated in chunk order, so
-	// the survivor sequence is a pure function of the corpus.
 	grain := parallel.GrainFor(n, work, 1<<16)
 	numChunks := (n + grain - 1) / grain
 	chunkOut := make([][]survivor, numChunks)
@@ -162,14 +186,14 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 			}
 			touched := sc.touched[:0]
 			ri := int32(r)
-			for _, t := range c.Docs[r] {
+			for _, t := range docs[r] {
 				if !eligible[t] {
 					continue
 				}
 				// Partners after r in the posting: binary-search the start.
-				post := postings[ptr[t]:ptr[t+1]]
-				a := sort.Search(len(post), func(i int) bool { return post[i] > ri })
-				for _, q := range post[a:] {
+				p := post[ptr[t]:ptr[t+1]]
+				a := sort.Search(len(p), func(i int) bool { return p[i] > ri })
+				for _, q := range p[a:] {
 					if opts.CrossSourceOnly && source[ri] == source[q] {
 						continue
 					}
@@ -191,9 +215,6 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 		chunkOut[lo/grain] = out
 		batchScratchPool.Put(sc)
 	})
-	if err := opts.Check.Err(); err != nil {
-		return nil, err
-	}
 
 	total := 0
 	for _, out := range chunkOut {
@@ -203,7 +224,7 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 	for _, out := range chunkOut {
 		survivors = append(survivors, out...)
 	}
-	return assembleGraph(c, survivors, eligible, opts.Workers), nil
+	return survivors
 }
 
 // assembleGraph lists each surviving pair's eligible shared terms and

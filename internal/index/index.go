@@ -11,9 +11,9 @@ import (
 // Config parameterizes a mutable Index. The corpus options must match the
 // pipeline's (tokenizer, MaxDFRatio, stopwords) for Materialize to
 // reproduce textproc.BuildCorpus bit for bit; the block options carry the
-// candidate filters. Block.Check and Block.Workers apply to the full
-// pair-table rebuild fallback; single-record mutations are delta-sized and
-// run inline.
+// candidate filters. Block.Workers fans out the rebuild fallback and
+// Materialize; single-record mutations are delta-sized and run inline.
+// Block.Check is not read: a mutation always runs to completion.
 type Config struct {
 	Corpus textproc.CorpusOptions
 	Block  BatchOptions
@@ -86,10 +86,10 @@ type Index struct {
 	freeRid []int32
 	live    int
 
-	// Survivor pair table: every candidate pair that passes the blocking
-	// filters under the current corpus state, keyed by record handles.
-	pairs map[uint64]int32 // Key(ridA, ridB) -> shared eligible-term count
-	adj   [][]int32        // rid -> partner rids; staleness resolved against pairs
+	// Survivor set: rid -> the handles of every record it forms a
+	// candidate pair with under the current corpus state. Rows are exact:
+	// each pair appears once in both endpoints' rows.
+	adj [][]int32
 
 	// Mutation scratch, reused across calls.
 	cnt      []int32
@@ -101,9 +101,10 @@ type Index struct {
 	// a work counter the load-linearity test reads.
 	bandVisited int64
 
-	// Live record handles in ascending external-ID order, maintained on
-	// every insert and delete.
-	order []int32
+	// Live record handles in ascending external-ID order. An insert only
+	// queues its handle in orderNew; syncOrder splices the queue in before
+	// order is read, with orderAt as its insertion-point scratch.
+	order, orderNew, orderAt []int32
 
 	// Touched-record bookkeeping: dirty lists, without duplicates, the
 	// handles (live or freed) of every record whose candidate row a
@@ -131,7 +132,6 @@ func New(cfg Config) *Index {
 		stop:  stop,
 		vocab: make(map[string]int32),
 		byID:  make(map[string]int32),
-		pairs: make(map[uint64]int32),
 	}
 }
 
@@ -192,7 +192,7 @@ func (ix *Index) Upsert(id, text string, source int) Delta {
 	} else {
 		rid = ix.allocRid(id)
 		ix.live++
-		ix.orderInsert(rid)
+		ix.orderNew = append(ix.orderNew, rid)
 	}
 	return ix.applyMutation(rid, id, oldTerms, terms, seq, int32(source), ix.maxKeptDFAt(nBefore), true)
 }
@@ -305,7 +305,6 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 	if keep {
 		affected = append(affected, rid)
 	}
-	//lint:ignore guardloop bounded by one record's term flips × capped posting lists; a single-record mutation never approaches batch scale
 	for _, fl := range flips {
 		f := ix.df[fl.iid]
 		isKept := ix.keptAt(fl.iid, f, maxAfter)
@@ -346,12 +345,9 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 		// Removal: drop every pair involving rid directly.
 		var removed [][2]string
 		for _, p := range ix.adj[rid] {
-			key := Key(rid, p)
-			if _, ok := ix.pairs[key]; ok {
-				delete(ix.pairs, key)
-				removed = append(removed, [2]string{id, ix.extID[p]})
-				ix.touch(p)
-			}
+			ix.unlink(p, rid)
+			removed = append(removed, [2]string{id, ix.extID[p]})
+			ix.touch(p)
 		}
 		ix.adj[rid] = nil
 		ix.touch(rid)
@@ -366,18 +362,18 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 }
 
 // recomputeRows re-derives the candidate rows of the affected records,
-// patching the pair table in place, or falls back to a full rebuild when
-// the affected set is a large fraction of the corpus.
+// patching the rows in place, or falls back to a full rebuild when the
+// affected set is a large fraction of the corpus.
 func (ix *Index) recomputeRows(affected []int32, maxDF int32) Delta {
 	if len(affected) == 0 {
 		return Delta{}
 	}
 	if len(affected) > ix.rebuildThreshold() {
-		ix.rebuildPairs(maxDF)
+		ix.rebuild(maxDF)
 		return Delta{Rebuilt: true}
 	}
 	// Deterministic processing order (ascending rid) so the Delta's pair
-	// lists are reproducible; the resulting table state is order-free.
+	// lists are reproducible; the resulting set of pairs is order-free.
 	slices.Sort(affected)
 
 	var d Delta
@@ -392,7 +388,7 @@ func (ix *Index) recomputeRows(affected []int32, maxDF int32) Delta {
 }
 
 // rebuildThreshold is the affected-set size above which patching rows one
-// by one loses to rebuilding the pair table outright.
+// by one loses to rebuilding them all outright.
 func (ix *Index) rebuildThreshold() int {
 	t := ix.live / 8
 	if t < 1024 {
@@ -402,14 +398,20 @@ func (ix *Index) rebuildThreshold() int {
 }
 
 // recomputeRow re-derives every candidate pair involving record r and
-// diffs it against the stored table.
+// diffs it against r's row, which it marks first: a surviving partner
+// still marked is kept, an unmarked one is new and gets r in its row, and
+// a partner left marked is lost and has r dropped from its row.
 func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string) {
 	cnt := ix.scratchCnt()
 	marked := ix.scratchMarked()
 	cross := ix.cfg.Block.CrossSourceOnly
 
+	old := ix.adj[r]
+	for _, p := range old {
+		marked[p] = true
+	}
 	touched := ix.row[:0]
-	//lint:ignore guardloop bounded by one record's eligible terms × MaxTermRecords-capped posting lists; large affected sets take the rebuildPairs path, which polls
+	//lint:ignore guardloop bounded by one record's eligible terms × MaxTermRecords-capped posting lists; large affected sets take the rebuild path
 	for _, t := range ix.terms[r] {
 		if !ix.eligAt(t, ix.df[t], maxDF) {
 			continue
@@ -427,51 +429,45 @@ func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string)
 			cnt[q]++
 		}
 	}
+	// touched is compacted in place down to the new partners.
+	fresh := touched[:0]
 	for _, q := range touched {
 		s := cnt[q]
 		cnt[q] = 0
 		if !ix.cfg.Block.survives(s, ix.docLen, r, q) {
 			continue
 		}
-		key := Key(r, q)
-		if _, ok := ix.pairs[key]; !ok {
-			// Stale tombstones from earlier removals may linger in either
-			// adjacency; re-adding without the membership check would
-			// duplicate entries that then survive compaction forever.
-			if !containsInt32(ix.adj[r], q) {
-				ix.adj[r] = append(ix.adj[r], q)
-			}
-			if !containsInt32(ix.adj[q], r) {
-				ix.adj[q] = append(ix.adj[q], r)
-			}
-			added = append(added, ix.pairIDs(r, q))
-			ix.touch(q)
-		}
-		ix.pairs[key] = s
-		marked[q] = true
-	}
-	// Drop stored pairs the fresh row no longer produces, compacting the
-	// adjacency as we go.
-	keepAdj := ix.adj[r][:0]
-	for _, p := range ix.adj[r] {
-		key := Key(r, p)
-		if _, ok := ix.pairs[key]; !ok {
-			continue // stale entry from an earlier removal
-		}
-		if marked[p] {
-			keepAdj = append(keepAdj, p)
+		if marked[q] {
+			marked[q] = false
 			continue
 		}
-		delete(ix.pairs, key)
+		fresh = append(fresh, q)
+		ix.adj[q] = append(ix.adj[q], r)
+		added = append(added, ix.pairIDs(r, q))
+		ix.touch(q)
+	}
+	row := old[:0]
+	for _, p := range old {
+		if !marked[p] {
+			row = append(row, p)
+			continue
+		}
+		marked[p] = false
+		ix.unlink(p, r)
 		removed = append(removed, ix.pairIDs(r, p))
 		ix.touch(p)
 	}
-	ix.adj[r] = keepAdj
-	for _, q := range touched {
-		marked[q] = false
-	}
+	ix.adj[r] = append(row, fresh...)
 	ix.row = touched
 	return added, removed
+}
+
+// unlink drops r from p's row.
+func (ix *Index) unlink(p, r int32) {
+	row := ix.adj[p]
+	i := slices.Index(row, r)
+	row[i] = row[len(row)-1]
+	ix.adj[p] = row[:len(row)-1]
 }
 
 // pairIDs returns a pair's external IDs in (smaller rid, larger rid) order.
@@ -482,55 +478,40 @@ func (ix *Index) pairIDs(a, b int32) [2]string {
 	return [2]string{ix.extID[a], ix.extID[b]}
 }
 
-// rebuildPairs recomputes the whole survivor table from the live records —
-// the fallback when a mutation's blast radius approaches the corpus.
-func (ix *Index) rebuildPairs(maxDF int32) {
-	ix.pairs = make(map[uint64]int32)
-	for r := range ix.adj {
-		ix.adj[r] = nil
+// rebuild re-derives every row from the live records with the batch
+// build's partner scan — the fallback when a mutation's blast radius
+// approaches the corpus. The scan reads the eligible terms' postings laid
+// out as CSR and fans out over Block.Workers. It runs to completion even
+// under cancellation: a mutation must leave exact rows, and the work is
+// bounded by the live corpus.
+func (ix *Index) rebuild(maxDF int32) {
+	eligible := make([]bool, len(ix.df))
+	ptr := make([]int32, len(ix.df)+1)
+	for t, f := range ix.df {
+		ptr[t+1] = ptr[t]
+		if ix.eligAt(int32(t), f, maxDF) {
+			eligible[t] = true
+			ptr[t+1] += f
+		}
 	}
-	cnt := ix.scratchCnt()
-	cross := ix.cfg.Block.CrossSourceOnly
-	// The rebuild runs to completion even under cancellation: a mutation
-	// must leave a coherent table, and the work is bounded by the live
-	// corpus. Resolve-level callers observe cancellation through their own
-	// checkpoints.
-	//lint:ignore guardloop bounded single-corpus rebuild; a partial table would corrupt the incremental invariant
-	for r := range ix.terms {
-		ri := int32(r)
-		if ix.extID[r] == "" {
-			continue
+	post := make([]int32, 0, ptr[len(ix.df)])
+	for t, ok := range eligible {
+		if ok {
+			post = append(post, ix.postings[t]...)
 		}
-		ix.touch(ri)
-		touched := ix.row[:0]
-		for _, t := range ix.terms[r] {
-			if !ix.eligAt(t, ix.df[t], maxDF) {
-				continue
-			}
-			for _, q := range ix.postings[t] {
-				if q <= ri {
-					continue
-				}
-				if cross && ix.sources[q] == ix.sources[ri] {
-					continue
-				}
-				if cnt[q] == 0 {
-					touched = append(touched, q)
-				}
-				cnt[q]++
-			}
+	}
+	opts := ix.cfg.Block
+	opts.Check = nil
+	survivors := scanPartners(ix.terms, ptr, post, eligible, ix.docLen, ix.sources, &opts)
+	clear(ix.adj)
+	for _, s := range survivors {
+		ix.adj[s.r] = append(ix.adj[s.r], s.q)
+		ix.adj[s.q] = append(ix.adj[s.q], s.r)
+	}
+	for r, id := range ix.extID {
+		if id != "" {
+			ix.touch(int32(r))
 		}
-		for _, q := range touched {
-			s := cnt[q]
-			cnt[q] = 0
-			if !ix.cfg.Block.survives(s, ix.docLen, ri, q) {
-				continue
-			}
-			ix.pairs[Key(ri, q)] = s
-			ix.adj[ri] = append(ix.adj[ri], q)
-			ix.adj[q] = append(ix.adj[q], ri)
-		}
-		ix.row = touched
 	}
 }
 
@@ -601,14 +582,30 @@ func (ix *Index) orderSearch(id string) int {
 	return sort.Search(len(ix.order), func(k int) bool { return ix.extID[ix.order[k]] >= id })
 }
 
-// orderInsert places a newly allocated handle into the record order.
-func (ix *Index) orderInsert(rid int32) {
-	at := ix.orderSearch(ix.extID[rid])
-	ix.order = slices.Insert(ix.order, at, rid)
+// syncOrder sorts the queued handles by external ID and splices them into
+// the record order in one pass, so a load in any ID order costs a sort
+// rather than a memmove per record. Pending, Materialize and orderRemove
+// call it first; every other reader of order runs after one of them.
+func (ix *Index) syncOrder() {
+	q := ix.orderNew
+	if len(q) == 0 {
+		return
+	}
+	slices.SortFunc(q, func(a, b int32) int { return strings.Compare(ix.extID[a], ix.extID[b]) })
+	at := ix.orderAt[:0]
+	for _, rid := range q {
+		at = append(at, int32(ix.orderSearch(ix.extID[rid])))
+	}
+	ix.order = Splice(ix.order, nil, q, at)
+	if len(q) > 1<<10 {
+		q, at = nil, nil // a bulk load's queue is not worth keeping as scratch
+	}
+	ix.orderNew, ix.orderAt = q[:0], at[:0]
 }
 
 // orderRemove drops a live external ID from the record order.
 func (ix *Index) orderRemove(id string) {
+	ix.syncOrder()
 	at := ix.orderSearch(id)
 	ix.order = slices.Delete(ix.order, at, at+1)
 }
@@ -704,17 +701,6 @@ func Grow[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return slices.Grow(s, n-len(s))[:n]
-}
-
-// containsInt32 reports membership by linear scan; adjacency rows are
-// survivor-bounded and short.
-func containsInt32(s []int32, v int32) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // forSymDiff walks the symmetric difference of two sorted term sets.

@@ -73,7 +73,7 @@ func requireCorporaEqual(t *testing.T, want, got *textproc.Corpus) {
 // TestIncrementalMatchesBatch drives random upsert/delete/replace sequences
 // against a mutable Index and, after every small batch of mutations, checks
 // that Materialize reproduces the from-scratch batch build bit for bit —
-// corpus and candidate graph. Configurations exercise the MaxDFRatio
+// corpus and candidate graph — and that the survivor rows are exact. Configurations exercise the MaxDFRatio
 // threshold shifting with the corpus size, the MaxTermRecords cap, the
 // Jaccard floor and cross-source filtering.
 func TestIncrementalMatchesBatch(t *testing.T) {
@@ -166,6 +166,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				}
 				requireCorporaEqual(t, wantC, v.Corpus)
 				requireGraphsEqual(t, wantG, v.Graph)
+				requireExactRows(t, ix, v, step)
 			}
 			if ops < 60 {
 				t.Fatalf("scenario exercised only %d mutations", ops)

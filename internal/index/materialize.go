@@ -79,6 +79,7 @@ func (ix *Index) ensureSorted() {
 // is the cold and debug export and the oracle of the resident path
 // (Pending/Commit), whose state it neither reads nor changes.
 func (ix *Index) Materialize() *View {
+	ix.syncOrder()
 	ix.ensureSorted()
 	n := len(ix.order)
 	maxDF := ix.maxKeptDF()
@@ -157,16 +158,17 @@ func (ix *Index) Materialize() *View {
 		}
 	})
 
-	// Survivors from the pair table, re-keyed to positions. Map iteration
-	// order is irrelevant: NewGraph orders the pairs.
-	survivors := make([]survivor, 0, len(ix.pairs))
-	for key, shared := range ix.pairs {
-		pa, pb := posOf[int32(key>>32)], posOf[int32(key&0xffffffff)]
-		if pa > pb {
-			pa, pb = pb, pa
+	// Survivors from the rows in position order, each pair read at its
+	// smaller position. Rows keep no shared-term count, so it is recounted.
+	var survivors []survivor
+	var shared []int32
+	for pa, rid := range ix.order {
+		for _, q := range ix.adj[rid] {
+			if pb := posOf[q]; pb > int32(pa) {
+				shared = ix.appendShared(shared[:0], rid, q, maxDF)
+				survivors = append(survivors, survivor{r: int32(pa), q: pb, shared: int32(len(shared))})
+			}
 		}
-		//lint:ignore determinism NewGraph orders the pairs by (first term, key), so map order never reaches the graph
-		survivors = append(survivors, survivor{r: pa, q: pb, shared: shared})
 	}
 	g := assembleGraph(c, survivors, eligible, workers)
 

@@ -115,6 +115,7 @@ type Pending struct {
 // components that now hold them and assigns each a slot. It changes no
 // state the index keeps.
 func (ix *Index) Pending() *Pending {
+	ix.syncOrder()
 	n := len(ix.order)
 	ix.pos = Grow(ix.pos, len(ix.extID))
 	ix.res.pendings++
@@ -134,8 +135,7 @@ func (ix *Index) Pending() *Pending {
 	slices.Sort(pd.Dissolved)
 	pd.Dissolved = slices.Compact(pd.Dissolved)
 
-	// Breadth-first over the live pairs from every live touched record.
-	// Adjacency rows may hold stale partners; the pair table decides.
+	// Breadth-first over the rows from every live touched record.
 	seen := ix.scratchMarked()
 	var recs []int32 // record handles, one component after another
 	defer func() {
@@ -155,9 +155,6 @@ func (ix *Index) Pending() *Pending {
 			x := recs[k]
 			for _, y := range ix.adj[x] {
 				if seen[y] {
-					continue
-				}
-				if _, ok := ix.pairs[Key(x, y)]; !ok {
 					continue
 				}
 				seen[y] = true
@@ -215,8 +212,8 @@ func (pd *Pending) Materialize() {
 	pd.ready = true
 }
 
-// localize builds one component's local graph from the pair table and
-// appends its pairs to fresh in local pair order.
+// localize builds one component's local graph from the rows and appends
+// its pairs to fresh in local pair order.
 func (ix *Index) localize(recs []int32, maxDF int32, fresh *[]orderedPair) *Graph {
 	rank := ix.rankOf
 	var pairs []Pair
@@ -227,29 +224,12 @@ func (ix *Index) localize(recs []int32, maxDF int32, fresh *[]orderedPair) *Grap
 	for li, p := range recs {
 		r := ix.order[p]
 		for _, q := range ix.adj[r] {
-			if _, ok := ix.pairs[Key(r, q)]; !ok {
-				continue
-			}
 			pq := ix.pos[q]
 			if pq <= p {
 				continue
 			}
 			lj, _ := slices.BinarySearch(recs, pq)
-			ti, tq := ix.terms[r], ix.terms[q]
-			for x, y := 0, 0; x < len(ti) && y < len(tq); {
-				switch {
-				case ti[x] < tq[y]:
-					x++
-				case ti[x] > tq[y]:
-					y++
-				default:
-					if t := ti[x]; ix.eligAt(t, ix.df[t], maxDF) {
-						shared = append(shared, t)
-					}
-					x++
-					y++
-				}
-			}
+			shared = ix.appendShared(shared, r, q, maxDF)
 			pairs = append(pairs, Pair{I: int32(li), J: int32(lj)})
 			ends = append(ends, int32(len(shared)))
 		}
@@ -277,6 +257,27 @@ func (ix *Index) localize(recs []int32, maxDF int32, fresh *[]orderedPair) *Grap
 		*fresh = append(*fresh, orderedPair{a: ix.order[recs[pr.I]], b: ix.order[recs[pr.J]], t: first})
 	}
 	return g
+}
+
+// appendShared appends the eligible terms records a and b share to dst,
+// in term-ID order.
+func (ix *Index) appendShared(dst []int32, a, b, maxDF int32) []int32 {
+	ta, tb := ix.terms[a], ix.terms[b]
+	for x, y := 0, 0; x < len(ta) && y < len(tb); {
+		switch {
+		case ta[x] < tb[y]:
+			x++
+		case ta[x] > tb[y]:
+			y++
+		default:
+			if t := ta[x]; ix.eligAt(t, ix.df[t], maxDF) {
+				dst = append(dst, t)
+			}
+			x++
+			y++
+		}
+	}
+	return dst
 }
 
 // cmpPairs orders two pairs as the batch graph numbers them: by first-term
@@ -383,17 +384,20 @@ func (pd *Pending) Each(fn func(pr Pair, from int32)) {
 	}
 }
 
-// Splice removes in place the elements of s that drop reports, then
-// inserts ins[f] before the at[f]-th element that stayed; at is
-// ascending, and equal entries keep the order of ins. It returns the
-// result, which reuses s's backing array when it fits, and runs in one
-// forward and one backward pass without comparing elements.
+// Splice removes in place the elements of s that drop reports (none when
+// drop is nil), then inserts ins[f] before the at[f]-th element that
+// stayed; at is ascending, and equal entries keep the order of ins. It
+// returns the result, which reuses s's backing array when it fits, and
+// runs in one forward and one backward pass without comparing elements.
 func Splice[T any](s []T, drop func(T) bool, ins []T, at []int32) []T {
-	kept := 0
-	for _, v := range s {
-		if !drop(v) {
-			s[kept] = v
-			kept++
+	kept := len(s)
+	if drop != nil {
+		kept = 0
+		for _, v := range s {
+			if !drop(v) {
+				s[kept] = v
+				kept++
+			}
 		}
 	}
 	s = GrowSlack(s[:kept], kept+len(ins))

@@ -196,3 +196,23 @@ func MaskedMulInto(dst, mt, at *PatVec, workers int) *PatVec {
 	})
 	return dst
 }
+
+// sparseDot computes the dot product of two sparse vectors given as sorted
+// (index, value) pairs.
+func sparseDot(aCols []int32, aVals []float64, bCols []int32, bVals []float64) float64 {
+	var s float64
+	x, y := 0, 0
+	for x < len(aCols) && y < len(bCols) {
+		switch {
+		case aCols[x] < bCols[y]:
+			x++
+		case aCols[x] > bCols[y]:
+			y++
+		default:
+			s += aVals[x] * bVals[y]
+			x++
+			y++
+		}
+	}
+	return s
+}

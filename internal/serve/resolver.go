@@ -106,10 +106,15 @@ func (s *Server) resolveCollectionDelta(ctx context.Context, name string) (*er.R
 		col.resolver = r
 		s.c.resolverRebuilds.Add(1)
 	}
+	// Catching the resolver up is part of the serialized delta resolve: the
+	// mutations reach er.Collection under the same per-collection mutex as
+	// the ResolveContext call below.
 	for _, ch := range changes {
 		if ch.deleted {
+			//lint:ignore lockhold er.Collection is not safe for concurrent use; a rebuild fallback's worker fan-out is bounded by the collection
 			col.resolver.Delete(ch.id)
 		} else {
+			//lint:ignore lockhold er.Collection is not safe for concurrent use; a rebuild fallback's worker fan-out is bounded by the collection
 			col.resolver.Upsert(ch.id, er.Record{Text: ch.rec.Text, Source: ch.rec.Source, Entity: ch.rec.Entity})
 		}
 	}

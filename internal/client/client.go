@@ -9,6 +9,10 @@
 // are retried; everything else — including 504, which reports the job's own
 // budget deterministically elapsing — is returned immediately, mapped onto
 // the er error taxonomy via SentinelFor so callers branch with errors.Is.
+//
+// Every attempt finishes its response body (reads what remains up to a
+// small cap, then closes it), so sequential calls on one Client reuse one
+// keep-alive connection instead of dialing per mutation.
 package client
 
 import (
@@ -48,6 +52,10 @@ const (
 	// maxErrorBody caps how much of an error response body is read when
 	// decoding the server's structured error.
 	maxErrorBody = 1 << 20
+	// maxDrainBody caps how much of a response body is read and discarded
+	// after the attempt is done with it, so the transport can reuse the
+	// connection. A longer remainder closes the connection instead.
+	maxDrainBody = 64 << 10
 )
 
 // Options configures a Client. The zero value of every field except
@@ -354,7 +362,9 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		// ambiguous ones (request sent, response lost) safe to resend.
 		return false, true, 0, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
-	defer func() { _ = resp.Body.Close() }()
+	// Registered after cancel, so it runs first: the drain reads under the
+	// attempt's deadline.
+	defer finish(resp.Body)
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if out != nil {
 			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -374,6 +384,16 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		}
 	}
 	return false, retryableStatus(resp.StatusCode), parseRetryAfter(resp.Header), apiErr
+}
+
+// finish reads what remains of a response body, up to maxDrainBody, and
+// closes it. A body read to its end lets the transport put the connection
+// back in its idle pool for the next call. A longer remainder, or a read
+// error (the attempt's deadline ending a stalled body among them), closes
+// the connection instead, and the next attempt dials.
+func finish(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, maxDrainBody+1)
+	_ = body.Close()
 }
 
 // backoff draws the sleep before retry number `retries`: full jitter over

@@ -25,6 +25,7 @@ import (
 // repertoire (cut mid-request, drop-response, drop-response+RST, latency),
 // everything after proxies cleanly — so every retried request
 // deterministically finds a working path once the fault budget is spent.
+// The suites check Proxy.Accepted to confirm every faulty plan was dealt.
 func chaosPlan(faultyConns int) func(int) ConnPlan {
 	return func(i int) ConnPlan {
 		if i >= faultyConns {
@@ -164,6 +165,11 @@ func TestNetFaultExactlyOnceStorm(t *testing.T) {
 	if st.Idempotency.Replays == 0 {
 		t.Fatal("no server-side replays recorded: the chaos plan never exercised the dedup path")
 	}
+	// Faults are planned per accepted connection, so a client that reused
+	// its connections could route the storm around them.
+	if got := proxy.Accepted(); got < faultyConns {
+		t.Fatalf("the proxy accepted %d connections, want at least %d: the storm skipped part of the fault plan", got, faultyConns)
+	}
 	if st.Idempotency.Conflicts != 0 {
 		t.Fatalf("%d idempotency conflicts: retries mutated their bodies", st.Idempotency.Conflicts)
 	}
@@ -183,7 +189,8 @@ func TestNetFaultExactlyOnceAcrossSIGKILL(t *testing.T) {
 	dir := t.TempDir()
 	child := startChaosServe(t, dir)
 
-	proxy, err := NewProxy(child.addr, chaosPlan(8))
+	const faultyConns = 8
+	proxy, err := NewProxy(child.addr, chaosPlan(faultyConns))
 	if err != nil {
 		t.Fatalf("NewProxy: %v", err)
 	}
@@ -259,6 +266,9 @@ func TestNetFaultExactlyOnceAcrossSIGKILL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mutation %d failed across the crash: %v", i, err)
 		}
+	}
+	if got := proxy.Accepted(); got < faultyConns {
+		t.Fatalf("the proxy accepted %d connections, want at least %d: the storm skipped part of the fault plan", got, faultyConns)
 	}
 	if got := ackedPostKill.Load(); got < n/4 {
 		t.Fatalf("only %d mutation(s) acknowledged after the kill, want at least %d: the crash did not interleave the storm", got, n/4)

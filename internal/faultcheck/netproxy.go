@@ -65,6 +65,15 @@ func NewProxy(target string, plan func(connIndex int) ConnPlan) (*Proxy, error) 
 // Addr returns the proxy's listen address for clients to dial.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
+// Accepted returns how many connections the proxy has accepted: each one
+// consumed one plan, so a test can tell its faults were all dealt out even
+// when the client reuses keep-alive connections.
+func (p *Proxy) Accepted() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.next
+}
+
 // SetTarget atomically redirects future connections to a new backend
 // address — existing connections keep their old backend.
 func (p *Proxy) SetTarget(target string) {

@@ -186,3 +186,32 @@ func TestLoadBandScanLinear(t *testing.T) {
 		t.Fatalf("a 16k load's band scan visits %.1f× a 4k load's terms, want at most 5×", float64(large)/float64(small))
 	}
 }
+
+// TestFreshInsertDerivesOneRow loads 8k fresh records with no MaxDFRatio,
+// so no band ever crosses, and requires about one re-derived row per
+// insert: the new record's own. Most inserts take a term from df 1 to 2
+// (the second record of an entity, and the random w terms); re-deriving
+// each such term's other holder as well costs about 2.1 rows per insert.
+func TestFreshInsertDerivesOneRow(t *testing.T) {
+	cfg := Config{
+		Corpus: textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions()},
+		Block:  BatchOptions{MinSharedTerms: 2, MinJaccard: 0.2},
+	}
+	const n = 8000
+	rng := rand.New(rand.NewSource(1))
+	ix := New(cfg)
+	for i := 0; i < n; i++ {
+		e := i / 2
+		ix.Upsert(fmt.Sprintf("r%06d", i), fmt.Sprintf("brand%d model%d w%d w%d", e, e, rng.Intn(n), rng.Intn(n)), 0)
+	}
+	perInsert := float64(ix.rowsDerived) / n
+	t.Logf("rows re-derived over a %d-record load: %d (%.3f per insert)", n, ix.rowsDerived, perInsert)
+	if perInsert > 1.05 {
+		t.Fatalf("%.3f rows re-derived per fresh insert, want about 1", perInsert)
+	}
+	v := ix.Materialize()
+	requireExactRows(t, ix, v, n)
+	if v.Graph.NumPairs() < n/4 {
+		t.Fatalf("the load formed %d pairs, want at least %d: the entity pairs must block", v.Graph.NumPairs(), n/4)
+	}
+}

@@ -100,6 +100,9 @@ type Index struct {
 	// bandVisited counts the terms the MaxDFRatio band scan has visited,
 	// a work counter the load-linearity test reads.
 	bandVisited int64
+	// rowsDerived counts the candidate rows mutations have re-derived, a
+	// work counter the upsert-scope test reads.
+	rowsDerived int64
 
 	// Live record handles in ascending external-ID order. An insert only
 	// queues its handle in orderNew; syncOrder splices the queue in before
@@ -238,14 +241,15 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 	// dfTouched: terms whose df changes (symmetric difference of the old
 	// and new term sets). Record each one's pre-mutation state.
 	type termFlip struct {
-		iid          int32
-		wasKept, was bool // corpus-kept / block-eligible before
+		iid, df      int32 // df before
+		wasKept, was bool  // corpus-kept / block-eligible before
 	}
 	var flips []termFlip
 	noteBefore := func(t int32) {
 		f := ix.df[t]
 		flips = append(flips, termFlip{
 			iid:     t,
+			df:      f,
 			wasKept: ix.keptAt(t, f, maxBefore),
 			was:     ix.eligAt(t, f, maxBefore),
 		})
@@ -283,6 +287,7 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 			if f := ix.df[t]; !inDiff(t) {
 				flips = append(flips, termFlip{
 					iid:     t,
+					df:      f,
 					wasKept: ix.keptAt(t, f, maxBefore),
 					was:     ix.eligAt(t, f, maxBefore),
 				})
@@ -299,6 +304,11 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 	// flips, and collect the affected records: rid itself while it stays
 	// live, then each holder of a flipped term once. marked dedupes the
 	// list and is cleared again before any row is re-derived.
+	//
+	// One flip needs no other row: a df step between 1 and 2 that keeps
+	// the kept status. A shared count changes only between holders of the
+	// term, and the holder besides rid forms one pair with it, which rid's
+	// own row scan (or the removal below) patches in both rows.
 	marked := ix.scratchMarked()
 	marked[rid] = true
 	affected := ix.affected[:0]
@@ -317,6 +327,9 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 			for _, q := range ix.postings[fl.iid] {
 				ix.docLen[q] += d
 			}
+		}
+		if isKept == fl.wasKept && min(fl.df, f) == 1 && max(fl.df, f) == 2 {
+			continue
 		}
 		if isKept != fl.wasKept || isElig != fl.was {
 			for _, q := range ix.postings[fl.iid] {
@@ -352,8 +365,10 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 		ix.adj[rid] = nil
 		ix.touch(rid)
 		d := ix.recomputeRows(affected, maxAfter)
-		d.RemovedPairs = append(d.RemovedPairs, removed...)
-		d.Touched = append(d.Touched, id)
+		if !d.Rebuilt {
+			d.RemovedPairs = append(d.RemovedPairs, removed...)
+			d.Touched = append(d.Touched, id)
+		}
 		return d
 	}
 
@@ -402,6 +417,7 @@ func (ix *Index) rebuildThreshold() int {
 // still marked is kept, an unmarked one is new and gets r in its row, and
 // a partner left marked is lost and has r dropped from its row.
 func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string) {
+	ix.rowsDerived++
 	cnt := ix.scratchCnt()
 	marked := ix.scratchMarked()
 	cross := ix.cfg.Block.CrossSourceOnly

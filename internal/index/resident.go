@@ -14,12 +14,15 @@ import (
 //
 // Why the touched components suffice: a mutation touches both endpoints of
 // every pair it adds or removes, the mutated record, and every record
-// holding a term whose kept or eligible status flipped. So a committed
-// component with no touched record kept all its pairs. Each pair kept its
-// eligible shared terms, and with them its first eligible term. Relative
-// external-ID order and relative lexicographic term order never change.
-// The component's pairs therefore keep their order relative to each
-// other, and its local graph is unchanged. Conversely, every record of a
+// holding a term whose kept or eligible status flipped, bar one case: when
+// the term's df stepped between 1 and 2 with its kept status unchanged,
+// the other holder is left out, as the only pair the term can enter or
+// leave ends at the mutated record. So a committed component with no
+// touched record kept all its pairs. Each pair kept its eligible shared
+// terms, and with them its first eligible term. Relative external-ID
+// order and relative lexicographic term order never change. The
+// component's pairs therefore keep their order relative to each other,
+// and its local graph is unchanged. Conversely, every record of a
 // committed component that held a touched record is itself touched or
 // lies in a touched component now: a path to the touched record is
 // either intact or broken first at a removed pair, whose endpoints are

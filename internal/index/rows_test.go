@@ -57,7 +57,8 @@ func requireExactRows(t *testing.T, ix *Index, v *View, step int) {
 // the root package's layered "rebuild" scenario does: 1030 records share
 // "common" under MaxTermRecords 1030, so its 1031st holder makes it
 // ineligible and touches more records than the patch threshold (1024);
-// deleting that holder rebuilds back. At Block.Workers 1, 2 and 4 every
+// deleting that holder rebuilds back. A Rebuilt Delta lists no pairs and
+// no records, in both directions. At Block.Workers 1, 2 and 4 every
 // mutation's Delta and the rows after it must be the same, the rows
 // exact, and Materialize equal to the batch build.
 func TestRebuildSameAtEveryWorkerCount(t *testing.T) {
@@ -83,6 +84,9 @@ func TestRebuildSameAtEveryWorkerCount(t *testing.T) {
 		apply := func(step int, d Delta) {
 			if d.Rebuilt {
 				rebuilds++
+				if d.AddedPairs != nil || d.RemovedPairs != nil || d.Touched != nil {
+					t.Fatalf("step %d: a Rebuilt delta lists pairs or records: %+v", step, d)
+				}
 			}
 			out.deltas = append(out.deltas, d)
 			rows := make([][]int32, len(ix.adj))

@@ -6,9 +6,11 @@
 # a clean graceful drain (exit code 0). A second phase boots the daemon
 # with -data-dir, builds a collection, SIGKILLs the process mid-flight and
 # requires the restarted daemon to recover every acknowledged mutation and
-# serve identical resolve results. Run by scripts/check.sh and CI; it is
-# the one test that exercises the real binary, real sockets and real
-# signals rather than httptest plumbing.
+# serve identical resolve results. Then `erctl replay` streams mutation
+# traces through the retrying client; the checks cover the delta-scoped
+# resolves, the summary line and the final record count. Run by
+# scripts/check.sh and CI; it is the one test that exercises the real
+# binary, real sockets and real signals rather than httptest plumbing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -194,6 +196,35 @@ for needle in '"delta_resolves": 3' '"resolver_rebuilds": 1'; do
         exit 1
     fi
 done
+
+echo "==> erserve smoke: bulk erctl replay (300 upserts, 40 deletes, 1 resolve)"
+# A trace written here, so its counts are known: 150 two-source entity
+# pairs, then the first 40 records deleted, then one resolve. The summary
+# line and the collection's final record count must both agree with it.
+bulk="$workdir/bulk.mutations.jsonl"
+{
+    for i in $(seq 0 299); do
+        e=$((i / 2))
+        printf '{"op":"upsert","id":"b%03d","entity":"e%d","source":%d,"text":"brand%d model%d %d market street"}\n' \
+            "$i" "$e" $((i % 2)) "$e" "$e" $((100 + e))
+    done
+    for i in $(seq 0 39); do
+        printf '{"op":"delete","id":"b%03d"}\n' "$i"
+    done
+    echo '{"op":"resolve"}'
+} >"$bulk"
+erctl create bulk >/dev/null
+bulk_out=$(erctl replay bulk "$bulk")
+echo "$bulk_out"
+if [ "$(echo "$bulk_out" | tail -n 1)" != "replayed 300 upserts, 40 deletes, 1 resolves" ]; then
+    echo "unexpected bulk replay summary: $bulk_out" >&2
+    exit 1
+fi
+bulk_records=$(erctl ls | awk -F '\t' '$1 == "bulk" { print $2 }')
+if [ "$bulk_records" != 260 ]; then
+    echo "bulk collection holds '$bulk_records' records after the replay, want 260" >&2
+    exit 1
+fi
 
 echo "==> erserve smoke: SIGTERM drain (durable)"
 kill -TERM "$pid"

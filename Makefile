@@ -23,6 +23,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=10s ./internal/dataset
 	go test -run='^$$' -fuzz=FuzzTokenize -fuzztime=10s ./internal/textproc
 	go test -run='^$$' -fuzz=FuzzBuildCorpus -fuzztime=10s ./internal/textproc
+	go test -run='^$$' -fuzz=FuzzPartnerScan -fuzztime=10s ./internal/index
 	go test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=20s ./internal/wal
 	go test -run='^$$' -fuzz=FuzzDirective -fuzztime=10s ./internal/lint
 

@@ -578,6 +578,29 @@ func TestFusionContextWallClock(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeyWithoutCache pins the lazily computed snapshot key: a
+// pipeline built without Options.Snapshots derives its key on the first
+// SnapshotKey call, and it must equal the key a cached build stores, on a
+// miss and on a hit; a second call returns the same string.
+func TestSnapshotKeyWithoutCache(t *testing.T) {
+	d := RestaurantReplica(ReplicaConfig{Scale: 0.2})
+	opts := DefaultOptions()
+	bare := mustNewPipeline(t, d, opts)
+	opts.Snapshots = NewSnapshotCache(0)
+	miss := mustNewPipeline(t, d, opts)
+	hit := mustNewPipeline(t, d, opts)
+	if st := opts.Snapshots.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats %+v, want one miss then one hit", st)
+	}
+	key := bare.SnapshotKey()
+	if key == "" || key != miss.SnapshotKey() || key != hit.SnapshotKey() {
+		t.Fatalf("snapshot keys differ: no cache %q, cache miss %q, cache hit %q", key, miss.SnapshotKey(), hit.SnapshotKey())
+	}
+	if again := bare.SnapshotKey(); again != key {
+		t.Fatalf("second SnapshotKey call returned %q, first %q", again, key)
+	}
+}
+
 // TestReplicaF1Pinned pins the pairwise F1 of the default pipeline on the
 // three published-scale replicas. Semantic changes to blocking or fusion
 // must move these values knowingly, not as a side effect of a refactor.

@@ -61,8 +61,16 @@ func TestPrepareRecordsStages(t *testing.T) {
 	if blk.Out != snap.NumPairs() || blk.Wall <= 0 {
 		t.Errorf("block out=%d wall=%s, want %d pairs and positive wall", blk.Out, blk.Wall, snap.NumPairs())
 	}
-	if snap.Key == "" || snap.Corpus == nil || snap.Graph == nil {
+	if snap.Corpus == nil || snap.Graph == nil {
 		t.Fatalf("incomplete snapshot: %+v", snap)
+	}
+	// Without a cache the content key is left to KeyMemo, on demand.
+	if snap.Key != "" {
+		t.Errorf("Prepare without a cache computed the snapshot key %q", snap.Key)
+	}
+	var memo KeyMemo
+	if got, want := memo.Get(snap, func() PrepareInputs { return in }), in.Key(); got != want {
+		t.Errorf("KeyMemo.Get = %q, want Key over the inputs %q", got, want)
 	}
 	if s := tr.String(); !strings.Contains(s, "tokenize") || !strings.Contains(s, "pairs") {
 		t.Errorf("trace rendering missing stages:\n%s", s)

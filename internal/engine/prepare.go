@@ -52,12 +52,22 @@ type PrepareInputs struct {
 	Cache *Cache
 }
 
+// Key returns the content key of the snapshot Prepare builds from in.
+func (in *PrepareInputs) Key() string {
+	return Key(in.Texts, in.Sources, in.Corpus, in.Blocking, in.MaxPairs)
+}
+
 // Prepare executes the pre-matching stages — tokenize and block — under
 // the run, returning their snapshot. On a cache hit both stages are
 // recorded as Cached with the sizes of the reused artifacts and no work
-// is performed.
+// is performed. The content key hashes every text, so it is computed only
+// when a cache is set; without one the snapshot's Key is empty and a
+// KeyMemo derives it on demand.
 func Prepare(r *Run, in PrepareInputs) (*Snapshot, error) {
-	key := Key(in.Texts, in.Sources, in.Corpus, in.Blocking, in.MaxPairs)
+	var key string
+	if in.Cache != nil {
+		key = in.Key()
+	}
 	if snap, ok := in.Cache.Lookup(key); ok {
 		r.Record(StageTrace{
 			Stage: StageTokenize, Cached: true,

@@ -18,7 +18,8 @@ import (
 // built (every downstream stage only reads them), which is what makes
 // sharing a snapshot across jobs safe.
 type Snapshot struct {
-	// Key is the content key the snapshot was stored under (see Key).
+	// Key is the content key the snapshot was stored under (see Key);
+	// empty when Prepare ran without a cache.
 	Key string
 	// Corpus is the tokenized, frequency-filtered corpus.
 	Corpus *textproc.Corpus
@@ -64,6 +65,29 @@ func Key(texts []string, sources []int, copts textproc.CorpusOptions, bopts inde
 	fmt.Fprintf(h, "|block=%t,%d,%d,%g|budget=%d",
 		bopts.CrossSourceOnly, bopts.MaxTermRecords, bopts.MinSharedTerms, bopts.MinJaccard, maxPairs)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// KeyMemo holds one holder's snapshot content key: the key Prepare stored
+// on the snapshot when a cache was set, or else Key over the inputs,
+// computed on the first call. It lives beside the snapshot, never on it,
+// because a cached snapshot is shared across runs. The zero value is
+// ready to use; a KeyMemo must not be copied after first use.
+type KeyMemo struct {
+	once sync.Once
+	key  string
+}
+
+// Get returns the content key of snap, built from the inputs that inputs
+// returns; inputs is called at most once, and only when snap has no key.
+func (m *KeyMemo) Get(snap *Snapshot, inputs func() PrepareInputs) string {
+	m.once.Do(func() {
+		m.key = snap.Key
+		if m.key == "" {
+			in := inputs()
+			m.key = in.Key()
+		}
+	})
+	return m.key
 }
 
 // DefaultCacheCapacity is the snapshot capacity NewCache selects for

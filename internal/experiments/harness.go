@@ -23,6 +23,8 @@ import (
 // per-round Progress observer.
 type Bench struct {
 	snap  *engine.Snapshot
+	in    engine.PrepareInputs // what snap was built from, for its key
+	key   engine.KeyMemo
 	core  core.Options
 	truth map[uint64]bool
 }
@@ -62,18 +64,19 @@ func (c Config) Bench(name DatasetName) (*Bench, error) {
 		return nil, err
 	}
 	run := engine.NewRun(context.Background(), engine.RunOptions{Workers: o.Workers})
-	snap, err := engine.Prepare(run, engine.PrepareInputs{
+	in := engine.PrepareInputs{
 		Texts:    ds.Texts(),
 		Sources:  ds.Sources(),
 		Corpus:   benchCorpusOptions(o),
 		Blocking: benchBlockingOptions(o, ds.NumSources > 1),
 		MaxPairs: o.MaxCandidatePairs,
 		Cache:    c.Cache,
-	})
+	}
+	snap, err := engine.Prepare(run, in)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: prepare %s: %w", name, err)
 	}
-	b := &Bench{snap: snap, core: benchCoreOptions(o)}
+	b := &Bench{snap: snap, in: in, core: benchCoreOptions(o)}
 	if ds.HasGroundTruth() {
 		b.truth = ds.TrueMatches()
 	}
@@ -127,7 +130,9 @@ func (b *Bench) Graph() *index.Graph { return b.snap.Graph }
 func (b *Bench) Corpus() *textproc.Corpus { return b.snap.Corpus }
 
 // SnapshotKey returns the snapshot's content key.
-func (b *Bench) SnapshotKey() string { return b.snap.Key }
+func (b *Bench) SnapshotKey() string {
+	return b.key.Get(b.snap, func() engine.PrepareInputs { return b.in })
+}
 
 // CoreOptions returns a copy of the core option set the harness runs
 // with.

@@ -2,8 +2,6 @@ package index
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/guard"
 	"repro/internal/parallel"
@@ -52,52 +50,6 @@ type BatchOptions struct {
 	Workers int
 }
 
-// survives is the blocking survival rule shared by the batch build and the
-// incremental index: records a and b, sharing shared eligible terms,
-// form a candidate pair when shared reaches MinSharedTerms (floored at 1)
-// and, with MinJaccard set, when shared over the union of their kept-term
-// document lengths docLen[a] and docLen[b] reaches MinJaccard. docLen is
-// read only past the shared-term floor, which most partners fail: the
-// partner's entry is a random access.
-func (o *BatchOptions) survives(shared int32, docLen []int32, a, b int32) bool {
-	if shared < max(int32(o.MinSharedTerms), 1) {
-		return false
-	}
-	if o.MinJaccard > 0 {
-		union := int(docLen[a]) + int(docLen[b]) - int(shared)
-		if union <= 0 || float64(shared)/float64(union) < o.MinJaccard {
-			return false
-		}
-	}
-	return true
-}
-
-// survivor is one candidate pair that passed every blocking filter.
-type survivor struct {
-	r, q   int32 // record positions, r < q
-	shared int32 // number of eligible shared terms
-}
-
-// batchScratch is one worker's dense partner-accumulation state. cnt is
-// kept all-zero between records (the reset loop clears exactly the touched
-// entries), so reusing a pooled scratch never leaks counts across records
-// or builds.
-type batchScratch struct {
-	cnt     []int32 // per-record shared-term count with the current record
-	touched []int32 // partners touched by the current record, first-touch order
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
-
-func getBatchScratch(n int) *batchScratch {
-	s := batchScratchPool.Get().(*batchScratch)
-	if cap(s.cnt) < n {
-		s.cnt = make([]int32, n)
-	}
-	s.cnt = s.cnt[:n]
-	return s
-}
-
 // BuildGraph constructs the candidate set and bipartite graph for the
 // corpus in NewGraph's layout, which is bit-identical to the historical
 // serial term-major enumeration. The partner scan is scanPartners, which
@@ -108,33 +60,44 @@ func getBatchScratch(n int) *batchScratch {
 // misaligned with the corpus or when opts.Check reports cancellation
 // mid-enumeration; the returned graph is nil in both cases.
 func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, error) {
+	g, _, err := buildGraph(c, source, opts)
+	return g, err
+}
+
+// buildGraph is BuildGraph, also returning the work of its partner scan.
+func buildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, scanWork, error) {
 	n := c.NumRecords()
 	if opts.CrossSourceOnly && len(source) != n {
-		return nil, fmt.Errorf("index: %d records but %d source labels", n, len(source))
+		return nil, scanWork{}, fmt.Errorf("index: %d records but %d source labels", n, len(source))
 	}
 	nt := c.NumTerms()
 
-	// Inverted index in CSR layout: term -> records containing it
-	// (ascending, since records are scanned in order). Corpus.DF already
-	// holds the posting lengths.
-	ptr := make([]int32, nt+1)
-	for t := 0; t < nt; t++ {
-		ptr[t+1] = ptr[t] + int32(c.DF[t])
+	// Inverted index over the eligible terms: term -> records containing
+	// it (ascending, since records are scanned in order), each list a
+	// window of one array. Corpus.DF already holds the posting lengths.
+	eligible := make([]bool, nt)
+	size := 0
+	for t, df := range c.DF {
+		eligible[t] = df >= 2 && (opts.MaxTermRecords <= 0 || df <= opts.MaxTermRecords)
+		if eligible[t] {
+			size += df
+		}
 	}
-	postings := make([]int32, ptr[nt])
-	fill := make([]int32, nt)
-	copy(fill, ptr[:nt])
+	post := make([][]int32, nt)
+	buf := make([]int32, size)
+	for t, df := range c.DF {
+		if eligible[t] {
+			post[t], buf = buf[:0:df], buf[df:]
+		}
+	}
 	docLen := make([]int32, n)
 	for r, doc := range c.Docs {
 		docLen[r] = int32(len(doc))
 		for _, t := range doc {
-			postings[fill[t]] = int32(r)
-			fill[t]++
+			if eligible[t] {
+				post[t] = append(post[t], int32(r))
+			}
 		}
-	}
-	eligible := make([]bool, nt)
-	for t, df := range c.DF {
-		eligible[t] = df >= 2 && (opts.MaxTermRecords <= 0 || df <= opts.MaxTermRecords)
 	}
 	var src []int32
 	if opts.CrossSourceOnly {
@@ -143,88 +106,11 @@ func BuildGraph(c *textproc.Corpus, source []int, opts BatchOptions) (*Graph, er
 			src[r] = int32(s)
 		}
 	}
-	survivors := scanPartners(c.Docs, ptr, postings, eligible, docLen, src, &opts)
+	survivors, work := scanPartners(c.Docs, post, eligible, docLen, src, &opts)
 	if err := opts.Check.Err(); err != nil {
-		return nil, err
+		return nil, work, err
 	}
-	return assembleGraph(c, survivors, eligible, opts.Workers), nil
-}
-
-// scanPartners is the forward partner scan of the batch build and of the
-// index's rebuild. For each record r it accumulates shared-term counts
-// against every later record co-occurring under an eligible term, then
-// applies the MinSharedTerms/MinJaccard filters, so each pair is examined
-// exactly once, at its smaller endpoint. docs[r] lists record r's terms,
-// and post[ptr[t]:ptr[t+1]] holds term t's records in ascending order
-// (only eligible terms are read). docLen feeds the Jaccard floor and source
-// the CrossSourceOnly filter; source may be nil without that filter.
-//
-// Records fan out over parallel.ForGrain. Chunk outputs land in the slot
-// of their chunk index and are concatenated in chunk order, so the
-// survivor sequence is a pure function of the input at every worker count.
-// When opts.Check reports cancellation the scan stops early and the
-// caller reads the checkpoint's error.
-func scanPartners(docs [][]int32, ptr, post []int32, eligible []bool, docLen, source []int32, opts *BatchOptions) []survivor {
-	n := len(docs)
-	work := 0
-	for t, ok := range eligible {
-		if ok {
-			df := int(ptr[t+1] - ptr[t])
-			work += df * df
-		}
-	}
-	grain := parallel.GrainFor(n, work, 1<<16)
-	numChunks := (n + grain - 1) / grain
-	chunkOut := make([][]survivor, numChunks)
-	parallel.ForGrain(opts.Workers, n, grain, func(lo, hi int) {
-		sc := getBatchScratch(n)
-		cnt := sc.cnt
-		out := chunkOut[lo/grain]
-		for r := lo; r < hi; r++ {
-			if opts.Check.Tick() != nil {
-				break
-			}
-			touched := sc.touched[:0]
-			ri := int32(r)
-			for _, t := range docs[r] {
-				if !eligible[t] {
-					continue
-				}
-				// Partners after r in the posting: binary-search the start.
-				p := post[ptr[t]:ptr[t+1]]
-				a := sort.Search(len(p), func(i int) bool { return p[i] > ri })
-				for _, q := range p[a:] {
-					if opts.CrossSourceOnly && source[ri] == source[q] {
-						continue
-					}
-					if cnt[q] == 0 {
-						touched = append(touched, q)
-					}
-					cnt[q]++
-				}
-			}
-			for _, q := range touched {
-				s := cnt[q]
-				cnt[q] = 0
-				if opts.survives(s, docLen, ri, q) {
-					out = append(out, survivor{r: ri, q: q, shared: s})
-				}
-			}
-			sc.touched = touched[:0]
-		}
-		chunkOut[lo/grain] = out
-		batchScratchPool.Put(sc)
-	})
-
-	total := 0
-	for _, out := range chunkOut {
-		total += len(out)
-	}
-	survivors := make([]survivor, 0, total)
-	for _, out := range chunkOut {
-		survivors = append(survivors, out...)
-	}
-	return survivors
+	return assembleGraph(c, survivors, eligible, opts.Workers), work, nil
 }
 
 // assembleGraph lists each surviving pair's eligible shared terms and

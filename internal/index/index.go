@@ -91,11 +91,14 @@ type Index struct {
 	// each pair appears once in both endpoints' rows.
 	adj [][]int32
 
-	// Mutation scratch, reused across calls.
-	cnt      []int32
+	// Mutation scratch, reused across calls: the row scanner (whose work
+	// counts the row scans and rebuilds), the partners a row scan found,
+	// the new ones among them, and the records a mutation re-derives.
+	scan     partnerScan
 	marked   []bool
-	row      []int32 // partners a row scan reached
-	affected []int32 // records a mutation re-derives
+	found    []survivor
+	fresh    []int32
+	affected []int32
 
 	// bandVisited counts the terms the MaxDFRatio band scan has visited,
 	// a work counter the load-linearity test reads.
@@ -391,6 +394,7 @@ func (ix *Index) recomputeRows(affected []int32, maxDF int32) Delta {
 	// lists are reproducible; the resulting set of pairs is order-free.
 	slices.Sort(affected)
 
+	ix.scan.bind(ix.postings, ix.terms, ix.docLen, ix.sources, &ix.cfg.Block, len(ix.extID))
 	var d Delta
 	for _, r := range affected {
 		ix.touch(r)
@@ -399,6 +403,7 @@ func (ix *Index) recomputeRows(affected []int32, maxDF int32) Delta {
 		d.AddedPairs = append(d.AddedPairs, add...)
 		d.RemovedPairs = append(d.RemovedPairs, rem...)
 	}
+	ix.scan.unbind()
 	return d
 }
 
@@ -412,47 +417,28 @@ func (ix *Index) rebuildThreshold() int {
 	return t
 }
 
-// recomputeRow re-derives every candidate pair involving record r and
-// diffs it against r's row, which it marks first: a surviving partner
-// still marked is kept, an unmarked one is new and gets r in its row, and
-// a partner left marked is lost and has r dropped from its row.
+// recomputeRow re-derives every candidate pair involving record r with
+// the row scanner, which recomputeRows has bound to the index, and diffs
+// it against r's row, which it marks first: a surviving partner still
+// marked is kept, an unmarked one is new and gets r in its row, and a
+// partner left marked is lost and has r dropped from its row.
 func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string) {
 	ix.rowsDerived++
-	cnt := ix.scratchCnt()
 	marked := ix.scratchMarked()
-	cross := ix.cfg.Block.CrossSourceOnly
 
 	old := ix.adj[r]
 	for _, p := range old {
 		marked[p] = true
 	}
-	touched := ix.row[:0]
-	//lint:ignore guardloop bounded by one record's eligible terms × MaxTermRecords-capped posting lists; large affected sets take the rebuild path
 	for _, t := range ix.terms[r] {
-		if !ix.eligAt(t, ix.df[t], maxDF) {
-			continue
-		}
-		for _, q := range ix.postings[t] {
-			if q == r {
-				continue
-			}
-			if cross && ix.sources[q] == ix.sources[r] {
-				continue
-			}
-			if cnt[q] == 0 {
-				touched = append(touched, q)
-			}
-			cnt[q]++
+		if ix.eligAt(t, ix.df[t], maxDF) {
+			ix.scan.add(t)
 		}
 	}
-	// touched is compacted in place down to the new partners.
-	fresh := touched[:0]
-	for _, q := range touched {
-		s := cnt[q]
-		cnt[q] = 0
-		if !ix.cfg.Block.survives(s, ix.docLen, r, q) {
-			continue
-		}
+	found := ix.scan.partners(r, -1, ix.found[:0])
+	fresh := ix.fresh[:0]
+	for _, s := range found {
+		q := s.q
 		if marked[q] {
 			marked[q] = false
 			continue
@@ -474,7 +460,7 @@ func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string)
 		ix.touch(p)
 	}
 	ix.adj[r] = append(row, fresh...)
-	ix.row = touched
+	ix.found, ix.fresh = found[:0], fresh[:0]
 	return added, removed
 }
 
@@ -495,30 +481,21 @@ func (ix *Index) pairIDs(a, b int32) [2]string {
 }
 
 // rebuild re-derives every row from the live records with the batch
-// build's partner scan — the fallback when a mutation's blast radius
-// approaches the corpus. The scan reads the eligible terms' postings laid
-// out as CSR and fans out over Block.Workers. It runs to completion even
-// under cancellation: a mutation must leave exact rows, and the work is
-// bounded by the live corpus.
+// build's forward partner scan — the fallback when a mutation's blast
+// radius approaches the corpus. The scan reads the index's own postings,
+// with eligibility at the current threshold, and fans out over
+// Block.Workers. It runs to completion even under cancellation: a
+// mutation must leave exact rows, and the work is bounded by the live
+// corpus.
 func (ix *Index) rebuild(maxDF int32) {
 	eligible := make([]bool, len(ix.df))
-	ptr := make([]int32, len(ix.df)+1)
 	for t, f := range ix.df {
-		ptr[t+1] = ptr[t]
-		if ix.eligAt(int32(t), f, maxDF) {
-			eligible[t] = true
-			ptr[t+1] += f
-		}
-	}
-	post := make([]int32, 0, ptr[len(ix.df)])
-	for t, ok := range eligible {
-		if ok {
-			post = append(post, ix.postings[t]...)
-		}
+		eligible[t] = ix.eligAt(int32(t), f, maxDF)
 	}
 	opts := ix.cfg.Block
 	opts.Check = nil
-	survivors := scanPartners(ix.terms, ptr, post, eligible, ix.docLen, ix.sources, &opts)
+	survivors, work := scanPartners(ix.terms, ix.postings, eligible, ix.docLen, ix.sources, &opts)
+	ix.scan.work.add(work)
 	clear(ix.adj)
 	for _, s := range survivors {
 		ix.adj[s.r] = append(ix.adj[s.r], s.q)
@@ -692,13 +669,6 @@ func (ix *Index) bandTerms(lo, hi int32) []int32 {
 		}
 	}
 	return band
-}
-
-// scratchCnt returns the all-zero per-record counter scratch, growing it to
-// the current handle space.
-func (ix *Index) scratchCnt() []int32 {
-	ix.cnt = Grow(ix.cnt, len(ix.extID))
-	return ix.cnt
 }
 
 // scratchMarked returns the all-false per-record flag scratch.

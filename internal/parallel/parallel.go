@@ -140,6 +140,12 @@ func ForGrain(workers, n, grain int, fn func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
+	if n <= grain {
+		// One chunk: run it before resolving the worker count, which reads
+		// GOMAXPROCS under the scheduler lock.
+		fn(0, n)
+		return
+	}
 	nc := (n + grain - 1) / grain
 	w := Workers(workers)
 	if w > nc {

@@ -26,6 +26,7 @@ type Pipeline struct {
 	dataset     *Dataset
 	opts        Options
 	snap        *engine.Snapshot
+	key         *engine.KeyMemo
 	corpus      *textproc.Corpus
 	graph       *index.Graph
 	truth       map[uint64]bool
@@ -76,19 +77,7 @@ func (o Options) withWallClock(ctx context.Context) (context.Context, context.Ca
 // threads one run — and one trace — through construction, fusion,
 // clustering and evaluation.
 func buildPipelineRun(run *engine.Run, ctx context.Context, d *Dataset, opts Options) (*Pipeline, error) {
-	snap, err := engine.Prepare(run, engine.PrepareInputs{
-		Texts:   d.ds.Texts(),
-		Sources: d.ds.Sources(),
-		Corpus:  opts.corpusOptions(),
-		Blocking: index.BatchOptions{
-			CrossSourceOnly: d.ds.NumSources > 1,
-			MaxTermRecords:  opts.MaxTermRecords,
-			MinSharedTerms:  opts.MinSharedTerms,
-			MinJaccard:      opts.MinJaccard,
-		},
-		MaxPairs: opts.MaxCandidatePairs,
-		Cache:    opts.Snapshots.engineCache(),
-	})
+	snap, err := engine.Prepare(run, prepareInputs(d, opts))
 	if err != nil {
 		// Cancellation observed by the engine (directly or through a
 		// failed blocking pass) maps to the run taxonomy; anything else is
@@ -102,6 +91,7 @@ func buildPipelineRun(run *engine.Run, ctx context.Context, d *Dataset, opts Opt
 		dataset:    d,
 		opts:       opts,
 		snap:       snap,
+		key:        new(engine.KeyMemo),
 		corpus:     snap.Corpus,
 		graph:      snap.Graph,
 		buildTrace: run.Trace(),
@@ -116,6 +106,24 @@ func buildPipelineRun(run *engine.Run, ctx context.Context, d *Dataset, opts Opt
 		p.truth = d.ds.TrueMatches()
 	}
 	return p, nil
+}
+
+// prepareInputs maps a dataset and options onto the pre-matching stages'
+// inputs.
+func prepareInputs(d *Dataset, opts Options) engine.PrepareInputs {
+	return engine.PrepareInputs{
+		Texts:   d.ds.Texts(),
+		Sources: d.ds.Sources(),
+		Corpus:  opts.corpusOptions(),
+		Blocking: index.BatchOptions{
+			CrossSourceOnly: d.ds.NumSources > 1,
+			MaxTermRecords:  opts.MaxTermRecords,
+			MinSharedTerms:  opts.MinSharedTerms,
+			MinJaccard:      opts.MinJaccard,
+		},
+		MaxPairs: opts.MaxCandidatePairs,
+		Cache:    opts.Snapshots.engineCache(),
+	}
 }
 
 // Degradation returns the report of the MaxCandidatePairs budget
@@ -133,7 +141,9 @@ func (p *Pipeline) Trace() Trace { return slices.Clone(p.buildTrace) }
 // option that influences tokenization or blocking. Pipelines with equal
 // keys share identical corpora and candidate graphs, which is the
 // identity Options.Snapshots caches under.
-func (p *Pipeline) SnapshotKey() string { return p.snap.Key }
+func (p *Pipeline) SnapshotKey() string {
+	return p.key.Get(p.snap, func() engine.PrepareInputs { return prepareInputs(p.dataset, p.opts) })
+}
 
 // CheckCandidates reports whether the pipeline has any work to do:
 // ErrNoRecords for an empty dataset, ErrNoCandidates when no two records

@@ -40,3 +40,25 @@ func TestWarmResolveAllocs(t *testing.T) {
 		t.Fatalf("a warm overwrite plus resolve allocates %.0f times, budget %d", got, warmResolveAllocs)
 	}
 }
+
+// TestColdResolveAllocs bounds a cold batch Resolve of a 4k-record
+// synthetic corpus (the batch-100k shape) at one worker. Fusion holds each
+// component's record graph and mask plan for the run and CliqueRank draws
+// its workspace from the arena, so a component costs allocations once per
+// run, not once per round. The budget is the measured 6,664 plus 5%; a
+// resolve that rebuilt every graph and plan each round made 27,393.
+func TestColdResolveAllocs(t *testing.T) {
+	const coldResolveAllocs = 7000
+	d := SyntheticDataset(SyntheticConfig{Seed: 1, Records: 4000, DuplicateRate: 0.3, VocabSize: 50000})
+	opts := DefaultOptions()
+	opts.Workers = 1
+	resolve := func() {
+		if _, err := Resolve(d, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resolve()
+	if got := testing.AllocsPerRun(3, resolve); got > coldResolveAllocs {
+		t.Fatalf("a cold 4k Resolve allocates %.0f times, budget %d", got, coldResolveAllocs)
+	}
+}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/index"
@@ -15,32 +16,38 @@ import (
 )
 
 // TestFusionInnerLoopAllocs pins the steady-state allocation count of one
-// reinforcement round — ITER with its reused scratch, the arena-backed
-// record-graph build, and CliqueRank writing into a caller buffer. The
-// pre-arena implementation allocated ~4300 times per round (fresh working
-// vectors, per-row sort closures in the pattern build); the budget below is
-// the measured ~42 with headroom, so a regression that reintroduces
-// per-round buffer churn fails loudly.
+// reinforcement round — ITER with its reused scratch, the held record
+// graph reweighted in place, and CliqueRank with the graph's held mask plan
+// writing into p. The pre-arena implementation allocated ~4300 times per
+// round (fresh working vectors, per-row sort closures in the pattern
+// build), and a round that rebuilt the graph and its plan ~42. The budget
+// is the measured 11, ITER's per-call count (TestITERAllocsFlatAcrossWorkers;
+// the round's trace appends amortize below one), so a regression that
+// reintroduces per-round buffer churn fails loudly.
 func TestFusionInnerLoopAllocs(t *testing.T) {
 	_, g := productScaleGraph(t)
 	opts := DefaultOptions()
 	opts.Workers = 1
-	sc := &iterScratch{}
-	ar := &arena{}
-	p := onesP(g)
-	pbuf := make([]float64, g.NumPairs())
-	rng := rand.New(rand.NewSource(1))
+	opts.FusionIterations = 1 << 20
+	f := NewFusionRun(g, g.NumRecords, opts)
 	round := func() {
-		res := runITER(g, p, opts, rng, sc)
-		rg := buildRecordGraph(g, res.S, g.NumRecords, nil, nil, ar)
-		CliqueRankInto(rg, opts, pbuf)
-		rg.release()
+		f.Next()
+		if _, err := f.StepITER(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.StepRank(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	round() // warm the scratch and arena
+	round() // build the graph and its plan, warm the scratch and arena
 	round()
-	if got := testing.AllocsPerRun(5, round); got > 60 {
-		t.Errorf("fusion round allocates %.0f times, budget 60", got)
+	if f.whole == nil || f.whole.plan == nil {
+		t.Fatal("the run holds no record graph with a mask plan")
 	}
+	if got := testing.AllocsPerRun(5, round); got > 11 {
+		t.Errorf("fusion round allocates %.0f times, budget 11", got)
+	}
+	ar, pbuf := f.ar, make([]float64, g.NumPairs())
 	// The arena getters scan their free lists for a fit; a warm get/put
 	// round trip must not allocate at all.
 	if got := testing.AllocsPerRun(5, func() {
@@ -55,16 +62,16 @@ func TestFusionInnerLoopAllocs(t *testing.T) {
 	// The kernels alone must stay near-zero: the only per-call allocations
 	// are the result struct, the Updates series, and a fixed set of closure
 	// headers.
-	if got := testing.AllocsPerRun(5, func() { runITER(g, p, opts, rng, sc) }); got > 40 {
+	if got := testing.AllocsPerRun(5, func() { runITER(g, f.p, opts, f.rng, f.sc) }); got > 40 {
 		t.Errorf("runITER allocates %.0f times with warm scratch, budget 40", got)
 	}
-	res := runITER(g, p, opts, rng, sc)
-	rg := buildRecordGraph(g, res.S, g.NumRecords, nil, nil, ar)
-	defer rg.release()
-	// The arena's float64 free list recycles CliqueRank's value vectors
-	// without boxing them; the measured ~23 is the closure headers alone.
-	if got := testing.AllocsPerRun(5, func() { CliqueRankInto(rg, opts, pbuf) }); got > 27 {
-		t.Errorf("CliqueRankInto allocates %.0f times with warm arena, budget 27", got)
+	// A warm CliqueRankInto on a graph that holds its plan allocates
+	// nothing: its headers, dense chain and kernels live in the arena's
+	// workspace, bound once.
+	rg := f.whole
+	rg.arena = ar
+	if got := testing.AllocsPerRun(5, func() { CliqueRankInto(rg, opts, pbuf) }); got > 0 {
+		t.Errorf("CliqueRankInto allocates %.0f times with warm arena, want 0", got)
 	}
 	// Rows that are all-zero in mt (dead) take the plan build's dead-row
 	// branch, which a CliqueRank run reaches only when canceled mid-pass;
@@ -85,7 +92,8 @@ func TestFusionInnerLoopAllocs(t *testing.T) {
 	// kernel is bound once per chain and ForGrain's fan-out is pooled.
 	_, clique := completeClique(64, func(i, j int) float64 { return 0.5 + float64((i+j)%7)/14 })
 	acc := matrix.NewPatVec(clique.Pattern)
-	chain := newDenseChain(clique.S, clique.S, acc, true, ar)
+	var chain denseChain
+	chain.init(clique.S, clique.S, acc, true, ar)
 	defer chain.release(ar)
 	for _, w := range []int{1, 2, 4} {
 		chain.step(w)
@@ -146,13 +154,13 @@ func TestTwoRecordRankAllocs(t *testing.T) {
 // climbed 40 → 200 → 280 going from 1 to 2 to 4 workers. With the pooled
 // ForGrain jobs the fan-out itself is allocation-free, so the kernel's
 // count must stay flat (within a small slack for pool misses) as workers
-// grow.
+// grow. On a graph that holds its mask plan it is zero at one worker.
 func TestCliqueRankAllocsFlatAcrossWorkers(t *testing.T) {
 	_, g := productScaleGraph(t)
 	opts := DefaultOptions()
 	iter := RunITER(g, onesP(g), opts, rand.New(rand.NewSource(1)))
 	ar := &arena{}
-	rg := buildRecordGraph(g, iter.S, g.NumRecords, nil, nil, ar)
+	rg := holdPlans(buildRecordGraph(g, iter.S, g.NumRecords, nil, nil, ar))
 	defer rg.release()
 	pbuf := make([]float64, g.NumPairs())
 
@@ -162,8 +170,8 @@ func TestCliqueRankAllocsFlatAcrossWorkers(t *testing.T) {
 		return testing.AllocsPerRun(5, func() { CliqueRankInto(rg, opts, pbuf) })
 	}
 	serial := measure(1)
-	if serial > 27 {
-		t.Errorf("workers=1: %.0f allocs, budget 27", serial)
+	if serial > 0 {
+		t.Errorf("workers=1: %.0f allocs, want 0", serial)
 	}
 	for _, w := range []int{2, 4} {
 		if got := measure(w); got > serial+10 {
@@ -173,11 +181,20 @@ func TestCliqueRankAllocsFlatAcrossWorkers(t *testing.T) {
 	}
 }
 
+// holdPlans lets a record graph hold its mask plan across CliqueRank
+// calls, as the graphs of a fusion run do.
+func holdPlans(rg *RecordGraph) *RecordGraph {
+	rg.planBudget = new(atomic.Int64)
+	rg.planBudget.Store(matrix.MaskPlanMaxEntries)
+	return rg
+}
+
 // TestCliqueRankFallbackAllocs pins the merge fallback (TransposeInto,
 // MaskedMulInto, sparseDot) the way TestFusionInnerLoopAllocs pins the
 // mask-plan path: with a warm arena, the plan kernel over a graph whose
-// plan exceeds the ceiling allocates only its fixed set of closure headers,
-// never per row, slot or merge term.
+// plan exceeds the ceiling allocates only its fixed set of closure headers
+// and the plan pool's misses (5–7 measured), never per row, slot or merge
+// term.
 func TestCliqueRankFallbackAllocs(t *testing.T) {
 	g, _ := fallbackClique(t)
 	s := make([]float64, g.NumPairs())
@@ -192,9 +209,10 @@ func TestCliqueRankFallbackAllocs(t *testing.T) {
 	pbuf := make([]float64, g.NumPairs())
 	// AllocsPerRun's own warm-up call fills the arena; one measured call
 	// keeps the 410-record merge pass affordable.
-	if got := testing.AllocsPerRun(1, func() { cliqueRank(rg, opts, pbuf, chainPlan) }); got > 27 {
-		t.Errorf("fallback CliqueRankInto allocates %.0f times with warm arena, budget 27", got)
+	if got := testing.AllocsPerRun(1, func() { cliqueRank(rg, opts, pbuf, chainPlan) }); got > 12 {
+		t.Errorf("fallback CliqueRankInto allocates %.0f times with warm arena, budget 12", got)
 	}
+
 }
 
 // TestITERAllocsFlatAcrossWorkers pins ITER's allocation count as workers
@@ -225,6 +243,52 @@ func TestITERAllocsFlatAcrossWorkers(t *testing.T) {
 		if got := measure(w); got > serial+10 {
 			t.Errorf("workers=%d: %.0f allocs vs %.0f serial; the sweeps must not allocate per iteration",
 				w, got, serial)
+		}
+	}
+}
+
+// TestShardedRoundAllocs pins a steady-state sharded rank round at a
+// constant: over two-record components, triangles (the dense kernel), a
+// 4-clique and two mask-plan components, a round that changes no edge
+// reweights every held graph and ranks it with its held plan. It must
+// allocate no more than budget for 500 small components or for 4000, and,
+// serially, the same count for both; fanned out, a shard-arena pool miss
+// may add a fresh arena.
+func TestShardedRoundAllocs(t *testing.T) {
+	const budget = 16
+	measure := func(small, workers int) float64 {
+		g, _ := componentMix(small/2, small/2)
+		opts := DefaultOptions()
+		opts.Workers = workers
+		f := NewFusionRun(g, g.NumRecords, opts)
+		f.Partition()
+		f.Next()
+		if _, err := f.StepITER(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.StepRank(); err != nil {
+			t.Fatal(err)
+		}
+		plans := 0
+		for _, rg := range f.shards.graphs {
+			if rg != nil && rg.plan != nil {
+				plans++
+			}
+		}
+		if plans == 0 {
+			t.Fatal("no component holds a mask plan")
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := f.StepShardedRank(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, w := range []int{1, 2} {
+		few, many := measure(500, w), measure(4000, w)
+		if few > budget || many > budget || (w == 1 && many != few) {
+			t.Errorf("workers=%d: a steady sharded round allocates %.0f times over 500 small components and %.0f over 4000, want at most %d",
+				w, few, many, budget)
 		}
 	}
 }

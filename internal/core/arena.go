@@ -14,6 +14,8 @@ type arena struct {
 	f64   [][]float64
 	i32   [][]int32
 	edges [][]matrix.Edge
+	// work is CliqueRank's workspace, made on the arena's first rank.
+	work *rankWork
 }
 
 // take removes from list, and returns resliced to length n, the most

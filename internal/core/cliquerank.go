@@ -72,93 +72,175 @@ func CliqueRankInto(rg *RecordGraph, opts Options, p []float64) {
 // cliqueRank is CliqueRankInto with the power-chain kernel given. The
 // DisableMask ablation ignores it and runs the unmasked dense chain.
 func cliqueRank(rg *RecordGraph, opts Options, p []float64, kernel chainKernel) {
+	ws := rg.arena.rankWork()
+	ws.rank(rg, opts, p, kernel)
+	ws.forget()
+}
+
+// rankWork is CliqueRank's workspace, one per arena: the PatVec headers of
+// the row pass and the power chain, the dense chain, and the row, product,
+// accumulation and readout kernels bound to it once, the way
+// iterScratch.gatherFn is, so a call on a warm arena allocates nothing. It
+// serves one call at a time, as its arena does; the kernels fan out over
+// disjoint rows, slots or pairs and only read its fields.
+type rankWork struct {
+	ar    *arena
+	rg    *RecordGraph
+	opts  Options
+	p     []float64
+	boost bonusQuadrature
+	// w, mt and boosted hold the row pass's powered weights, M_t and M_b;
+	// mb is &boosted, or &mt under DisableBonus. acc sums M¹ … M^S.
+	w, mt, boosted, acc matrix.PatVec
+	mb                  *matrix.PatVec
+	rowSum              []float64
+	// The sparse chain: plan is the mask plan, a the previous power, next
+	// the power being computed (one of iter, or mb at the first step), and
+	// at the merge product's transpose.
+	plan    *matrix.MaskPlan
+	a, next *matrix.PatVec
+	iter    [2]matrix.PatVec
+	at      matrix.PatVec
+	dense   denseChain
+
+	rowFn, mulFn, addFn, readFn func(lo, hi int)
+}
+
+// rankWork returns the arena's CliqueRank workspace, made on first use; a
+// nil arena gets a fresh one per call.
+func (a *arena) rankWork() *rankWork {
+	if a != nil && a.work != nil {
+		return a.work
+	}
+	ws := &rankWork{ar: a}
+	ws.rowFn, ws.mulFn, ws.addFn, ws.readFn = ws.rows, ws.mulRange, ws.addNext, ws.readout
+	if a != nil {
+		a.work = ws
+	}
+	return ws
+}
+
+// forget drops the finished call's graph, options and buffers and keeps
+// the bound kernels, so an arena in a pool pins no run's data.
+func (ws *rankWork) forget() {
+	*ws = rankWork{ar: ws.ar, dense: denseChain{rows: ws.dense.rows},
+		rowFn: ws.rowFn, mulFn: ws.mulFn, addFn: ws.addFn, readFn: ws.readFn}
+}
+
+// rank is cliqueRank on the workspace: the row pass, the power chain and
+// the readout, with every buffer drawn from and returned to the arena.
+func (ws *rankWork) rank(rg *RecordGraph, opts Options, p []float64, kernel chainKernel) {
 	pat := rg.Pattern
-	ar := rg.arena
+	ar := ws.ar
 	nnz := pat.NNZ()
 	workers := opts.Workers
+	ws.rg, ws.opts, ws.p = rg, opts, p
 
 	// Per-row max-normalized powered weights w(i,j) = (s(i,j)/smax_i)^α and
 	// their row sums, the transition matrix M_t of Eq. 11 (zero-sum rows
 	// stay zero: isolated or zero-weight), and the boosted first-step matrix
-	// M_b of Eq. 12, all in one parallel row pass — each row writes only its
-	// own slots of w/mt/mb and its own rowSum entry, so the fan-out is
-	// race-free and bit-identical for any worker count.
-	w := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-	rowSum := ar.getF64(pat.N)
-	mt := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-	mb := mt
-	var boost bonusQuadrature
+	// M_b of Eq. 12, all in one parallel row pass (rows).
+	ws.w = matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
+	ws.rowSum = ar.getF64(pat.N)
+	ws.mt = matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
+	ws.mb = &ws.mt
 	if !opts.DisableBonus {
-		mb = &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-		boost = newBonusQuadrature(opts.Alpha)
+		ws.boosted = matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
+		ws.mb = &ws.boosted
+		ws.boost = newBonusQuadrature(opts.Alpha)
 	}
 	// Grains are pure functions of the graph shape (never the worker
 	// count), so the chunk sets — and with them the bits — are identical
 	// for every Workers setting. The row pass costs ~deg(i) pow calls per
 	// row, so the default Grain=256 rows is far too coarse for it.
 	rowGrain := parallel.GrainFor(pat.N, nnz+pat.N, 512)
-	parallel.ForGrain(workers, pat.N, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			// One poll per row bounds post-cancellation work to a row per
-			// worker; the torn matrices are discarded by RunFusion together
-			// with the checkpoint's error.
-			if opts.Check.Tick() != nil {
-				return
-			}
-			_, vals := rg.S.RowSlice(i)
-			smax := 0.0
-			for _, v := range vals {
-				if v > smax {
-					smax = v
-				}
-			}
-			if smax == 0 {
-				continue
-			}
-			klo, khi := pat.RowPtr[i], pat.RowPtr[i+1]
-			for k := klo; k < khi; k++ {
-				w.Val[k] = math.Pow(rg.S.Val[k]/smax, opts.Alpha)
-				rowSum[i] += w.Val[k]
-			}
-			if rowSum[i] == 0 {
-				continue
-			}
-			for k := klo; k < khi; k++ {
-				mt.Val[k] = w.Val[k] / rowSum[i]
-			}
-			if opts.DisableBonus {
-				continue
-			}
-			for k := klo; k < khi; k++ {
-				mb.Val[k] = boost.step(w.Val[k], rowSum[i])
-			}
-		}
-	})
+	parallel.ForGrain(workers, pat.N, rowGrain, ws.rowFn)
 
 	// acc accumulates Σ_k Mᵏ slot by slot, starting from M¹ = M_b. M_b and
 	// M_t stay read-only, so the DisableBonus aliasing mb == mt is safe.
-	acc := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-	copy(acc.Val, mb.Val)
+	ws.acc = matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
+	copy(ws.acc.Val, ws.mb.Val)
 	if opts.Steps >= 2 {
 		switch {
 		case opts.DisableMask:
-			runDenseChain(mt, mb, acc, false, opts, ar)
+			ws.denseChain(false)
 		case kernel == chainDense:
-			runDenseChain(mt, mb, acc, true, opts, ar)
+			ws.denseChain(true)
 		case kernel == chainPlan || kernel == chainMerge:
-			runSparseChain(mt, mb, acc, kernel == chainMerge, opts, ar)
+			ws.sparseChain(kernel == chainMerge)
 		}
 	}
-	probsFromPatternInto(rg, p, workers, func(slotIJ, slotJI int32) float64 {
-		return (clamp01(acc.Val[slotIJ]) + clamp01(acc.Val[slotJI])) / 2
-	})
+	// The readout: each pair costs two clamped loads; 4096 pairs per chunk
+	// amortize the handoff. The grain is a constant, so chunk sets stay
+	// worker-free.
+	const readoutGrain = 4096
+	parallel.ForGrain(workers, len(rg.PairSlot), readoutGrain, ws.readFn)
 
-	ar.putF64(acc.Val)
-	ar.putF64(w.Val)
-	ar.putF64(rowSum)
-	ar.putF64(mt.Val)
-	if mb != mt {
-		ar.putF64(mb.Val)
+	ar.putF64(ws.acc.Val)
+	ar.putF64(ws.w.Val)
+	ar.putF64(ws.rowSum)
+	ar.putF64(ws.mt.Val)
+	if !opts.DisableBonus {
+		ar.putF64(ws.boosted.Val)
+	}
+}
+
+// rows is the row pass over rows [lo, hi). Each row writes only its own
+// slots of w, mt and mb and its own rowSum entry, so the fan-out is
+// race-free and bit-identical for any worker count.
+func (ws *rankWork) rows(lo, hi int) {
+	s, pat, opts := ws.rg.S, ws.rg.Pattern, &ws.opts
+	w, mt, mb, rowSum := ws.w.Val, ws.mt.Val, ws.mb.Val, ws.rowSum
+	for i := lo; i < hi; i++ {
+		// One poll per row bounds post-cancellation work to a row per
+		// worker; the torn matrices are discarded by RunFusion together
+		// with the checkpoint's error.
+		if opts.Check.Tick() != nil {
+			return
+		}
+		_, vals := s.RowSlice(i)
+		smax := 0.0
+		for _, v := range vals {
+			if v > smax {
+				smax = v
+			}
+		}
+		if smax == 0 {
+			continue
+		}
+		klo, khi := pat.RowPtr[i], pat.RowPtr[i+1]
+		for k := klo; k < khi; k++ {
+			w[k] = math.Pow(s.Val[k]/smax, opts.Alpha)
+			rowSum[i] += w[k]
+		}
+		if rowSum[i] == 0 {
+			continue
+		}
+		for k := klo; k < khi; k++ {
+			mt[k] = w[k] / rowSum[i]
+		}
+		if opts.DisableBonus {
+			continue
+		}
+		for k := klo; k < khi; k++ {
+			mb[k] = ws.boost.step(w[k], rowSum[i])
+		}
+	}
+}
+
+// readout writes the probabilities of pairs [lo, hi): 0 for a dropped
+// pair, and Eq. 15's bidirectional average of the clamped step-sums for a
+// kept one. The transposed slot comes from the pattern's precomputed
+// permutation (Pattern.TSlot), so the readout performs no per-pair search.
+func (ws *rankWork) readout(lo, hi int) {
+	pairSlot, pat, acc, p := ws.rg.PairSlot, ws.rg.Pattern, ws.acc.Val, ws.p
+	for pid := lo; pid < hi; pid++ {
+		slot := pairSlot[pid]
+		if slot < 0 {
+			p[pid] = 0
+			continue
+		}
+		p[pid] = (clamp01(acc[slot]) + clamp01(acc[pat.TSlot(slot)])) / 2
 	}
 }
 
@@ -217,83 +299,84 @@ func twoRecordProb(opts Options) float64 {
 	return (clamp01(mb) + clamp01(mb)) / 2
 }
 
-// runSparseChain adds M² … M^S into acc on the pattern: through a
-// MaskPlan, or through the transpose + merge product when merge is set or
-// the plan would exceed its memory ceiling. Both compute the same bits.
-func runSparseChain(mt, mb, acc *matrix.PatVec, merge bool, opts Options, ar *arena) {
-	pat := mt.P
+// sparseChain adds M² … M^S into acc on the pattern: through a MaskPlan,
+// or through the transpose + merge product when merge is set or the plan
+// would exceed its memory ceiling. Both compute the same bits.
+func (ws *rankWork) sparseChain(merge bool) {
+	pat, ar, opts := ws.mt.P, ws.ar, &ws.opts
 	nnz := pat.NNZ()
 	workers := opts.Workers
 	// Ping-pong the power chain through two scratch iterates. Per-slot
 	// accumulation is element-wise, hence order-free; one add per slot
 	// makes the default grain far too fine.
 	const addGrain = 8192
-	cur := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-	next := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-	a := mb
-	var addSrc []float64
-	addIn := func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			acc.Val[k] += addSrc[k]
-		}
-	}
+	ws.iter[0] = matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
+	ws.iter[1] = matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
+	ws.a, ws.next = ws.mb, &ws.iter[0]
+	spare := &ws.iter[1]
 	// The masked product runs through a MaskPlan: the per-slot merges
 	// and the dead rows are resolved once, and every step is then a
 	// branch-free gather — bit-identical to the transpose+merge kernel
-	// (the plan skips only terms that are exactly +0). One closure is
-	// hoisted over the whole loop; a and next are rebound per step.
-	var plan *matrix.MaskPlan
+	// (the plan skips only terms that are exactly +0). A graph held by a
+	// fusion run keeps its plan across rounds (RecordGraph.maskPlan).
+	held := false
 	if !merge {
-		plan = matrix.BuildMaskPlan(mt, workers, 0)
+		ws.plan, held = ws.rg.maskPlan(&ws.mt, opts)
 	}
-	if plan != nil {
-		mulRange := func(lo, hi int) { plan.MulRangeInto(next, mt, a, lo, hi) }
-		planGrain := plan.Grain()
-		for step := 2; step <= opts.Steps; step++ {
-			// One poll per matrix power: each masked product is the
-			// expensive unit of work, so a canceled run gives up at
-			// most one power of latency.
-			if opts.Check.Err() != nil {
-				break
-			}
-			parallel.ForGrain(workers, nnz, planGrain, mulRange)
-			addSrc = next.Val
-			parallel.ForGrain(workers, nnz, addGrain, addIn)
-			a = next
-			next, cur = cur, next
-		}
-		plan.Release()
-	} else {
-		at := &matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
-		for step := 2; step <= opts.Steps; step++ {
-			if opts.Check.Err() != nil {
-				break
-			}
-			a.TransposeInto(at)
-			matrix.MaskedMulInto(next, mt, at, workers)
-			addSrc = next.Val
-			parallel.ForGrain(workers, nnz, addGrain, addIn)
-			a = next
-			next, cur = cur, next
-		}
-		ar.putF64(at.Val)
+	if ws.plan == nil {
+		ws.at = matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
 	}
-	ar.putF64(cur.Val)
-	ar.putF64(next.Val)
-}
-
-// runDenseChain adds M² … M^S into acc through a denseChain; masked false
-// is the DisableMask ablation, whose iterates are not confined to M_n.
-func runDenseChain(mt, mb, acc *matrix.PatVec, masked bool, opts Options, ar *arena) {
-	c := newDenseChain(mt, mb, acc, masked, ar)
 	for step := 2; step <= opts.Steps; step++ {
-		// One poll per matrix power, as in the sparse chain.
+		// One poll per matrix power: each masked product is the
+		// expensive unit of work, so a canceled run gives up at most one
+		// power of latency.
 		if opts.Check.Err() != nil {
 			break
 		}
-		c.step(opts.Workers)
+		if ws.plan != nil {
+			parallel.ForGrain(workers, nnz, ws.plan.Grain(), ws.mulFn)
+		} else {
+			ws.a.TransposeInto(&ws.at)
+			matrix.MaskedMulInto(ws.next, &ws.mt, &ws.at, workers)
+		}
+		parallel.ForGrain(workers, nnz, addGrain, ws.addFn)
+		ws.a = ws.next
+		ws.next, spare = spare, ws.next
 	}
-	c.release(ar)
+	if ws.plan == nil {
+		ar.putF64(ws.at.Val)
+	} else if !held {
+		ws.plan.Release()
+	}
+	ar.putF64(ws.iter[0].Val)
+	ar.putF64(ws.iter[1].Val)
+}
+
+// mulRange computes slots [lo, hi) of the next power through the plan.
+func (ws *rankWork) mulRange(lo, hi int) { ws.plan.MulRangeInto(ws.next, &ws.mt, ws.a, lo, hi) }
+
+// addNext adds slots [lo, hi) of the power just computed into acc.
+func (ws *rankWork) addNext(lo, hi int) {
+	acc, src := ws.acc.Val[lo:hi], ws.next.Val[lo:hi]
+	for k := range acc {
+		acc[k] += src[k]
+	}
+}
+
+// denseChain adds M² … M^S into acc through the workspace's denseChain;
+// masked false is the DisableMask ablation, whose iterates are not
+// confined to M_n.
+func (ws *rankWork) denseChain(masked bool) {
+	c := &ws.dense
+	c.init(&ws.mt, ws.mb, &ws.acc, masked, ws.ar)
+	for step := 2; step <= ws.opts.Steps; step++ {
+		// One poll per matrix power, as in the sparse chain.
+		if ws.opts.Check.Err() != nil {
+			break
+		}
+		c.step(ws.opts.Workers)
+	}
+	c.release(ws.ar)
 }
 
 // denseChain is the power chain on n×n row-major iterates. Row i of Mᵏ is
@@ -310,27 +393,21 @@ type denseChain struct {
 	a, next []float64 // Mᵏ⁻¹ and Mᵏ, n×n row-major
 	masked  bool
 	grain   int
-	rows    func(lo, hi int) // mulRows, bound once
+	rows    func(lo, hi int) // mulRows, bound on first init
 }
 
-// newDenseChain expands M_b into the first dense iterate. The two n×n
-// iterates come from the arena. At nnz ≥ ½·n(n−1) they are no larger
-// than the five pattern-sized vectors the rank already holds from five
-// records on, and at most 32 floats below.
-func newDenseChain(mt, mb, acc *matrix.PatVec, masked bool, ar *arena) *denseChain {
+// init expands M_b into the first dense iterate. The two n×n iterates come
+// from the arena. At nnz ≥ ½·n(n−1) they are no larger than the five
+// pattern-sized vectors the rank already holds from five records on, and
+// at most 32 floats below.
+func (c *denseChain) init(mt, mb, acc *matrix.PatVec, masked bool, ar *arena) {
 	pat := mt.P
 	n := pat.N
-	c := &denseChain{
-		pat:    pat,
-		mt:     mt.Val,
-		acc:    acc.Val,
-		a:      ar.getF64(n * n),
-		next:   ar.getF64(n * n),
-		masked: masked,
-		// A row costs up to n² multiply-adds, so the grain depends on n
-		// alone: one chunk up to n = 32, one row per chunk from n ≈ 32.
-		grain: parallel.GrainFor(n, n*n*n, 1<<15),
-	}
+	c.pat, c.mt, c.acc, c.masked = pat, mt.Val, acc.Val, masked
+	c.a, c.next = ar.getF64(n*n), ar.getF64(n*n)
+	// A row costs up to n² multiply-adds, so the grain depends on n
+	// alone: one chunk up to n = 32, one row per chunk from n ≈ 32.
+	c.grain = parallel.GrainFor(n, n*n*n, 1<<15)
 	//lint:ignore guardloop one nnz-sized scatter per chain, cheaper than the row pass before it; the chain polls the checkpoint per power
 	for i := 0; i < n; i++ {
 		row := c.a[i*n : (i+1)*n]
@@ -338,8 +415,9 @@ func newDenseChain(mt, mb, acc *matrix.PatVec, masked bool, ar *arena) *denseCha
 			row[pat.Col[s]] = mb.Val[s]
 		}
 	}
-	c.rows = c.mulRows
-	return c
+	if c.rows == nil {
+		c.rows = c.mulRows
+	}
 }
 
 // step computes the next power and makes it the current one.
@@ -421,25 +499,4 @@ func clamp01(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// probsFromPatternInto assembles the per-pair probability slice from a
-// function of the two directed slots of each kept edge: it zeroes p, then
-// fills the kept pairs from read, fanning out over workers. The
-// transposed slot comes from the pattern's precomputed permutation
-// (Pattern.TSlot), so the readout performs no per-pair search.
-func probsFromPatternInto(rg *RecordGraph, p []float64, workers int, read func(slotIJ, slotJI int32) float64) {
-	// Each pair costs two clamped loads; 4096 pairs per chunk amortize the
-	// handoff. The grain is a constant, so chunk sets stay worker-free.
-	const readoutGrain = 4096
-	parallel.ForGrain(workers, len(rg.PairSlot), readoutGrain, func(lo, hi int) {
-		for pid := lo; pid < hi; pid++ {
-			slot := rg.PairSlot[pid]
-			if slot < 0 {
-				p[pid] = 0
-				continue
-			}
-			p[pid] = read(slot, rg.Pattern.TSlot(slot))
-		}
-	})
 }

@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
 
@@ -357,5 +359,213 @@ func TestCliqueRankKernelsBitIdentical(t *testing.T) {
 			cliqueRank(rg, opts, want, chainPlan)
 			bitsEqual(t, fmt.Sprintf("closed form, α %g, no bonus %v", alpha, disableBonus), want, []float64{twoRecordProb(opts)})
 		}
+	}
+}
+
+// componentMix builds a candidate graph of pairs two-record components and
+// triangles triangles (the dense kernel), followed by a 4-clique and two
+// components on the mask-plan kernel: two triangles joined by a bridge on
+// records base..base+5, and a 10-record ring with chords from every even
+// record two ahead on records base+6..base+15. Every pair holds its
+// component's term and a term of its own. It returns the graph and base.
+func componentMix(pairs, triangles int) (*index.Graph, int32) {
+	var edges []index.Pair
+	var comp []int32
+	next := int32(0)
+	add := func(local [][2]int32, size int32) {
+		c := int32(len(comp))
+		if len(edges) > 0 {
+			c = comp[len(comp)-1] + 1
+		}
+		for _, e := range local {
+			edges = append(edges, index.Pair{I: next + e[0], J: next + e[1]})
+			comp = append(comp, c)
+		}
+		next += size
+	}
+	for k := 0; k < pairs; k++ {
+		add([][2]int32{{0, 1}}, 2)
+	}
+	for k := 0; k < triangles; k++ {
+		add([][2]int32{{0, 1}, {0, 2}, {1, 2}}, 3)
+	}
+	add([][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}, 4)
+	base := next
+	add([][2]int32{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {4, 5}}, 6)
+	var ring [][2]int32
+	for i := int32(0); i < 10; i++ {
+		ring = append(ring, [2]int32{min(i, (i+1)%10), max(i, (i+1)%10)})
+		if i%2 == 0 {
+			ring = append(ring, [2]int32{min(i, (i+2)%10), max(i, (i+2)%10)})
+		}
+	}
+	add(ring, 10)
+	ncomps := comp[len(comp)-1] + 1
+	terms := make([][]int32, len(edges))
+	for k := range edges {
+		terms[k] = []int32{comp[k], ncomps + int32(k)}
+	}
+	return index.NewGraph(int(next), int(ncomps)+len(edges), edges, terms), base
+}
+
+// heldGraphs lists the record graphs a fusion run holds, one per slot.
+func heldGraphs(f *FusionRun) []*RecordGraph {
+	if f.shards != nil {
+		return slices.Clone(f.shards.graphs)
+	}
+	return []*RecordGraph{f.whole}
+}
+
+// transitionOf is M_t of a record graph at exponent alpha, computed as
+// CliqueRank's row pass computes it.
+func transitionOf(rg *RecordGraph, alpha float64) *matrix.PatVec {
+	pat := rg.Pattern
+	mt := matrix.NewPatVec(pat)
+	for i := 0; i < pat.N; i++ {
+		_, vals := rg.S.RowSlice(i)
+		if len(vals) == 0 {
+			continue
+		}
+		smax, sum := slices.Max(vals), 0.0
+		for _, v := range vals {
+			sum += math.Pow(v/smax, alpha)
+		}
+		for k := pat.RowPtr[i]; k < pat.RowPtr[i+1]; k++ {
+			mt.Val[k] = math.Pow(rg.S.Val[k]/smax, alpha) / sum
+		}
+	}
+	return mt
+}
+
+// samePlan fails unless two mask plans gather the same terms: equal entry
+// counts and grains, and bit-identical products of operands that are
+// non-zero in every slot, so a term kept by one plan and skipped by the
+// other would show.
+func samePlan(t *testing.T, label string, got, want *matrix.MaskPlan, pat *matrix.Pattern) {
+	t.Helper()
+	if got.Entries() != want.Entries() || got.Grain() != want.Grain() {
+		t.Fatalf("%s: held plan has %d entries, grain %d; a fresh build %d, %d",
+			label, got.Entries(), got.Grain(), want.Entries(), want.Grain())
+	}
+	rng := rand.New(rand.NewSource(7))
+	mt, a := matrix.NewPatVec(pat), matrix.NewPatVec(pat)
+	for k := range mt.Val {
+		mt.Val[k], a.Val[k] = 1-rng.Float64(), 1-rng.Float64()
+	}
+	bitsEqual(t, label+" plan product", want.MulInto(matrix.NewPatVec(pat), mt, a, 1).Val,
+		got.MulInto(matrix.NewPatVec(pat), mt, a, 1).Val)
+}
+
+// TestRankReuseMatchesRebuild pins the record graphs a fusion run holds
+// across rounds. Round 2 drops edges (similarity forced to 0): one from
+// the 4-clique, two that isolate a ring record, a two-record pair and a
+// whole triangle. Round 3 brings them back, and round 4 changes no edge.
+// Sharded and whole-graph, at every worker count, each round's
+// probabilities must equal a fresh build and rank of the round's
+// similarities bit for bit, every held mask plan must equal a fresh
+// BuildMaskPlan of the graph's M_t, the graphs whose edges changed must be
+// rebuilt and, in round 4, every graph reused. The held plans never
+// overdraw the run's plan budget, also when it is cut to one entry and
+// every plan must be built per rank, and Finish returns all of it.
+func TestRankReuseMatchesRebuild(t *testing.T) {
+	g, base := componentMix(3, 3)
+	clique, tri := base-4, int32(9) // the 4-clique and the second triangle
+	var dropped []int32
+	for _, e := range [][2]int32{{clique, clique + 1}, {base + 6, base + 7}, {base + 7, base + 8}, {0, 1},
+		{tri, tri + 1}, {tri, tri + 2}, {tri + 1, tri + 2}} {
+		pid, ok := pairID(g, e[0], e[1])
+		if !ok {
+			t.Fatalf("no pair (%d, %d)", e[0], e[1])
+		}
+		dropped = append(dropped, pid)
+	}
+	ring, _ := pairID(g, base+6, base+7)
+	for _, budget := range []int64{matrix.MaskPlanMaxEntries, 1} {
+		for _, sharded := range []bool{true, false} {
+			for _, w := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("budget %d sharded %v workers %d", budget, sharded, w), func(t *testing.T) {
+					checkRankReuse(t, g, dropped, ring, budget, sharded, w)
+				})
+			}
+		}
+	}
+}
+
+// checkRankReuse runs one configuration of TestRankReuseMatchesRebuild.
+func checkRankReuse(t *testing.T, g *index.Graph, dropped []int32, ring int32, budget int64, sharded bool, w int) {
+	n := g.NumRecords
+	opts := DefaultOptions()
+	opts.FusionIterations = 4
+	opts.Workers = w
+	f := NewFusionRun(g, n, opts)
+	f.planBudget.Store(budget)
+	if sharded {
+		f.Partition()
+	}
+	ringSlot := 0
+	if sharded {
+		ringSlot = len(f.shards.Comps) - 1
+		if !slices.Contains(f.shards.Comps[ringSlot].Pairs, ring) {
+			t.Fatal("the ring is not the last component")
+		}
+	}
+	held := 0
+	for f.Next() {
+		if _, err := f.StepITER(); err != nil {
+			t.Fatal(err)
+		}
+		for _, pid := range dropped {
+			switch f.round {
+			case 2:
+				f.res.S[pid] = 0
+			case 3:
+				f.res.S[pid] = 0.5 + f.res.S[pid]
+			}
+		}
+		s := slices.Clone(f.res.S)
+		before := heldGraphs(f)
+		if _, err := f.StepRank(); err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("round %d", f.round)
+		fresh := opts
+		fresh.Workers = 1
+		bitsEqual(t, label+" P", CliqueRank(BuildRecordGraph(g, s, n), fresh), f.p)
+
+		after := heldGraphs(f)
+		switch f.round {
+		case 2, 3:
+			if after[ringSlot] == before[ringSlot] {
+				t.Fatalf("%s: the ring's edges changed, but its graph was not rebuilt", label)
+			}
+		case 4:
+			for k := range after {
+				if after[k] != before[k] {
+					t.Fatalf("%s: slot %d rebuilt with no edge changed", label, k)
+				}
+			}
+		}
+		var entries int64
+		for k, rg := range after {
+			if rg == nil || rg.plan == nil {
+				continue
+			}
+			held++
+			entries += int64(rg.plan.Entries())
+			want := matrix.BuildMaskPlan(transitionOf(rg, opts.Alpha), 1, 0)
+			samePlan(t, fmt.Sprintf("%s slot %d", label, k), rg.plan, want, rg.Pattern)
+			want.Release()
+		}
+		if entries > budget || f.planBudget.Load() != budget-entries {
+			t.Fatalf("%s: held plans have %d entries, the budget %d left of %d",
+				label, entries, f.planBudget.Load(), budget)
+		}
+	}
+	if held == 0 && budget > 1 {
+		t.Fatal("no slot held a mask plan")
+	}
+	f.Finish()
+	if got := f.planBudget.Load(); got != budget {
+		t.Fatalf("after Finish the plan budget is %d, want %d", got, budget)
 	}
 }

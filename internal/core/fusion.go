@@ -19,8 +19,8 @@ type FusionResult struct {
 	Matches []bool
 	// Nodes and Edges are the last round's record-graph size — the record
 	// count and the kept (similarity > 0) pair count. The graph itself is
-	// released after ranking; BuildRecordGraph(g, S, numRecords) rebuilds
-	// it.
+	// released when the run finishes; BuildRecordGraph(g, S, numRecords)
+	// rebuilds it.
 	Nodes, Edges int
 	// ITERTrace records, per fusion iteration, the Σ|Δx_t| update series of
 	// the inner ITER loop (the Figure 5 data, concatenated across fusion
@@ -66,10 +66,10 @@ type FusionResult struct {
 // FusionResult.NumericRepairs).
 func RunFusion(g *index.Graph, numRecords int, opts Options) (*FusionResult, error) {
 	// The reinforcement loop reuses its working memory across rounds: the
-	// ITER scratch carries the x/s/raw vectors, the arena recycles the
-	// record-graph and CliqueRank buffers, and p is rewritten in place, so
-	// the steady state of the loop allocates nothing but the per-round
-	// adjacency pattern.
+	// ITER scratch carries the x/s/raw vectors, the record graph and its
+	// mask plan are held for the run and reweighted, the arena recycles
+	// CliqueRank's buffers, and p is rewritten in place, so the steady
+	// state of the loop allocates nothing but ITER's per-call result.
 	f := NewFusionRun(g, numRecords, opts)
 	for f.Next() {
 		if _, err := f.StepITER(); err != nil {

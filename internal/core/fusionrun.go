@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/index"
+	"repro/internal/matrix"
 )
 
 // Scratch recycles the fusion loop's record-graph and rank-kernel arena
@@ -17,8 +19,8 @@ import (
 // goroutine only).
 //
 // Sharing is safe across sequential runs because a finished run retains
-// none of the arena's buffers: every record graph is released into the
-// arena as soon as it is ranked.
+// none of the arena's buffers: Finish releases the record graph the run
+// held, and a sharded run's component graphs are dropped with the run.
 type Scratch struct {
 	ar arena
 }
@@ -38,6 +40,12 @@ type Scratch struct {
 // without Partition is RunFusion (which is implemented this way). With
 // Partition, StepRank ranks each connected component on its own, which
 // gives the same bits (see shard.go); engine.Fuse drives it that way.
+//
+// The run holds one record graph per slot — the whole graph, or one per
+// component after Partition — from its first rank to Finish. Blocking
+// fixes the candidate pairs, so a later round only reweights the graph
+// (RecordGraph.reweight), and rebuilds it only where the kept-edge set
+// changed; the graph's mask plan is held with it (RecordGraph.maskPlan).
 type FusionRun struct {
 	g          *index.Graph
 	numRecords int
@@ -50,10 +58,14 @@ type FusionRun struct {
 	sc         *iterScratch
 	ar         *arena
 	shards     *shardSet
+	whole      *RecordGraph     // the held whole graph, without Partition
 	rankSmall  func(lo, hi int) // rankSmallShards, bound once by Partition
 	pairP      float64          // twoRecordProb(opts)
 	rounds     int
 	round      int
+	// planBudget is the count of mask-plan entries the run's held graphs
+	// may still hold, matrix.MaskPlanMaxEntries in all.
+	planBudget atomic.Int64
 }
 
 // NewFusionRun prepares a fusion run: p ← 1 for every pair, the seeded
@@ -77,7 +89,7 @@ func NewFusionRun(g *index.Graph, numRecords int, opts Options) *FusionRun {
 	if opts.Scratch != nil {
 		ar = &opts.Scratch.ar
 	}
-	return &FusionRun{
+	f := &FusionRun{
 		g:          g,
 		numRecords: numRecords,
 		opts:       opts,
@@ -91,6 +103,8 @@ func NewFusionRun(g *index.Graph, numRecords int, opts Options) *FusionRun {
 		pairP:      twoRecordProb(opts),
 		rounds:     rounds,
 	}
+	f.planBudget.Store(matrix.MaskPlanMaxEntries)
+	return f
 }
 
 // Next advances to the next fusion round, reporting false once all rounds
@@ -136,7 +150,7 @@ func (f *FusionRun) StepRank() (edges int, err error) {
 		return f.StepShardedRank()
 	}
 	f.res.Nodes = f.numRecords
-	f.res.Edges = f.rankGraph(f.numRecords, nil, nil, f.ar, f.opts.Workers)
+	f.res.Edges = f.rankGraph(&f.whole, f.numRecords, nil, nil, f.ar, f.opts.Workers)
 	if err := f.endRound(); err != nil {
 		return 0, err
 	}
@@ -146,12 +160,14 @@ func (f *FusionRun) StepRank() (edges int, err error) {
 // rankGraph ranks one record graph of the round over n records: the graph
 // of the candidate pairs listed in pairs, with recLocal renumbering their
 // records into its nodes, or the whole candidate graph when both are nil.
-// It builds the graph from the round's similarities, ranks it with the
-// given worker budget, writes the pairs' probabilities into p and releases
-// the graph into ar. A graph whose pairs all have similarity 0 is all
-// dropped edges (p = 0), and a two-record graph takes CliqueRank's closed
-// form; neither is built. It returns the kept-edge count.
-func (f *FusionRun) rankGraph(n int, pairs, recLocal []int32, ar *arena, workers int) int {
+// held is the run's slot for that graph: the first rank builds the graph
+// from the round's similarities, and a later one reweights it, or
+// rebuilds it when the kept-edge set changed. The graph ranks with the
+// given worker budget and CliqueRank's scratch from ar, and the pairs'
+// probabilities land in p. A graph whose pairs all have similarity 0 is
+// all dropped edges (p = 0), and a two-record graph takes CliqueRank's
+// closed form; neither is ranked. It returns the kept-edge count.
+func (f *FusionRun) rankGraph(held **RecordGraph, n int, pairs, recLocal []int32, ar *arena, workers int) int {
 	s := f.res.S
 	m := len(s)
 	if pairs != nil {
@@ -170,7 +186,20 @@ func (f *FusionRun) rankGraph(n int, pairs, recLocal []int32, ar *arena, workers
 		}
 		return kept
 	}
-	rg := buildRecordGraph(f.g, s, n, pairs, recLocal, ar)
+	// A held graph borrows the ranking goroutine's arena for this rank
+	// alone, since a small component's arena goes back to a shared pool.
+	rg := *held
+	if rg != nil && !rg.reweight(s, pairs) {
+		rg.arena = ar
+		rg.release()
+		rg = nil
+	}
+	if rg == nil {
+		rg = buildRecordGraph(f.g, s, n, pairs, recLocal, ar)
+		rg.planBudget = &f.planBudget
+		*held = rg
+	}
+	rg.arena = ar
 	opts := f.opts
 	opts.Workers = workers
 	// The whole graph's positions are global pair IDs, so it ranks into p
@@ -190,7 +219,7 @@ func (f *FusionRun) rankGraph(n int, pairs, recLocal []int32, ar *arena, workers
 		}
 		ar.putF64(pl)
 	}
-	rg.release()
+	rg.arena = nil
 	return kept
 }
 
@@ -235,8 +264,24 @@ func (f *FusionRun) endRound() error {
 }
 
 // Finish seals and returns the result: final probabilities, the η
-// thresholding, and the total elapsed time.
+// thresholding, and the total elapsed time. It releases the record graphs
+// the run held: their plans go back to the plan pool, the whole graph's
+// buffers to the run's arena, and the components' graphs, which would
+// crowd the arena's free lists, are left to the collector.
 func (f *FusionRun) Finish() *FusionResult {
+	if f.whole != nil {
+		f.whole.arena = f.ar
+		f.whole.release()
+		f.whole = nil
+	}
+	if f.shards != nil {
+		for ci, rg := range f.shards.graphs {
+			if rg != nil {
+				rg.release()
+				f.shards.graphs[ci] = nil
+			}
+		}
+	}
 	res := f.res
 	res.P = f.p
 	res.Matches = make([]bool, len(f.p))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/index"
 	"repro/internal/matrix"
 )
@@ -26,6 +28,11 @@ type RecordGraph struct {
 	// arena, when non-nil, recycles this graph's buffers (and CliqueRank's
 	// scratch) across fusion rounds; see release.
 	arena *arena
+	// planBudget, set on the graphs a FusionRun holds, is the run's count
+	// of mask-plan entries its graphs may still hold; plan is the plan
+	// this graph holds against it (see maskPlan).
+	planBudget *atomic.Int64
+	plan       *matrix.MaskPlan
 }
 
 // BuildRecordGraph assembles G_r from the candidate set and per-pair
@@ -92,10 +99,93 @@ func buildRecordGraph(g *index.Graph, s []float64, numRecords int, pairs, recLoc
 	return &RecordGraph{Pattern: pat, S: sv, PairSlot: slot, Edges: kept, SlotRow: slotRow, arena: ar}
 }
 
+// reweight writes the round's similarities s into a graph built from an
+// earlier round's, which a fusion run holds for the whole run: blocking
+// fixes the candidate pairs, so a round changes the edge weights and, only
+// where a similarity crosses 0, the edge set. When s keeps exactly the
+// graph's edges (s > 0 on the pairs with a slot and on no other), it
+// stores each pair's weight in both directed slots, as a fresh build from
+// s would, and reports true. Otherwise it reports false with S torn, and
+// the caller rebuilds. pairs is the list the graph was built from.
+func (rg *RecordGraph) reweight(s []float64, pairs []int32) bool {
+	val, pat := rg.S.Val, rg.Pattern
+	for k, slot := range rg.PairSlot {
+		v := s[pairAt(pairs, k)]
+		if (v > 0) != (slot >= 0) {
+			return false
+		}
+		if slot >= 0 {
+			val[slot] = v
+			val[pat.TSlot(slot)] = v
+		}
+	}
+	return true
+}
+
+// maskPlan returns the mask plan of the power chain over M_t, and whether
+// the graph holds it. A graph of a fusion run keeps the plan it builds,
+// while the run's budget has room, and reuses it in later rounds. nil
+// means the plan would exceed matrix.MaskPlanMaxEntries.
+//
+// The plan reads M_t only through row liveness, so a plan is held, and
+// reused, only while every row with an edge is live: then liveness is
+// degree > 0, a property of the pattern that reweight keeps, and the held
+// plan is the one BuildMaskPlan would build. On a record graph that holds
+// whenever the row pass ran in full: a row's largest weight s/smax is 1,
+// so w = 1^α = 1 and M_t's entry 1/rowSum is non-zero (or NaN) unless a
+// negative α overflows rowSum. A canceled row pass leaves rows zero.
+func (rg *RecordGraph) maskPlan(mt *matrix.PatVec, opts *Options) (plan *matrix.MaskPlan, held bool) {
+	live := edgeRowsLive(mt)
+	if rg.plan != nil && live {
+		return rg.plan, true
+	}
+	plan = matrix.BuildMaskPlan(mt, opts.Workers, 0)
+	if plan == nil || rg.plan != nil || rg.planBudget == nil || !live {
+		return plan, false
+	}
+	n := int64(plan.Entries())
+	if rg.planBudget.Add(-n) < 0 {
+		rg.planBudget.Add(n)
+		return plan, false
+	}
+	rg.plan = plan
+	return plan, true
+}
+
+// edgeRowsLive reports whether every row of mt with an edge has a non-zero
+// entry.
+func edgeRowsLive(mt *matrix.PatVec) bool {
+	pat := mt.P
+	//lint:ignore guardloop one scan of M_t per rank, stopping at each row's first non-zero entry; the power chain polls the checkpoint per power
+	for i := 0; i < pat.N; i++ {
+		row := mt.Val[pat.RowPtr[i]:pat.RowPtr[i+1]]
+		if len(row) == 0 {
+			continue
+		}
+		live := false
+		for _, v := range row {
+			if v != 0 {
+				live = true
+				break
+			}
+		}
+		if !live {
+			return false
+		}
+	}
+	return true
+}
+
 // release returns the graph's recyclable buffers to its arena ahead of the
-// next fusion round. The graph must not be used afterwards; calling release
-// on an arena-less graph is a no-op.
+// next fusion round, and its held plan to the plan pool and the run's
+// budget. The graph must not be used afterwards; on an arena-less graph
+// only the plan is released.
 func (rg *RecordGraph) release() {
+	if rg.plan != nil {
+		rg.planBudget.Add(int64(rg.plan.Entries()))
+		rg.plan.Release()
+		rg.plan = nil
+	}
 	ar := rg.arena
 	if ar == nil {
 		return

@@ -36,7 +36,10 @@ import (
 // off inside them), smaller ones become units of component-level fan-out.
 const bigShardPairs = 4096
 
-// Component is one connected component of the candidate graph.
+// Component is one connected component of the candidate graph. Its two
+// lists are capacity-capped windows of two arrays shared by the whole
+// partition, so appending to one copies it instead of overwriting the
+// next component's.
 type Component struct {
 	// Records lists the component's global record IDs, ascending; a
 	// record's position is its local node ID.
@@ -93,39 +96,53 @@ func PartitionComponents(g *index.Graph, numRecords int) *Partition {
 		compOf[r] = compIdx[root]
 	}
 
-	recCount := make([]int32, ncomps)
-	pairCount := make([]int32, ncomps)
+	// Every component's record and pair lists are windows of two flat
+	// arrays laid out in component order, at offsets start and pairStart
+	// (pairStart then advances as the pair fill cursor).
+	start := make([]int32, ncomps+1)
 	for r := 0; r < numRecords; r++ {
 		if compOf[r] >= 0 {
-			recCount[compOf[r]]++
+			start[compOf[r]+1]++
 		}
 	}
+	pairStart := make([]int32, ncomps+1)
 	for _, pr := range g.Pairs {
-		pairCount[compOf[pr.I]]++
+		pairStart[compOf[pr.I]+1]++
+	}
+	for ci := 0; ci < ncomps; ci++ {
+		start[ci+1] += start[ci]
+		pairStart[ci+1] += pairStart[ci]
 	}
 	part := &Partition{
 		Comps:    make([]Component, ncomps),
 		RecLocal: make([]int32, numRecords),
 	}
+	records := make([]int32, start[ncomps])
+	pairs := make([]int32, len(g.Pairs))
 	for ci := range part.Comps {
-		part.Comps[ci].Records = make([]int32, 0, recCount[ci])
-		part.Comps[ci].Pairs = make([]int32, 0, pairCount[ci])
+		c := &part.Comps[ci]
+		c.Records = records[start[ci]:start[ci+1]:start[ci+1]]
+		c.Pairs = pairs[pairStart[ci]:pairStart[ci+1]:pairStart[ci+1]]
 	}
-	// Ascending r per component: a record's local ID preserves the global
-	// order, so local neighbor lists sort identically to the global ones —
-	// the heart of the bit-identity argument.
+	// Ascending r per component: a record's local ID (its position in the
+	// window) preserves the global order, so local neighbor lists sort
+	// identically to the global ones — the heart of the bit-identity
+	// argument.
+	local := make([]int32, ncomps)
 	for r := 0; r < numRecords; r++ {
 		ci := compOf[r]
 		if ci < 0 {
 			part.RecLocal[r] = -1
 			continue
 		}
-		part.RecLocal[r] = int32(len(part.Comps[ci].Records))
-		part.Comps[ci].Records = append(part.Comps[ci].Records, int32(r))
+		records[start[ci]+local[ci]] = int32(r)
+		part.RecLocal[r] = local[ci]
+		local[ci]++
 	}
 	for pid, pr := range g.Pairs {
 		ci := compOf[pr.I]
-		part.Comps[ci].Pairs = append(part.Comps[ci].Pairs, int32(pid))
+		pairs[pairStart[ci]] = int32(pid)
+		pairStart[ci]++
 	}
 	return part
 }
@@ -139,8 +156,10 @@ type shardSet struct {
 	big        []int32
 	small      []int32
 	smallGrain int
-	// edges receives each component's kept-edge count for the round.
-	edges []int32
+	// edges receives each component's kept-edge count for the round, and
+	// graphs holds each component's record graph for the run.
+	edges  []int32
+	graphs []*RecordGraph
 }
 
 // newShardSet partitions the candidate graph and schedules its components.
@@ -157,6 +176,7 @@ func newShardSet(g *index.Graph, numRecords int) *shardSet {
 	}
 	ss.smallGrain = parallel.GrainFor(len(ss.small), smallPairs+len(ss.small), 4096)
 	ss.edges = make([]int32, len(ss.Comps))
+	ss.graphs = make([]*RecordGraph, len(ss.Comps))
 	return ss
 }
 
@@ -193,13 +213,13 @@ func (f *FusionRun) rankSmallShards(lo, hi int) {
 		}
 		si := ss.small[k]
 		c := &ss.Comps[si]
-		ss.edges[si] = int32(f.rankGraph(len(c.Records), c.Pairs, ss.RecLocal, ar, 1))
+		ss.edges[si] = int32(f.rankGraph(&ss.graphs[si], len(c.Records), c.Pairs, ss.RecLocal, ar, 1))
 	}
 	shardArenas.Put(ar)
 }
 
-// StepShardedRank is StepRank after Partition: it rebuilds and ranks every
-// component's record graph, merges the per-shard probabilities (disjoint
+// StepShardedRank is StepRank after Partition: it ranks every component's
+// record graph (built on the first round, reweighted after), merges the per-shard probabilities (disjoint
 // slices of p, in deterministic component order), and aggregates the
 // node/edge counts into the result. Big components run sequentially with
 // the full worker budget; small ones fan out over components with one
@@ -216,7 +236,7 @@ func (f *FusionRun) StepShardedRank() (edges int, err error) {
 			break
 		}
 		c := &ss.Comps[si]
-		ss.edges[si] = int32(f.rankGraph(len(c.Records), c.Pairs, ss.RecLocal, f.ar, f.opts.Workers))
+		ss.edges[si] = int32(f.rankGraph(&ss.graphs[si], len(c.Records), c.Pairs, ss.RecLocal, f.ar, f.opts.Workers))
 	}
 	if f.opts.Check.Err() == nil && len(ss.small) > 0 {
 		parallel.ForGrain(f.opts.Workers, len(ss.small), ss.smallGrain, f.rankSmall)

@@ -53,19 +53,24 @@ type Collection struct {
 	// Resident outcome of the last successful resolve: probabilities in
 	// the index's committed pair order, per-slot component aggregates and
 	// their running sums, and the cluster layout.
-	p                                    []float64
-	slots                                []slotResult
-	edges, repairs, unconverged, matches int
-	layout                               cluster.Layout
+	p                                        []float64
+	slots                                    []slotResult
+	edges, repairs, unconverged, matches, tp int
+	layout                                   cluster.Layout
 
 	// matched is scratch: one touched component's match flags.
 	matched []bool
+	// labelled counts the matches whose ground truth a resolve looked up.
+	labelled int64
 }
 
-// slotResult is the resident fusion aggregate of one committed component.
+// slotResult is the resident fusion aggregate of one committed component:
+// tp counts its matches whose records share a ground-truth label. A label
+// changes only through Upsert, which touches the record, so a component
+// no mutation touched keeps its count.
 type slotResult struct {
-	edges, repairs, matches int32
-	converged               bool
+	edges, repairs, matches, tp int32
+	converged                   bool
 }
 
 // NewCollection returns an empty collection under the given options
@@ -180,7 +185,7 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 	p := make([]float64, pd.NumPairs)
 	var matches []Match
 	stats := DeltaStats{Components: pd.Components}
-	edges, repairs, unconverged, nMatched := c.edges, c.repairs, c.unconverged, c.matches
+	edges, repairs, unconverged, nMatched, tp := c.edges, c.repairs, c.unconverged, c.matches, c.tp
 	if err := run.Stage(engine.StageDeltaFuse, func(st *engine.StageTrace) error {
 		st.In, st.InUnit = len(pd.Comps), "components"
 		st.OutUnit = "matches"
@@ -206,20 +211,24 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 			edges -= int(r.edges)
 			repairs -= int(r.repairs)
 			nMatched -= int(r.matches)
+			tp -= int(r.tp)
 			if !r.converged {
 				unconverged--
 			}
 		}
 		for ci, cr := range results {
+			matches, ctp := c.countMatched(&pd.Comps[ci], pd.Handles, cr.P, copts.Eta)
 			fused[ci] = slotResult{
 				edges:     int32(cr.Edges),
 				repairs:   int32(cr.NumericRepairs),
-				matches:   int32(countMatched(cr.P, copts.Eta)),
+				matches:   int32(matches),
+				tp:        int32(ctp),
 				converged: cr.Converged,
 			}
 			edges += cr.Edges
 			repairs += cr.NumericRepairs
-			nMatched += int(fused[ci].matches)
+			nMatched += matches
+			tp += ctp
 			if !cr.Converged {
 				unconverged++
 			}
@@ -251,6 +260,7 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 	var clusters [][]int
 	if err := run.Stage(engine.StageCluster, func(st *engine.StageTrace) error {
 		c.layout.Begin(pd.Dissolved)
+		c.layout.Moved(pd.Shift)
 		regrouped := 0
 		for ci, comp := range pd.Comps {
 			cp := results[ci].P
@@ -281,12 +291,6 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 	}
 	if c.truth.unlabeled == 0 {
 		if err := run.Stage(engine.StageEvaluate, func(st *engine.StageTrace) error {
-			tp := 0
-			for _, m := range res.Matches {
-				if c.truth.match(pd.Handles[m.I], pd.Handles[m.J]) {
-					tp++
-				}
-			}
 			m := eval.FromCounts(tp, nMatched-tp, c.truth.pairs)
 			res.Evaluation = &m
 			st.In, st.InUnit = len(p), "pairs"
@@ -311,21 +315,28 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 		for ci, r := range fused {
 			c.slots[pd.Comps[ci].Slot] = r
 		}
-		c.edges, c.repairs, c.unconverged, c.matches = edges, repairs, unconverged, nMatched
+		c.edges, c.repairs, c.unconverged, c.matches, c.tp = edges, repairs, unconverged, nMatched, tp
 		c.layout.Commit()
 	}
 	return res, nil
 }
 
-// countMatched counts the probabilities at or above the match threshold.
-func countMatched(p []float64, eta float64) int {
-	n := 0
-	for _, v := range p {
-		if v >= eta {
-			n++
+// countMatched counts one touched component's matches, the pairs whose
+// probability in p reaches the threshold, and the true positives among
+// them by the labels the records carry now. handles maps position to
+// record handle.
+func (c *Collection) countMatched(comp *index.PendingComponent, handles []int32, p []float64, eta float64) (matches, tp int) {
+	recs := comp.Records
+	for k, pr := range comp.Graph.Pairs {
+		if p[k] >= eta {
+			matches++
+			if c.truth.match(handles[recs[pr.I]], handles[recs[pr.J]]) {
+				tp++
+			}
 		}
 	}
-	return n
+	c.labelled += int64(matches)
+	return matches, tp
 }
 
 // residentP returns the probability a pair takes from its index.Pending

@@ -604,26 +604,74 @@ func warmCollection(t *testing.T, n int) (*Collection, func() *Result) {
 	}
 }
 
-// TestWarmResolveAllocsDeltaSized guards the warm path's size: one fixed
-// one-record overwrite plus Resolve allocates about as many objects at 16k
-// records as at 4k. A path that rebuilt anything per record or per pair
-// would grow its allocation count with the corpus.
-func TestWarmResolveAllocsDeltaSized(t *testing.T) {
-	allocs := func(n int) float64 {
-		_, step := warmCollection(t, n)
-		if d := step().Delta; d.ComponentsFused < 1 {
-			t.Fatalf("%d records: the overwrite fused no component", n)
+// reinsertStep returns a step that deletes the mid-order record r{n/2}
+// and re-inserts it on alternate calls, resolving after each, so every
+// resolve moves the position of every record after it. The re-inserted
+// record joins the component of entities 4 and 5, as warmCollection's
+// overwrite does, so both steps re-fuse the same component at any n.
+func reinsertStep(t *testing.T, c *Collection, n int) func() *Result {
+	t.Helper()
+	id := fmt.Sprintf("r%06d", n/2)
+	rec := Record{Text: "brand4 model4 brand5 model5 w3", Entity: "e5"}
+	c.Upsert(id, rec)
+	deleted := false
+	return func() *Result {
+		if deleted = !deleted; deleted {
+			c.Delete(id)
+		} else {
+			c.Upsert(id, rec)
 		}
-		return testing.AllocsPerRun(10, func() { step() })
-	}
-	small, large := allocs(4000), allocs(16000)
-	t.Logf("allocs per overwrite+resolve: %.0f at 4k records, %.0f at 16k", small, large)
-	if large > 1.5*small {
-		t.Fatalf("warm resolve allocations grow with the corpus: %.0f at 4k, %.0f at 16k records", small, large)
+		res, err := c.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 }
 
-// TestWarmResolveBytesDeltaSized is the byte-sized twin of the count gate.
+// warmSteps are the mutations the delta-sized gates time: warmCollection's
+// overwrite, which moves no position, and reinsertStep's delete and
+// re-insert, which moves half of them.
+var warmSteps = []struct {
+	name string
+	step func(t *testing.T, n int) func() *Result
+}{
+	{"overwrite", func(t *testing.T, n int) func() *Result {
+		_, step := warmCollection(t, n)
+		return step
+	}},
+	{"delete-reinsert", func(t *testing.T, n int) func() *Result {
+		c, _ := warmCollection(t, n)
+		return reinsertStep(t, c, n)
+	}},
+}
+
+// TestWarmResolveAllocsDeltaSized guards the warm path's size: one fixed
+// one-record mutation plus Resolve allocates about as many objects at 16k
+// records as at 4k, whether or not it moves positions. A path that
+// rebuilt anything per record or per pair would grow its allocation count
+// with the corpus.
+func TestWarmResolveAllocsDeltaSized(t *testing.T) {
+	for _, ws := range warmSteps {
+		t.Run(ws.name, func(t *testing.T) {
+			allocs := func(n int) float64 {
+				step := ws.step(t, n)
+				if d := step().Delta; d.ComponentsFused < 1 {
+					t.Fatalf("%d records: the mutation fused no component", n)
+				}
+				return testing.AllocsPerRun(10, func() { step() })
+			}
+			small, large := allocs(4000), allocs(16000)
+			t.Logf("allocs per mutation+resolve: %.0f at 4k records, %.0f at 16k", small, large)
+			if large > 1.5*small {
+				t.Fatalf("warm resolve allocations grow with the corpus: %.0f at 4k, %.0f at 16k records", small, large)
+			}
+		})
+	}
+}
+
+// TestWarmResolveBytesDeltaSized is the byte-sized twin of the count gate,
+// over the same two mutations.
 // A warm resolve must hand the caller fresh IDs, Clusters, Probabilities
 // and Matches, which are as large as the collection; every other byte it
 // allocates, scratch included, must not grow with the corpus. Clustering
@@ -649,32 +697,94 @@ func TestWarmResolveBytesDeltaSized(t *testing.T) {
 		}
 		return n + allocSize(uintptr(members)*unsafe.Sizeof(0))
 	}
-	rest := func(n int) float64 {
-		_, step := warmCollection(t, n)
-		if d := step().Delta; d.ComponentsFused < 1 {
-			t.Fatalf("%d records: the overwrite fused no component", n)
-		}
-		const runs = 20
-		results := make([]*Result, 0, runs)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for range runs {
-			results = append(results, step())
-		}
-		runtime.ReadMemStats(&after)
-		var ownedBytes uint64
-		for _, res := range results {
-			ownedBytes += owned(res)
-		}
-		total := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%d records: %d bytes per overwrite+resolve, %d of them caller-owned",
-			n, total/runs, ownedBytes/runs)
-		return float64(total-ownedBytes) / runs
+	for _, ws := range warmSteps {
+		t.Run(ws.name, func(t *testing.T) {
+			rest := func(n int) float64 {
+				step := ws.step(t, n)
+				if d := step().Delta; d.ComponentsFused < 1 {
+					t.Fatalf("%d records: the mutation fused no component", n)
+				}
+				const runs = 20
+				results := make([]*Result, 0, runs)
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for range runs {
+					results = append(results, step())
+				}
+				runtime.ReadMemStats(&after)
+				var ownedBytes uint64
+				for _, res := range results {
+					ownedBytes += owned(res)
+				}
+				total := after.TotalAlloc - before.TotalAlloc
+				t.Logf("%d records: %d bytes per mutation+resolve, %d of them caller-owned",
+					n, total/runs, ownedBytes/runs)
+				return float64(total-ownedBytes) / runs
+			}
+			small, large := rest(4000), rest(16000)
+			t.Logf("bytes per mutation+resolve beyond the caller-owned result: %.0f at 4k records, %.0f at 16k", small, large)
+			if large > 1.5*small {
+				t.Fatalf("warm resolve bytes beyond the result grow with the corpus: %.0f at 4k, %.0f at 16k records", small, large)
+			}
+		})
 	}
-	small, large := rest(4000), rest(16000)
-	t.Logf("bytes per overwrite+resolve beyond the caller-owned result: %.0f at 4k records, %.0f at 16k", small, large)
-	if large > 1.5*small {
-		t.Fatalf("warm resolve bytes beyond the result grow with the corpus: %.0f at 4k, %.0f at 16k records", small, large)
+}
+
+// warmWork is what a warm resolve did per record or per pair beyond
+// filling the caller's result: positions it refreshed, component slots it
+// looked up by record handle (the committed pairs' drop test reads none,
+// as each pair carries its slot), matches whose ground truth it looked
+// up, and committed cluster members whose position it looked up by handle.
+type warmWork struct {
+	positions, slotLookups, labelled, memberLookups int64
+}
+
+func (c *Collection) work() warmWork {
+	rw := c.ix.ResidentWork()
+	return warmWork{rw.PositionsRefreshed, rw.SlotLookups, c.labelled, c.layout.Lookups()}
+}
+
+// TestWarmResolveWorkDeltaSized counts the work of one overwrite plus
+// Resolve at 4k and 16k records. The overwrite moves no position and
+// touches the same component at both sizes, so every count must be equal
+// at both and bounded by that component: a resolve that refreshed every
+// position, tested every committed pair's component through a per-record
+// array, re-labelled every match or walked every committed cluster member
+// would scale with the collection.
+func TestWarmResolveWorkDeltaSized(t *testing.T) {
+	const bound = 64
+	work := func(n int) warmWork {
+		c, step := warmCollection(t, n)
+		step()
+		before := c.work()
+		if d := step().Delta; d.ComponentsFused != 1 {
+			t.Fatalf("%d records: the overwrite fused %d components, want 1", n, d.ComponentsFused)
+		}
+		after := c.work()
+		return warmWork{
+			after.positions - before.positions,
+			after.slotLookups - before.slotLookups,
+			after.labelled - before.labelled,
+			after.memberLookups - before.memberLookups,
+		}
+	}
+	small, large := work(4000), work(16000)
+	t.Logf("work per overwrite+resolve at 4k records %+v, at 16k %+v", small, large)
+	if small != large {
+		t.Fatalf("warm resolve work differs between 4k and 16k records: %+v vs %+v", small, large)
+	}
+	for _, w := range []struct {
+		what string
+		n    int64
+	}{
+		{"positions refreshed", large.positions},
+		{"slots looked up by record", large.slotLookups},
+		{"matches re-labelled", large.labelled},
+		{"cluster members looked up", large.memberLookups},
+	} {
+		if w.n > bound {
+			t.Errorf("%s: %d per overwrite, want at most %d", w.what, w.n, bound)
+		}
 	}
 }

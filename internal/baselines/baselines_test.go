@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -47,8 +48,8 @@ func TestPageRankHubGetsMoreSalience(t *testing.T) {
 	c, _ := setup("hub aa", "hub bb", "hub cc", "hub dd")
 	tg := graph.NewTermGraph(c, 2)
 	s := PageRank(tg, DefaultPageRankOptions())
-	hub := c.Index["hub"]
-	for term, id := range c.Index {
+	hub := termID(c, "hub")
+	for id, term := range c.Terms {
 		if term == "hub" {
 			continue
 		}
@@ -63,7 +64,7 @@ func TestPageRankIsolatedTermBaseSalience(t *testing.T) {
 	tg := graph.NewTermGraph(c, 2)
 	opts := DefaultPageRankOptions()
 	s := PageRank(tg, opts)
-	solo := c.Index["solo"]
+	solo := termID(c, "solo")
 	if math.Abs(s[solo]-(1-opts.Damping)) > 1e-9 {
 		t.Errorf("isolated salience = %g, want %g", s[solo], 1-opts.Damping)
 	}
@@ -228,7 +229,7 @@ func TestBiRankConverges(t *testing.T) {
 		}
 	}
 	// The hub term occurring in 3 records must outrank a df-1 term.
-	if termRank[c.Index["common"]] <= termRank[c.Index["ee"]] {
+	if termRank[termID(c, "common")] <= termRank[termID(c, "ee")] {
 		t.Error("frequent term must receive more BiRank mass")
 	}
 }
@@ -273,4 +274,13 @@ func TestBiRankDampingZeroReturnsQueryVector(t *testing.T) {
 			t.Errorf("alpha=0 termRank[%d] = %g, want uniform %g", i, v, want)
 		}
 	}
+}
+
+// termID returns a kept term's ID by binary search over the corpus's
+// ascending Terms, or -1 when the corpus does not keep it.
+func termID(c *textproc.Corpus, term string) int {
+	if id, ok := slices.BinarySearch(c.Terms, term); ok {
+		return id
+	}
+	return -1
 }

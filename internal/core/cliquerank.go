@@ -22,7 +22,9 @@ import (
 // on sparse graphs each step costs Σ_i deg(i)² sparse-dot operations
 // instead of n³ (matrix.MaskPlan), while near-complete graphs, where the
 // two counts meet, run dense (see selectChain). This replaces
-// the Eigen-based dense products of the original implementation.
+// the Eigen-based dense products of the original implementation. The
+// chain stops early once every step-sum has reached 1, which the clamp
+// makes final (rankWork.saturated).
 //
 // The returned slice is aligned with the candidate pairs; dropped pairs get
 // probability 0.
@@ -102,6 +104,9 @@ type rankWork struct {
 	iter    [2]matrix.PatVec
 	at      matrix.PatVec
 	dense   denseChain
+	// full runs every power of the chain, past saturation; only the tests
+	// set it, to hold the saturation stop to the whole chain.
+	full bool
 
 	rowFn, mulFn, addFn, readFn func(lo, hi int)
 }
@@ -330,7 +335,7 @@ func (ws *rankWork) sparseChain(merge bool) {
 		// One poll per matrix power: each masked product is the
 		// expensive unit of work, so a canceled run gives up at most one
 		// power of latency.
-		if opts.Check.Err() != nil {
+		if opts.Check.Err() != nil || ws.saturated() {
 			break
 		}
 		if ws.plan != nil {
@@ -352,6 +357,22 @@ func (ws *rankWork) sparseChain(merge bool) {
 	ar.putF64(ws.iter[1].Val)
 }
 
+// saturated reports whether every step-sum in acc has reached 1, so the
+// chain can stop without changing a bit: every later power adds
+// non-negative terms, and the readout clamps each direction at 1. A NaN
+// counts as unsaturated. The scan stops at the first unsaturated slot.
+func (ws *rankWork) saturated() bool {
+	if ws.full {
+		return false
+	}
+	for _, v := range ws.acc.Val {
+		if !(v >= 1) {
+			return false
+		}
+	}
+	return true
+}
+
 // mulRange computes slots [lo, hi) of the next power through the plan.
 func (ws *rankWork) mulRange(lo, hi int) { ws.plan.MulRangeInto(ws.next, &ws.mt, ws.a, lo, hi) }
 
@@ -371,7 +392,7 @@ func (ws *rankWork) denseChain(masked bool) {
 	c.init(&ws.mt, ws.mb, &ws.acc, masked, ws.ar)
 	for step := 2; step <= ws.opts.Steps; step++ {
 		// One poll per matrix power, as in the sparse chain.
-		if ws.opts.Check.Err() != nil {
+		if ws.opts.Check.Err() != nil || ws.saturated() {
 			break
 		}
 		c.step(ws.opts.Workers)

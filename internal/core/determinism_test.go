@@ -569,3 +569,75 @@ func checkRankReuse(t *testing.T, g *index.Graph, dropped []int32, ring int32, b
 		t.Fatalf("after Finish the plan budget is %d, want %d", got, budget)
 	}
 }
+
+// cliqueRankFull is cliqueRank with every power of the chain computed, the
+// reference the saturation stop is held to.
+func cliqueRankFull(rg *RecordGraph, opts Options, p []float64, kernel chainKernel) {
+	ws := rg.arena.rankWork()
+	ws.full = true
+	ws.rank(rg, opts, p, kernel)
+	ws.forget()
+}
+
+// TestCliqueRankSaturationStopBitIdentical holds the chain's stop at
+// saturation to a chain that runs every power: on cliques whose step-sums
+// all pass 1 within a few steps, on graphs that never saturate, with and
+// without the bonus and the mask, and at an α whose bonus overflows to
+// NaN, every kernel must give the full chain's bits. It also checks that
+// some case saturates before its last step, so the stop is exercised.
+func TestCliqueRankSaturationStopBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	early := 0
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges int
+		alpha float64
+	}{
+		{"pair", 2, 1, 20},
+		{"clique5", 5, 10, 20},
+		{"clique5-flat", 5, 10, 0.25},
+		{"n12-dense", 12, 60, 1},
+		{"n16-sparse", 16, 30, 20},
+		{"n40-half", 40, 390, 20},
+		{"clique8-overflow", 8, 28, 2000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rg := shapeGraph(rng, tc.n, tc.edges)
+			for _, variant := range []struct {
+				name                      string
+				disableBonus, disableMask bool
+			}{{"default", false, false}, {"no-bonus", true, false}, {"unmasked", false, true}} {
+				opts := DefaultOptions()
+				opts.Alpha = tc.alpha
+				opts.DisableBonus = variant.disableBonus
+				opts.DisableMask = variant.disableMask
+				for _, k := range []chainKernel{chainDense, chainPlan, chainMerge} {
+					for _, w := range []int{1, 2} {
+						opts.Workers = w
+						want := make([]float64, len(rg.PairSlot))
+						got := make([]float64, len(rg.PairSlot))
+						cliqueRankFull(rg, opts, want, k)
+						cliqueRank(rg, opts, got, k)
+						bitsEqual(t, fmt.Sprintf("%s, kernel %d, workers %d", variant.name, k, w), want, got)
+					}
+				}
+				// The fewest powers whose full chain clamps every pair
+				// at 1 in both directions: from there on acc is saturated.
+				opts.Workers = 1
+				p := make([]float64, len(rg.PairSlot))
+				for steps := 1; steps < DefaultOptions().Steps; steps++ {
+					opts.Steps = steps
+					cliqueRankFull(rg, opts, p, chainPlan)
+					if !slices.ContainsFunc(p, func(v float64) bool { return v != 1 }) {
+						early++
+						break
+					}
+				}
+			}
+		})
+	}
+	if early == 0 {
+		t.Fatal("no case saturated before its last power; the stop is untested")
+	}
+}

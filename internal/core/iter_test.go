@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -73,8 +74,8 @@ func TestRunITERWeightsBounded(t *testing.T) {
 func TestRunITERDiscriminativeTermsWin(t *testing.T) {
 	c, g := setup(craftedTexts...)
 	res := RunITER(g, onesP(g), DefaultOptions(), rand.New(rand.NewSource(3)))
-	model1 := res.X[c.Index["model1"]]
-	common := res.X[c.Index["product"]]
+	model1 := res.X[termID(c, "model1")]
+	common := res.X[termID(c, "product")]
 	if model1 <= common {
 		t.Errorf("discriminative term weight %g must exceed stop-word weight %g", model1, common)
 	}
@@ -94,8 +95,8 @@ func TestRunITERWithoutDenominatorFavorsCommonTerms(t *testing.T) {
 	opts := DefaultOptions()
 	opts.DisableDenominator = true
 	res := RunITER(g, onesP(g), opts, rand.New(rand.NewSource(3)))
-	model1 := res.X[c.Index["model1"]]
-	common := res.X[c.Index["product"]]
+	model1 := res.X[termID(c, "model1")]
+	common := res.X[termID(c, "product")]
 	if common <= model1 {
 		t.Errorf("without the P_t denominator the frequent term (%g) should dominate the rare one (%g)", common, model1)
 	}
@@ -116,7 +117,7 @@ func TestRunITERPairProbabilityGatesPropagation(t *testing.T) {
 		}
 	}
 	gated := RunITER(g, p, DefaultOptions(), rng)
-	common := c.Index["product"]
+	common := termID(c, "product")
 	if gated.X[common] >= uniform.X[common] {
 		t.Errorf("zeroing non-matching pairs must reduce stop-word weight: %g -> %g",
 			uniform.X[common], gated.X[common])
@@ -222,7 +223,7 @@ func TestRunITERL2Normalization(t *testing.T) {
 		t.Errorf("L2 norm of weights = %g, want 1", math.Sqrt(norm))
 	}
 	// The discriminative-vs-common ordering must be normalization-invariant.
-	if res.X[c.Index["model1"]] <= res.X[c.Index["product"]] {
+	if res.X[termID(c, "model1")] <= res.X[termID(c, "product")] {
 		t.Error("L2 normalization must preserve term ordering")
 	}
 	if res.Iterations >= opts.ITERMaxIters {
@@ -268,4 +269,13 @@ func iterMatrixStep(g *index.Graph, p, x []float64) (xNext, y []float64) {
 		xNext[t] = xNext[t] / (1 + xNext[t])
 	}
 	return xNext, y
+}
+
+// termID returns a kept term's ID by binary search over the corpus's
+// ascending Terms, or -1 when the corpus does not keep it.
+func termID(c *textproc.Corpus, term string) int {
+	if id, ok := slices.BinarySearch(c.Terms, term); ok {
+		return id
+	}
+	return -1
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -201,17 +202,17 @@ func TestTermScores(t *testing.T) {
 	// ground truth: records 0 and 1 match.
 	truth := map[uint64]bool{index.Key(0, 1): true}
 	scores := TermScores(g, truth)
-	bb := c.Index["bb"]
+	bb := termID(c, "bb")
 	// bb connects only (0,1), a match: score 1.
 	if scores[bb] != 1 {
 		t.Errorf("score(bb) = %g, want 1", scores[bb])
 	}
-	aa := c.Index["aa"]
+	aa := termID(c, "aa")
 	// aa connects (0,1) match, (0,2) and (1,2) non-match: 1/3.
 	if math.Abs(scores[aa]-1.0/3) > 1e-12 {
 		t.Errorf("score(aa) = %g, want 1/3", scores[aa])
 	}
-	dd := c.Index["dd"]
+	dd := termID(c, "dd")
 	if scores[dd] != -1 {
 		t.Errorf("score(dd) = %g, want -1 (no pairs)", scores[dd])
 	}
@@ -378,4 +379,13 @@ func TestPRCurveBestF1MatchesExhaustiveSweep(t *testing.T) {
 			t.Fatalf("trial %d: curve best F1 %g != exhaustive %g", trial, best, exhaustive)
 		}
 	}
+}
+
+// termID returns a kept term's ID by binary search over the corpus's
+// ascending Terms, or -1 when the corpus does not keep it.
+func termID(c *textproc.Corpus, term string) int {
+	if id, ok := slices.BinarySearch(c.Terms, term); ok {
+		return id
+	}
+	return -1
 }

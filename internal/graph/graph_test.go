@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/textproc"
@@ -107,7 +108,7 @@ func TestTermGraphSymmetricNoSelfLoops(t *testing.T) {
 		}
 	}
 	// "ee" appears alone in its record and never co-occurs.
-	ee := c.Index["ee"]
+	ee := termID(c, "ee")
 	if g.Degree(ee) != 0 {
 		t.Errorf("isolated term has degree %d", g.Degree(ee))
 	}
@@ -122,4 +123,13 @@ func TestTermGraphRepeatedTokenNoSelfEdge(t *testing.T) {
 	if g.NumEdges() != 0 {
 		t.Errorf("repeated token produced %d edges, want 0", g.NumEdges())
 	}
+}
+
+// termID returns a kept term's ID by binary search over the corpus's
+// ascending Terms, or -1 when the corpus does not keep it.
+func termID(c *textproc.Corpus, term string) int {
+	if id, ok := slices.BinarySearch(c.Terms, term); ok {
+		return id
+	}
+	return -1
 }

@@ -56,7 +56,7 @@ func TestBuildSingleSource(t *testing.T) {
 	if _, ok := pairID(g, 0, 2); ok {
 		t.Error("pair (0,2) must not be a candidate (no shared term)")
 	}
-	sony := c.Index["sony"]
+	sony := termID(c, "sony")
 	if g.Pt(sony) != 1 {
 		t.Errorf("Pt(sony) = %d, want 1", g.Pt(sony))
 	}
@@ -90,7 +90,7 @@ func TestBuildCrossSourceOnly(t *testing.T) {
 	if g.NumPairs() != 2 {
 		t.Errorf("NumPairs = %d, want 2", g.NumPairs())
 	}
-	x100 := c.Index["x100"]
+	x100 := termID(c, "x100")
 	if g.Pt(x100) != 1 {
 		t.Errorf("Pt(x100) = %d, want 1", g.Pt(x100))
 	}
@@ -109,7 +109,7 @@ func TestBuildMaxTermRecordsCap(t *testing.T) {
 	if g.NumPairs() != 2 {
 		t.Fatalf("NumPairs = %d, want 2", g.NumPairs())
 	}
-	common := c.Index["common"]
+	common := termID(c, "common")
 	if g.Pt(common) != 0 {
 		t.Errorf("capped term still has Pt = %d", g.Pt(common))
 	}
@@ -318,4 +318,13 @@ func TestTruncate(t *testing.T) {
 	if Truncate(g, g.NumPairs()) != g {
 		t.Error("within-budget Truncate must be the identity")
 	}
+}
+
+// termID returns a kept term's ID by binary search over the corpus's
+// ascending Terms, or -1 when the corpus does not keep it.
+func termID(c *textproc.Corpus, term string) int {
+	if id, ok := slices.BinarySearch(c.Terms, term); ok {
+		return id
+	}
+	return -1
 }

@@ -107,10 +107,12 @@ type Index struct {
 	// work counter the upsert-scope test reads.
 	rowsDerived int64
 
-	// Live record handles in ascending external-ID order. An insert only
-	// queues its handle in orderNew; syncOrder splices the queue in before
-	// order is read, with orderAt as its insertion-point scratch.
+	// Live record handles in ascending external-ID order, and ids their
+	// external IDs, spliced together. An insert only queues its handle in
+	// orderNew; syncOrder splices the queue in before order is read, with
+	// orderAt and idsNew as its scratch.
 	order, orderNew, orderAt []int32
+	ids, idsNew              []string
 
 	// Touched-record bookkeeping: dirty lists, without duplicates, the
 	// handles (live or freed) of every record whose candidate row a
@@ -585,15 +587,19 @@ func (ix *Index) syncOrder() {
 		return
 	}
 	slices.SortFunc(q, func(a, b int32) int { return strings.Compare(ix.extID[a], ix.extID[b]) })
-	at := ix.orderAt[:0]
+	at, qIDs := ix.orderAt[:0], ix.idsNew[:0]
 	for _, rid := range q {
 		at = append(at, int32(ix.orderSearch(ix.extID[rid])))
+		qIDs = append(qIDs, ix.extID[rid])
 	}
 	ix.order = Splice(ix.order, nil, q, at)
+	ix.ids = Splice(ix.ids, nil, qIDs, at)
+	ix.res.shift = min(ix.res.shift, int(at[0]))
+	clear(qIDs)
 	if len(q) > 1<<10 {
-		q, at = nil, nil // a bulk load's queue is not worth keeping as scratch
+		q, at, qIDs = nil, nil, nil // a bulk load's queue is not worth keeping as scratch
 	}
-	ix.orderNew, ix.orderAt = q[:0], at[:0]
+	ix.orderNew, ix.orderAt, ix.idsNew = q[:0], at[:0], qIDs[:0]
 }
 
 // orderRemove drops a live external ID from the record order.
@@ -601,6 +607,8 @@ func (ix *Index) orderRemove(id string) {
 	ix.syncOrder()
 	at := ix.orderSearch(id)
 	ix.order = slices.Delete(ix.order, at, at+1)
+	ix.ids = slices.Delete(ix.ids, at, at+1)
+	ix.res.shift = min(ix.res.shift, at)
 }
 
 // postingAdd inserts rid into a term's posting list (kept sorted) and

@@ -60,14 +60,6 @@ func requireCorporaEqual(t *testing.T, want, got *textproc.Corpus) {
 			t.Fatalf("seqs[%d] mismatch: want %v, got %v", i, want.Seqs[i], got.Seqs[i])
 		}
 	}
-	if len(want.Index) != len(got.Index) {
-		t.Fatalf("index size mismatch: want %d, got %d", len(want.Index), len(got.Index))
-	}
-	for s, d := range want.Index {
-		if got.Index[s] != d {
-			t.Fatalf("index[%q] mismatch: want %d, got %d", s, d, got.Index[s])
-		}
-	}
 }
 
 // TestIncrementalMatchesBatch drives random upsert/delete/replace sequences

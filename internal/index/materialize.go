@@ -100,15 +100,8 @@ func (ix *Index) Materialize() *View {
 		denseDF = append(denseDF, int(f))
 		eligible = append(eligible, ix.eligAt(iid, f, maxDF))
 	}
-	nt := len(surfaces)
-	index := make(map[string]int, nt)
-	for dense, surface := range surfaces {
-		index[surface] = dense
-	}
-
 	c := &textproc.Corpus{
 		Terms: surfaces,
-		Index: index,
 		Docs:  make([][]int32, n),
 		Seqs:  make([][]int32, n),
 		DF:    denseDF,

@@ -44,6 +44,11 @@ type resident struct {
 	// comps is the number of committed components.
 	comps int
 
+	// shift is the first record position an insert or delete moved since
+	// the last commit: every earlier position holds the record it held
+	// then. Pending refreshes pos from there on.
+	shift int
+
 	// commits counts Commits, and pendings the Pendings made.
 	commits, pendings uint64
 
@@ -53,13 +58,27 @@ type resident struct {
 	dead      []bool
 	deadSlots []int32
 	deadGen   uint64
+
+	// work counts the per-record work Pendings have done.
+	work ResidentWork
 }
 
+// ResidentWork counts the per-record work of the resident path: the
+// record positions Pending refreshed, and the component slots it looked
+// up by record handle. A mutation that moves no position and touches k
+// records costs 0 and k, however large the index.
+type ResidentWork struct {
+	PositionsRefreshed, SlotLookups int64
+}
+
+// ResidentWork returns the resident path's work counters so far.
+func (ix *Index) ResidentWork() ResidentWork { return ix.res.work }
+
 // orderedPair is one pair of the global order: its record handles (a the
-// smaller external ID) and the interned ID of its first eligible shared
-// term in lexicographic order.
+// smaller external ID), the interned ID of its first eligible shared term
+// in lexicographic order, and the slot of the component holding it.
 type orderedPair struct {
-	a, b, t int32
+	a, b, t, slot int32
 }
 
 // PendingComponent is one candidate-graph component that holds a record
@@ -90,6 +109,10 @@ type Pending struct {
 	// Handles maps position to record handle, and Pos record handle to
 	// position. Both alias the index.
 	Handles, Pos []int32
+	// Shift is the first position whose record an insert or delete moved
+	// since the last commit: every earlier position holds the record it
+	// held then. It is len(IDs) when nothing moved.
+	Shift int
 	// Touched counts the records touched since the last commit, including
 	// deleted ones.
 	Touched int
@@ -116,22 +139,26 @@ type Pending struct {
 
 // Pending expands the records touched since the last commit to the
 // components that now hold them and assigns each a slot. It changes no
-// state the index keeps.
+// state the index keeps but its position scratch, which it refreshes from
+// the first position an insert or delete moved: an overwrite moves none.
 func (ix *Index) Pending() *Pending {
 	ix.syncOrder()
+	res := &ix.res
 	n := len(ix.order)
 	ix.pos = Grow(ix.pos, len(ix.extID))
-	ix.res.pendings++
+	shift := min(res.shift, n)
+	for p := shift; p < n; p++ {
+		ix.pos[ix.order[p]] = int32(p)
+	}
+	res.work.PositionsRefreshed += int64(n - shift)
+	res.pendings++
 	pd := &Pending{
-		ix: ix, seq: ix.seq, gen: ix.res.pendings, base: ix.res.commits,
-		IDs: make([]string, n), Handles: ix.order, Pos: ix.pos, Touched: len(ix.dirty),
+		ix: ix, seq: ix.seq, gen: res.pendings, base: res.commits,
+		IDs: slices.Clone(ix.ids), Handles: ix.order, Pos: ix.pos, Shift: shift, Touched: len(ix.dirty),
 	}
-	for p, rid := range ix.order {
-		ix.pos[rid] = int32(p)
-		pd.IDs[p] = ix.extID[rid]
-	}
+	res.work.SlotLookups += int64(len(ix.dirty))
 	for _, r := range ix.dirty {
-		if s := ix.res.compOf[r]; s >= 0 {
+		if s := res.compOf[r]; s >= 0 {
 			pd.Dissolved = append(pd.Dissolved, s)
 		}
 	}
@@ -180,8 +207,8 @@ func (ix *Index) Pending() *Pending {
 
 	// Touched components take the dissolved slots first, then free ones,
 	// then fresh ones.
-	avail := append(slices.Clone(pd.Dissolved), ix.res.free...)
-	slots := ix.res.slots
+	avail := append(slices.Clone(pd.Dissolved), res.free...)
+	slots := res.slots
 	for ci := range pd.Comps {
 		if ci < len(avail) {
 			pd.Comps[ci].Slot = avail[ci]
@@ -192,7 +219,7 @@ func (ix *Index) Pending() *Pending {
 	}
 	pd.free = avail[min(len(pd.Comps), len(avail)):]
 	pd.Slots = int(slots)
-	pd.Components = ix.res.comps - len(pd.Dissolved) + len(pd.Comps)
+	pd.Components = res.comps - len(pd.Dissolved) + len(pd.Comps)
 	return pd
 }
 
@@ -209,15 +236,16 @@ func (pd *Pending) Materialize() {
 	var fresh []orderedPair
 	for ci := range pd.Comps {
 		c := &pd.Comps[ci]
-		c.Graph = ix.localize(c.Records, maxDF, &fresh)
+		c.Graph = ix.localize(c.Records, c.Slot, maxDF, &fresh)
 	}
 	pd.place(fresh)
 	pd.ready = true
 }
 
 // localize builds one component's local graph from the rows and appends
-// its pairs to fresh in local pair order.
-func (ix *Index) localize(recs []int32, maxDF int32, fresh *[]orderedPair) *Graph {
+// its pairs, tagged with the component's slot, to fresh in local pair
+// order.
+func (ix *Index) localize(recs []int32, slot, maxDF int32, fresh *[]orderedPair) *Graph {
 	rank := ix.rankOf
 	var pairs []Pair
 	var ends []int32 // pair k's eligible shared terms are shared[ends[k-1]:ends[k]]
@@ -257,7 +285,7 @@ func (ix *Index) localize(recs []int32, maxDF int32, fresh *[]orderedPair) *Grap
 	g := NewGraph(len(recs), len(terms), pairs, lists)
 	for id, pr := range g.Pairs {
 		first := terms[g.PairTerms[g.PairTermPtr[id]]]
-		*fresh = append(*fresh, orderedPair{a: ix.order[recs[pr.I]], b: ix.order[recs[pr.J]], t: first})
+		*fresh = append(*fresh, orderedPair{a: ix.order[recs[pr.I]], b: ix.order[recs[pr.J]], t: first, slot: slot})
 	}
 	return g
 }
@@ -355,8 +383,7 @@ func (pd *Pending) markDead() {
 
 // dropped reports whether a committed pair's component was dissolved.
 func (pd *Pending) dropped(op orderedPair) bool {
-	res := &pd.ix.res
-	return res.dead[res.compOf[op.a]]
+	return pd.ix.res.dead[op.slot]
 }
 
 // Each calls fn for every pair of the global order, in order, with its
@@ -405,13 +432,12 @@ func Splice[T any](s []T, drop func(T) bool, ins []T, at []int32) []T {
 	}
 	s = GrowSlack(s[:kept], kept+len(ins))
 	r, w := kept, len(s)
-	//lint:ignore guardloop moves each kept element once; a Commit that must not stop halfway
+	// Each run of kept elements between two insertion points moves in one
+	// copy.
 	for f := len(ins) - 1; f >= 0; f-- {
-		for ; r > int(at[f]); r-- {
-			w--
-			s[w] = s[r-1]
-		}
-		w--
+		k := r - int(at[f])
+		copy(s[w-k:w], s[r-k:r])
+		r, w = r-k, w-k-1
 		s[w] = ins[f]
 	}
 	return s
@@ -464,6 +490,7 @@ func (ix *Index) Commit(pd *Pending) bool {
 	res.slots = int32(pd.Slots)
 	res.free = pd.free
 	res.comps = pd.Components
+	res.shift = len(ix.order)
 	ix.dirty = nil
 	return true
 }

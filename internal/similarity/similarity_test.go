@@ -3,6 +3,7 @@ package similarity
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -105,7 +106,7 @@ func TestTFIDFIDFOrdering(t *testing.T) {
 	// df(common)=4 > df(rare)=2, so idf(rare) > idf(common).
 	c, _ := setup("common rare", "common rare", "common x1", "common x2")
 	m := NewTFIDF(c)
-	common, rare := c.Index["common"], c.Index["rare"]
+	common, rare := termID(c, "common"), termID(c, "rare")
 	if m.idf[rare] <= m.idf[common] {
 		t.Errorf("idf(rare)=%g must exceed idf(common)=%g", m.idf[rare], m.idf[common])
 	}
@@ -225,4 +226,13 @@ func TestMongeElkanScoresSymmetric(t *testing.T) {
 	if scores[id] <= 0.7 || scores[id] > 1 {
 		t.Errorf("MongeElkan score = %g, want in (0.7, 1]", scores[id])
 	}
+}
+
+// termID returns a kept term's ID by binary search over the corpus's
+// ascending Terms, or -1 when the corpus does not keep it.
+func termID(c *textproc.Corpus, term string) int {
+	if id, ok := slices.BinarySearch(c.Terms, term); ok {
+		return id
+	}
+	return -1
 }

@@ -11,10 +11,9 @@ import (
 // term-ID sets. All downstream graph models (bipartite term/pair graph,
 // record graph, term co-occurrence graph) are built from a Corpus.
 type Corpus struct {
-	// Terms maps term ID to surface form.
+	// Terms maps term ID to surface form. It is strictly ascending, so a
+	// binary search over it finds a surface form's ID.
 	Terms []string
-	// Index maps surface form to term ID.
-	Index map[string]int
 	// Docs holds, per record, the sorted set of term IDs it contains.
 	Docs [][]int32
 	// Seqs holds, per record, the original token-ID sequence (with
@@ -64,10 +63,9 @@ func DefaultCorpusOptions() CorpusOptions {
 // therefore holds its chunks' token bytes, about the size of the texts
 // themselves). Document
 // frequencies count in a slice, deduplicated within a record by a
-// last-seen stamp. The kept IDs are then sorted by surface form, one remap
-// table rewrites every sequence, and the interning map itself becomes
-// Index. Seqs and Docs are cap-limited windows of two shared backing
-// arrays.
+// last-seen stamp. The kept IDs are then sorted by surface form and one
+// remap table rewrites every sequence. Seqs and Docs are cap-limited
+// windows of two shared backing arrays.
 func BuildCorpus(texts []string, opts CorpusOptions) *Corpus {
 	const chunkBytes = 64 << 10
 	n := len(texts)
@@ -138,7 +136,6 @@ func BuildCorpus(texts []string, opts CorpusOptions) *Corpus {
 
 	c := &Corpus{
 		Terms: make([]string, len(kept)),
-		Index: index,
 		Docs:  make([][]int32, n),
 		Seqs:  make([][]int32, n),
 		DF:    make([]int, len(kept)),
@@ -151,13 +148,6 @@ func BuildCorpus(texts []string, opts CorpusOptions) *Corpus {
 		remap[from] = int32(to)
 		c.Terms[to] = surfaces[from]
 		c.DF[to] = int(df[from])
-	}
-	for surface, id := range index {
-		if to := remap[id]; to < 0 {
-			delete(index, surface)
-		} else {
-			index[surface] = int(to)
-		}
 	}
 
 	// Rewrite the sequences in place, dropping filtered terms, then derive
@@ -233,10 +223,10 @@ func IntersectCount(a, b []int32) int {
 }
 
 // Validate checks the whole corpus contract and returns an error describing
-// the first violation found: Terms strictly ascending, Index exactly the
-// inverse of Terms, every Seqs ID in range, each Docs entry the sorted
-// distinct IDs of its Seqs entry, and DF the document frequencies of Docs.
-// The tests hold every corpus they build to it.
+// the first violation found: Terms strictly ascending, every Seqs ID in
+// range, each Docs entry the sorted distinct IDs of its Seqs entry, and DF
+// the document frequencies of Docs. The tests hold every corpus they build
+// to it.
 func (c *Corpus) Validate() error {
 	if len(c.Terms) != len(c.DF) {
 		return fmt.Errorf("textproc: %d terms but %d df entries", len(c.Terms), len(c.DF))
@@ -248,12 +238,6 @@ func (c *Corpus) Validate() error {
 		if id > 0 && c.Terms[id-1] >= t {
 			return fmt.Errorf("textproc: terms not strictly ascending at %d (%q)", id, t)
 		}
-		if got, ok := c.Index[t]; !ok || got != id {
-			return fmt.Errorf("textproc: Index[%q] = %d, %v; want %d", t, got, ok, id)
-		}
-	}
-	if len(c.Index) != len(c.Terms) {
-		return fmt.Errorf("textproc: index has %d entries for %d terms", len(c.Index), len(c.Terms))
 	}
 	var set []int32
 	for i, seq := range c.Seqs {

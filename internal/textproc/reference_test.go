@@ -2,7 +2,6 @@ package textproc_test
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -58,7 +57,7 @@ func isAllDigits(s string) bool {
 }
 
 // refBuildCorpus is the corpus builder as first written: a token slice and
-// a UniqueTokens pass per record, a string-keyed df map, a second Index
+// a UniqueTokens pass per record, a string-keyed df map, a second map
 // lookup per token, and a per-record set and sort. BuildCorpus must
 // reproduce it field for field.
 func refBuildCorpus(texts []string, opts textproc.CorpusOptions) *textproc.Corpus {
@@ -99,19 +98,19 @@ func refBuildCorpus(texts []string, opts textproc.CorpusOptions) *textproc.Corpu
 
 	c := &textproc.Corpus{
 		Terms: kept,
-		Index: make(map[string]int, len(kept)),
 		Docs:  make([][]int32, n),
 		Seqs:  make([][]int32, n),
 		DF:    make([]int, len(kept)),
 	}
+	idOf := make(map[string]int, len(kept))
 	for id, t := range kept {
-		c.Index[t] = id
+		idOf[t] = id
 	}
 	for i, toks := range tokenized {
 		seq := make([]int32, 0, len(toks))
 		set := make(map[int32]struct{}, len(toks))
 		for _, t := range toks {
-			id, ok := c.Index[t]
+			id, ok := idOf[t]
 			if !ok {
 				continue
 			}
@@ -143,9 +142,6 @@ func corpusDiff(got, want *textproc.Corpus) string {
 	}
 	if !slices.Equal(got.DF, want.DF) {
 		return "DF differs"
-	}
-	if !maps.Equal(got.Index, want.Index) {
-		return "Index differs"
 	}
 	if len(got.Docs) != len(want.Docs) || len(got.Seqs) != len(want.Seqs) {
 		return fmt.Sprintf("%d docs, %d seqs; want %d, %d", len(got.Docs), len(got.Seqs), len(want.Docs), len(want.Seqs))

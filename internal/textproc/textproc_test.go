@@ -127,7 +127,7 @@ func TestBuildCorpus(t *testing.T) {
 	if c.NumRecords() != 3 {
 		t.Fatalf("NumRecords = %d, want 3", c.NumRecords())
 	}
-	id, ok := c.Index["sony"]
+	id, ok := slices.BinarySearch(c.Terms, "sony")
 	if !ok {
 		t.Fatal("term sony missing")
 	}
@@ -153,7 +153,7 @@ func TestBuildCorpusFrequentTermFilter(t *testing.T) {
 		Tokenize:   DefaultTokenizeOptions(),
 		MaxDFRatio: 0.5,
 	})
-	if _, ok := c.Index["common"]; ok {
+	if _, ok := slices.BinarySearch(c.Terms, "common"); ok {
 		t.Error("frequent term 'common' should have been removed")
 	}
 	if c.NumTerms() != 10 {
@@ -172,7 +172,7 @@ func TestBuildCorpusKeepsRareTerms(t *testing.T) {
 			t.Fatalf("opts %+v: terms = %q, want [aa bb cc]", opts, c.Terms)
 		}
 		for _, term := range []string{"bb", "cc"} {
-			if df := c.DF[c.Index[term]]; df != 1 {
+			if df := c.DF[termID(c, term)]; df != 1 {
 				t.Errorf("opts %+v: df(%s) = %d, want 1", opts, term, df)
 			}
 		}
@@ -248,11 +248,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		"doc order":        func(c *Corpus) { c.Docs[0][0], c.Docs[0][1] = c.Docs[0][1], c.Docs[0][0] },
 		"terms not ascending": func(c *Corpus) {
 			c.Terms[0], c.Terms[1] = c.Terms[1], c.Terms[0]
-			c.Index[c.Terms[0]], c.Index[c.Terms[1]] = 0, 1
 		},
-		"index wrong id": func(c *Corpus) { c.Index["aa"] = 1 },
-		"index missing":  func(c *Corpus) { delete(c.Index, "dd") },
-		"index extra":    func(c *Corpus) { c.Index["zz"] = 0 },
 	}
 	for name, corrupt := range corruptions {
 		c := build()
@@ -294,13 +290,22 @@ func TestBuildCorpusStopwords(t *testing.T) {
 			Stopwords: []string{"INC", "llc"},
 		},
 	)
-	if _, ok := c.Index["inc"]; ok {
+	if _, ok := slices.BinarySearch(c.Terms, "inc"); ok {
 		t.Error("stopword inc survived (case-insensitive match expected)")
 	}
-	if _, ok := c.Index["llc"]; ok {
+	if _, ok := slices.BinarySearch(c.Terms, "llc"); ok {
 		t.Error("stopword llc survived")
 	}
-	if _, ok := c.Index["acme"]; !ok {
+	if _, ok := slices.BinarySearch(c.Terms, "acme"); !ok {
 		t.Error("non-stopword removed")
 	}
+}
+
+// termID returns a kept term's ID by binary search over the corpus's
+// ascending Terms, or -1 when the corpus does not keep it.
+func termID(c *Corpus, term string) int {
+	if id, ok := slices.BinarySearch(c.Terms, term); ok {
+		return id
+	}
+	return -1
 }

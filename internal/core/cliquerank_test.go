@@ -60,8 +60,9 @@ func TestBuildRecordGraphStructure(t *testing.T) {
 		}
 	}
 	// Symmetric weights.
-	if rg.S.At(2, 3) != rg.S.At(3, 2) || rg.S.At(2, 3) != 0.2 {
-		t.Errorf("bridge weight %g/%g, want 0.2 both ways", rg.S.At(2, 3), rg.S.At(3, 2))
+	at := func(i, j int) float64 { return rg.S.Val[rg.Pattern.Slot(i, j)] }
+	if at(2, 3) != at(3, 2) || at(2, 3) != 0.2 {
+		t.Errorf("bridge weight %g/%g, want 0.2 both ways", at(2, 3), at(3, 2))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/textproc"
 )
@@ -35,17 +36,46 @@ func benchGraph(b *testing.B) (*textproc.Corpus, *index.Graph) {
 	return c, g
 }
 
+// batchShapedGraph is the candidate graph of the batch scale benchmark's
+// corpus: the 100k-record synthetic corpus (4k under -short), tokenized
+// and blocked with er's default options.
+func batchShapedGraph(b *testing.B) *index.Graph {
+	b.Helper()
+	records := 100000
+	if testing.Short() {
+		records = 4000
+	}
+	texts := dataset.GenSynthetic(dataset.SyntheticConfig{
+		Seed: 1, Records: records, DuplicateRate: 0.3, VocabSize: 50000,
+	}).Texts()
+	c := textproc.BuildCorpus(texts, textproc.CorpusOptions{
+		Tokenize: textproc.DefaultTokenizeOptions(), MaxDFRatio: 0.12,
+	})
+	g, err := index.BuildGraph(c, nil, index.BatchOptions{MinSharedTerms: 2, MinJaccard: 0.2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkRunITER times one ITER call with p = 1: on the small synthetic
+// graph, and on the batch-shaped graph, whose pairs carry 1–40 terms and
+// whose terms span up to thousands of pairs.
 func BenchmarkRunITER(b *testing.B) {
-	_, g := benchGraph(b)
-	p := make([]float64, g.NumPairs())
-	for i := range p {
-		p[i] = 1
+	run := func(b *testing.B, g *index.Graph) {
+		p := onesP(g)
+		opts := DefaultOptions()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			RunITER(g, p, opts, rand.New(rand.NewSource(1)))
+		}
 	}
-	opts := DefaultOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunITER(g, p, opts, rand.New(rand.NewSource(1)))
-	}
+	b.Run("small", func(b *testing.B) {
+		_, g := benchGraph(b)
+		run(b, g)
+	})
+	b.Run("batch", func(b *testing.B) { run(b, batchShapedGraph(b)) })
 }
 
 func BenchmarkCliqueRankSteps(b *testing.B) {

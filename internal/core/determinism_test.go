@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/guard"
 	"repro/internal/index"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
@@ -62,10 +65,11 @@ func TestITERBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// scatterITER is the reference for ITER's term → pair sweep: runITER with
-// the serial term-major scatter the per-pair gather replaced, for the
-// default bounded normalization. The convergence sum is folded as
-// runITER folds it, so the two agree bit for bit only if the sweeps do.
+// scatterITER is the reference for ITER's sweeps: the loop of Eq. 6–7
+// with the serial term-major scatter for term → pair and each term's own
+// TermPairs list for pair → term, under either normalization and with or
+// without the P_t denominator. The convergence sum is folded as runITER
+// folds it, so the two agree bit for bit only if the sweeps do.
 func scatterITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand) *ITERResult {
 	x := make([]float64, g.NumTerms)
 	var active []int32
@@ -88,6 +92,15 @@ func scatterITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand) *ITE
 		}
 	}
 	raw := make([]float64, len(active))
+	fold := func(term func(k int) float64) float64 {
+		return parallel.ReduceSum(1, len(active), func(lo, hi int) float64 {
+			var d float64
+			for k := lo; k < hi; k++ {
+				d += term(k)
+			}
+			return d
+		})
+	}
 	res := &ITERResult{X: x, S: s}
 	for iter := 0; iter < opts.ITERMaxIters; iter++ {
 		scatter()
@@ -96,15 +109,25 @@ func scatterITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand) *ITE
 			for _, pid := range g.TermPairs[t] {
 				acc += p[pid] * s[pid]
 			}
-			raw[k] = acc / float64(g.Pt(int(t)))
-		}
-		delta := parallel.ReduceSum(1, len(active), func(lo, hi int) float64 {
-			var d float64
-			for k := lo; k < hi; k++ {
-				nx := raw[k] / (1 + raw[k])
-				d += math.Abs(nx - x[active[k]])
-				x[active[k]] = nx
+			if !opts.DisableDenominator {
+				acc /= float64(g.Pt(int(t)))
 			}
+			raw[k] = acc
+		}
+		next := func(k int) float64 { return raw[k] / (1 + raw[k]) }
+		if opts.Normalization == NormL2 {
+			norm := math.Sqrt(fold(func(k int) float64 { return raw[k] * raw[k] }))
+			next = func(k int) float64 {
+				if norm > 0 {
+					return raw[k] / norm
+				}
+				return 0
+			}
+		}
+		delta := fold(func(k int) float64 {
+			nx := next(k)
+			d := math.Abs(nx - x[active[k]])
+			x[active[k]] = nx
 			return d
 		})
 		res.Updates = append(res.Updates, delta)
@@ -118,23 +141,141 @@ func scatterITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand) *ITE
 	return res
 }
 
-// TestITERGatherMatchesScatter asserts ITER's per-pair gather over the
-// pair→term transpose is bit-identical to the serial term-major scatter,
-// serially and fanned out.
-func TestITERGatherMatchesScatter(t *testing.T) {
-	_, g := productScaleGraph(t)
-	p := onesP(g)
-	opts := DefaultOptions()
-	want := scatterITER(g, p, opts, rand.New(rand.NewSource(5)))
-	for _, w := range []int{1, 2} {
-		opts.Workers = w
-		got := RunITER(g, p, opts, rand.New(rand.NewSource(5)))
-		bitsEqual(t, "X", want.X, got.X)
-		bitsEqual(t, "S", want.S, got.S)
-		bitsEqual(t, "Updates", want.Updates, got.Updates)
-		if got.Converged != want.Converged {
-			t.Fatalf("workers=%d: converged %v, scatter %v", w, got.Converged, want.Converged)
+// iterEqual fails unless got is want bit for bit.
+func iterEqual(t *testing.T, label string, want, got *ITERResult) {
+	t.Helper()
+	bitsEqual(t, label+" X", want.X, got.X)
+	bitsEqual(t, label+" S", want.S, got.S)
+	bitsEqual(t, label+" Updates", want.Updates, got.Updates)
+	if got.Iterations != want.Iterations || got.Converged != want.Converged {
+		t.Fatalf("%s: iterations %d/%v, want %d/%v",
+			label, got.Iterations, got.Converged, want.Iterations, want.Converged)
+	}
+}
+
+// skewedGraph is a random candidate graph shaped like a blocking graph's:
+// pairs with 1–40 terms, a few hot terms in 200+ pairs, and unused terms.
+func skewedGraph(rng *rand.Rand, records, pairs, terms int) *index.Graph {
+	seen := map[uint64]bool{}
+	var ps []index.Pair
+	for len(ps) < pairs {
+		i, j := int32(rng.Intn(records)), int32(rng.Intn(records))
+		if i == j || seen[index.Key(min(i, j), max(i, j))] {
+			continue
 		}
+		seen[index.Key(min(i, j), max(i, j))] = true
+		ps = append(ps, index.Pair{I: min(i, j), J: max(i, j)})
+	}
+	lists := make([][]int32, pairs)
+	for k := range lists {
+		set := map[int32]bool{}
+		for h := int32(0); h < 5; h++ {
+			if rng.Float64() < 0.09 {
+				set[h] = true
+			}
+		}
+		for want := 1 + rng.Intn(40); len(set) < want; {
+			// Squaring skews the draw toward low IDs; the top tenth of
+			// the IDs stays unused.
+			u := rng.Float64()
+			set[int32(u*u*float64(terms)*0.9)] = true
+		}
+		for t := range set {
+			lists[k] = append(lists[k], t)
+		}
+		slices.Sort(lists[k])
+	}
+	return index.NewGraph(records, terms, ps, lists)
+}
+
+// TestITERBucketedMatchesScatter asserts ITER over the degree-bucketed
+// layout is bit-identical to the scatter reference at workers 1, 2 and 4:
+// on the Product-scale graph and on a skewed random graph whose buckets
+// include odd-sized ones (a bucket ending with an unpaired list), with
+// p = 1 and with zeros in p, under NormL2, without the denominator, and
+// capped by ITERMaxIters. A run canceled mid-sweep returns the weights of
+// its last complete iteration.
+func TestITERBucketedMatchesScatter(t *testing.T) {
+	skewed := skewedGraph(rand.New(rand.NewSource(11)), 900, 3000, 1500)
+	var sc iterScratch
+	sc.prepare(skewed, DefaultOptions())
+	for _, side := range []struct {
+		name string
+		bk   degreeBuckets
+		max  int
+	}{{"pair", sc.lay.pairs, 40}, {"term", sc.lay.terms, 200}} {
+		odd, top := false, 0
+		for b := 0; b+1 < len(side.bk.start); b++ {
+			odd = odd || (side.bk.start[b+1]-side.bk.start[b])%2 == 1
+			top = max(top, int(side.bk.deg[b]))
+		}
+		if !odd || top < side.max {
+			t.Fatalf("%s buckets: odd-sized %v, longest list %d; want an odd bucket and a list of %d+",
+				side.name, odd, top, side.max)
+		}
+	}
+
+	// withZeros is p with a third of the pairs at 0 and the rest in [0, 1).
+	withZeros := func(g *index.Graph) []float64 {
+		p, rng := onesP(g), rand.New(rand.NewSource(12))
+		for k := range p {
+			if rng.Intn(3) == 0 {
+				p[k] = 0
+			} else {
+				p[k] = rng.Float64()
+			}
+		}
+		return p
+	}
+	_, product := productScaleGraph(t)
+	for gi, g := range []*index.Graph{skewed, product} {
+		cases := []struct {
+			name string
+			p    []float64
+			set  func(*Options)
+		}{
+			{"bounded", onesP(g), func(*Options) {}},
+			{"p-zeros", withZeros(g), func(*Options) {}},
+			{"l2", withZeros(g), func(o *Options) { o.Normalization = NormL2 }},
+			{"no-denominator", withZeros(g), func(o *Options) { o.DisableDenominator = true }},
+			{"capped", onesP(g), func(o *Options) { o.ITERMaxIters = 3 }},
+		}
+		for _, tc := range cases {
+			opts := DefaultOptions()
+			tc.set(&opts)
+			want := scatterITER(g, tc.p, opts, rand.New(rand.NewSource(5)))
+			if tc.name == "capped" && want.Converged {
+				t.Fatal("the capped case converged; it must stop at ITERMaxIters")
+			}
+			for _, w := range []int{1, 2, 4} {
+				opts.Workers = w
+				got := RunITER(g, tc.p, opts, rand.New(rand.NewSource(5)))
+				iterEqual(t, fmt.Sprintf("graph %d %s workers=%d", gi, tc.name, w), want, got)
+			}
+		}
+	}
+
+	// Cancel a run that would never stop on its own: wherever the cancel
+	// lands, the result is the reference run for that many iterations.
+	p := withZeros(skewed)
+	for _, w := range []int{1, 2} {
+		opts := DefaultOptions()
+		opts.Workers = w
+		opts.ITERTol = -1
+		opts.ITERMaxIters = math.MaxInt32
+		done := make(chan struct{})
+		opts.Check = guard.New(done, func() error { return context.Canceled })
+		timer := time.AfterFunc(20*time.Millisecond, func() { close(done) })
+		got := RunITER(skewed, p, opts, rand.New(rand.NewSource(5)))
+		timer.Stop()
+		if got.Converged || got.Iterations == opts.ITERMaxIters {
+			t.Fatalf("workers=%d: the canceled run reports %d iterations, converged %v",
+				w, got.Iterations, got.Converged)
+		}
+		t.Logf("workers=%d: canceled after %d complete iterations", w, got.Iterations)
+		opts.Check, opts.ITERMaxIters = nil, got.Iterations
+		want := scatterITER(skewed, p, opts, rand.New(rand.NewSource(5)))
+		iterEqual(t, fmt.Sprintf("canceled workers=%d", w), want, got)
 	}
 }
 

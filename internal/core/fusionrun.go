@@ -10,17 +10,18 @@ import (
 	"repro/internal/matrix"
 )
 
-// Scratch recycles the fusion loop's record-graph and rank-kernel arena
-// across sequential fusion runs on the same goroutine, so a caller that
-// resolves many jobs (or many competitor configurations of the same
-// dataset) pays the buffer allocations once. The zero value is ready to
-// use. A Scratch must not be shared between concurrent runs: the arena's
-// free lists are unsynchronized by design (get/put happen on the fusion
-// goroutine only).
+// Scratch recycles the fusion loop's arena (ITER's layout, record graphs
+// and rank-kernel buffers) across sequential fusion runs on the same
+// goroutine, so a caller that resolves many jobs (or many competitor
+// configurations of the same dataset) pays the buffer allocations once.
+// The zero value is ready to use. A Scratch must not be shared between
+// concurrent runs: the arena's free lists are unsynchronized by design
+// (get/put happen on the fusion goroutine only).
 //
 // Sharing is safe across sequential runs because a finished run retains
-// none of the arena's buffers: Finish releases the record graph the run
-// held, and a sharded run's component graphs are dropped with the run.
+// none of the arena's buffers: Finish releases ITER's layout and the
+// record graph the run held, and a sharded run's component graphs are
+// dropped with the run.
 type Scratch struct {
 	ar arena
 }
@@ -98,7 +99,7 @@ func NewFusionRun(g *index.Graph, numRecords int, opts Options) *FusionRun {
 		rng:        rand.New(rand.NewSource(opts.Seed)),
 		p:          p,
 		res:        &FusionResult{Converged: true},
-		sc:         &iterScratch{},
+		sc:         &iterScratch{ar: ar},
 		ar:         ar,
 		pairP:      twoRecordProb(opts),
 		rounds:     rounds,
@@ -264,11 +265,13 @@ func (f *FusionRun) endRound() error {
 }
 
 // Finish seals and returns the result: final probabilities, the η
-// thresholding, and the total elapsed time. It releases the record graphs
-// the run held: their plans go back to the plan pool, the whole graph's
-// buffers to the run's arena, and the components' graphs, which would
-// crowd the arena's free lists, are left to the collector.
+// thresholding, and the total elapsed time. It returns ITER's layout to
+// the run's arena and releases the record graphs the run held: their
+// plans go back to the plan pool, the whole graph's buffers to the run's
+// arena, and the components' graphs, which would crowd the arena's free
+// lists, are left to the collector.
 func (f *FusionRun) Finish() *FusionResult {
+	f.sc.release()
 	if f.whole != nil {
 		f.whole.arena = f.ar
 		f.whole.release()

@@ -19,6 +19,11 @@ func setup(texts ...string) (*textproc.Corpus, *index.Graph) {
 	return c, g
 }
 
+// RunITER runs ITER once, on a fresh scratch.
+func RunITER(g *index.Graph, p []float64, opts Options, rng *rand.Rand) *ITERResult {
+	return runITER(g, p, opts, rng, &iterScratch{})
+}
+
 func onesP(g *index.Graph) []float64 {
 	p := make([]float64, g.NumPairs())
 	for i := range p {

@@ -9,7 +9,6 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/index"
@@ -77,45 +76,99 @@ func (d *Dataset) HasGroundTruth() bool {
 // index.Key. For multi-source datasets only cross-source pairs count,
 // matching the benchmark convention (Abt-Buy counts abt×buy pairs).
 func (d *Dataset) TrueMatches() map[uint64]bool {
-	byEntity := make(map[int][]int32)
-	for _, r := range d.Records {
-		if r.EntityID < 0 {
-			continue
-		}
-		byEntity[r.EntityID] = append(byEntity[r.EntityID], int32(r.ID))
-	}
-	out := make(map[uint64]bool)
-	for _, recs := range byEntity {
-		for a := 0; a < len(recs); a++ {
-			for b := a + 1; b < len(recs); b++ {
-				i, j := recs[a], recs[b]
-				if d.NumSources > 1 && d.Records[i].Source == d.Records[j].Source {
-					continue
-				}
-				out[index.Key(i, j)] = true
-			}
-		}
-	}
+	order, start := d.byEntity()
+	out := make(map[uint64]bool, d.countMatches(order, start))
+	d.eachMatch(order, start, func(i, j int32) { out[index.Key(i, j)] = true })
 	return out
 }
 
 // NumTrueMatches returns the number of ground-truth matching pairs.
-func (d *Dataset) NumTrueMatches() int { return len(d.TrueMatches()) }
+func (d *Dataset) NumTrueMatches() int { return d.countMatches(d.byEntity()) }
 
-// ClusterSizes returns the ground-truth cluster sizes in descending order.
-func (d *Dataset) ClusterSizes() []int {
-	byEntity := make(map[int]int)
+// byEntity groups the labelled records' IDs by entity with one counting
+// sort: group e's IDs are order[start[e]:start[e+1]], ascending. Labels are
+// dense in practice (NewDataset and LoadCSV number entities in order of
+// first appearance), so they index the groups directly; sparser labels are
+// renumbered densely first. Some groups may be empty.
+func (d *Dataset) byEntity() (order, start []int32) {
+	n := len(d.Records)
+	maxLabel := -1
 	for _, r := range d.Records {
-		if r.EntityID >= 0 {
-			byEntity[r.EntityID]++
+		maxLabel = max(maxLabel, r.EntityID)
+	}
+	buf := make([]int32, 4*n+2)
+	ent, order, start := buf[:n], buf[n:2*n], buf[2*n:]
+	groups := maxLabel + 1
+	if groups <= 2*n {
+		for k, r := range d.Records {
+			ent[k] = int32(max(r.EntityID, -1))
+		}
+	} else {
+		rank := make(map[int]int32)
+		for k, r := range d.Records {
+			ent[k] = -1
+			if r.EntityID >= 0 {
+				e, ok := rank[r.EntityID]
+				if !ok {
+					e = int32(len(rank))
+					rank[r.EntityID] = e
+				}
+				ent[k] = e
+			}
+		}
+		groups = len(rank)
+	}
+	start = start[:groups+1]
+	for _, e := range ent {
+		if e >= 0 {
+			start[e+1]++
 		}
 	}
-	sizes := make([]int, 0, len(byEntity))
-	for _, s := range byEntity {
-		sizes = append(sizes, s)
+	for e := 1; e < len(start); e++ {
+		start[e] += start[e-1]
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
+	order = order[:start[groups]]
+	for k, e := range ent {
+		if e >= 0 {
+			order[start[e]] = int32(d.Records[k].ID)
+			start[e]++
+		}
+	}
+	// The fill advanced each start to the next group's; shift back.
+	copy(start[1:], start)
+	start[0] = 0
+	return order, start
+}
+
+// eachMatch calls fn(i, j) for every true match, i before j in its
+// entity's group.
+func (d *Dataset) eachMatch(order, start []int32, fn func(i, j int32)) {
+	for e := 0; e+1 < len(start); e++ {
+		recs := order[start[e]:start[e+1]]
+		for a, i := range recs {
+			for _, j := range recs[a+1:] {
+				if d.NumSources > 1 && d.Records[i].Source == d.Records[j].Source {
+					continue
+				}
+				fn(i, j)
+			}
+		}
+	}
+}
+
+// countMatches counts the true matches: C(n, 2) per entity of n records
+// when every pair counts, one per cross-source pair otherwise.
+func (d *Dataset) countMatches(order, start []int32) int {
+	n := 0
+	if d.NumSources > 1 {
+		d.eachMatch(order, start, func(_, _ int32) { n++ })
+		return n
+	}
+	for e := 0; e+1 < len(start); e++ {
+		size := int(start[e+1] - start[e])
+		n += size * (size - 1) / 2
+	}
+	return n
 }
 
 // Validate checks internal consistency of IDs and sources.

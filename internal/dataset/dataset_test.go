@@ -2,11 +2,35 @@ package dataset
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/index"
 )
+
+// DefaultGenConfig is paper-size with a fixed seed.
+func DefaultGenConfig() GenConfig { return GenConfig{Seed: 1, Scale: 1.0} }
+
+// ClusterSizes returns the ground-truth cluster sizes in descending order.
+func (d *Dataset) ClusterSizes() []int {
+	byEntity := make(map[int]int)
+	for _, r := range d.Records {
+		if r.EntityID >= 0 {
+			byEntity[r.EntityID]++
+		}
+	}
+	sizes := make([]int, 0, len(byEntity))
+	for _, s := range byEntity {
+		sizes = append(sizes, s)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	return sizes
+}
 
 func TestGenRestaurantStats(t *testing.T) {
 	d := GenRestaurant(DefaultGenConfig())
@@ -162,6 +186,65 @@ func TestTrueMatchesCrossSourceOnly(t *testing.T) {
 	d.NumSources = 1
 	if got := d.NumTrueMatches(); got != 3 {
 		t.Errorf("single-source NumTrueMatches = %d, want 3", got)
+	}
+}
+
+// trueMatchesByEntity is the reference for TrueMatches: each entity's
+// records gathered in record order, then every pair of them, less
+// same-source pairs in a multi-source dataset.
+func trueMatchesByEntity(d *Dataset) map[uint64]bool {
+	byEntity := make(map[int][]int32)
+	for _, r := range d.Records {
+		if r.EntityID >= 0 {
+			byEntity[r.EntityID] = append(byEntity[r.EntityID], int32(r.ID))
+		}
+	}
+	out := make(map[uint64]bool)
+	for _, recs := range byEntity {
+		for a := 0; a < len(recs); a++ {
+			for b := a + 1; b < len(recs); b++ {
+				i, j := recs[a], recs[b]
+				if d.NumSources > 1 && d.Records[i].Source == d.Records[j].Source {
+					continue
+				}
+				out[index.Key(i, j)] = true
+			}
+		}
+	}
+	return out
+}
+
+// TestTrueMatchesMatchesByEntity asserts TrueMatches and NumTrueMatches
+// agree with the reference on the three replicas and on a three-source
+// dataset with unlabelled records, same-source duplicates and entities
+// whose records interleave, with dense labels and with sparse ones.
+func TestTrueMatchesMatchesByEntity(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	mixed := &Dataset{Name: "mixed", NumSources: 3}
+	for i := 0; i < 600; i++ {
+		entity := rng.Intn(150)
+		if rng.Intn(8) == 0 {
+			entity = -1
+		}
+		mixed.Records = append(mixed.Records, Record{ID: i, EntityID: entity, Source: rng.Intn(3), Text: "r"})
+	}
+	single := &Dataset{Name: "single", NumSources: 1, Records: mixed.Records}
+	// Labels far apart take byEntity's renumbering path.
+	sparse := &Dataset{Name: "sparse", NumSources: 3, Records: slices.Clone(mixed.Records)}
+	for k := range sparse.Records {
+		if e := sparse.Records[k].EntityID; e >= 0 {
+			sparse.Records[k].EntityID = e * 1000003
+		}
+	}
+	cfg := DefaultGenConfig()
+	for _, d := range []*Dataset{GenRestaurant(cfg), GenProduct(cfg), GenPaper(cfg), mixed, single, sparse} {
+		want := trueMatchesByEntity(d)
+		if got := d.TrueMatches(); !maps.Equal(got, want) {
+			t.Errorf("%s: TrueMatches has %d pairs, the reference %d, or they differ", d.Name, len(got), len(want))
+		}
+		if got := d.NumTrueMatches(); got != len(want) {
+			t.Errorf("%s: NumTrueMatches = %d, want %d", d.Name, got, len(want))
+		}
 	}
 }
 

@@ -16,9 +16,6 @@ type GenConfig struct {
 	Scale float64
 }
 
-// DefaultGenConfig is paper-size with a fixed seed.
-func DefaultGenConfig() GenConfig { return GenConfig{Seed: 1, Scale: 1.0} }
-
 func (c GenConfig) scaled(n int) int {
 	if c.Scale <= 0 {
 		return n

@@ -8,6 +8,17 @@ import (
 	"repro/internal/textproc"
 )
 
+// Count returns the current number of disjoint sets: the roots.
+func (u *UnionFind) Count() int {
+	n := 0
+	for i, p := range u.parent {
+		if int(p) == i {
+			n++
+		}
+	}
+	return n
+}
+
 func TestUnionFindBasics(t *testing.T) {
 	u := NewUnionFind(5)
 	if u.Count() != 5 {

@@ -11,12 +11,11 @@ package graph
 type UnionFind struct {
 	parent []int32
 	rank   []int8
-	count  int
 }
 
 // NewUnionFind creates n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	u := &UnionFind{parent: make([]int32, n), rank: make([]int8, n), count: n}
+	u := &UnionFind{parent: make([]int32, n), rank: make([]int8, n)}
 	for i := range u.parent {
 		u.parent[i] = int32(i)
 	}
@@ -33,7 +32,6 @@ func (u *UnionFind) Reset(n int) {
 		u.parent[i] = int32(i)
 		u.rank[i] = 0
 	}
-	u.count = n
 }
 
 // Find returns the canonical representative of x's set.
@@ -63,9 +61,5 @@ func (u *UnionFind) Union(a, b int) bool {
 	if u.rank[ra] == u.rank[rb] {
 		u.rank[ra]++
 	}
-	u.count--
 	return true
 }
-
-// Count returns the current number of disjoint sets.
-func (u *UnionFind) Count() int { return u.count }

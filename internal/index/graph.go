@@ -62,8 +62,8 @@ type Graph struct {
 //   - TermPairs[t] lists the pairs of term t by ascending Key, the order
 //     the enumeration appends them in.
 //   - PairTermPtr/PairTerms is the exact transpose of TermPairs: each
-//     pair's terms, ascending. ITER's term→pair sweep gathers over it,
-//     adding each pair's terms in the order a term-major scatter would.
+//     pair's terms, ascending. ITER's layout keeps both orders, so its
+//     sweeps add each sum in the order a term-major scatter would.
 //
 // Renumbering records and terms monotonically, as a component's local
 // graph does, keeps both orders, so a component localized from the batch

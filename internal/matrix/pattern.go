@@ -88,9 +88,6 @@ func (p *Pattern) NNZ() int { return len(p.Col) }
 // Degree returns the number of neighbors of node i.
 func (p *Pattern) Degree(i int) int { return int(p.RowPtr[i+1] - p.RowPtr[i]) }
 
-// Neighbors returns the sorted neighbor list of node i.
-func (p *Pattern) Neighbors(i int) []int32 { return p.Col[p.RowPtr[i]:p.RowPtr[i+1]] }
-
 // Slot returns the storage index of entry (i, j), or -1 when (i, j) is not
 // in the pattern.
 func (p *Pattern) Slot(i, j int) int {
@@ -128,15 +125,8 @@ func (v *PatVec) Clone() *PatVec {
 	return out
 }
 
-// Transpose permutes values so that out[(i,j)] = v[(j,i)].
-func (v *PatVec) Transpose() *PatVec {
-	out := NewPatVec(v.P)
-	v.TransposeInto(out)
-	return out
-}
-
-// TransposeInto writes vᵀ into out, which must share v's pattern. It is the
-// allocation-free form of Transpose used by the CliqueRank power loop.
+// TransposeInto writes vᵀ into out, which must share v's pattern: out[(i,j)]
+// = v[(j,i)]. The CliqueRank power loop reuses out across calls.
 func (v *PatVec) TransposeInto(out *PatVec) {
 	if v.P != out.P {
 		//lint:invariant graph-structure preconditions are programmer errors; tests assert these panics
@@ -153,20 +143,12 @@ func (v *PatVec) RowSlice(i int) ([]int32, []float64) {
 	return v.P.Col[lo:hi], v.Val[lo:hi]
 }
 
-// At returns the value at (i, j), zero when outside the pattern.
-func (v *PatVec) At(i, j int) float64 {
-	if s := v.P.Slot(i, j); s >= 0 {
-		return v.Val[s]
-	}
-	return 0
-}
-
 // MaskedMul computes (mt × a) ⊙ pattern, i.e. the CliqueRank step
 // Aᵏ = (M_t × Aᵏ⁻¹) ⊙ M_n, without ever materializing the full product.
-// at must be a.Transpose(); passing it explicitly lets callers reuse one
-// transpose per step. For each pattern entry (i, j) the result is the sparse
-// dot product of row i of mt with row j of at (= column j of a), an
-// O(deg(i)+deg(j)) merge.
+// at must hold aᵀ (TransposeInto); passing it explicitly lets callers
+// reuse one transpose per step. For each pattern entry (i, j) the result
+// is the sparse dot product of row i of mt with row j of at (= column j
+// of a), an O(deg(i)+deg(j)) merge.
 func MaskedMul(mt, at *PatVec) *PatVec {
 	return MaskedMulInto(NewPatVec(mt.P), mt, at, 0)
 }

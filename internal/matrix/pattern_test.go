@@ -5,6 +5,24 @@ import (
 	"testing"
 )
 
+// Neighbors returns the sorted neighbor list of node i.
+func (p *Pattern) Neighbors(i int) []int32 { return p.Col[p.RowPtr[i]:p.RowPtr[i+1]] }
+
+// Transpose returns vᵀ: out[(i,j)] = v[(j,i)].
+func (v *PatVec) Transpose() *PatVec {
+	out := NewPatVec(v.P)
+	v.TransposeInto(out)
+	return out
+}
+
+// At returns the value at (i, j), zero when outside the pattern.
+func (v *PatVec) At(i, j int) float64 {
+	if s := v.P.Slot(i, j); s >= 0 {
+		return v.Val[s]
+	}
+	return 0
+}
+
 func randomPattern(rng *rand.Rand, n int, density float64) (*Pattern, []Edge) {
 	var edges []Edge
 	for i := 0; i < n; i++ {

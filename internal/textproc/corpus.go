@@ -42,15 +42,6 @@ type CorpusOptions struct {
 	Stopwords []string
 }
 
-// DefaultCorpusOptions mirrors the paper's pre-processing: tokenize and
-// remove very frequent terms.
-func DefaultCorpusOptions() CorpusOptions {
-	return CorpusOptions{
-		Tokenize:   DefaultTokenizeOptions(),
-		MaxDFRatio: 0.15,
-	}
-}
-
 // BuildCorpus tokenizes every text and assembles the corpus, applying the
 // frequent-term filter. Term IDs are assigned in lexicographic order so that
 // corpus construction is deterministic regardless of input order of equal

@@ -202,6 +202,7 @@ func TestBuildCorpusMatchesReference(t *testing.T) {
 	if testing.Short() {
 		synthetic = 4000
 	}
+	published := dataset.GenConfig{Seed: 1, Scale: 1}
 	corpora := []struct {
 		name  string
 		texts []string
@@ -209,9 +210,9 @@ func TestBuildCorpusMatchesReference(t *testing.T) {
 		{"synthetic", dataset.GenSynthetic(dataset.SyntheticConfig{
 			Seed: 1, Records: synthetic, DuplicateRate: 0.3, VocabSize: 50000,
 		}).Texts()},
-		{"restaurant", dataset.GenRestaurant(dataset.DefaultGenConfig()).Texts()},
-		{"product", dataset.GenProduct(dataset.DefaultGenConfig()).Texts()},
-		{"paper", dataset.GenPaper(dataset.DefaultGenConfig()).Texts()},
+		{"restaurant", dataset.GenRestaurant(published).Texts()},
+		{"product", dataset.GenProduct(published).Texts()},
+		{"paper", dataset.GenPaper(published).Texts()},
 		{"awkward", awkwardTexts},
 	}
 	for _, c := range corpora {

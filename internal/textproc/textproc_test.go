@@ -10,6 +10,15 @@ import (
 	"testing/quick"
 )
 
+// DefaultCorpusOptions mirrors the paper's pre-processing: tokenize and
+// remove very frequent terms.
+func DefaultCorpusOptions() CorpusOptions {
+	return CorpusOptions{
+		Tokenize:   DefaultTokenizeOptions(),
+		MaxDFRatio: 0.15,
+	}
+}
+
 func TestTokenizeBasic(t *testing.T) {
 	tests := []struct {
 		name string

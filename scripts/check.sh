@@ -55,12 +55,12 @@ echo "==> erlint: full suite (stale-directive audit)"
 echo "==> go test -race -shuffle=on"
 go test -race -shuffle=on ./...
 
-# The allocation gates (alloc_test.go in the root package, core, parallel
-# and textproc) are built only without -race: the race detector instruments
+# The allocation gates (alloc_test.go in the root package, core, engine,
+# parallel and textproc) are built only without -race: the race detector instruments
 # allocation and inflates AllocsPerRun. The race suite above therefore
 # never compiles them, so they run here as their own non-race step.
 echo "==> allocation gates (non-race)"
-go test -count=1 -run 'Allocs' . ./internal/core/ ./internal/parallel/ ./internal/textproc/
+go test -count=1 -run 'Allocs' . ./internal/core/ ./internal/engine/ ./internal/parallel/ ./internal/textproc/
 
 # go vet compiles the benchmarks but nothing else runs them; one iteration
 # of each catches a benchmark that no longer runs against the API it

@@ -132,6 +132,12 @@ func TestKeySensitivity(t *testing.T) {
 	if Key(in.Texts, in.Sources, c2, in.Blocking, 0) != Key(in.Texts, in.Sources, c3, in.Blocking, 0) {
 		t.Errorf("key depends on stopword order")
 	}
+	// Both stages give the same output at every worker count.
+	c4, b4 := in.Corpus, in.Blocking
+	c4.Workers, b4.Workers = 3, 5
+	if k := Key(in.Texts, in.Sources, c4, b4, 0); k != base {
+		t.Errorf("key depends on the worker counts")
+	}
 }
 
 // TestFuseMatchesRunFusion pins, for each rank path, that the engine's

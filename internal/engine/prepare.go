@@ -40,7 +40,8 @@ type PrepareInputs struct {
 	Texts   []string
 	Sources []int
 	// Corpus and Blocking are the stage options. Blocking.Check is
-	// overwritten with the run's checkpoint.
+	// overwritten with the run's checkpoint, and both Workers fields with
+	// the run's worker budget.
 	Corpus   textproc.CorpusOptions
 	Blocking index.BatchOptions
 	// MaxPairs is the candidate-pair budget (0 disables it); exceeding it
@@ -88,7 +89,12 @@ func Prepare(r *Run, in PrepareInputs) (*Snapshot, error) {
 
 	snap := &Snapshot{Key: key}
 	err := r.Stage(StageTokenize, func(st *StageTrace) error {
-		snap.Corpus = textproc.BuildCorpus(in.Texts, in.Corpus)
+		// The build fans out on the run's worker budget; its corpus is the
+		// same at every worker count, so the snapshot Key (which excludes
+		// Workers) stays valid.
+		cOpts := in.Corpus
+		cOpts.Workers = r.workers
+		snap.Corpus = textproc.BuildCorpus(in.Texts, cOpts)
 		st.In, st.InUnit = len(in.Texts), "records"
 		st.Out, st.OutUnit = snap.Corpus.NumTerms(), "terms"
 		return nil

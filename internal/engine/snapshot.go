@@ -43,6 +43,8 @@ func (s *Snapshot) NumPairs() int { return s.Graph.NumPairs() }
 // the record texts and source labels plus every option that influences
 // tokenization or blocking. Runs with equal keys produce byte-identical
 // corpora and candidate graphs, so a cached snapshot substitutes exactly.
+// The Workers fields are left out: both stages give the same output at
+// every worker count.
 func Key(texts []string, sources []int, copts textproc.CorpusOptions, bopts index.BatchOptions, maxPairs int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v1|records=%d|", len(texts))

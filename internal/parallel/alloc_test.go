@@ -36,8 +36,9 @@ func TestForGrainFanOutAllocs(t *testing.T) {
 			t.Errorf("workers=%d: ForGrain allocates %.1f allocs/op, want ≤1", w, avg)
 		}
 		// ReduceSum's pooled job leaves no steady-state allocation; the
-		// bound of one absorbs a pool miss, as ForGrain's does.
-		if avg := testing.AllocsPerRun(50, func() { ReduceSum(w, 1<<14, chunkLen) }); avg > 1 {
+		// bound of one absorbs a pool miss, as ForGrain's does. The length
+		// is above reduceFanOutMin, so the fan-out is what is measured.
+		if avg := testing.AllocsPerRun(50, func() { ReduceSum(w, reduceFanOutMin, chunkLen) }); avg > 1 {
 			t.Errorf("workers=%d: ReduceSum allocates %.1f allocs/op, want ≤1", w, avg)
 		}
 	}

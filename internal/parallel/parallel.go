@@ -192,12 +192,21 @@ var reduceJobs = sync.Pool{New: func() any {
 	return j
 }}
 
+// reduceFanOutMin is the length below which ReduceSum folds its chunks on
+// the calling goroutine at any worker count. A fold is one load and one add
+// per element, so a short one gains nothing from a fan-out: at GOMAXPROCS
+// 2, a fold of 2^16 freshly written elements took longer fanned out than
+// serially, and from 2^17 on two workers gained (BenchmarkReduceSum;
+// DESIGN §9, "ITER at two workers").
+const reduceFanOutMin = 1 << 17
+
 // ReduceSum computes an order-stable parallel sum: fn returns the partial
 // for chunk [lo, hi), each partial lands in the slot of its chunk index,
 // and the partials are folded in ascending chunk order. The bracketing —
 // (((p0+p1)+p2)+…) over Grain-sized chunk sums — is therefore a pure
 // function of n, independent of the worker count and the goroutine
-// schedule, so serial and parallel runs agree to the last bit. The fan-out
+// schedule, so serial and parallel runs agree to the last bit. Below
+// reduceFanOutMin elements the same chunks fold serially. The fan-out
 // state is pooled, so a steady-state call performs no allocation
 // (TestForGrainFanOutAllocs).
 func ReduceSum(workers, n int, fn func(lo, hi int) float64) float64 {
@@ -205,7 +214,7 @@ func ReduceSum(workers, n int, fn func(lo, hi int) float64) float64 {
 		return 0
 	}
 	nc := chunks(n)
-	if nc == 1 || Workers(workers) == 1 {
+	if nc == 1 || n < reduceFanOutMin || Workers(workers) == 1 {
 		// Same chunking, same fold order, no goroutines: sum += p_c in
 		// ascending c is exactly the parallel path's bracketing.
 		var sum float64

@@ -1,9 +1,12 @@
 package parallel
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -180,31 +183,38 @@ func TestGrainFor(t *testing.T) {
 
 // TestReduceSumBitIdentical asserts the reduction produces the exact same
 // float64 bits for every worker count, on inputs adversarial to naive
-// reassociation (alternating magnitudes).
+// reassociation (alternating magnitudes), at lengths on both sides of
+// reduceFanOutMin: the serial fold below it and the fan-out above it
+// bracket the same chunk partials.
 func TestReduceSumBitIdentical(t *testing.T) {
-	n := 7*Grain + 41
-	vals := make([]float64, n)
-	for i := range vals {
-		// Mix of huge and tiny terms so any reassociation shows up in the
-		// low bits of the sum.
-		if i%2 == 0 {
-			vals[i] = 1e16 / float64(i+1)
-		} else {
-			vals[i] = 1e-16 * float64(i)
+	for _, n := range []int{7*Grain + 41, reduceFanOutMin - Grain - 3, reduceFanOutMin, reduceFanOutMin + 5*Grain + 7} {
+		vals := make([]float64, n)
+		for i := range vals {
+			// Mix of huge and tiny terms so any reassociation shows up in the
+			// low bits of the sum.
+			if i%2 == 0 {
+				vals[i] = 1e16 / float64(i+1)
+			} else {
+				vals[i] = 1e-16 * float64(i)
+			}
 		}
-	}
-	sum := func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += vals[i]
+		sum := func(lo, hi int) float64 {
+			var s float64
+			for i := lo; i < hi; i++ {
+				s += vals[i]
+			}
+			return s
 		}
-		return s
-	}
-	want := ReduceSum(1, n, sum)
-	for _, w := range []int{0, 2, 3, 8} {
-		for rep := 0; rep < 10; rep++ {
-			if got := ReduceSum(w, n, sum); got != want {
-				t.Fatalf("workers=%d rep=%d: sum %v != serial %v", w, rep, got, want)
+		// The reference fold: Grain chunk sums added in ascending order.
+		var want float64
+		for lo := 0; lo < n; lo += Grain {
+			want += sum(lo, min(lo+Grain, n))
+		}
+		for _, w := range []int{0, 1, 2, 3, 4, 8} {
+			for rep := 0; rep < 10; rep++ {
+				if got := ReduceSum(w, n, sum); got != want {
+					t.Fatalf("n=%d workers=%d rep=%d: sum %v != chunk-ordered fold %v", n, w, rep, got, want)
+				}
 			}
 		}
 	}
@@ -213,5 +223,41 @@ func TestReduceSumBitIdentical(t *testing.T) {
 func TestReduceSumEmpty(t *testing.T) {
 	if got := ReduceSum(4, 0, func(lo, hi int) float64 { return 1 }); got != 0 {
 		t.Fatalf("empty reduction = %v, want 0", got)
+	}
+}
+
+// BenchmarkReduceSum times the fold of |x| over vectors around
+// reduceFanOutMin. Each fold reads a vector a two-worker fan-out has just
+// written, as ITER folds the |Δx| terms its sweeps write; fold-ns/op times
+// the fold alone. Compare a length's workers=1 and workers=2 rows.
+func BenchmarkReduceSum(b *testing.B) {
+	for _, n := range []int{1 << 14, 1 << 16, 1 << 17, 1 << 18, 1 << 20} {
+		x := make([]float64, n)
+		gen := 0
+		write := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				x[i] = float64((i+gen)&1023) - 511.5
+			}
+		}
+		abs := func(lo, hi int) float64 {
+			var s float64
+			for _, v := range x[lo:hi] {
+				s += math.Abs(v)
+			}
+			return s
+		}
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
+				var fold time.Duration
+				for i := 0; i < b.N; i++ {
+					gen++
+					For(2, n, write)
+					start := time.Now()
+					ReduceSum(w, n, abs)
+					fold += time.Since(start)
+				}
+				b.ReportMetric(float64(fold.Nanoseconds())/float64(b.N), "fold-ns/op")
+			})
+		}
 	}
 }

@@ -254,15 +254,58 @@ func TestBuildCorpusMatchesReference(t *testing.T) {
 	})
 }
 
+// TestBuildCorpusBitIdenticalAcrossWorkers holds the fan-out to the
+// reference at every worker count: one range, an even and an odd split,
+// and more workers than some inputs have records, which leaves ranges of
+// one record (the merge and the per-range remap must not depend on where
+// the ranges fall).
+func TestBuildCorpusBitIdenticalAcrossWorkers(t *testing.T) {
+	synthetic := 100000
+	if testing.Short() {
+		synthetic = 4000
+	}
+	published := dataset.GenConfig{Seed: 1, Scale: 1}
+	var replicas []string
+	for _, d := range []*dataset.Dataset{
+		dataset.GenRestaurant(published), dataset.GenProduct(published), dataset.GenPaper(published),
+	} {
+		replicas = append(replicas, d.Texts()...)
+	}
+	corpora := []struct {
+		name  string
+		texts []string
+	}{
+		{"synthetic", dataset.GenSynthetic(dataset.SyntheticConfig{
+			Seed: 1, Records: synthetic, DuplicateRate: 0.3, VocabSize: 50000,
+		}).Texts()},
+		{"replicas", replicas},
+		{"awkward", awkwardTexts},
+		{"fewer records than workers", []string{"Sony PSLX350H", "sony turntable", "İstanbul straße sony"}},
+	}
+	for _, c := range corpora {
+		t.Run(c.name, func(t *testing.T) {
+			opts := textproc.DefaultCorpusOptions()
+			want := refBuildCorpus(c.texts, opts)
+			for _, w := range []int{1, 2, 3, 8} {
+				opts.Workers = w
+				if d := corpusDiff(textproc.BuildCorpus(c.texts, opts), want); d != "" {
+					t.Fatalf("workers=%d: BuildCorpus differs from the reference: %s", w, d)
+				}
+			}
+		})
+	}
+}
+
 // FuzzBuildCorpus splits the fuzz text into records on '\n' and requires
-// BuildCorpus to reproduce the reference builder on them.
+// BuildCorpus, fanned out over three ranges, to reproduce the reference
+// builder on them.
 func FuzzBuildCorpus(f *testing.F) {
 	f.Add("Sony PSLX350H\nsony turntable\nPioneer VSX", 0.0)
 	f.Add("İstanbul\nistanbul ẞ\nstraße \xff\xfe\nKELVIN \u212aelvin", 0.5)
 	f.Add("aa bb\naa cc\naa\n\n", 0.15)
 	f.Fuzz(func(t *testing.T, text string, ratio float64) {
 		texts := strings.Split(text, "\n")
-		opts := textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions(), MaxDFRatio: ratio}
+		opts := textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions(), MaxDFRatio: ratio, Workers: 3}
 		checkAgainstReference(t, texts, opts)
 	})
 }

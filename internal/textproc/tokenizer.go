@@ -48,20 +48,20 @@ func Tokenize(text string, opts TokenizeOptions) []string {
 	return tokens
 }
 
-// ASCII byte classes for the tokenizer's table lookup.
+// Byte classes for the tokenizer's table lookup. Bytes >= 0x80 have none:
+// they start or continue a multi-byte rune.
 const (
 	asciiAlnum = 1 << iota
 	asciiDigit
-	asciiUpper
 )
 
-var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+var asciiClass = func() (t [256]uint8) {
 	for c := '0'; c <= '9'; c++ {
 		t[c] = asciiAlnum | asciiDigit
 	}
 	for c := 'a'; c <= 'z'; c++ {
 		t[c] = asciiAlnum
-		t[c-'a'+'A'] = asciiAlnum | asciiUpper
+		t[c-'a'+'A'] = asciiAlnum
 	}
 	return t
 }()
@@ -70,54 +70,77 @@ var asciiClass = func() (t [utf8.RuneSelf]uint8) {
 // token of text to buf, back to back, and each token's end offset in buf
 // to ends. Every rune is classified after folding, exactly as if the text
 // were lowered with strings.ToLower first; invalid UTF-8 bytes separate
-// tokens. ASCII bytes go through a table, and only bytes >= 0x80 are
-// decoded as runes. Reusing buf and ends across calls makes tokenizing a
-// record allocation-free.
+// tokens. A run of ASCII letters and digits is classified through a table
+// and copied in one inner loop, lowered as it is copied (setting bit 0x20
+// lowers an ASCII letter and leaves a digit as it is); only bytes >= 0x80
+// are decoded as runes. Reusing buf and ends across calls makes
+// tokenizing a record allocation-free.
 func appendTokens(buf []byte, ends []int, text string, opts TokenizeOptions) ([]byte, []int) {
+	var fold byte
+	if opts.Lowercase {
+		fold = 'a' - 'A'
+	}
 	start := -1 // offset in buf of the open token, -1 if none
 	runes, digits := 0, true
-	flush := func() {
-		if start < 0 {
-			return
-		}
-		if runes < opts.MinLen || (!opts.KeepDigits && digits) {
-			buf = buf[:start]
-		} else {
-			ends = append(ends, len(buf))
-		}
-		start = -1
-	}
 	for i := 0; i < len(text); {
-		r, w := rune(text[i]), 1
-		var alnum, digit bool
-		if r < utf8.RuneSelf {
-			class := asciiClass[r]
-			if opts.Lowercase && class&asciiUpper != 0 {
-				r += 'a' - 'A'
+		c := text[i]
+		if class := asciiClass[c]; class&asciiAlnum != 0 {
+			if start < 0 {
+				start, runes, digits = len(buf), 0, true
 			}
-			alnum, digit = class&asciiAlnum != 0, class&asciiDigit != 0
+			j, all := i, class
+			for ; j < len(text); j++ {
+				c = text[j]
+				class = asciiClass[c]
+				if class&asciiAlnum == 0 {
+					break
+				}
+				all &= class
+				buf = append(buf, c|fold)
+			}
+			runes += j - i
+			digits = digits && all&asciiDigit != 0
+			i = j
+			continue
+		}
+		alnum := false
+		if c < utf8.RuneSelf {
+			i++
 		} else {
-			r, w = utf8.DecodeRuneInString(text[i:])
+			r, w := utf8.DecodeRuneInString(text[i:])
+			i += w
 			if opts.Lowercase {
 				r = unicode.ToLower(r)
 			}
-			digit = unicode.IsDigit(r)
-			alnum = digit || unicode.IsLetter(r)
+			digit := unicode.IsDigit(r)
+			if alnum = digit || unicode.IsLetter(r); alnum {
+				if start < 0 {
+					start, runes, digits = len(buf), 0, true
+				}
+				buf = utf8.AppendRune(buf, r)
+				runes++
+				digits = digits && digit
+			}
 		}
-		i += w
-		if !alnum {
-			flush()
-			continue
+		if !alnum && start >= 0 {
+			buf, ends = closeToken(buf, ends, start, runes, digits, opts)
+			start = -1
 		}
-		if start < 0 {
-			start, runes, digits = len(buf), 0, true
-		}
-		buf = utf8.AppendRune(buf, r)
-		runes++
-		digits = digits && digit
 	}
-	flush()
+	if start >= 0 {
+		buf, ends = closeToken(buf, ends, start, runes, digits, opts)
+	}
 	return buf, ends
+}
+
+// closeToken ends the open token buf[start:] of the given rune count: it
+// records its end, or drops it when it is shorter than MinLen or an
+// excluded number.
+func closeToken(buf []byte, ends []int, start, runes int, digits bool, opts TokenizeOptions) ([]byte, []int) {
+	if runes < opts.MinLen || (!opts.KeepDigits && digits) {
+		return buf[:start], ends
+	}
+	return buf, append(ends, len(buf))
 }
 
 // UniqueTokens returns the distinct tokens of a record, preserving first

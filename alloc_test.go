@@ -42,13 +42,17 @@ func TestWarmResolveAllocs(t *testing.T) {
 }
 
 // TestColdResolveAllocs bounds a cold batch Resolve of a 4k-record
-// synthetic corpus (the batch-100k shape) at one worker. Fusion holds each
-// component's record graph and mask plan for the run and CliqueRank draws
-// its workspace from the arena, so a component costs allocations once per
-// run, not once per round. The budget is the measured 6,664 plus 5%; a
-// resolve that rebuilt every graph and plan each round made 27,393.
+// synthetic corpus (the batch-100k shape) at one worker. Fusion lays every
+// record graph of the run out as windows of a few run-wide arrays, ranks
+// the small components in block-diagonal batches and draws CliqueRank's
+// workspace from the arena, so the number of components costs nothing in
+// allocations, and each blocking chunk copies its survivors out once. It
+// measured 347–398 over 36 runs at GOMAXPROCS 1, 2 and 4 (pool misses
+// after a collection move it), and the budget is the top plus 5%; one
+// record graph per component made 3,308, and a resolve that rebuilt every
+// graph and plan each round 27,393.
 func TestColdResolveAllocs(t *testing.T) {
-	const coldResolveAllocs = 7000
+	const coldResolveAllocs = 420
 	d := SyntheticDataset(SyntheticConfig{Seed: 1, Records: 4000, DuplicateRate: 0.3, VocabSize: 50000})
 	opts := DefaultOptions()
 	opts.Workers = 1
@@ -58,7 +62,9 @@ func TestColdResolveAllocs(t *testing.T) {
 		}
 	}
 	resolve()
-	if got := testing.AllocsPerRun(3, resolve); got > coldResolveAllocs {
+	got := testing.AllocsPerRun(3, resolve)
+	t.Logf("a cold 4k Resolve allocates %.0f times", got)
+	if got > coldResolveAllocs {
 		t.Fatalf("a cold 4k Resolve allocates %.0f times, budget %d", got, coldResolveAllocs)
 	}
 }

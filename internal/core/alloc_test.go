@@ -41,7 +41,7 @@ func TestFusionInnerLoopAllocs(t *testing.T) {
 	}
 	round() // build the graph and its plan, warm the scratch and arena
 	round()
-	if f.whole == nil || f.whole.plan == nil {
+	if f.graphs == nil || f.graphs.graphs[0].plan == nil {
 		t.Fatal("the run holds no record graph with a mask plan")
 	}
 	if got := testing.AllocsPerRun(5, round); got > 11 {
@@ -51,10 +51,10 @@ func TestFusionInnerLoopAllocs(t *testing.T) {
 	// The arena getters scan their free lists for a fit; a warm get/put
 	// round trip must not allocate at all.
 	if got := testing.AllocsPerRun(5, func() {
-		edges, kept, vals := ar.getEdges(g.NumPairs()), ar.getI32(g.NumPairs()), ar.getF64(g.NumPairs())
+		ends, kept, vals := ar.getPairs(g.NumPairs()), ar.getI32(g.NumPairs()), ar.getF64(g.NumPairs())
 		ar.putF64(vals)
 		ar.putI32(kept)
-		ar.putEdges(edges)
+		ar.putPairs(ends)
 	}); got > 0 {
 		t.Errorf("warm arena get/put allocates %.0f times, want 0", got)
 	}
@@ -68,7 +68,7 @@ func TestFusionInnerLoopAllocs(t *testing.T) {
 	// A warm CliqueRankInto on a graph that holds its plan allocates
 	// nothing: its headers, dense chain and kernels live in the arena's
 	// workspace, bound once.
-	rg := f.whole
+	rg := &f.graphs.graphs[0]
 	rg.arena = ar
 	if got := testing.AllocsPerRun(5, func() { CliqueRankInto(rg, opts, pbuf) }); got > 0 {
 		t.Errorf("CliqueRankInto allocates %.0f times with warm arena, want 0", got)
@@ -160,8 +160,9 @@ func TestCliqueRankAllocsFlatAcrossWorkers(t *testing.T) {
 	opts := DefaultOptions()
 	iter := RunITER(g, onesP(g), opts, rand.New(rand.NewSource(1)))
 	ar := &arena{}
-	rg := holdPlans(buildRecordGraph(g, iter.S, g.NumRecords, nil, nil, ar))
-	defer rg.release()
+	rg := holdPlans(BuildRecordGraph(g, iter.S, g.NumRecords))
+	rg.arena = ar
+	defer rg.releasePlan()
 	pbuf := make([]float64, g.NumPairs())
 
 	measure := func(w int) float64 {
@@ -201,8 +202,8 @@ func TestCliqueRankFallbackAllocs(t *testing.T) {
 	for pid := range s {
 		s[pid] = 1
 	}
-	rg := buildRecordGraph(g, s, g.NumRecords, nil, nil, &arena{})
-	defer rg.release()
+	rg := BuildRecordGraph(g, s, g.NumRecords)
+	rg.arena = &arena{}
 	opts := DefaultOptions()
 	opts.Workers = 1
 	opts.Steps = 2
@@ -270,8 +271,8 @@ func TestShardedRoundAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		plans := 0
-		for _, rg := range f.shards.graphs {
-			if rg != nil && rg.plan != nil {
+		for _, rg := range f.graphs.graphs {
+			if rg.plan != nil {
 				plans++
 			}
 		}

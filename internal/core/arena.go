@@ -1,19 +1,19 @@
 package core
 
-import "repro/internal/matrix"
+import "repro/internal/index"
 
 // arena recycles the working buffers of the fusion reinforcement loop —
-// PatVec value vectors, CliqueRank scratch, slot/edge index slices — across
-// rounds, so the steady state of RunFusion allocates only what its result
-// retains. Get/put calls happen on the fusion goroutine (kernels fan out
-// internally but never touch the arena), so the free lists need no
-// locking, and a put never allocates. A nil arena is valid and degrades
+// the record graphs' shared arrays, CliqueRank scratch, ITER's layout —
+// across rounds and runs, so the steady state of RunFusion allocates only
+// what its result retains. Get/put calls happen on the fusion goroutine
+// (kernels fan out internally but never touch the arena), so the free
+// lists need no locking, and a put never allocates. A nil arena is valid and degrades
 // every get to a fresh allocation, which is how the exported single-shot
 // entry points behave.
 type arena struct {
 	f64   [][]float64
 	i32   [][]int32
-	edges [][]matrix.Edge
+	pairs [][]index.Pair
 	// work is CliqueRank's workspace, made on the arena's first rank.
 	work *rankWork
 }
@@ -66,18 +66,18 @@ func (a *arena) putI32(b []int32) {
 	}
 }
 
-// getEdges returns an empty edge buffer with at least capacity n.
-func (a *arena) getEdges(n int) []matrix.Edge {
+// getPairs returns a length-n pair buffer with unspecified contents.
+func (a *arena) getPairs(n int) []index.Pair {
 	if a != nil {
-		if b := take(&a.edges, n); b != nil {
-			return b[:0]
+		if b := take(&a.pairs, n); b != nil {
+			return b
 		}
 	}
-	return make([]matrix.Edge, 0, n)
+	return make([]index.Pair, n)
 }
 
-func (a *arena) putEdges(b []matrix.Edge) {
+func (a *arena) putPairs(b []index.Pair) {
 	if a != nil && b != nil {
-		a.edges = append(a.edges, b[:0])
+		a.pairs = append(a.pairs, b[:0])
 	}
 }

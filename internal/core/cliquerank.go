@@ -104,6 +104,10 @@ type rankWork struct {
 	iter    [2]matrix.PatVec
 	at      matrix.PatVec
 	dense   denseChain
+	// segs lists, as [lo, hi) pairs, the slot ranges the sparse chain
+	// still computes, and base is the start of the one being computed.
+	segs []int32
+	base int
 	// full runs every power of the chain, past saturation; only the tests
 	// set it, to hold the saturation stop to the whole chain.
 	full bool
@@ -128,7 +132,7 @@ func (a *arena) rankWork() *rankWork {
 // forget drops the finished call's graph, options and buffers and keeps
 // the bound kernels, so an arena in a pool pins no run's data.
 func (ws *rankWork) forget() {
-	*ws = rankWork{ar: ws.ar, dense: denseChain{rows: ws.dense.rows},
+	*ws = rankWork{ar: ws.ar, dense: denseChain{rows: ws.dense.rows}, segs: ws.segs[:0],
 		rowFn: ws.rowFn, mulFn: ws.mulFn, addFn: ws.addFn, readFn: ws.readFn}
 }
 
@@ -331,20 +335,30 @@ func (ws *rankWork) sparseChain(merge bool) {
 	if ws.plan == nil {
 		ws.at = matrix.PatVec{P: pat, Val: ar.getF64(nnz)}
 	}
+	// Through the plan, each component of the graph leaves the chain at
+	// its own saturation: rows of different components never meet, so no
+	// other component reads the slots it stops updating. The merge
+	// product computes every slot, so it keeps the graph's one stop.
+	ws.segs = ws.rg.segments(ws.segs[:0], ws.plan != nil)
 	for step := 2; step <= opts.Steps; step++ {
 		// One poll per matrix power: each masked product is the
 		// expensive unit of work, so a canceled run gives up at most one
 		// power of latency.
-		if opts.Check.Err() != nil || ws.saturated() {
+		if opts.Check.Err() != nil || !ws.live() {
 			break
 		}
-		if ws.plan != nil {
-			parallel.ForGrain(workers, nnz, ws.plan.Grain(), ws.mulFn)
-		} else {
+		if ws.plan == nil {
 			ws.a.TransposeInto(&ws.at)
 			matrix.MaskedMulInto(ws.next, &ws.mt, &ws.at, workers)
 		}
-		parallel.ForGrain(workers, nnz, addGrain, ws.addFn)
+		for k := 0; k < len(ws.segs); k += 2 {
+			lo, hi := int(ws.segs[k]), int(ws.segs[k+1])
+			ws.base = lo
+			if ws.plan != nil {
+				parallel.ForGrain(workers, hi-lo, ws.plan.Grain(), ws.mulFn)
+			}
+			parallel.ForGrain(workers, hi-lo, addGrain, ws.addFn)
+		}
 		ws.a = ws.next
 		ws.next, spare = spare, ws.next
 	}
@@ -361,11 +375,8 @@ func (ws *rankWork) sparseChain(merge bool) {
 // chain can stop without changing a bit: every later power adds
 // non-negative terms, and the readout clamps each direction at 1. A NaN
 // counts as unsaturated. The scan stops at the first unsaturated slot.
-func (ws *rankWork) saturated() bool {
-	if ws.full {
-		return false
-	}
-	for _, v := range ws.acc.Val {
+func saturated(acc []float64) bool {
+	for _, v := range acc {
 		if !(v >= 1) {
 			return false
 		}
@@ -373,11 +384,32 @@ func (ws *rankWork) saturated() bool {
 	return true
 }
 
-// mulRange computes slots [lo, hi) of the next power through the plan.
-func (ws *rankWork) mulRange(lo, hi int) { ws.plan.MulRangeInto(ws.next, &ws.mt, ws.a, lo, hi) }
+// live drops from segs every slot range whose step-sums are saturated
+// and reports whether any range remains; under full it drops none.
+func (ws *rankWork) live() bool {
+	if ws.full {
+		return true
+	}
+	kept := ws.segs[:0]
+	for k := 0; k < len(ws.segs); k += 2 {
+		if lo, hi := ws.segs[k], ws.segs[k+1]; !saturated(ws.acc.Val[lo:hi]) {
+			kept = append(kept, lo, hi)
+		}
+	}
+	ws.segs = kept
+	return len(kept) > 0
+}
 
-// addNext adds slots [lo, hi) of the power just computed into acc.
+// mulRange computes slots [lo, hi) of the current range of the next power
+// through the plan.
+func (ws *rankWork) mulRange(lo, hi int) {
+	ws.plan.MulRangeInto(ws.next, &ws.mt, ws.a, ws.base+lo, ws.base+hi)
+}
+
+// addNext adds slots [lo, hi) of the current range of the power just
+// computed into acc.
 func (ws *rankWork) addNext(lo, hi int) {
+	lo, hi = ws.base+lo, ws.base+hi
 	acc, src := ws.acc.Val[lo:hi], ws.next.Val[lo:hi]
 	for k := range acc {
 		acc[k] += src[k]
@@ -392,7 +424,7 @@ func (ws *rankWork) denseChain(masked bool) {
 	c.init(&ws.mt, ws.mb, &ws.acc, masked, ws.ar)
 	for step := 2; step <= ws.opts.Steps; step++ {
 		// One poll per matrix power, as in the sparse chain.
-		if ws.opts.Check.Err() != nil || ws.saturated() {
+		if ws.opts.Check.Err() != nil || !ws.full && saturated(ws.acc.Val) {
 			break
 		}
 		c.step(ws.opts.Workers)

@@ -549,12 +549,17 @@ func componentMix(pairs, triangles int) (*index.Graph, int32) {
 	return index.NewGraph(int(next), int(ncomps)+len(edges), edges, terms), base
 }
 
-// heldGraphs lists the record graphs a fusion run holds, one per slot.
-func heldGraphs(f *FusionRun) []*RecordGraph {
-	if f.shards != nil {
-		return slices.Clone(f.shards.graphs)
+// layCounts lists how often each record graph a fusion run holds has been
+// laid out, nil before the run holds any.
+func layCounts(f *FusionRun) []int {
+	if f.graphs == nil {
+		return nil
 	}
-	return []*RecordGraph{f.whole}
+	lays := make([]int, len(f.graphs.graphs))
+	for u := range lays {
+		lays[u] = f.graphs.graphs[u].lays
+	}
+	return lays
 }
 
 // transitionOf is M_t of a record graph at exponent alpha, computed as
@@ -604,8 +609,8 @@ func samePlan(t *testing.T, label string, got, want *matrix.MaskPlan, pat *matri
 // Sharded and whole-graph, at every worker count, each round's
 // probabilities must equal a fresh build and rank of the round's
 // similarities bit for bit, every held mask plan must equal a fresh
-// BuildMaskPlan of the graph's M_t, the graphs whose edges changed must be
-// rebuilt and, in round 4, every graph reused. The held plans never
+// BuildMaskPlan of the graph's M_t, the graph holding the ring must be
+// laid out again in rounds 2 and 3 and, in round 4, no graph. The held plans never
 // overdraw the run's plan budget, also when it is cut to one entry and
 // every plan must be built per rank, and Finish returns all of it.
 func TestRankReuseMatchesRebuild(t *testing.T) {
@@ -645,9 +650,9 @@ func checkRankReuse(t *testing.T, g *index.Graph, dropped []int32, ring int32, b
 	}
 	ringSlot := 0
 	if sharded {
-		ringSlot = len(f.shards.Comps) - 1
-		if !slices.Contains(f.shards.Comps[ringSlot].Pairs, ring) {
-			t.Fatal("the ring is not the last component")
+		ringSlot = slices.IndexFunc(f.graphs.graphs, func(rg RecordGraph) bool { return slices.Contains(rg.pairs, ring) })
+		if ringSlot < 0 {
+			t.Fatal("no record graph holds the ring")
 		}
 	}
 	held := 0
@@ -664,7 +669,7 @@ func checkRankReuse(t *testing.T, g *index.Graph, dropped []int32, ring int32, b
 			}
 		}
 		s := slices.Clone(f.res.S)
-		before := heldGraphs(f)
+		before := layCounts(f)
 		if _, err := f.StepRank(); err != nil {
 			t.Fatal(err)
 		}
@@ -673,22 +678,21 @@ func checkRankReuse(t *testing.T, g *index.Graph, dropped []int32, ring int32, b
 		fresh.Workers = 1
 		bitsEqual(t, label+" P", CliqueRank(BuildRecordGraph(g, s, n), fresh), f.p)
 
-		after := heldGraphs(f)
+		after := layCounts(f)
 		switch f.round {
 		case 2, 3:
 			if after[ringSlot] == before[ringSlot] {
-				t.Fatalf("%s: the ring's edges changed, but its graph was not rebuilt", label)
+				t.Fatalf("%s: the ring's edges changed, but its graph was not laid out again", label)
 			}
 		case 4:
-			for k := range after {
-				if after[k] != before[k] {
-					t.Fatalf("%s: slot %d rebuilt with no edge changed", label, k)
-				}
+			if !slices.Equal(after, before) {
+				t.Fatalf("%s: graphs laid out %v times, before the round %v, with no edge changed", label, after, before)
 			}
 		}
 		var entries int64
-		for k, rg := range after {
-			if rg == nil || rg.plan == nil {
+		for k := range f.graphs.graphs {
+			rg := &f.graphs.graphs[k]
+			if rg.plan == nil {
 				continue
 			}
 			held++

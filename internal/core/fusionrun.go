@@ -19,9 +19,8 @@ import (
 // (get/put happen on the fusion goroutine only).
 //
 // Sharing is safe across sequential runs because a finished run retains
-// none of the arena's buffers: Finish releases ITER's layout and the
-// record graph the run held, and a sharded run's component graphs are
-// dropped with the run.
+// none of the arena's buffers: Finish returns ITER's layout and the
+// arrays of the record graphs the run held.
 type Scratch struct {
 	ar arena
 }
@@ -42,11 +41,13 @@ type Scratch struct {
 // Partition, StepRank ranks each connected component on its own, which
 // gives the same bits (see shard.go); engine.Fuse drives it that way.
 //
-// The run holds one record graph per slot — the whole graph, or one per
-// component after Partition — from its first rank to Finish. Blocking
-// fixes the candidate pairs, so a later round only reweights the graph
-// (RecordGraph.reweight), and rebuilds it only where the kept-edge set
-// changed; the graph's mask plan is held with it (RecordGraph.maskPlan).
+// The run holds its record graphs — the whole graph, or after Partition
+// one per big component and one block-diagonal batch per chunk of small
+// ones — as windows of run-wide arrays (graphLayout) from the first rank
+// to Finish. Blocking fixes the candidate pairs, so a later round only
+// reweights a graph (RecordGraph.reweight), and lays it out again in its
+// windows only where the kept-edge set changed; each graph's mask plan is
+// held with it (RecordGraph.maskPlan).
 type FusionRun struct {
 	g          *index.Graph
 	numRecords int
@@ -59,8 +60,8 @@ type FusionRun struct {
 	sc         *iterScratch
 	ar         *arena
 	shards     *shardSet
-	whole      *RecordGraph     // the held whole graph, without Partition
-	rankSmall  func(lo, hi int) // rankSmallShards, bound once by Partition
+	graphs     *graphLayout     // the held record graphs: the whole one, or the shards'
+	rankSmall  func(lo, hi int) // rankChunks, bound once by Partition
 	pairP      float64          // twoRecordProb(opts)
 	rounds     int
 	round      int
@@ -144,83 +145,95 @@ func (f *FusionRun) StepITER() (iterations int, err error) {
 // StepRank ranks the round's record graph, writing the matching
 // probabilities into p in place, and returns its kept-edge count. After
 // Partition it is StepShardedRank; otherwise it ranks the whole G_r with
-// CliqueRank, or RSS under UseRSS. It returns the checkpoint's error when
-// the run was canceled.
+// CliqueRank, or RSS under UseRSS. A two-record graph takes CliqueRank's
+// closed form and is never laid out. It returns the checkpoint's error
+// when the run was canceled.
 func (f *FusionRun) StepRank() (edges int, err error) {
 	if f.shards != nil {
 		return f.StepShardedRank()
 	}
 	f.res.Nodes = f.numRecords
-	f.res.Edges = f.rankGraph(&f.whole, f.numRecords, nil, nil, f.ar, f.opts.Workers)
+	if f.twoRecords(f.numRecords) {
+		f.res.Edges = f.rankClosed(nil)
+	} else {
+		if f.graphs == nil {
+			f.graphs = wholeLayout(f.g, f.numRecords, f.ar)
+			f.holdPlans()
+		}
+		f.res.Edges = f.rankGraph(0, f.ar, f.opts.Workers)
+	}
 	if err := f.endRound(); err != nil {
 		return 0, err
 	}
 	return f.res.Edges, nil
 }
 
-// rankGraph ranks one record graph of the round over n records: the graph
-// of the candidate pairs listed in pairs, with recLocal renumbering their
-// records into its nodes, or the whole candidate graph when both are nil.
-// held is the run's slot for that graph: the first rank builds the graph
-// from the round's similarities, and a later one reweights it, or
-// rebuilds it when the kept-edge set changed. The graph ranks with the
-// given worker budget and CliqueRank's scratch from ar, and the pairs'
-// probabilities land in p. A graph whose pairs all have similarity 0 is
-// all dropped edges (p = 0), and a two-record graph takes CliqueRank's
-// closed form; neither is ranked. It returns the kept-edge count.
-func (f *FusionRun) rankGraph(held **RecordGraph, n int, pairs, recLocal []int32, ar *arena, workers int) int {
-	s := f.res.S
-	m := len(s)
-	if pairs != nil {
-		m = len(pairs)
+// holdPlans lets the run's record graphs hold mask plans against the
+// run's budget.
+func (f *FusionRun) holdPlans() {
+	for u := range f.graphs.graphs {
+		f.graphs.graphs[u].planBudget = &f.planBudget
 	}
+}
+
+// rankGraph ranks record graph u of the run with the given worker budget
+// and CliqueRank's scratch from ar, and writes its pairs' probabilities
+// into p. The first rank lays the graph out from the round's
+// similarities; a later one reweights it, or lays it out again in its
+// windows when the kept-edge set changed. A graph whose pairs all have
+// similarity 0 is all dropped edges (p = 0) and is not ranked. It returns
+// the kept-edge count.
+func (f *FusionRun) rankGraph(u int, ar *arena, workers int) int {
+	rg, s := &f.graphs.graphs[u], f.res.S
 	kept := 0
-	for k := 0; k < m; k++ {
-		if s[pairAt(pairs, k)] > 0 {
+	for k := range rg.PairSlot {
+		if s[pairAt(rg.pairs, k)] > 0 {
 			kept++
 		}
 	}
-	if kept == 0 || f.twoRecords(n) {
-		for k := 0; k < m; k++ {
-			pid := pairAt(pairs, k)
-			f.p[pid] = f.twoRecordP(s[pid])
-		}
-		return kept
+	if kept == 0 {
+		return f.rankClosed(rg.pairs)
 	}
-	// A held graph borrows the ranking goroutine's arena for this rank
-	// alone, since a small component's arena goes back to a shared pool.
-	rg := *held
-	if rg != nil && !rg.reweight(s, pairs) {
-		rg.arena = ar
-		rg.release()
-		rg = nil
+	if rg.lays == 0 || !rg.reweight(s) {
+		rg.lay(s)
 	}
-	if rg == nil {
-		rg = buildRecordGraph(f.g, s, n, pairs, recLocal, ar)
-		rg.planBudget = &f.planBudget
-		*held = rg
-	}
-	rg.arena = ar
 	opts := f.opts
 	opts.Workers = workers
 	// The whole graph's positions are global pair IDs, so it ranks into p
-	// directly; a component ranks into scratch and scatters.
-	pl := f.p
-	if pairs != nil {
-		pl = ar.getF64(m)
+	// directly; a graph over a pair list ranks into its output window and
+	// scatters.
+	out := f.p
+	if rg.pairs != nil {
+		out = f.graphs.outOf(u)
 	}
+	rg.arena = ar
 	if opts.UseRSS {
-		RSSInto(rg, opts, pl)
+		RSSInto(rg, opts, out)
 	} else {
-		CliqueRankInto(rg, opts, pl)
-	}
-	if pairs != nil {
-		for k, pid := range pairs {
-			f.p[pid] = pl[k]
-		}
-		ar.putF64(pl)
+		CliqueRankInto(rg, opts, out)
 	}
 	rg.arena = nil
+	for k, pid := range rg.pairs {
+		f.p[pid] = out[k]
+	}
+	return kept
+}
+
+// rankClosed writes the two-record closed form's probability of every
+// pair listed in pairs (every candidate pair when pairs is nil), 0 for a
+// pair with similarity 0, and returns the kept-edge count.
+func (f *FusionRun) rankClosed(pairs []int32) int {
+	s, n, kept := f.res.S, len(f.res.S), 0
+	if pairs != nil {
+		n = len(pairs)
+	}
+	for k := 0; k < n; k++ {
+		pid := pairAt(pairs, k)
+		f.p[pid] = f.twoRecordP(s[pid])
+		if s[pid] > 0 {
+			kept++
+		}
+	}
 	return kept
 }
 
@@ -265,25 +278,14 @@ func (f *FusionRun) endRound() error {
 }
 
 // Finish seals and returns the result: final probabilities, the η
-// thresholding, and the total elapsed time. It returns ITER's layout to
-// the run's arena and releases the record graphs the run held: their
-// plans go back to the plan pool, the whole graph's buffers to the run's
-// arena, and the components' graphs, which would crowd the arena's free
-// lists, are left to the collector.
+// thresholding, and the total elapsed time. It returns ITER's layout and
+// the record graphs' arrays to the run's arena, and the graphs' held
+// plans to the plan pool and the run's budget.
 func (f *FusionRun) Finish() *FusionResult {
 	f.sc.release()
-	if f.whole != nil {
-		f.whole.arena = f.ar
-		f.whole.release()
-		f.whole = nil
-	}
-	if f.shards != nil {
-		for ci, rg := range f.shards.graphs {
-			if rg != nil {
-				rg.release()
-				f.shards.graphs[ci] = nil
-			}
-		}
+	if f.graphs != nil {
+		f.graphs.release(f.ar)
+		f.graphs = nil
 	}
 	res := f.res
 	res.P = f.p

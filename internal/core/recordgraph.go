@@ -15,18 +15,33 @@ type RecordGraph struct {
 	Pattern *matrix.Pattern
 	// S holds the symmetric edge weights.
 	S *matrix.PatVec
-	// PairSlot maps a candidate pair ID to the slot of its (I → J) entry,
-	// or -1 when the pair's similarity was 0 and the edge was dropped.
+	// PairSlot maps a pair's index, its candidate pair ID on a graph over
+	// every candidate pair, to the slot of its (I → J) entry, or -1 when
+	// the pair's similarity was 0 and the edge was dropped.
 	PairSlot []int32
-	// Edges lists the pair IDs that became edges, aligned with graph order.
+	// Edges lists the pair indexes that became edges, ascending.
 	Edges []int32
 	// SlotRow maps every directed slot to its row index, so the CliqueRank
 	// and RSS readouts recover slot coordinates in O(1) instead of a binary
 	// search over RowPtr per pair.
 	SlotRow []int32
 
-	// arena, when non-nil, recycles this graph's buffers (and CliqueRank's
-	// scratch) across fusion rounds; see release.
+	// The layout's inputs. pairs gives the global pair ID of each PairSlot
+	// index, nil for the identity (a graph over every candidate pair);
+	// ends gives each pair's endpoints as graph nodes, by PairSlot index;
+	// lex lists the PairSlot indexes in (I, J) order, nil when index order
+	// is that order. tIdx is the full transpose window; the pattern,
+	// S, Edges and SlotRow are re-cut from their windows' capacity on
+	// every lay. lays counts the lays.
+	pairs, lex, tIdx []int32
+	ends             []index.Pair
+	lays             int
+	// parts, on a graph of several components, lists each component's
+	// first node and then the node count: the components' node ranges.
+	parts []int32
+
+	// arena, when non-nil, holds CliqueRank's workspace and scratch for
+	// the rank in progress.
 	arena *arena
 	// planBudget, set on the graphs a FusionRun holds, is the run's count
 	// of mask-plan entries its graphs may still hold; plan is the plan
@@ -40,77 +55,245 @@ type RecordGraph struct {
 // ended with weight 0) are excluded: a zero-weight edge can never be chosen
 // by the walk and would only add zero rows to the transition matrix.
 func BuildRecordGraph(g *index.Graph, s []float64, numRecords int) *RecordGraph {
-	return buildRecordGraph(g, s, numRecords, nil, nil, nil)
+	rg := &wholeLayout(g, numRecords, nil).graphs[0]
+	rg.lay(s)
+	return rg
 }
 
-// buildRecordGraph builds G_r over numRecords nodes from the candidate
-// pairs listed in pairs, or from every candidate pair when pairs is nil.
-// recLocal, when non-nil, renumbers record IDs into the graph's nodes (a
-// component's local numbering). PairSlot is indexed by, and Edges lists, a
-// pair's position in pairs, which for the whole graph is its global ID.
-func buildRecordGraph(g *index.Graph, s []float64, numRecords int, pairs, recLocal []int32, ar *arena) *RecordGraph {
-	n := g.NumPairs()
-	if pairs != nil {
-		n = len(pairs)
-	}
-	// ends maps a pair to its endpoint nodes.
-	ends := func(pid int) (i, j int32) {
-		i, j = g.Pairs[pid].I, g.Pairs[pid].J
-		if recLocal != nil {
-			i, j = recLocal[i], recLocal[j]
+// graphLayout holds record graphs as windows of run-wide arrays, so a
+// fusion run's graphs cost a fixed handful of allocations whatever their
+// count. Graph u's windows start at two offsets, nodeLo (a running sum of
+// n+2: rowPtr keeps one spare entry for the counting fill) and pairLo[u]
+// (a running sum of m): Col, the transpose, S and SlotRow take 2m entries
+// from 2·pairLo[u] (two directed slots per candidate pair), and PairSlot,
+// Edges, the pair order, the endpoints and the output m from pairLo[u].
+type graphLayout struct {
+	graphs []RecordGraph
+	pats   []matrix.Pattern
+	vecs   []matrix.PatVec
+	// i32 and f64 are the slabs every array below is cut from; pairLo has
+	// one more entry than graphs. order lists the graphs' pairs (global
+	// IDs for a sharded layout, the (I, J) order of the whole graph's), and
+	// ends and out, in a sharded layout only, their endpoints as graph
+	// nodes and their probabilities before the scatter into p.
+	i32, pairLo, order []int32
+	f64, out           []float64
+	ends               []index.Pair
+}
+
+// carveLayout cuts len(nodes) graphs out of arrays drawn from ar: graph u
+// spans nodes[u] nodes and pairs[u] candidate pairs. A sharded layout
+// ranks each graph over a pair list, which the caller writes into order
+// and ends, and graph u over comps[u] components, whose node ranges the
+// caller appends to parts; otherwise the one graph spans every candidate
+// pair in ID order, and the caller writes their (I, J) order into order.
+func carveLayout(ar *arena, nodes, pairs, comps []int32) *graphLayout {
+	ng, sharded := len(nodes), comps != nil
+	var ni, np, nparts int
+	for u := range nodes {
+		ni += int(nodes[u]) + 2
+		np += int(pairs[u])
+		if sharded {
+			nparts += int(comps[u]) + 1
 		}
-		return i, j
 	}
-	edges := ar.getEdges(n)
-	kept := ar.getI32(n)[:0]
-	for k := 0; k < n; k++ {
-		pid := pairAt(pairs, k)
-		if s[pid] <= 0 {
+	l := &graphLayout{
+		graphs: make([]RecordGraph, ng),
+		pats:   make([]matrix.Pattern, ng),
+		vecs:   make([]matrix.PatVec, ng),
+	}
+	l.i32 = ar.getI32(ng + 1 + ni + 9*np + nparts)
+	cut := func(b *[]int32, n int) []int32 { w := (*b)[:n:n]; *b = (*b)[n:]; return w }
+	rest := l.i32
+	l.pairLo = cut(&rest, ng+1)
+	rowPtr, col, tIdx, slotRow := cut(&rest, ni), cut(&rest, 2*np), cut(&rest, 2*np), cut(&rest, 2*np)
+	pairSlot, edges := cut(&rest, np), cut(&rest, np)
+	l.order = cut(&rest, np)
+	parts := cut(&rest, nparts)
+	outLen := 0
+	if sharded {
+		outLen = np
+		l.ends = ar.getPairs(np)
+	}
+	l.f64 = ar.getF64(2*np + outLen)
+	val := l.f64[:2*np]
+	l.out = l.f64[2*np:]
+	win := func(b []int32, at, n int) []int32 { return b[at : at+n : at+n] }
+	nodeLo, lo := 0, 0
+	for u := range l.graphs {
+		n, m := int(nodes[u]), int(pairs[u])
+		rg := &l.graphs[u]
+		l.pats[u] = matrix.FromCSR(n, win(rowPtr, nodeLo, n+2)[:n+1], win(col, 2*lo, 2*m)[:0], nil)
+		l.vecs[u] = matrix.PatVec{P: &l.pats[u], Val: val[2*lo : 2*lo : 2*(lo+m)]}
+		rg.Pattern, rg.S = &l.pats[u], &l.vecs[u]
+		rg.tIdx = win(tIdx, 2*lo, 2*m)
+		rg.SlotRow = win(slotRow, 2*lo, 2*m)[:0]
+		rg.PairSlot = win(pairSlot, lo, m)
+		rg.Edges = win(edges, lo, m)[:0]
+		if sharded {
+			rg.pairs, rg.ends = win(l.order, lo, m), l.ends[lo:lo+m:lo+m]
+			rg.parts, parts = parts[:0:comps[u]+1], parts[comps[u]+1:]
+		} else {
+			rg.lex = win(l.order, lo, m)
+		}
+		l.pairLo[u] = int32(lo)
+		nodeLo += n + 2
+		lo += m
+	}
+	l.pairLo[ng] = int32(lo)
+	return l
+}
+
+// wholeLayout is the layout of one graph over all of g's candidate pairs
+// on numRecords nodes, with PairSlot indexed by pair ID and the pairs'
+// (I, J) order computed here.
+func wholeLayout(g *index.Graph, numRecords int, ar *arena) *graphLayout {
+	m := g.NumPairs()
+	l := carveLayout(ar, []int32{int32(numRecords)}, []int32{int32(m)}, nil)
+	rg := &l.graphs[0]
+	rg.ends = g.Pairs
+	tmp, cnt := ar.getI32(m), ar.getI32(numRecords+1)
+	lexOrder(g.Pairs, rg.lex, tmp, cnt)
+	ar.putI32(tmp)
+	ar.putI32(cnt)
+	return l
+}
+
+// lexOrder writes into out the indexes of pairs in (I, J) order: a stable
+// counting sort by J into tmp, then one by I into out. cnt has room for
+// every node ID plus one.
+func lexOrder(pairs []index.Pair, out, tmp, cnt []int32) {
+	for k := range out {
+		out[k] = int32(k)
+	}
+	countSort(pairs, out, tmp, cnt, func(pr index.Pair) int32 { return pr.J })
+	countSort(pairs, tmp, out, cnt, func(pr index.Pair) int32 { return pr.I })
+}
+
+// countSort writes the pair indexes of src into dst stably ordered by key.
+func countSort(pairs []index.Pair, src, dst, cnt []int32, key func(index.Pair) int32) {
+	clear(cnt)
+	for _, k := range src {
+		cnt[key(pairs[k])+1]++
+	}
+	for i := 1; i < len(cnt); i++ {
+		cnt[i] += cnt[i-1]
+	}
+	for _, k := range src {
+		c := key(pairs[k])
+		dst[cnt[c]] = k
+		cnt[c]++
+	}
+}
+
+// outOf is graph u's output window.
+func (l *graphLayout) outOf(u int) []float64 { return l.out[l.pairLo[u]:l.pairLo[u+1]] }
+
+// release returns the layout's arrays to ar and the graphs' held plans to
+// the plan pool and their budget. The layout must not be used afterwards.
+func (l *graphLayout) release(ar *arena) {
+	for u := range l.graphs {
+		l.graphs[u].releasePlan()
+	}
+	ar.putI32(l.i32)
+	ar.putF64(l.f64)
+	ar.putPairs(l.ends)
+	*l = graphLayout{}
+}
+
+// lay lays the graph out in its windows from the similarities s, keeping
+// the pairs with s > 0 as edges, and drops a held plan. A counting pass
+// sizes the rows; a fill in (I, J) pair order then appends every row's
+// columns in ascending order (row i meets its neighbours j < i, as the J
+// of pairs (j, i), before those j > i), so no row is sorted and each
+// pair's two slots, and with them the transpose, are known as it is
+// placed (TestRecordGraphLayStructure).
+func (rg *RecordGraph) lay(s []float64) {
+	rg.releasePlan()
+	rg.lays++
+	pat, n := rg.Pattern, rg.Pattern.N
+	// cnt[i+1] counts, then starts and finally ends row i; at the end
+	// cnt[:n+1] is RowPtr.
+	cnt := pat.RowPtr[:n+2]
+	clear(cnt)
+	for k := range rg.PairSlot {
+		rg.PairSlot[k] = -1
+		if s[pairAt(rg.pairs, k)] > 0 {
+			e := rg.ends[k]
+			cnt[e.I+2]++
+			cnt[e.J+2]++
+		}
+	}
+	for i := 2; i < len(cnt); i++ {
+		cnt[i] += cnt[i-1]
+	}
+	col, tIdx, val := pat.Col[:cap(pat.Col)], rg.tIdx, rg.S.Val[:cap(rg.S.Val)]
+	for j := range rg.PairSlot {
+		k := j
+		if rg.lex != nil {
+			k = int(rg.lex[j])
+		}
+		v := s[pairAt(rg.pairs, k)]
+		if v <= 0 {
 			continue
 		}
-		i, j := ends(pid)
-		edges = append(edges, matrix.Edge{I: i, J: j})
-		kept = append(kept, int32(k))
+		e := rg.ends[k]
+		a, b := cnt[e.I+1], cnt[e.J+1]
+		cnt[e.I+1]++
+		cnt[e.J+1]++
+		col[a], col[b] = e.J, e.I
+		tIdx[a], tIdx[b] = b, a
+		val[a], val[b] = v, v
+		rg.PairSlot[k] = a
 	}
-	pat := matrix.NewPattern(numRecords, edges)
-	ar.putEdges(edges)
-	sv := &matrix.PatVec{P: pat, Val: ar.getF64(pat.NNZ())}
-	slot := ar.getI32(n)
-	for k := range slot {
-		slot[k] = -1
-	}
-	for _, k := range kept {
-		pid := pairAt(pairs, int(k))
-		i, j := ends(pid)
-		a := pat.Slot(int(i), int(j))
-		b := pat.Slot(int(j), int(i))
-		sv.Val[a] = s[pid]
-		sv.Val[b] = s[pid]
-		slot[k] = int32(a)
-	}
-	slotRow := ar.getI32(pat.NNZ())
+	nnz := int(cnt[n])
+	*pat = matrix.FromCSR(n, cnt[:n+1], col[:nnz], tIdx[:nnz])
+	rg.S.Val = val[:nnz]
+	slotRow := rg.SlotRow[:nnz]
 	//lint:ignore guardloop output-sized fill of the slot→row index; the surrounding fusion round polls between kernels
-	for i := 0; i < pat.N; i++ {
-		row := slotRow[pat.RowPtr[i]:pat.RowPtr[i+1]]
+	for i := 0; i < n; i++ {
+		row := slotRow[cnt[i]:cnt[i+1]]
 		for k := range row {
 			row[k] = int32(i)
 		}
 	}
-	return &RecordGraph{Pattern: pat, S: sv, PairSlot: slot, Edges: kept, SlotRow: slotRow, arena: ar}
+	rg.SlotRow = slotRow
+	rg.Edges = rg.Edges[:0]
+	for k, slot := range rg.PairSlot {
+		if slot >= 0 {
+			rg.Edges = append(rg.Edges, int32(k))
+		}
+	}
 }
 
-// reweight writes the round's similarities s into a graph built from an
+// segments appends to segs, as [lo, hi) pairs, the non-empty slot range
+// of each of the graph's components when split is set and the graph has
+// parts, and otherwise the graph's whole slot range.
+func (rg *RecordGraph) segments(segs []int32, split bool) []int32 {
+	rp := rg.Pattern.RowPtr
+	if !split || rg.parts == nil {
+		return append(segs, 0, rp[len(rp)-1])
+	}
+	for k := 0; k+1 < len(rg.parts); k++ {
+		if lo, hi := rp[rg.parts[k]], rp[rg.parts[k+1]]; lo < hi {
+			segs = append(segs, lo, hi)
+		}
+	}
+	return segs
+}
+
+// reweight writes the round's similarities s into a graph laid out from an
 // earlier round's, which a fusion run holds for the whole run: blocking
 // fixes the candidate pairs, so a round changes the edge weights and, only
 // where a similarity crosses 0, the edge set. When s keeps exactly the
 // graph's edges (s > 0 on the pairs with a slot and on no other), it
-// stores each pair's weight in both directed slots, as a fresh build from
-// s would, and reports true. Otherwise it reports false with S torn, and
-// the caller rebuilds. pairs is the list the graph was built from.
-func (rg *RecordGraph) reweight(s []float64, pairs []int32) bool {
+// stores each pair's weight in both directed slots, as a fresh lay of s
+// would, and reports true. Otherwise it reports false with S torn, and
+// the caller lays the graph out again.
+func (rg *RecordGraph) reweight(s []float64) bool {
 	val, pat := rg.S.Val, rg.Pattern
 	for k, slot := range rg.PairSlot {
-		v := s[pairAt(pairs, k)]
+		v := s[pairAt(rg.pairs, k)]
 		if (v > 0) != (slot >= 0) {
 			return false
 		}
@@ -176,25 +359,14 @@ func edgeRowsLive(mt *matrix.PatVec) bool {
 	return true
 }
 
-// release returns the graph's recyclable buffers to its arena ahead of the
-// next fusion round, and its held plan to the plan pool and the run's
-// budget. The graph must not be used afterwards; on an arena-less graph
-// only the plan is released.
-func (rg *RecordGraph) release() {
+// releasePlan returns the graph's held plan to the plan pool and the
+// run's budget.
+func (rg *RecordGraph) releasePlan() {
 	if rg.plan != nil {
 		rg.planBudget.Add(int64(rg.plan.Entries()))
 		rg.plan.Release()
 		rg.plan = nil
 	}
-	ar := rg.arena
-	if ar == nil {
-		return
-	}
-	ar.putF64(rg.S.Val)
-	ar.putI32(rg.PairSlot)
-	ar.putI32(rg.Edges)
-	ar.putI32(rg.SlotRow)
-	rg.S, rg.PairSlot, rg.Edges, rg.SlotRow, rg.arena = nil, nil, nil, nil, nil
 }
 
 // NumNodes returns the record count (Table III "number of nodes in G_r").

@@ -93,11 +93,12 @@ type partnerScan struct {
 	opts     *BatchOptions
 
 	// Scratch: the current record's eligible terms keyed by (df, term),
-	// the per-record shared counts (all zero between records), and the
-	// candidates in first-touch order.
+	// the per-record shared counts (all zero between records), the
+	// candidates in first-touch order, and a batch scan chunk's survivors.
 	keys    []uint64
 	cnt     []int32
 	touched []candidate
+	out     []survivor
 	work    scanWork
 }
 
@@ -204,10 +205,12 @@ var partnerScanPool = sync.Pool{New: func() any { return &partnerScan{} }}
 // without that filter. It also returns the work the scan did.
 //
 // Records fan out over parallel.ForGrain, each chunk with a pooled
-// scanner. Chunk outputs land in the slot of their chunk index and are
-// concatenated in chunk order, so the survivor sequence is a pure function
-// of the input at every worker count. When opts.Check reports cancellation
-// the scan stops early and the caller reads the checkpoint's error.
+// scanner. A chunk collects its survivors in the scanner's reused buffer
+// and copies them out once, at their exact count, into the slot of its
+// chunk index; the slots are concatenated in chunk order, so the survivor
+// sequence is a pure function of the input at every worker count. When
+// opts.Check reports cancellation the scan stops early and the caller
+// reads the checkpoint's error.
 func scanPartners(docs, post [][]int32, eligible []bool, docLen, source []int32, opts *BatchOptions) ([]survivor, scanWork) {
 	n := len(docs)
 	work := 0
@@ -223,7 +226,7 @@ func scanPartners(docs, post [][]int32, eligible []bool, docLen, source []int32,
 	parallel.ForGrain(opts.Workers, n, grain, func(lo, hi int) {
 		s := partnerScanPool.Get().(*partnerScan)
 		s.bind(post, docs, docLen, source, opts, n)
-		out := chunkOut[lo/grain]
+		out := s.out[:0]
 		for r := lo; r < hi; r++ {
 			if opts.Check.Tick() != nil {
 				break
@@ -235,7 +238,10 @@ func scanPartners(docs, post [][]int32, eligible []bool, docLen, source []int32,
 			}
 			out = s.partners(int32(r), int32(r), out)
 		}
-		chunkOut[lo/grain] = out
+		if len(out) > 0 {
+			chunkOut[lo/grain] = append(make([]survivor, 0, len(out)), out...)
+		}
+		s.out = out
 		chunkWork[lo/grain], s.work = s.work, scanWork{}
 		s.unbind()
 		partnerScanPool.Put(s)

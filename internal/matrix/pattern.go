@@ -5,17 +5,10 @@
 package matrix
 
 import (
-	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/parallel"
 )
-
-// Edge is an undirected edge between nodes I < J.
-type Edge struct {
-	I, J int32
-}
 
 // Pattern is a fixed symmetric sparsity pattern over n nodes. CliqueRank's
 // recurrence Mᵏ = M_t × (Mᵏ⁻¹ ⊙ M_n) keeps every iterate supported on the
@@ -31,55 +24,13 @@ type Pattern struct {
 	tIdx []int32
 }
 
-// NewPattern builds the symmetric pattern from undirected edges. Self loops
-// and duplicates are rejected because the record graph has neither.
-func NewPattern(n int, edges []Edge) *Pattern {
-	deg := make([]int32, n)
-	for _, e := range edges {
-		if e.I == e.J {
-			//lint:invariant graph-structure preconditions are programmer errors; tests assert these panics
-			panic(fmt.Sprintf("matrix: self loop %d", e.I))
-		}
-		if e.I < 0 || int(e.I) >= n || e.J < 0 || int(e.J) >= n {
-			//lint:invariant graph-structure preconditions are programmer errors; tests assert these panics
-			panic(fmt.Sprintf("matrix: edge (%d,%d) out of range n=%d", e.I, e.J, n))
-		}
-		deg[e.I]++
-		deg[e.J]++
-	}
-	p := &Pattern{N: n, RowPtr: make([]int32, n+1)}
-	for i := 0; i < n; i++ {
-		p.RowPtr[i+1] = p.RowPtr[i] + deg[i]
-	}
-	nnz := p.RowPtr[n]
-	p.Col = make([]int32, nnz)
-	p.tIdx = make([]int32, nnz)
-	fill := make([]int32, n)
-	copy(fill, p.RowPtr[:n])
-	for _, e := range edges {
-		p.Col[fill[e.I]] = e.J
-		fill[e.I]++
-		p.Col[fill[e.J]] = e.I
-		fill[e.J]++
-	}
-	for i := 0; i < n; i++ {
-		lo, hi := p.RowPtr[i], p.RowPtr[i+1]
-		row := p.Col[lo:hi]
-		slices.Sort(row)
-		for k := 1; k < len(row); k++ {
-			if row[k] == row[k-1] {
-				//lint:invariant graph-structure preconditions are programmer errors; tests assert these panics
-				panic(fmt.Sprintf("matrix: duplicate edge (%d,%d)", i, row[k]))
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for k := p.RowPtr[i]; k < p.RowPtr[i+1]; k++ {
-			j := p.Col[k]
-			p.tIdx[k] = int32(p.Slot(int(j), i))
-		}
-	}
-	return p
+// FromCSR returns the pattern over n nodes held in caller-owned arrays:
+// row i's columns are col[rowPtr[i]:rowPtr[i+1]], ascending, and tIdx[k]
+// is the slot of (j, i) when slot k stores (i, j). Nothing is copied or
+// checked; a builder that lays its rows out in order (the record graphs of
+// a fusion run) uses it to skip NewPattern's per-row sort and searches.
+func FromCSR(n int, rowPtr, col, tIdx []int32) Pattern {
+	return Pattern{N: n, RowPtr: rowPtr, Col: col, tIdx: tIdx}
 }
 
 // NNZ returns the number of directed slots (2× the undirected edge count).

@@ -1,9 +1,69 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// Edge is an undirected edge between nodes I < J.
+type Edge struct {
+	I, J int32
+}
+
+// NewPattern builds the symmetric pattern from undirected edges, in any
+// order, sorting each row and finding each transposed slot by search: the
+// reference the tests build their fixtures with. Self loops and duplicates
+// are rejected because the record graph has neither.
+func NewPattern(n int, edges []Edge) *Pattern {
+	deg := make([]int32, n)
+	for _, e := range edges {
+		if e.I == e.J {
+			//lint:invariant graph-structure preconditions are programmer errors; tests assert these panics
+			panic(fmt.Sprintf("matrix: self loop %d", e.I))
+		}
+		if e.I < 0 || int(e.I) >= n || e.J < 0 || int(e.J) >= n {
+			//lint:invariant graph-structure preconditions are programmer errors; tests assert these panics
+			panic(fmt.Sprintf("matrix: edge (%d,%d) out of range n=%d", e.I, e.J, n))
+		}
+		deg[e.I]++
+		deg[e.J]++
+	}
+	p := &Pattern{N: n, RowPtr: make([]int32, n+1)}
+	for i := 0; i < n; i++ {
+		p.RowPtr[i+1] = p.RowPtr[i] + deg[i]
+	}
+	nnz := p.RowPtr[n]
+	p.Col = make([]int32, nnz)
+	p.tIdx = make([]int32, nnz)
+	fill := make([]int32, n)
+	copy(fill, p.RowPtr[:n])
+	for _, e := range edges {
+		p.Col[fill[e.I]] = e.J
+		fill[e.I]++
+		p.Col[fill[e.J]] = e.I
+		fill[e.J]++
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := p.RowPtr[i], p.RowPtr[i+1]
+		row := p.Col[lo:hi]
+		slices.Sort(row)
+		for k := 1; k < len(row); k++ {
+			if row[k] == row[k-1] {
+				//lint:invariant graph-structure preconditions are programmer errors; tests assert these panics
+				panic(fmt.Sprintf("matrix: duplicate edge (%d,%d)", i, row[k]))
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for k := p.RowPtr[i]; k < p.RowPtr[i+1]; k++ {
+			j := p.Col[k]
+			p.tIdx[k] = int32(p.Slot(int(j), i))
+		}
+	}
+	return p
+}
 
 // Neighbors returns the sorted neighbor list of node i.
 func (p *Pattern) Neighbors(i int) []int32 { return p.Col[p.RowPtr[i]:p.RowPtr[i+1]] }

@@ -487,13 +487,14 @@ func (c *denseChain) release(ar *arena) {
 
 // mulRows writes rows [lo, hi) of the next power and adds their pattern
 // entries into acc. Four rows of the previous power are folded in per pass
-// over the output row, each with its own `+=` so that every entry still
-// sees its terms one at a time in ascending k — the same sequence of
-// `sum += x*y` the plan's gather performs.
+// over the output row (axpy4, vectorized on amd64 with AVX2), each with
+// its own `+=` so that every entry still sees its terms one at a time in
+// ascending k — the same sequence of `sum += x*y` the plan's gather
+// performs.
 func (c *denseChain) mulRows(lo, hi int) {
 	pat, n := c.pat, c.pat.N
 	a := c.a
-	//lint:ignore guardloop one power step over a scheduler chunk of rows; runDenseChain polls the checkpoint per power, as the sparse chain does
+	//lint:ignore guardloop one power step over a scheduler chunk of rows; rankWork.denseChain polls the checkpoint per power, as the sparse chain does
 	for i := lo; i < hi; i++ {
 		out := c.next[i*n : (i+1)*n]
 		clear(out)
@@ -501,19 +502,8 @@ func (c *denseChain) mulRows(lo, hi int) {
 		cols, m := pat.Col[rs:re], c.mt[rs:re]
 		k := 0
 		for ; k+4 <= len(cols); k += 4 {
-			m0, m1, m2, m3 := m[k], m[k+1], m[k+2], m[k+3]
-			b0 := a[int(cols[k])*n:][:len(out)]
-			b1 := a[int(cols[k+1])*n:][:len(out)]
-			b2 := a[int(cols[k+2])*n:][:len(out)]
-			b3 := a[int(cols[k+3])*n:][:len(out)]
-			for j := range out {
-				v := out[j]
-				v += m0 * b0[j]
-				v += m1 * b1[j]
-				v += m2 * b2[j]
-				v += m3 * b3[j]
-				out[j] = v
-			}
+			axpy4(out, a[int(cols[k])*n:], a[int(cols[k+1])*n:], a[int(cols[k+2])*n:], a[int(cols[k+3])*n:],
+				m[k], m[k+1], m[k+2], m[k+3])
 		}
 		for ; k < len(cols); k++ {
 			mk := m[k]

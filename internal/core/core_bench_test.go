@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/index"
+	"repro/internal/matrix"
 	"repro/internal/textproc"
 )
 
@@ -92,6 +93,75 @@ func BenchmarkCliqueRankSteps(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDenseChain times the nineteen powers M² … M²⁰ of CliqueRank's
+// chain on the shapes of the Paper replica: its 192-record, 98%-dense
+// component and its 102-record, 74%-dense one through the dense chain,
+// reported per multiply-add, and a 240-record graph just below half
+// density through the mask plan, reported per gather entry. M_t is S
+// normalized to unit row sums, so no iterate reaches the subnormal range.
+func BenchmarkDenseChain(b *testing.B) {
+	const powers = 19
+	rowStochastic := func(n, edges int) matrix.PatVec {
+		rg := shapeGraph(rand.New(rand.NewSource(11)), n, edges)
+		pat := rg.Pattern
+		mt := matrix.PatVec{P: pat, Val: make([]float64, pat.NNZ())}
+		for i := 0; i < pat.N; i++ {
+			row := rg.S.Val[pat.RowPtr[i]:pat.RowPtr[i+1]]
+			var sum float64
+			for _, v := range row {
+				sum += v
+			}
+			for k, v := range row {
+				mt.Val[int(pat.RowPtr[i])+k] = v / sum
+			}
+		}
+		return mt
+	}
+	for _, tc := range []struct {
+		name     string
+		n, edges int
+	}{
+		{"n192-98pct", 192, 192 * 191 / 2 * 98 / 100},
+		{"n102-74pct", 102, 102 * 101 / 2 * 74 / 100},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			mt := rowStochastic(tc.n, tc.edges)
+			acc := matrix.PatVec{P: mt.P, Val: make([]float64, mt.P.NNZ())}
+			ar := &arena{}
+			var c denseChain
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.init(&mt, &mt, &acc, true, ar)
+				for k := 0; k < powers; k++ {
+					c.step(1)
+				}
+				c.release(ar)
+			}
+			madds := float64(b.N) * powers * float64(mt.P.NNZ()) * float64(mt.P.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/madds, "ns/madd")
+		})
+	}
+	b.Run("plan-n240-45pct", func(b *testing.B) {
+		mt := rowStochastic(240, 240*239/2*45/100)
+		pl := matrix.BuildMaskPlan(&mt, 1, 0)
+		defer pl.Release()
+		a := matrix.PatVec{P: mt.P, Val: make([]float64, mt.P.NNZ())}
+		next := matrix.PatVec{P: mt.P, Val: make([]float64, mt.P.NNZ())}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(a.Val, mt.Val)
+			for k := 0; k < powers; k++ {
+				pl.MulRangeInto(&next, &mt, &a, 0, len(a.Val))
+				a, next = next, a
+			}
+		}
+		entries := float64(b.N) * powers * float64(pl.Entries())
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/entries, "ns/entry")
+	})
 }
 
 func BenchmarkRSSWalks(b *testing.B) {

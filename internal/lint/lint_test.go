@@ -108,6 +108,33 @@ func checkFixture(t *testing.T, name, asPath string, analyzers ...*lint.Analyzer
 	}
 }
 
+// TestLoaderHonoursBuildConstraints loads a package that declares g once
+// for amd64 and once for every other architecture: the loader must
+// type-check only the host's variant, as the go command builds it.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"k.go":       "package k\n\nfunc F() int { return g() }\n",
+		"k_amd64.go": "package k\n\nfunc g() int { return 1 }\n",
+		"k_other.go": "//go:build !amd64\n\npackage k\n\nfunc g() int { return 2 }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := lint.NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	p, err := loader.LoadDir(dir, "repro/internal/lint/testdata/k")
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	if len(p.Files) != 2 {
+		t.Fatalf("loaded %d files, want 2 (k.go and the host's variant of g)", len(p.Files))
+	}
+}
+
 func TestNoPanicFixture(t *testing.T) {
 	checkFixture(t, "nopanic", "fixture/nopanic", lint.NoPanic())
 }

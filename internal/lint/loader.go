@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -146,7 +147,7 @@ func hasGoFiles(dir string) (bool, error) {
 		return false, err
 	}
 	for _, e := range entries {
-		if !e.IsDir() && isLintedFile(e.Name()) {
+		if !e.IsDir() && isLintedFile(dir, e.Name()) {
 			return true, nil
 		}
 	}
@@ -155,12 +156,19 @@ func hasGoFiles(dir string) (bool, error) {
 
 // isLintedFile reports whether a file participates in the lint run:
 // ordinary .go sources, excluding tests (test-only panics and fixed seeds
-// are legitimate) and editor artifacts.
-func isLintedFile(name string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") &&
-		!strings.HasPrefix(name, "_")
+// are legitimate) and editor artifacts, that the go command builds for the
+// host's GOOS and GOARCH, so one architecture's variant of a declaration
+// is checked and its siblings behind other build constraints are not. A
+// file whose constraints cannot be read is kept, for the parser to report.
+func isLintedFile(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") ||
+		strings.HasSuffix(name, "_test.go") ||
+		strings.HasPrefix(name, ".") ||
+		strings.HasPrefix(name, "_") {
+		return false
+	}
+	match, err := build.Default.MatchFile(dir, name)
+	return err != nil || match
 }
 
 // Load parses and type-checks the package with the given module-internal
@@ -190,7 +198,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !isLintedFile(e.Name()) {
+		if e.IsDir() || !isLintedFile(dir, e.Name()) {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)

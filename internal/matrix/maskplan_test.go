@@ -44,12 +44,22 @@ func chainOperands(rng *rand.Rand, p *Pattern) (mt, a *PatVec) {
 // TestMaskPlanMatchesMaskedMulBitwise is the plan's bit-identity property
 // test: on random patterns and chain-shaped operands, the gather kernel
 // must reproduce TransposeInto + MaskedMulInto to the last bit, for every
-// worker count.
+// worker count, and MulRangeInto must do so on every window of 1–9 slots
+// at every offset, so each position of a slot in the four-slot interleave
+// and each singly summed remainder is covered. The test checks that some
+// plans interleave and some do not, and that the interleaving ones hold
+// zero-entry slots (dead rows) and groups of four with uneven entry
+// counts.
 func TestMaskPlanMatchesMaskedMulBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 30; trial++ {
+	var interleaved, single, emptySlot, unevenGroup bool
+	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(40)
-		p := planPattern(rng, n, 0.05+rng.Float64()*0.4)
+		density := 0.05 + rng.Float64()*0.4
+		if trial >= 30 {
+			density += 0.5 // dense enough for most plans to interleave
+		}
+		p := planPattern(rng, n, density)
 		mt, a := chainOperands(rng, p)
 
 		at := NewPatVec(p)
@@ -71,7 +81,41 @@ func TestMaskPlanMatchesMaskedMulBitwise(t *testing.T) {
 				}
 			}
 		}
+		nnz := p.NNZ()
+		count := func(s int) int32 { return pl.dstPtr[s+1] - pl.dstPtr[s] }
+		interleaved, single = interleaved || pl.interleave, single || !pl.interleave
+		for s := 0; pl.interleave && s < nnz; s++ {
+			emptySlot = emptySlot || count(s) == 0
+			if s+4 <= nnz {
+				unevenGroup = unevenGroup || count(s) != count(s+1) || count(s) != count(s+2) || count(s) != count(s+3)
+			}
+		}
+		const untouched = 0x7ff4dead
+		got := NewPatVec(p)
+		for width := 1; width <= 9; width++ {
+			for lo := 0; lo+width <= nnz; lo++ {
+				hi := lo + width
+				for s := range got.Val {
+					got.Val[s] = math.Float64frombits(untouched)
+				}
+				pl.MulRangeInto(got, mt, a, lo, hi)
+				for s := range got.Val {
+					wantBits := uint64(untouched)
+					if s >= lo && s < hi {
+						wantBits = math.Float64bits(want.Val[s])
+					}
+					if math.Float64bits(got.Val[s]) != wantBits {
+						t.Fatalf("trial %d window [%d, %d): slot %d = %x, want %x",
+							trial, lo, hi, s, math.Float64bits(got.Val[s]), wantBits)
+					}
+				}
+			}
+		}
 		pl.Release()
+	}
+	if !interleaved || !single || !emptySlot || !unevenGroup {
+		t.Fatalf("coverage: interleaving plan %v, slot-by-slot plan %v, zero-entry slot %v, uneven group of four %v",
+			interleaved, single, emptySlot, unevenGroup)
 	}
 }
 

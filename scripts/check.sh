@@ -4,7 +4,8 @@
 #
 # Stages, cheap to expensive: formatting, vet (full suite, then the
 # concurrency/format analyzers named explicitly so a stock-vet regression
-# cannot silently drop them), build, erlint (the repo-specific invariant
+# cannot silently drop them), build, the cross-arch build of the non-amd64
+# kernel fallback, erlint (the repo-specific invariant
 # suite in cmd/erlint), the race-enabled tests, the non-race allocation
 # gates, one iteration of every benchmark, the separate bench module, and the erserve daemon smoke test (real
 # binary, real sockets, real SIGTERM drain).
@@ -32,6 +33,13 @@ go vet -copylocks -loopclosure -printf ./...
 
 echo "==> go build"
 go build ./...
+
+# The dense chain's row kernel has an amd64 assembly body; every other
+# architecture builds the Go loop behind a build constraint. Vet the
+# kernel packages for arm64 and build the module for 386, so the
+# fallback cannot rot unseen on an amd64 CI host.
+echo "==> cross-arch build (arm64 vet, 386 build)"
+GOARCH=arm64 go vet ./internal/core/ ./internal/matrix/ && GOARCH=386 go build ./...
 
 # Build the linter once, then run each analyzer as its own named step so a
 # failure log says *which* invariant broke (lock discipline vs durability
